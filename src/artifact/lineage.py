@@ -4,14 +4,25 @@ Depth is the length of the longest path from a node to any root (a node with
 no parents); roots sit at depth 0. Graft operations never touch the immutable
 artifact records: they live in an overlay of replacement parent lists that
 every query consults.
+
+Once asked for them, the graph keeps an effective children map and a
+sibling-pair index (``SiblingPairs``) built from it current on every insert
+and graft, so neither needs a rescan of the whole graph after that. A graph
+that is never asked (a run without mutation, the verify reload) pays for
+neither.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import CycleRejected, DanglingParent, UnknownArtifact
+
+# Policy snapshots chain one to the next; they are never anyone's sibling.
+POLICY_TYPE = "mutation_policy"
 
 
 @dataclass(frozen=True)
@@ -39,10 +50,135 @@ class DagMetrics:
         }
 
 
+class PairVerdict(NamedTuple):
+    """What the mutator needs to know about one sibling pair's payloads."""
+    jaccard: float   # of the two top-level key sets
+    conflict: bool   # some shared top-level key holds different values
+
+
+def _pair(a: str, b: str) -> tuple:
+    return (a, b) if a < b else (b, a)
+
+
+class SiblingPairs:
+    """Every pair of distinct non-policy nodes that share at least one
+    effective parent, as ``(smaller id, larger id)``.
+
+    The owning graph adds and drops pairs as its children map changes, under
+    its lock, and counts the parents each pair shares, so a graft that takes
+    away one common parent keeps a pair that still has another. A pair's
+    verdict is computed once, by the caller's ``judge``, and cached for good,
+    since the artifacts behind it never change; a present pair the judge
+    cannot yet resolve waits in ``_pending`` and counts only towards
+    ``len()``. Present pairs with a verdict are kept sorted, so the rates are
+    read from counts and a walk in pair order can stop whenever it likes.
+    """
+
+    def __init__(self, lock):
+        self._lock = lock
+        self._shared: dict[tuple, int] = {}
+        self._verdicts: dict[tuple, PairVerdict] = {}
+        self._pending: set[tuple] = set()
+        self._judged: list[tuple] = []     # present pairs with a verdict, sorted
+        self._conflicts: list[tuple] = []  # those whose verdict is a conflict, sorted
+        self._jaccards: dict[float, int] = {}  # Jaccard value -> judged pairs with it
+
+    # -- maintenance, called by the graph under its lock --------------------
+
+    def _add(self, pair: tuple) -> None:
+        shared = self._shared.get(pair, 0)
+        self._shared[pair] = shared + 1
+        if shared:
+            return
+        verdict = self._verdicts.get(pair)
+        if verdict is None:
+            self._pending.add(pair)
+        else:
+            self._count(pair, verdict)
+
+    def _discard(self, pair: tuple) -> None:
+        shared = self._shared[pair] - 1
+        if shared:
+            self._shared[pair] = shared
+            return
+        del self._shared[pair]
+        if pair in self._pending:
+            self._pending.discard(pair)
+            return
+        verdict = self._verdicts[pair]
+        del self._judged[bisect_left(self._judged, pair)]
+        if verdict.conflict:
+            del self._conflicts[bisect_left(self._conflicts, pair)]
+        left = self._jaccards[verdict.jaccard] - 1
+        if left:
+            self._jaccards[verdict.jaccard] = left
+        else:
+            del self._jaccards[verdict.jaccard]
+
+    def _count(self, pair: tuple, verdict: PairVerdict) -> None:
+        insort(self._judged, pair)
+        if verdict.conflict:
+            insort(self._conflicts, pair)
+        self._jaccards[verdict.jaccard] = self._jaccards.get(verdict.jaccard, 0) + 1
+
+    # -- queries ------------------------------------------------------------
+
+    def refresh(self, judge: Callable[[str, str], PairVerdict | None]) -> None:
+        """Judge every present pair still waiting for a verdict."""
+        with self._lock:
+            for pair in list(self._pending):
+                verdict = judge(*pair)
+                if verdict is not None:
+                    self._pending.discard(pair)
+                    self._verdicts[pair] = verdict
+                    self._count(pair, verdict)
+
+    def __len__(self) -> int:
+        return len(self._shared)
+
+    def pairs(self) -> list[tuple]:
+        """Every present pair, judged or not, sorted."""
+        with self._lock:
+            return sorted(self._shared)
+
+    def conflict_count(self) -> int:
+        return len(self._conflicts)
+
+    def redundant_count(self, threshold: float) -> int:
+        with self._lock:
+            return sum(n for value, n in self._jaccards.items() if value > threshold)
+
+    def conflicts(self) -> Iterator[tuple]:
+        """Judged pairs whose verdict is a conflict, in pair order."""
+        return self._walk(self._conflicts, lambda pair: True)
+
+    def redundant(self, threshold: float) -> Iterator[tuple]:
+        """Judged pairs whose Jaccard value exceeds the threshold, in pair order."""
+        return self._walk(
+            self._judged, lambda pair: self._verdicts[pair].jaccard > threshold
+        )
+
+    def _walk(self, ordered: list, keep: Callable[[tuple], bool]) -> Iterator[tuple]:
+        """Each step resumes after the last pair yielded in the list as it
+        stands then, so the graph may change between steps."""
+        last = ("", "")
+        while True:
+            with self._lock:
+                i = bisect_right(ordered, last)
+                while i < len(ordered) and not keep(ordered[i]):
+                    i += 1
+                if i == len(ordered):
+                    return
+                last = ordered[i]
+            yield last
+
+
 class LineageGraph:
     def __init__(self):
         self._nodes: dict[str, NodeInfo] = {}
         self._overlay: dict[str, tuple] = {}
+        self._children: dict[str, list[str]] | None = None  # see _children_map
+        self._pairs: SiblingPairs | None = None
         self._depth_memo: dict[str, int] = {}
         # Serializes structural writes and depth memoization; queries on a
         # quiescent graph stay lock-cheap.
@@ -89,7 +225,60 @@ class LineageGraph:
                 timestamp=artifact.timestamp,
                 parent_ids=parent_ids,
             )
+            if self._children is not None:
+                self._link(artifact.artifact_id, dict.fromkeys(parent_ids))
             # A fresh node cannot be anyone's parent yet, so existing depths stand.
+
+    def _pairable(self, node_id: str) -> bool:
+        return self._nodes[node_id].artifact_type != POLICY_TYPE
+
+    def _link(self, node_id: str, parents) -> None:
+        """Make the node an effective child of each (distinct) parent."""
+        pairs = self._pairs if self._pairable(node_id) else None
+        for parent in parents:
+            siblings = self._children.setdefault(parent, [])
+            if pairs is not None:
+                for sibling in siblings:
+                    if self._pairable(sibling):
+                        pairs._add(_pair(sibling, node_id))
+            siblings.append(node_id)
+
+    def _unlink(self, node_id: str, parents) -> None:
+        """Undo ``_link`` for each (distinct) parent."""
+        pairs = self._pairs if self._pairable(node_id) else None
+        for parent in parents:
+            siblings = self._children[parent]
+            siblings.remove(node_id)
+            if pairs is not None:
+                for sibling in siblings:
+                    if self._pairable(sibling):
+                        pairs._discard(_pair(sibling, node_id))
+
+    def _children_map(self) -> dict[str, list[str]]:
+        """Effective children per parent, built on first use and kept
+        current by every insert and graft after that."""
+        with self._lock:
+            if self._children is None:
+                children: dict[str, list[str]] = {}
+                for nid in self._nodes:
+                    for parent in dict.fromkeys(self.parents(nid)):
+                        children.setdefault(parent, []).append(nid)
+                self._children = children
+            return self._children
+
+    def sibling_pairs(self) -> SiblingPairs:
+        """The sibling-pair index, built from the children map on first use
+        and kept current by every insert and graft after that."""
+        with self._lock:
+            if self._pairs is None:
+                pairs = SiblingPairs(self._lock)
+                for siblings in self._children_map().values():
+                    pairable = [s for s in siblings if self._pairable(s)]
+                    for i, first in enumerate(pairable):
+                        for second in pairable[i + 1:]:
+                            pairs._add(_pair(first, second))
+                self._pairs = pairs
+            return self._pairs
 
     def depth(self, artifact_id: str) -> int:
         """Longest path from the node to any root; roots are depth 0."""
@@ -150,18 +339,22 @@ class LineageGraph:
                     raise CycleRejected(
                         f"re-parenting {node_id} onto {parent} would create a cycle"
                     )
+            if self._children is not None:
+                old = dict.fromkeys(self.parents(node_id))
+                new = dict.fromkeys(new_parents)
+                self._unlink(node_id, [p for p in old if p not in new])
+                self._link(node_id, [p for p in new if p not in old])
             self._overlay[node_id] = tuple(new_parents)
             self._depth_memo.clear()
 
     def children(self, artifact_id: str) -> list[str]:
-        return [nid for nid in self._nodes if artifact_id in self.parents(nid)]
+        """Ids of the node's effective children, in the order they became so."""
+        return list(self._children_map().get(artifact_id, ()))
 
     def leaves(self) -> list[str]:
         """Ids of nodes with no children, in insertion order."""
-        referenced = set()
-        for nid in self._nodes:
-            referenced.update(self.parents(nid))
-        return [nid for nid in self._nodes if nid not in referenced]
+        children = self._children_map()
+        return [nid for nid in self._nodes if not children.get(nid)]
 
     def is_acyclic(self) -> bool:
         """Brute-force three-color DFS over effective parent edges."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,6 +140,8 @@ class InvestigationTracker:
         self.path = Path(path)
         self.clock = clock or SystemClock()
         self._items: dict[str, Investigation] = {}
+        self._deferred = False  # inside batch(): saves wait for its end
+        self._dirty = False
         if self.path.exists():
             with open(self.path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -146,8 +149,25 @@ class InvestigationTracker:
                 self._items[slug] = Investigation.from_dict(data[slug])
 
     def _save(self) -> None:
+        if self._deferred:
+            self._dirty = True
+            return
+        self._dirty = False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(self.path, {slug: inv.to_dict() for slug, inv in self._items.items()})
+
+    @contextmanager
+    def batch(self):
+        """Hold back the saves of the changes made in the block and write the
+        document once when it ends, also when it ends by an exception."""
+        outer = self._deferred
+        self._deferred = True
+        try:
+            yield
+        finally:
+            self._deferred = outer
+            if self._dirty:
+                self._save()
 
     def create(self, topic: str) -> Investigation:
         """Idempotent: an existing investigation for the slug is returned as-is."""

@@ -6,6 +6,13 @@ artifacts; grafts re-parent through the lineage graph's overlay and are
 persisted as mutation events so a rebuilt graph reaches the same shape.
 Policy snapshots live in the ordinary store as mutation_policy artifacts,
 each parented to its predecessor.
+
+Sibling pairs come from the lineage graph's ``SiblingPairs`` index, which
+the graph updates on every insert and graft and never rebuilds. The mutator
+judges each new pair once (payload-key Jaccard value, and whether a shared
+key disagrees) and the index caches that verdict for good, since artifacts
+are immutable. A cycle therefore reads its conflict and redundancy rates
+from counts and walks the sorted candidates only until its budget is spent.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable, Mapping
 from .canonical import Payload, canonical_line
 from .errors import CycleRejected, NotForkable, NotSiblings
 from .ledger import Artifact
-from .lineage import LineageGraph
+from .lineage import POLICY_TYPE, LineageGraph, PairVerdict, SiblingPairs
 from .reactor import merge_payloads
 
 MUTATIONS_FILE = "mutations.jsonl"
@@ -27,8 +34,6 @@ STAGNATION_BOUNDS = (1, 10)
 REDUNDANCY_BOUNDS = (0.3, 0.95)
 
 MUTATION_KINDS = ("fork", "merge", "graft")
-
-POLICY_TYPE = "mutation_policy"
 
 
 @dataclass(frozen=True)
@@ -194,27 +199,22 @@ class Mutator:
             with open(path, "a", encoding="utf-8") as handle:
                 handle.write(canonical_line(event.to_dict()))
 
-    def _payload_keys(self, artifact_id: str) -> frozenset | None:
-        artifact = self.resolve(artifact_id)
-        if artifact is None:
+    def _judge(self, a_id: str, b_id: str) -> PairVerdict | None:
+        art_a, art_b = self.resolve(a_id), self.resolve(b_id)
+        if art_a is None or art_b is None:
             return None
-        return frozenset(artifact.payload)
+        payload_a, payload_b = art_a.payload, art_b.payload
+        return PairVerdict(
+            jaccard=jaccard(frozenset(payload_a), frozenset(payload_b)),
+            conflict=any(payload_a[key] != payload_b[key]
+                         for key in payload_a.keys() & payload_b.keys()),
+        )
 
-    def _sibling_pairs(self) -> list[tuple[str, str]]:
-        """Distinct id pairs sharing at least one effective parent."""
-        children: dict[str, list[str]] = {}
-        for node_id in self.graph.node_ids():
-            if self.graph.node(node_id).artifact_type == POLICY_TYPE:
-                continue
-            for parent in self.graph.parents(node_id):
-                children.setdefault(parent, []).append(node_id)
-        pairs = set()
-        for sibling_ids in children.values():
-            ordered = sorted(sibling_ids)
-            for i, first in enumerate(ordered):
-                for second in ordered[i + 1:]:
-                    pairs.add((first, second))
-        return sorted(pairs)
+    def _sibling_pairs(self) -> SiblingPairs:
+        """The graph's sibling-pair index with every resolvable pair judged."""
+        pairs = self.graph.sibling_pairs()
+        pairs.refresh(self._judge)
+        return pairs
 
     def _share_parent(self, a_id: str, b_id: str) -> bool:
         return bool(set(self.graph.parents(a_id)) & set(self.graph.parents(b_id)))
@@ -234,26 +234,16 @@ class Mutator:
 
     def detect_redundancy(self) -> list[tuple[str, str]]:
         """Sibling pairs whose payload key sets exceed the Jaccard threshold."""
-        flagged = []
-        for a_id, b_id in self._sibling_pairs():
-            keys_a = self._payload_keys(a_id)
-            keys_b = self._payload_keys(b_id)
-            if keys_a is None or keys_b is None:
-                continue
-            if jaccard(keys_a, keys_b) > self.policy.redundancy_threshold:
-                flagged.append((a_id, b_id))
-        return flagged
+        return list(self._sibling_pairs().redundant(self.policy.redundancy_threshold))
 
     def detect_conflict(self) -> list[tuple[str, str, str]]:
         """(pair, key) rows where siblings disagree on a shared top-level key."""
         flagged = []
-        for a_id, b_id in self._sibling_pairs():
-            art_a = self.resolve(a_id)
-            art_b = self.resolve(b_id)
-            if art_a is None or art_b is None:
-                continue
-            for key in sorted(set(art_a.payload) & set(art_b.payload)):
-                if art_a.payload[key] != art_b.payload[key]:
+        for a_id, b_id in self._sibling_pairs().conflicts():
+            payload_a = self.resolve(a_id).payload
+            payload_b = self.resolve(b_id).payload
+            for key in sorted(payload_a.keys() & payload_b.keys()):
+                if payload_a[key] != payload_b[key]:
                     flagged.append((a_id, b_id, key))
         return flagged
 
@@ -322,21 +312,24 @@ class Mutator:
     def mutate_cycle(self, cycle: int) -> list[MutationEvent]:
         """Apply at most max_mutations_per_cycle events: conflicts first,
         then redundancy, then stagnation; smallest ids win within each class.
+
+        Candidates are the pairs judged when the cycle starts. Its own grafts
+        and merges only change pairs that hold a touched node (skipped) or a
+        new, still unjudged one, so walking the live index meets the same
+        candidates as walking a copy taken up front.
         """
         budget = self.policy.max_mutations_per_cycle
+        threshold = self.policy.redundancy_threshold
         applied: list[MutationEvent] = []
         touched: set[str] = set()
-        sibling_pairs = self._sibling_pairs()
-        conflicts = self.detect_conflict()
-        redundant = self.detect_redundancy()
-        denominator = max(1, len(sibling_pairs))
-        conflict_pairs = sorted({(a, b) for a, b, _ in conflicts})
+        pairs = self._sibling_pairs()
+        denominator = max(1, len(pairs))
         self.last_rates = (
-            len(conflict_pairs) / denominator,
-            len(redundant) / denominator,
+            pairs.conflict_count() / denominator,
+            pairs.redundant_count(threshold) / denominator,
         )
 
-        for a_id, b_id in conflict_pairs:
+        for a_id, b_id in pairs.conflicts():
             if len(applied) >= budget:
                 return applied
             if a_id in touched or b_id in touched:
@@ -352,7 +345,7 @@ class Mutator:
                 applied.append(self.events[-1])
             touched.update((a_id, b_id))
 
-        for a_id, b_id in redundant:
+        for a_id, b_id in pairs.redundant(threshold):
             if len(applied) >= budget:
                 return applied
             if a_id in touched or b_id in touched:

@@ -14,6 +14,7 @@ import json
 import logging
 import random
 import threading
+import weakref
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
@@ -24,6 +25,9 @@ from .clock import EPOCH, ManualClock, parse_timestamp
 from .errors import (
     AlreadyClaimed,
     ArtifactError,
+    CorruptStore,
+    CycleRejected,
+    DanglingParent,
     InvalidFormat,
     InvalidScenario,
     RateLimited,
@@ -259,11 +263,16 @@ class SessionBoard:
 # ---------------------------------------------------------------------------
 
 class AgentRuntime:
-    """Everything one agent owns: stores, memory, reactor, mutator."""
+    """Everything one agent owns: stores, memory, reactor, mutator.
+
+    ``world`` is a weak proxy of the World that owns this runtime, and the
+    callbacks below look the World up through it on every call, so nothing
+    the World owns refers back to it: a World the caller drops is freed at
+    once, not at the cyclic collector's next full pass.
+    """
 
     def __init__(self, profile: AgentProfile, world: "World"):
         self.profile = profile
-        self.world = world
         self.dir = world.out_dir / "agents" / profile.name
         self.dir.mkdir(parents=True, exist_ok=True)
         self.rng = random.Random(stable_hash(str(world.scenario.seed), "agent", profile.name))
@@ -279,29 +288,26 @@ class AgentRuntime:
             index=world.index,
             graph=world.graph,
             store=self.store,
-            resolve_artifact=world.resolve_entry,
+            resolve_artifact=lambda entry: world.resolve_entry(entry),
             data_dir=self.dir,
             clock=world.clock,
             rng=self.rng,
             claims=world.claims,
-            on_publish=world.on_publish,
-            on_reaction=world.on_reaction,
+            on_publish=lambda artifact: world.on_publish(artifact),
+            on_reaction=lambda record: world.on_reaction(record),
         )
         policy = MutationPolicy(**world.scenario.mutation_policy) \
             if world.scenario.mutation_policy else MutationPolicy()
         self.mutator = Mutator(
             agent_name=profile.name,
             graph=world.graph,
-            resolve=world.resolve_id,
-            emit=self._emit_for_mutator,
+            resolve=lambda artifact_id: world.resolve_id(artifact_id),
+            emit=lambda **kwargs: world.emit(profile.name, **kwargs),
             policy=policy,
             rng=random.Random(stable_hash(str(world.scenario.seed), "mutator", profile.name)),
             birth_cycles=world.birth_cycles,
             data_dir=self.dir,
         )
-
-    def _emit_for_mutator(self, **kwargs) -> Artifact:
-        return self.world.emit(self.profile.name, **kwargs)
 
 
 class World:
@@ -323,7 +329,7 @@ class World:
         self.governance = GovernanceLedger(
             self.out_dir / "governance.jsonl",
             clock=self.clock,
-            resolve_ref=lambda artifact_id: artifact_id in self.index,
+            resolve_ref=self.index.__contains__,
         )
         self.sessions = SessionBoard()
         self.artifacts: dict[str, Artifact] = {}
@@ -341,7 +347,7 @@ class World:
             self.profiles[profile.name] = profile
             self.governance.register_agent(profile.name)
         for name, profile in self.profiles.items():
-            self.agents[name] = AgentRuntime(profile, self)
+            self.agents[name] = AgentRuntime(profile, weakref.proxy(self))
         if scenario.mutation_enabled:
             for name in self.agents:
                 self.agents[name].mutator.record_policy()
@@ -480,76 +486,77 @@ def derive_needs(world: World, profile: AgentProfile, topic: str) -> NeedsSignal
 def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
     """Deterministic investigation chain: select, execute, chain, synthesize."""
     runtime = world.agents[agent_name]
-    profile = runtime.profile
-    slug = slugify(topic)
-    investigation = runtime.tracker.create(topic)
-    hypothesis = f"Investigating '{topic}' will surface cross-domain structure."
-    runtime.tracker.add_hypothesis(slug, hypothesis)
-    runtime.journal.log("hypothesis", hypothesis, {"investigation": slug})
+    with runtime.tracker.batch():  # one tracker write per pipeline
+        profile = runtime.profile
+        slug = slugify(topic)
+        investigation = runtime.tracker.create(topic)
+        hypothesis = f"Investigating '{topic}' will surface cross-domain structure."
+        runtime.tracker.add_hypothesis(slug, hypothesis)
+        runtime.journal.log("hypothesis", hypothesis, {"investigation": slug})
 
-    chain = select_chain(world, profile, topic)
-    artifacts: list[Artifact] = []
-    prev_payload: Payload = {}
-    prev_id: str | None = None
-    for manifest in chain:
-        params = build_params(manifest, prev_payload) if prev_payload else {}
-        params.setdefault("query", topic)
-        if manifest.input_params:
-            params.setdefault(manifest.input_params[0], topic)
-        try:
-            payload = execute(manifest, params, runtime.rng.randrange(2**32))
-        except ArtifactError as exc:
-            runtime.journal.log(
-                "experiment", f"skill {manifest.name} skipped: {exc}",
-                {"investigation": slug},
+        chain = select_chain(world, profile, topic)
+        artifacts: list[Artifact] = []
+        prev_payload: Payload = {}
+        prev_id: str | None = None
+        for manifest in chain:
+            params = build_params(manifest, prev_payload) if prev_payload else {}
+            params.setdefault("query", topic)
+            if manifest.input_params:
+                params.setdefault(manifest.input_params[0], topic)
+            try:
+                payload = execute(manifest, params, runtime.rng.randrange(2**32))
+            except ArtifactError as exc:
+                runtime.journal.log(
+                    "experiment", f"skill {manifest.name} skipped: {exc}",
+                    {"investigation": slug},
+                )
+                continue
+            artifact = world.emit(
+                agent_name,
+                artifact_type=manifest.output_artifact_type,
+                skill=manifest.name,
+                payload=payload,
+                parents=(prev_id,) if prev_id else (),
+                investigation_id=slug,
             )
-            continue
-        artifact = world.emit(
+            runtime.journal.log(
+                "experiment", f"ran {manifest.name}",
+                {"investigation": slug, "artifact": artifact.artifact_id},
+            )
+            runtime.tracker.add_result(slug, {"artifact": artifact.artifact_id,
+                                              "skill": manifest.name})
+            artifacts.append(artifact)
+            prev_payload = payload
+            prev_id = artifact.artifact_id
+
+        merged: Payload = {"topic": topic}
+        for artifact in artifacts:
+            merged.update(artifact.payload)
+        needs = derive_needs(world, profile, topic)
+        synthesis = world.emit(
             agent_name,
-            artifact_type=manifest.output_artifact_type,
-            skill=manifest.name,
-            payload=payload,
+            artifact_type="synthesis",
+            skill="synthesize",
+            payload=merged,
             parents=(prev_id,) if prev_id else (),
             investigation_id=slug,
+            needs=needs,
         )
-        runtime.journal.log(
-            "experiment", f"ran {manifest.name}",
-            {"investigation": slug, "artifact": artifact.artifact_id},
-        )
-        runtime.tracker.add_result(slug, {"artifact": artifact.artifact_id,
-                                          "skill": manifest.name})
-        artifacts.append(artifact)
-        prev_payload = payload
-        prev_id = artifact.artifact_id
+        artifacts.append(synthesis)
+        conclusion = f"Chain of {len(chain)} skill(s) synthesized for '{topic}'."
+        runtime.journal.log("conclusion", conclusion, {"investigation": slug})
+        if investigation.status == "active":  # re-runs resume a completed slug
+            runtime.tracker.mark_complete(slug)
 
-    merged: Payload = {"topic": topic}
-    for artifact in artifacts:
-        merged.update(artifact.payload)
-    needs = derive_needs(world, profile, topic)
-    synthesis = world.emit(
-        agent_name,
-        artifact_type="synthesis",
-        skill="synthesize",
-        payload=merged,
-        parents=(prev_id,) if prev_id else (),
-        investigation_id=slug,
-        needs=needs,
-    )
-    artifacts.append(synthesis)
-    conclusion = f"Chain of {len(chain)} skill(s) synthesized for '{topic}'."
-    runtime.journal.log("conclusion", conclusion, {"investigation": slug})
-    if investigation.status == "active":  # re-runs resume a completed slug
-        runtime.tracker.mark_complete(slug)
-
-    unmatched = _unmatched_tokens(world.registry, tokenize(topic))[:2]
-    return {
-        "topic": topic,
-        "investigation": slug,
-        "chain": [m.name for m in chain],
-        "artifacts": artifacts,
-        "synthesis": synthesis,
-        "open_questions": [f"What is the role of {tok} in {topic}?" for tok in unmatched],
-    }
+        unmatched = _unmatched_tokens(world.registry, tokenize(topic))[:2]
+        return {
+            "topic": topic,
+            "investigation": slug,
+            "chain": [m.name for m in chain],
+            "artifacts": artifacts,
+            "synthesis": synthesis,
+            "open_questions": [f"What is the role of {tok} in {topic}?" for tok in unmatched],
+        }
 
 
 def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
@@ -851,6 +858,9 @@ def verify_output(out_dir: str | Path) -> list[str]:
     """Re-check the core invariants from the files a run left behind.
 
     Returns a list of violation descriptions; empty means all checks passed.
+    When the lineage cannot be rebuilt at all (a damaged store line, or a
+    graft that names a missing node or would close a cycle), that is the one
+    violation returned, since every other check reads the rebuilt lineage.
     """
     from .ledger import verify_integrity
     from .reactor import REACTIONS_FILE
@@ -858,7 +868,10 @@ def verify_output(out_dir: str | Path) -> list[str]:
 
     out = Path(out_dir)
     violations: list[str] = []
-    graph, artifacts = load_world_dag(out)
+    try:
+        graph, artifacts = load_world_dag(out)
+    except (CorruptStore, CycleRejected, DanglingParent, UnknownArtifact) as exc:
+        return [f"lineage cannot be rebuilt: {type(exc).__name__}: {exc}"]
 
     if not graph.is_acyclic():
         violations.append("lineage graph contains a cycle")

@@ -1,0 +1,61 @@
+"""Golden digests: a refactor that changes any output byte fails here.
+
+Each test runs one fixed scenario and compares the sha256 tree digest of
+its run directory (the ``tree_digest`` of ``test_sim``) with a pinned value.
+A change that alters output on purpose re-pins the digests and says why.
+"""
+
+from __future__ import annotations
+
+import random
+
+from artifact.sim import Scenario, demo_scenario, run
+from artifact.skills import default_registry
+
+from .test_sim import tree_digest
+
+DEMO_DIGEST = "89337916ed81a0f31db9efc806bdd4e2886b119b5c6a4a4ce42e6d0e83005d9a"
+GRID_DIGEST = "2e5be18c5cde51dad5bdac8e7de9cf8bf5029c346f9df0400c6a6c691c5029d9"
+
+# Domain words chain skills; the rest are unmatched and broadcast needs.
+TOPIC_WORDS = (
+    "literature", "paper", "review", "survey", "citation",
+    "protein", "peptide", "sequence", "receptor", "binding", "motif",
+    "chemistry", "compound", "molecule", "drug", "smiles", "admet",
+    "materials", "ceramic", "crystal", "alloy", "density",
+    "kinetics", "toxicity", "scaling", "entropy", "fatigue", "folding",
+    "porosity", "resonance", "lattice", "solvent", "grain", "signal",
+)
+
+
+def grid_scenario(seed: int, agents: int, cycles: int) -> Scenario:
+    """Agent i runs the 4 registry tools from index 3i mod 12; every even
+    agent gets a seeded 3-keyword topic each cycle. Mutation stays on."""
+    tools = [m.name for m in default_registry().skills()]
+    rng = random.Random(seed)
+    return Scenario.from_dict({
+        "seed": seed,
+        "cycles": cycles,
+        "agents": [
+            {"name": f"agent{i:02d}",
+             "preferred_tools": [tools[(3 * i + k) % len(tools)] for k in range(4)]}
+            for i in range(agents)
+        ],
+        "seeded_topics": [
+            {"cycle": cycle, "agent": f"agent{i:02d}",
+             "topic": " ".join(rng.sample(TOPIC_WORDS, 3))}
+            for cycle in range(cycles)
+            for i in range(0, agents, 2)
+        ],
+        "mutation_enabled": True,
+    })
+
+
+def test_demo_digest_pinned(tmp_path):
+    run(demo_scenario(), tmp_path / "demo")
+    assert tree_digest(tmp_path / "demo") == DEMO_DIGEST
+
+
+def test_mutation_grid_digest_pinned(tmp_path):
+    run(grid_scenario(seed=7, agents=10, cycles=10), tmp_path / "grid")
+    assert tree_digest(tmp_path / "grid") == GRID_DIGEST

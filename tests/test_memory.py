@@ -105,6 +105,45 @@ def test_tracker_persists_across_reload(tmp_path, clock):
     assert loaded.status == "complete"
 
 
+def test_tracker_batch_writes_once_with_the_same_bytes(tmp_path, clock, monkeypatch):
+    import artifact.memory as memory
+
+    start = clock.current
+    direct = InvestigationTracker(tmp_path / "direct.json", clock=clock)
+    inv = direct.create("some topic")
+    direct.add_hypothesis(inv.id, "h1")
+    direct.add_result(inv.id, {"artifact": "a1"})
+    direct.mark_complete(inv.id)
+
+    writes = []
+    atomic_write = memory._atomic_write
+    monkeypatch.setattr(memory, "_atomic_write",
+                        lambda path, data: (writes.append(path), atomic_write(path, data)))
+    clock.current = start  # the same timestamps as above
+    batched = InvestigationTracker(tmp_path / "batched.json", clock=clock)
+    with batched.batch():
+        inv = batched.create("some topic")
+        batched.add_hypothesis(inv.id, "h1")
+        batched.add_result(inv.id, {"artifact": "a1"})
+        batched.mark_complete(inv.id)
+        assert writes == []
+    assert writes == [tmp_path / "batched.json"]
+    assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+    batched.add_result(inv.id, "late")  # outside a batch: saved at once
+    assert len(writes) == 2
+
+
+def test_tracker_batch_persists_when_the_block_fails(tmp_path, clock):
+    path = tmp_path / "inv.json"
+    tracker = InvestigationTracker(path, clock=clock)
+    with pytest.raises(RuntimeError):
+        with tracker.batch():
+            inv = tracker.create("some topic")
+            tracker.add_hypothesis(inv.id, "h1")
+            raise RuntimeError("pipeline step failed")
+    assert InvestigationTracker(path, clock=clock).get(inv.id).hypotheses == ["h1"]
+
+
 # -- knowledge graph ----------------------------------------------------------------
 
 def test_kg_add_and_query(tmp_path):

@@ -4,6 +4,8 @@ import random
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.clock import EPOCH, ManualClock
 from artifact.errors import CycleRejected, NotForkable, NotSiblings
@@ -27,13 +29,13 @@ class ZeroNoise:
 class MutatorHarness:
     """Graph + artifact pool + a mutator whose emissions land in the pool."""
 
-    def __init__(self, tmp_path=None, policy=None):
+    def __init__(self, tmp_path=None, policy=None, mutator_cls=Mutator):
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
         self.rng = random.Random(42)
         self.graph = LineageGraph()
         self.artifacts = {}
         self.birth_cycles = {}
-        self.mutator = Mutator(
+        self.mutator = mutator_cls(
             agent_name="mora",
             graph=self.graph,
             resolve=self.artifacts.get,
@@ -333,3 +335,174 @@ def test_event_invariants():
     with pytest.raises(ValueError):
         MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0)
     MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent="p")
+
+
+# -- the sibling-pair index against the full rescan it replaced ----------------------
+
+def rescanned_pairs(graph):
+    """Distinct id pairs sharing at least one effective parent, from scratch.
+
+    Siblings are gathered in a set: a node that names one parent twice is
+    still not its own sibling.
+    """
+    children = {}
+    for node_id in graph.node_ids():
+        if graph.node(node_id).artifact_type == "mutation_policy":
+            continue
+        for parent in graph.parents(node_id):
+            children.setdefault(parent, set()).add(node_id)
+    pairs = set()
+    for sibling_ids in children.values():
+        ordered = sorted(sibling_ids)
+        for i, first in enumerate(ordered):
+            for second in ordered[i + 1:]:
+                pairs.add((first, second))
+    return sorted(pairs)
+
+
+class RescanningMutator(Mutator):
+    """The detection and cycle algorithm that rescans every pair on every call."""
+
+    def _payload_keys(self, artifact_id):
+        artifact = self.resolve(artifact_id)
+        return None if artifact is None else frozenset(artifact.payload)
+
+    def detect_redundancy(self):
+        flagged = []
+        for a_id, b_id in rescanned_pairs(self.graph):
+            keys_a = self._payload_keys(a_id)
+            keys_b = self._payload_keys(b_id)
+            if keys_a is None or keys_b is None:
+                continue
+            if jaccard(keys_a, keys_b) > self.policy.redundancy_threshold:
+                flagged.append((a_id, b_id))
+        return flagged
+
+    def detect_conflict(self):
+        flagged = []
+        for a_id, b_id in rescanned_pairs(self.graph):
+            art_a = self.resolve(a_id)
+            art_b = self.resolve(b_id)
+            if art_a is None or art_b is None:
+                continue
+            for key in sorted(set(art_a.payload) & set(art_b.payload)):
+                if art_a.payload[key] != art_b.payload[key]:
+                    flagged.append((a_id, b_id, key))
+        return flagged
+
+    def mutate_cycle(self, cycle):
+        budget = self.policy.max_mutations_per_cycle
+        applied = []
+        touched = set()
+        sibling_pairs = rescanned_pairs(self.graph)
+        conflicts = self.detect_conflict()
+        redundant = self.detect_redundancy()
+        denominator = max(1, len(sibling_pairs))
+        conflict_pairs = sorted({(a, b) for a, b, _ in conflicts})
+        self.last_rates = (
+            len(conflict_pairs) / denominator,
+            len(redundant) / denominator,
+        )
+        for a_id, b_id in conflict_pairs:
+            if len(applied) >= budget:
+                return applied
+            if a_id in touched or b_id in touched:
+                continue
+            try:
+                self.graft(b_id, a_id, cycle=cycle)
+                applied.append(self.events[-1])
+            except CycleRejected:
+                art_a, art_b = self.resolve(a_id), self.resolve(b_id)
+                if art_a is None or art_b is None:
+                    continue
+                self.merge_siblings(art_a, art_b, cycle=cycle)
+                applied.append(self.events[-1])
+            touched.update((a_id, b_id))
+        for a_id, b_id in redundant:
+            if len(applied) >= budget:
+                return applied
+            if a_id in touched or b_id in touched:
+                continue
+            if not self._share_parent(a_id, b_id):
+                continue
+            art_a, art_b = self.resolve(a_id), self.resolve(b_id)
+            if art_a is None or art_b is None:
+                continue
+            self.merge_siblings(art_a, art_b, cycle=cycle)
+            applied.append(self.events[-1])
+            touched.update((a_id, b_id))
+        for leaf in self.detect_stagnation(cycle):
+            if len(applied) >= budget:
+                return applied
+            if leaf in touched:
+                continue
+            artifact = self.resolve(leaf)
+            if artifact is None or len(artifact.payload) < 2:
+                continue
+            child_a, child_b = self.fork(artifact, cycle=cycle)
+            applied.append(self.events[-1])
+            touched.update((leaf, child_a.artifact_id, child_b.artifact_id))
+            self.birth_cycles.setdefault(child_a.artifact_id, cycle)
+            self.birth_cycles.setdefault(child_b.artifact_id, cycle)
+        return applied
+
+
+small_payloads = st.dictionaries(st.sampled_from("abcd"), st.integers(0, 1), min_size=1)
+inserts = st.tuples(
+    st.just("insert"),
+    st.lists(st.integers(0, 7), max_size=3),  # parent picks; an id may repeat
+    small_payloads,
+    st.booleans(),  # a mutation_policy node
+    st.integers(0, 3),  # birth cycle
+)
+grafts = st.tuples(st.just("graft"), st.integers(0, 30), st.integers(0, 30))
+cycles = st.tuples(st.just("cycle"))
+
+
+@settings(max_examples=150)
+@given(
+    ops=st.lists(st.one_of(inserts, inserts, inserts, grafts, cycles), min_size=10, max_size=40),
+    threshold=st.sampled_from([0.3, 0.5, 0.7]),
+    budget=st.integers(0, 3),
+)
+def test_pair_index_matches_full_rescan(ops, threshold, budget):
+    policy = MutationPolicy(redundancy_threshold=threshold, max_mutations_per_cycle=budget)
+    live = MutatorHarness(policy=policy)
+    rescan = MutatorHarness(policy=policy, mutator_cls=RescanningMutator)
+    cycle = 0
+    for op in ops:
+        ids = live.graph.node_ids()
+        if op[0] == "insert":
+            _, picks, payload, policy_node, born = op
+            parents = tuple(ids[i % len(ids)] for i in picks) if ids else ()
+            kind = "mutation_policy" if policy_node else "protein_data"
+            for harness in (live, rescan):
+                harness.add(payload, parents, artifact_type=kind, born=born)
+        elif op[0] == "graft" and ids:
+            node, parent = ids[op[1] % len(ids)], ids[op[2] % len(ids)]
+            outcomes = []
+            for harness in (live, rescan):
+                try:
+                    harness.graph.set_parents(node, (parent,))
+                    outcomes.append("accepted")
+                except CycleRejected:
+                    outcomes.append("rejected")
+            assert outcomes[0] == outcomes[1]
+        elif op[0] == "cycle":
+            cycle += 1
+            assert live.graph.sibling_pairs().pairs() == rescanned_pairs(live.graph)
+            assert live.mutator.detect_conflict() == rescan.mutator.detect_conflict()
+            assert live.mutator.detect_redundancy() == rescan.mutator.detect_redundancy()
+            events = [e.to_dict() for e in live.mutator.mutate_cycle(cycle)]
+            expected = [e.to_dict() for e in rescan.mutator.mutate_cycle(cycle)]
+            assert events == expected
+            assert live.mutator.last_rates == rescan.mutator.last_rates
+            live.mutator.drift_policy()
+            rescan.mutator.drift_policy()
+    graph = live.graph
+    assert graph.sibling_pairs().pairs() == rescanned_pairs(graph)
+    ids = graph.node_ids()
+    for node_id in ids:
+        assert sorted(graph.children(node_id)) == \
+            sorted(n for n in ids if node_id in graph.parents(n))
+    assert graph.leaves() == [n for n in ids if not any(n in graph.parents(m) for m in ids)]

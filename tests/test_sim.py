@@ -311,6 +311,53 @@ def test_run_passes_invariant_checks(tmp_path):
     assert verify_output(tmp_path / "out") == []
 
 
+def test_dropped_world_is_freed_without_the_cyclic_collector(tmp_path):
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        world, _ = run(fig2_scenario(cycles=2), tmp_path / "out")
+        refs = [weakref.ref(world), weakref.ref(world.graph),
+                weakref.ref(next(iter(world.agents.values())))]
+        del world
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def _append_line(path, record):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(record if isinstance(record, str) else json.dumps(record) + "\n")
+
+
+def _graft(node, new_parent):
+    return {"kind": "graft", "inputs": [node], "outputs": [], "cycle": 99,
+            "new_parent": new_parent}
+
+
+@pytest.mark.parametrize("damage, error", [
+    ("garbled store line", "CorruptStore"),
+    ("graft onto a descendant", "CycleRejected"),
+    ("graft onto a missing parent", "DanglingParent"),
+])
+def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
+    out = tmp_path / "out"
+    run(fig2_scenario(cycles=2), out)
+    alice = out / "agents" / "alice"
+    child = next(a for a in ArtifactStore.open_dir(alice).load() if a.parent_artifact_ids)
+    parent = child.parent_artifact_ids[0]
+    if damage == "garbled store line":
+        _append_line(alice / ArtifactStore.FILENAME, "{not json\n")
+    elif damage == "graft onto a descendant":
+        _append_line(alice / "mutations.jsonl", _graft(parent, child.artifact_id))
+    else:
+        _append_line(alice / "mutations.jsonl", _graft(child.artifact_id, "artifact-gone"))
+    violations = verify_output(out)
+    assert len(violations) == 1
+    assert error in violations[0]
+
+
 def test_gating_holds_over_full_trace(tmp_path):
     from artifact.skills import allowed_types
 
