@@ -4,12 +4,21 @@ Index entries mirror an artifact's identity fields but never its payload, so
 agents can scan the whole ecosystem cheaply. Fulfillments are visible here
 too: the fulfilling artifact's entry carries the need key it answered, which
 is what closes a need and what coverage counting reads.
+
+The needs board is kept current as entries are admitted, never rebuilt: a
+need-bearing entry joins a list held in ``(timestamp, id)`` order (insorted,
+since concurrent publishes can land out of timestamp order) together with
+its unfulfilled keys, a fulfilment removes its key, and an entry leaves the
+list once every key it broadcast is fulfilled. ``open_needs`` walks only
+that list. Readers that follow the index incrementally take the entries
+appended since their last look with ``entries_since``.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +111,11 @@ class IndexEntry:
         )
 
 
+def scan_order(entry: "IndexEntry") -> tuple:
+    """The order every scan of the index returns: timestamp, then id."""
+    return (entry.timestamp, entry.artifact_id)
+
+
 class GlobalIndex:
     """Append-only shared index; scans are deterministic snapshots."""
 
@@ -113,6 +127,10 @@ class GlobalIndex:
         self._ids: set[str] = set()
         self._fulfilled_keys: set[str] = set()
         self._coverage: dict[tuple, int] = {}
+        # Entries with an open need, in (timestamp, id) order, and their
+        # open (key, item, entry) rows in need-index and variant order.
+        self._need_carriers: list[IndexEntry] = []
+        self._open_rows: dict[str, list[tuple]] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
             with open(self.path, "r", encoding="utf-8") as handle:
@@ -126,10 +144,35 @@ class GlobalIndex:
     def _admit(self, entry: IndexEntry) -> None:
         self._entries.append(entry)
         self._ids.add(entry.artifact_id)
+        if entry.needs is not None:
+            rows = []
+            for need_index, item in enumerate(entry.needs.items):
+                for vid in variant_ids(item):
+                    key = NeedKey(entry.artifact_id, need_index, vid)
+                    if key.text not in self._fulfilled_keys:
+                        rows.append((key, item, entry))
+            if rows:
+                self._open_rows[entry.artifact_id] = rows
+                insort(self._need_carriers, entry, key=scan_order)
         if entry.fulfills is not None:
             self._fulfilled_keys.add(entry.fulfills.text)
             pair = (entry.fulfills.artifact_id, entry.fulfills.need_index)
             self._coverage[pair] = self._coverage.get(pair, 0) + 1
+            self._close(entry.fulfills)
+
+    def _close(self, key: NeedKey) -> None:
+        """Drop a fulfilled key's row, and its carrier once no row is left."""
+        rows = self._open_rows.get(key.artifact_id)
+        if rows is None:
+            return
+        remaining = [row for row in rows if row[0] != key]
+        if remaining:
+            self._open_rows[key.artifact_id] = remaining
+            return
+        carrier = rows[0][2]
+        del self._open_rows[key.artifact_id]
+        position = bisect_left(self._need_carriers, scan_order(carrier), key=scan_order)
+        del self._need_carriers[position]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -139,6 +182,11 @@ class GlobalIndex:
 
     def entries(self) -> list[IndexEntry]:
         return list(self._entries)
+
+    def entries_since(self, position: int) -> list[IndexEntry]:
+        """Entries admitted after the first ``position``, in append order."""
+        with self._lock:
+            return self._entries[position:]
 
     def publish(self, entry: IndexEntry) -> None:
         """Append one entry; appends serialize so lines never interleave."""
@@ -171,7 +219,7 @@ class GlobalIndex:
             if exclude_producer is not None and entry.producer_agent == exclude_producer:
                 continue
             found.append(entry)
-        found.sort(key=lambda e: (e.timestamp, e.artifact_id))
+        found.sort(key=scan_order)
         return found
 
     def is_fulfilled(self, key: NeedKey) -> bool:
@@ -180,19 +228,16 @@ class GlobalIndex:
     def open_needs(
         self, investigation_id: str | None = None
     ) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
-        """Every unfulfilled (key, item, carrying entry) row, variant-expanded."""
+        """Every unfulfilled (key, item, carrying entry) row, variant-expanded.
+
+        Rows come in (timestamp, id) order of the carrying entry, then need
+        index, then variant.
+        """
         rows = []
-        ordered = sorted(self.entries(), key=lambda e: (e.timestamp, e.artifact_id))
-        for entry in ordered:
-            if entry.needs is None:
-                continue
-            if investigation_id is not None and entry.investigation_id != investigation_id:
-                continue
-            for need_index, item in enumerate(entry.needs.items):
-                for vid in variant_ids(item):
-                    key = NeedKey(entry.artifact_id, need_index, vid)
-                    if key.text not in self._fulfilled_keys:
-                        rows.append((key, item, entry))
+        with self._lock:
+            for entry in self._need_carriers:
+                if investigation_id is None or entry.investigation_id == investigation_id:
+                    rows.extend(self._open_rows[entry.artifact_id])
         return rows
 
     def coverage(self, artifact_id: str, need_index: int) -> int:

@@ -219,6 +219,10 @@ class ArtifactStore:
         self._records.append(artifact)
         self._by_id[artifact.artifact_id] = artifact
 
+    def records(self) -> list[Artifact]:
+        """Records in append order, as read at open and appended since."""
+        return list(self._records)
+
     def load(self) -> list[Artifact]:
         """Records in append order, re-read from disk."""
         if not self.path.exists():

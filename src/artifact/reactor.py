@@ -6,9 +6,21 @@ then single-parent transforms), with every consumed artifact id and need key
 written to the agent's ledgers before the produced artifact is published.
 
 Consumption is globally exclusive: reactors share a claim set so that no
-artifact's payload is ever reacted to twice, even when agents run
-concurrently. Need fulfillment consumes only the need key, not the carrying
-artifact, so a need-bearing artifact can still feed a later synthesis.
+artifact's payload is ever reacted to twice, and no need key is answered
+twice, even when agents run concurrently. Need fulfillment consumes only the
+need key, not the carrying artifact, so a need-bearing artifact can still
+feed a later synthesis.
+
+Scans follow what changed, not everything ever published. A reactor keeps a
+cursor into the index's append order and, on each scan, admits only the
+entries appended since: an entry becomes a candidate when it is unclaimed
+and passes the static half of ``can_react`` (a peer produced it, its type is
+allowed, and its payload keys meet a runnable skill), and candidates are
+held in ``(timestamp, id)`` order with their payload keys. An entry whose
+artifact cannot be resolved yet waits and is retried on the next scan.
+Claims only grow, so a candidate claimed since is dropped when a scan
+reaches it. Open needs come from the index's own ordered needs board, read
+once per need phase; keys any reactor has claimed are skipped there.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ from __future__ import annotations
 import logging
 import random
 import threading
+from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -23,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 from .canonical import Payload, canonical_line
 from .clock import Clock
 from .errors import ArtifactError, InvalidParam
-from .index import GlobalIndex, IndexEntry, NeedKey, variant_params
+from .index import GlobalIndex, IndexEntry, NeedKey, scan_order, variant_params
 from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
 from .lineage import LineageGraph
 from .needs import NeedItem
@@ -77,19 +90,22 @@ class ReactionRecord:
 
 
 class ConsumptionClaims:
-    """Shared, thread-safe registry of consumed artifact ids.
+    """Shared, thread-safe registry of consumed artifact ids and need keys.
 
     claim_all is atomic: either every id is newly claimed or none is, which
-    is what keeps concurrent reactors from splitting a synthesis.
+    is what keeps concurrent reactors from splitting a synthesis. claim_need
+    lets exactly one reactor answer a need key.
     """
 
     def __init__(self):
         self._claimed: set[str] = set()
+        self._claimed_needs: set[str] = set()
         self._lock = threading.Lock()
 
-    def seed(self, ids: Iterable[str]) -> None:
+    def seed(self, ids: Iterable[str], need_keys: Iterable[str]) -> None:
         with self._lock:
             self._claimed.update(ids)
+            self._claimed_needs.update(need_keys)
 
     def __contains__(self, artifact_id: str) -> bool:
         with self._lock:
@@ -102,21 +118,31 @@ class ConsumptionClaims:
             self._claimed.update(ids)
             return True
 
+    def has_need(self, key: NeedKey) -> bool:
+        with self._lock:
+            return key.text in self._claimed_needs
+
+    def claim_need(self, key: NeedKey) -> bool:
+        with self._lock:
+            if key.text in self._claimed_needs:
+                return False
+            self._claimed_needs.add(key.text)
+            return True
+
 
 class ConsumptionLedger:
-    """Per-agent append-only record of consumed artifacts and need keys."""
+    """Per-agent append-only record of consumed artifacts and need keys.
+
+    The files are read once, here; after that the in-memory sets are
+    authoritative, since only this ledger appends to them.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.consumed_path = self.directory / CONSUMED_FILE
         self.consumed_needs_path = self.directory / CONSUMED_NEEDS_FILE
-        self.consumed_artifact_ids: set[str] = set()
-        self.consumed_need_keys: set[str] = set()
-        self.refresh()
-
-    def refresh(self) -> None:
-        self.consumed_artifact_ids = set(self._read(self.consumed_path))
-        self.consumed_need_keys = set(self._read(self.consumed_needs_path))
+        self.consumed_artifact_ids: set[str] = set(self._read(self.consumed_path))
+        self.consumed_need_keys: set[str] = set(self._read(self.consumed_needs_path))
 
     @staticmethod
     def _read(path: Path) -> list[str]:
@@ -157,12 +183,25 @@ def merge_payloads(parents: Sequence[Artifact]) -> Payload:
     return merged
 
 
+def skill_inputs(manifest: SkillManifest) -> frozenset:
+    """The payload keys a skill can take: its input params and json fields."""
+    return frozenset(manifest.input_params) | frozenset(manifest.json_fields)
+
+
 def schema_overlap(manifest: SkillManifest, payload_keys: Iterable[str]) -> bool:
     """Compatibility test: input params (or declared json fields) meet keys."""
-    keys = set(payload_keys)
-    if set(manifest.input_params) & keys:
-        return True
-    return bool(manifest.json_fields and set(manifest.json_fields) & keys)
+    return not skill_inputs(manifest).isdisjoint(payload_keys)
+
+
+def param_keys(payload: Payload) -> frozenset:
+    """A payload's top-level keys in param form; keys with no such form drop."""
+    keys = set()
+    for key in payload:
+        try:
+            keys.add(normalize_param(key))
+        except InvalidParam:
+            continue
+    return frozenset(keys)
 
 
 def build_params(manifest: SkillManifest, payload: Payload) -> dict:
@@ -215,11 +254,21 @@ class ArtifactReactor:
         self.rng = rng or random.Random()
         self.ledger = ConsumptionLedger(self.data_dir)
         self.claims = claims or ConsumptionClaims()
-        self.claims.seed(self.ledger.consumed_artifact_ids)
+        self.claims.seed(self.ledger.consumed_artifact_ids, self.ledger.consumed_need_keys)
         self.on_publish = on_publish
         self.on_reaction = on_reaction
         self.reaction_log: list[ReactionRecord] = []
-        self._payload_keys_cache: dict[str, frozenset] = {}
+        # The registry is immutable and profiles are frozen: fixed for life.
+        self._runnable = registry.skills_for(profile)
+        self._skill_inputs = [(m, skill_inputs(m)) for m in self._runnable]
+        self._producible = {m.output_artifact_type for m in self._runnable}
+        self._allowed = allowed_types(profile, registry)
+        # Index entries seen so far, unresolved ones, and the candidates in
+        # (timestamp, id) order with their payload keys (see the module doc).
+        self._cursor = 0
+        self._pending: list[IndexEntry] = []
+        self._candidates: list[IndexEntry] = []
+        self.candidate_keys: dict[str, frozenset] = {}
 
     @property
     def agent_name(self) -> str:
@@ -227,61 +276,75 @@ class ArtifactReactor:
 
     # -- scanning -----------------------------------------------------------
 
-    def _runnable_skills(self) -> list[SkillManifest]:
-        return self.registry.skills_for(self.profile)
-
-    def _producible_types(self) -> set[str]:
-        return {m.output_artifact_type for m in self._runnable_skills()}
+    def _fits(self, keys: frozenset) -> bool:
+        return any(not inputs.isdisjoint(keys) for _, inputs in self._skill_inputs)
 
     def _payload_keys(self, entry: IndexEntry) -> frozenset | None:
-        cached = self._payload_keys_cache.get(entry.artifact_id)
-        if cached is not None:
-            return cached
+        keys = self.candidate_keys.get(entry.artifact_id)
+        if keys is not None:
+            return keys
         artifact = self.resolve_artifact(entry)
-        if artifact is None:
-            return None
-        keys = set()
-        for key in artifact.payload:
-            try:
-                keys.add(normalize_param(key))
-            except InvalidParam:
-                continue
-        frozen = frozenset(keys)
-        self._payload_keys_cache[entry.artifact_id] = frozen
-        return frozen
+        return None if artifact is None else param_keys(artifact.payload)
+
+    def _static_keys(self, entry: IndexEntry) -> frozenset | None:
+        """The static half of can_react: the entry's payload keys when a peer
+        produced it, its type is allowed and the keys meet a runnable skill;
+        an empty set when it fails; None while it cannot be resolved."""
+        if entry.producer_agent == self.agent_name or entry.artifact_type not in self._allowed:
+            return frozenset()
+        keys = self._payload_keys(entry)
+        if keys is None or self._fits(keys):
+            return keys
+        return frozenset()
 
     def can_react(self, entry: IndexEntry) -> bool:
         """True iff this reactor could legitimately consume the entry now."""
-        if entry.producer_agent == self.agent_name:
-            return False
-        if entry.artifact_id in self.claims:
-            return False
-        if entry.artifact_type not in allowed_types(self.profile, self.registry):
-            return False
-        keys = self._payload_keys(entry)
-        if keys is None:
-            return False
-        return any(schema_overlap(m, keys) for m in self._runnable_skills())
+        return entry.artifact_id not in self.claims and bool(self._static_keys(entry))
+
+    def _admit_new_entries(self) -> None:
+        """Move the cursor to the index's end, admitting unclaimed entries
+        that pass the static half of can_react."""
+        fresh = self.index.entries_since(self._cursor)
+        self._cursor += len(fresh)
+        waiting, self._pending = self._pending, []
+        for entry in waiting + fresh:
+            if entry.artifact_id in self.claims:
+                continue
+            keys = self._static_keys(entry)
+            if keys is None:
+                self._pending.append(entry)
+            elif keys:
+                insort(self._candidates, entry, key=scan_order)
+                self.candidate_keys[entry.artifact_id] = keys
 
     def scan_available(self, investigation_filter: str | None = None) -> list[IndexEntry]:
-        """Unclaimed peer entries compatible with at least one of our skills."""
-        entries = self.index.scan(
-            investigation_id=investigation_filter, exclude_producer=self.agent_name
-        )
-        return [e for e in entries if self.can_react(e)]
+        """Unclaimed peer entries compatible with at least one of our skills,
+        in (timestamp, id) order."""
+        self._admit_new_entries()
+        live, found = [], []
+        for entry in self._candidates:
+            # Of can_react, only the claim can change once an entry is admitted.
+            if entry.artifact_id in self.claims:
+                del self.candidate_keys[entry.artifact_id]
+                continue
+            live.append(entry)
+            if investigation_filter is None or entry.investigation_id == investigation_filter:
+                found.append(entry)
+        self._candidates = live
+        return found
 
     def scan_needs(
-        self, investigation_filter: str | None = None
+        self, open_rows: Sequence[tuple[NeedKey, NeedItem, IndexEntry]]
     ) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
-        """Open peer needs this agent could produce and has not yet consumed."""
-        producible = self._producible_types()
+        """Of ``index.open_needs(...)`` rows, the peer needs this agent could
+        produce and that no reactor has claimed yet."""
         rows = []
-        for key, item, entry in self.index.open_needs(investigation_filter):
+        for key, item, entry in open_rows:
             if entry.producer_agent == self.agent_name:
                 continue
-            if key.text in self.ledger.consumed_need_keys:
+            if self.claims.has_need(key):
                 continue
-            if item.artifact_type not in producible:
+            if item.artifact_type not in self._producible:
                 continue
             rows.append((key, item, entry))
         return rows
@@ -326,12 +389,11 @@ class ArtifactReactor:
 
     def _skill_for_need(self, item: NeedItem) -> SkillManifest | None:
         """Producer choice: the need's preferred skills first, then registry order."""
-        runnable = {m.name: m for m in self._runnable_skills()}
         for name in item.preferred_skills:
-            manifest = runnable.get(name)
+            manifest = next((m for m in self._runnable if m.name == name), None)
             if manifest is not None and manifest.output_artifact_type == item.artifact_type:
                 return manifest
-        for manifest in self._runnable_skills():
+        for manifest in self._runnable:
             if manifest.output_artifact_type == item.artifact_type:
                 return manifest
         return None
@@ -342,11 +404,11 @@ class ArtifactReactor:
         """Fulfill up to ``limit`` open needs in descending pressure order."""
         if limit <= 0:
             return []
-        rows = self.scan_needs(investigation_filter)
+        pool = self.index.open_needs(investigation_filter)
+        rows = self.scan_needs(pool)
         if not rows:
             return []
-        pool = self.index.open_needs(investigation_filter)
-        pool_items = [item for _, item, _ in pool]
+        pool_items = tuple(item for _, item, _ in pool)
         now = self.clock.now()
         contexts = {}
         for key, item, entry in rows:
@@ -386,6 +448,8 @@ class ArtifactReactor:
         except ArtifactError as exc:
             log.warning("need %s left open: skill %s failed: %s", key.text, manifest.name, exc)
             return None
+        if not self.claims.claim_need(key):
+            return None
         self.ledger.add_need_key(key)
         artifact = self._create(
             artifact_type=item.artifact_type,
@@ -410,12 +474,11 @@ class ArtifactReactor:
     def react_multi(self, investigation_filter: str | None = None) -> ReactionRecord | None:
         """Merge >=2 compatible peer artifacts through one shared skill."""
         candidates = self.scan_available(investigation_filter)
-        for manifest in self._runnable_skills():
-            compatible = []
-            for entry in candidates:
-                keys = self._payload_keys(entry)
-                if keys is not None and schema_overlap(manifest, keys):
-                    compatible.append(entry)
+        for manifest, inputs in self._skill_inputs:
+            compatible = [
+                e for e in candidates
+                if not inputs.isdisjoint(self.candidate_keys[e.artifact_id])
+            ]
             if len(compatible) < 2:
                 continue
             artifacts = []
@@ -469,14 +532,8 @@ class ArtifactReactor:
     def react_single(self, investigation_filter: str | None = None) -> ReactionRecord | None:
         """Transform one available compatible peer artifact through one skill."""
         for entry in self.scan_available(investigation_filter):
-            keys = self._payload_keys(entry)
-            if keys is None:
-                continue
-            manifest = next(
-                (m for m in self._runnable_skills() if schema_overlap(m, keys)), None
-            )
-            if manifest is None:
-                continue
+            keys = self.candidate_keys[entry.artifact_id]
+            manifest = next(m for m, inputs in self._skill_inputs if not inputs.isdisjoint(keys))
             artifact = self.resolve_artifact(entry)
             if artifact is None:
                 continue
@@ -516,8 +573,6 @@ class ArtifactReactor:
         Need-driven reactions come first, then multi-parent synthesis, then
         single-parent transforms. Per-reaction failures are isolated.
         """
-        self.ledger.refresh()
-        self.claims.seed(self.ledger.consumed_artifact_ids)
         records: list[ReactionRecord] = []
         if limit <= 0:
             return records

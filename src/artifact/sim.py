@@ -36,15 +36,22 @@ from .errors import (
 )
 from .governance import ArtifactRef, GovernanceLedger
 from .index import GlobalIndex, IndexEntry
-from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
+from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid, verify_integrity
 from .lineage import LineageGraph
 from .memory import AgentJournal, InvestigationTracker, KnowledgeGraph, slugify
 from .mutator import MUTATIONS_FILE, MutationEvent, MutationPolicy, Mutator
 from .needs import NeedItem, NeedsSignal, tokenize
-from .reactor import ArtifactReactor, ConsumptionClaims, ReactionRecord, build_params
+from .reactor import (
+    REACTIONS_FILE,
+    ArtifactReactor,
+    ConsumptionClaims,
+    ReactionRecord,
+    build_params,
+)
 from .skills import (
     AgentProfile,
     SkillRegistry,
+    allowed_types,
     default_registry,
     execute,
     load_profile,
@@ -336,6 +343,7 @@ class World:
         self.birth_cycles: dict[str, int] = {}
         self.current_cycle = 0
         self.reaction_hooks: list = []
+        self._question_slugs: dict[str, str] = {}
         self._gov_lock = threading.Lock()
         self._emit_lock = threading.Lock()
 
@@ -359,6 +367,13 @@ class World:
 
     def resolve_id(self, artifact_id: str) -> Artifact | None:
         return self.artifacts.get(artifact_id)
+
+    def question_slug(self, question: str) -> str:
+        """slugify(question), computed once per distinct question."""
+        slug = self._question_slugs.get(question)
+        if slug is None:
+            slug = self._question_slugs[question] = slugify(question)
+        return slug
 
     def on_publish(self, artifact: Artifact) -> None:
         self.artifacts[artifact.artifact_id] = artifact
@@ -559,6 +574,28 @@ def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
         }
 
 
+def choose_gap(world: World, agent_name: str, feed: Sequence) -> str | None:
+    """The open question on a peer's post that the agent takes up next.
+
+    Of the questions whose investigation the agent has not started, the one
+    that comes first in the agent's seeded hash order; ties (equal hashes)
+    go to the question seen first in feed order.
+    """
+    tracker = world.agents[agent_name].tracker
+    seed = str(world.scenario.seed)
+    best, best_rank = None, None
+    for post in feed:
+        if post.author == agent_name:
+            continue
+        for question in post.open_questions:
+            if world.question_slug(question) in tracker:
+                continue
+            rank = stable_hash(seed, "gap", agent_name, question)
+            if best_rank is None or rank < best_rank:
+                best, best_rank = question, rank
+    return best
+
+
 def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
     """One autonomous cycle: observe, drain interventions, pick a topic,
     investigate, publish, engage, react, mutate."""
@@ -592,21 +629,18 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
             )
             world.governance.mark_intervention_read(comment.id)
 
-    gaps: list[str] = []
-    for post in feed:
-        if post.author == agent_name:
-            continue
-        for question in post.open_questions:
-            if slugify(question) not in runtime.tracker and question not in gaps:
-                gaps.append(question)
-    gaps.sort(key=lambda q: stable_hash(str(scenario.seed), "gap", agent_name, q))
-
-    seeded = [
-        t.topic for t in scenario.seeded_topics
-        if t.cycle == cycle and t.agent == agent_name
-    ]
-    queue = redirects + seeded + gaps
-    topic = queue[0] if queue else None
+    # The topic queue is redirects, then seeded topics, then gaps; only its
+    # head is used, so gaps are looked at only when nothing comes before them.
+    seeded = next(
+        (t.topic for t in scenario.seeded_topics if t.cycle == cycle and t.agent == agent_name),
+        None,
+    )
+    if redirects:
+        topic = redirects[0]
+    elif seeded is not None:
+        topic = seeded
+    else:
+        topic = choose_gap(world, agent_name, feed)
     report["topic"] = topic
 
     if topic is not None:
@@ -821,7 +855,7 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict]:
     for agent_dir in agent_dirs:
         store_path = agent_dir / ArtifactStore.FILENAME
         if store_path.exists():
-            for artifact in ArtifactStore(store_path).load():
+            for artifact in ArtifactStore(store_path).records():
                 artifacts[artifact.artifact_id] = artifact
     graph = LineageGraph()
     for artifact in sorted(artifacts.values(), key=lambda a: (a.timestamp, a.artifact_id)):
@@ -833,7 +867,11 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict]:
             continue
         with open(mut_path, "r", encoding="utf-8") as handle:
             for seq, raw in enumerate(handle):
-                event = MutationEvent.from_dict(json.loads(raw))
+                try:
+                    event = MutationEvent.from_dict(json.loads(raw))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CorruptStore(str(mut_path), seq + 1,
+                                       f"unparseable mutation event: {exc!r}") from exc
                 if event.kind == "graft":
                     grafts.append((event.cycle, agent_dir.name, seq, event))
     for _, _, _, event in sorted(grafts, key=lambda g: (g[0], g[1], g[2])):
@@ -854,18 +892,34 @@ def export_dag(graph: LineageGraph, fmt: str) -> str:
 # Invariant verification
 # ---------------------------------------------------------------------------
 
+def _reaction_fields(raw: str) -> tuple[list[str], str | None]:
+    """The consumed ids and fulfilled need key of one reactions.jsonl line.
+
+    Raises ValueError for a line that is not such a record.
+    """
+    try:
+        record = json.loads(raw)
+        consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a reaction record: {exc!r}") from exc
+    if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
+            and (fulfilled is None or isinstance(fulfilled, str))):
+        raise ValueError("consumed_ids must be a list of ids and fulfilled_need a key or null")
+    return consumed_ids, fulfilled
+
+
 def verify_output(out_dir: str | Path) -> list[str]:
     """Re-check the core invariants from the files a run left behind.
 
     Returns a list of violation descriptions; empty means all checks passed.
-    When the lineage cannot be rebuilt at all (a damaged store line, or a
-    graft that names a missing node or would close a cycle), that is the one
-    violation returned, since every other check reads the rebuilt lineage.
+    When the lineage cannot be rebuilt at all (a damaged store or mutation
+    log line, or a graft that names a missing node or would close a cycle),
+    that is the one violation returned, since every other check reads the
+    rebuilt lineage. A damaged reactions.jsonl line is one violation, and the
+    checks go on with the other lines: no artifact consumed twice, no need
+    key fulfilled twice, none of an agent's own artifacts consumed, and
+    every consumed type within the agent's domain.
     """
-    from .ledger import verify_integrity
-    from .reactor import REACTIONS_FILE
-    from .skills import allowed_types
-
     out = Path(out_dir)
     violations: list[str] = []
     try:
@@ -896,16 +950,17 @@ def verify_output(out_dir: str | Path) -> list[str]:
         if recomputed.artifact_count != reported["artifact_count"]:
             violations.append("artifact_count mismatch between report and stores")
 
-    registry = None
-    profiles: dict[str, AgentProfile] = {}
+    # Artifact types each agent may consume, when the scenario is known.
+    allowed: dict[str, set[str]] = {}
     if scenario is not None:
         registry = default_registry() if scenario.registry == "default" \
             else load_registry(scenario.registry)
         for raw in scenario.agents:
             profile = load_profile(raw, registry)
-            profiles[profile.name] = profile
+            allowed[profile.name] = allowed_types(profile, registry)
 
     consumed_by: dict[str, str] = {}
+    fulfilled_by: dict[str, str] = {}
     agent_dirs = sorted((out / "agents").iterdir()) if (out / "agents").exists() else []
     for agent_dir in agent_dirs:
         agent = agent_dir.name
@@ -913,9 +968,22 @@ def verify_output(out_dir: str | Path) -> list[str]:
         if not reactions_path.exists():
             continue
         with open(reactions_path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                record = json.loads(raw)
-                for consumed in record["consumed_ids"]:
+            for number, raw in enumerate(handle, start=1):
+                try:
+                    consumed_ids, fulfilled = _reaction_fields(raw)
+                except ValueError as exc:
+                    violations.append(
+                        f"{reactions_path} line {number}: unparseable reaction: {exc!r}"
+                    )
+                    continue
+                if fulfilled is not None:
+                    if fulfilled in fulfilled_by:
+                        violations.append(
+                            f"need key {fulfilled} fulfilled twice "
+                            f"({fulfilled_by[fulfilled]} and {agent})"
+                        )
+                    fulfilled_by[fulfilled] = agent
+                for consumed in consumed_ids:
                     if consumed in consumed_by:
                         violations.append(
                             f"artifact {consumed} consumed twice "
@@ -923,15 +991,15 @@ def verify_output(out_dir: str | Path) -> list[str]:
                         )
                     consumed_by[consumed] = agent
                     producer = artifacts.get(consumed)
-                    if producer is not None and producer.producer_agent == agent:
+                    if producer is None:
+                        continue
+                    if producer.producer_agent == agent:
                         violations.append(
                             f"{agent} consumed its own artifact {consumed}"
                         )
-                    if producer is not None and registry is not None and agent in profiles:
-                        allowed = allowed_types(profiles[agent], registry)
-                        if producer.artifact_type not in allowed:
-                            violations.append(
-                                f"{agent} consumed out-of-domain type "
-                                f"{producer.artifact_type} ({consumed})"
-                            )
+                    if agent in allowed and producer.artifact_type not in allowed[agent]:
+                        violations.append(
+                            f"{agent} consumed out-of-domain type "
+                            f"{producer.artifact_type} ({consumed})"
+                        )
     return violations

@@ -1,0 +1,219 @@
+"""The reactor's incremental scans against the full rescans they replaced.
+
+Random publishes (timestamps out of order, artifacts that resolve only
+later, need carriers and fulfilments, repeated fulfilments), interleaved
+claims and investigation filters drive a shared index and one reactor per
+agent. At every check the reactor's candidate list must equal a filter of
+the whole index through ``can_react`` of a reactor that never scanned, and
+the index's ordered needs board must equal a sort-and-rescan of every entry.
+The heartbeat's lazy gap choice is checked against the sort it replaced.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from artifact.clock import EPOCH, ManualClock
+from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
+from artifact.ledger import ArtifactStore, create_artifact
+from artifact.lineage import LineageGraph
+from artifact.memory import slugify
+from artifact.needs import NeedItem, NeedsSignal
+from artifact.reactor import ArtifactReactor, ConsumptionClaims
+from artifact.sim import choose_gap, stable_hash
+from artifact.skills import default_registry, load_profile
+
+RATIONALE = "downstream synthesis is blocked on this data"
+AGENTS = {
+    "alice": ["paper_search", "protein_lookup"],
+    "bob": ["protein_lookup", "sequence_align", "motif_scan"],
+    "cara": [],  # unrestricted
+    "dan": ["candidate_rank", "citation_graph"],
+}
+TYPES = ("protein_data", "synthesis", "materials_data", "pubmed_results", "citation_map")
+KEYS = ("query", "sequence", "papers", "Motifs", "--smiles", "other", "-", "x y")
+FILTERS = (None, "", "x")
+
+
+def rescanned_open_needs(index: GlobalIndex, investigation_id=None) -> list:
+    """Every unfulfilled need row, from a sort and a rescan of all entries."""
+    entries = index.entries()
+    fulfilled = {e.fulfills.text for e in entries if e.fulfills is not None}
+    rows = []
+    for entry in sorted(entries, key=lambda e: (e.timestamp, e.artifact_id)):
+        if entry.needs is None:
+            continue
+        if investigation_id is not None and entry.investigation_id != investigation_id:
+            continue
+        for need_index, item in enumerate(entry.needs.items):
+            for vid in variant_ids(item):
+                key = NeedKey(entry.artifact_id, need_index, vid)
+                if key.text not in fulfilled:
+                    rows.append((key, item, entry))
+    return rows
+
+
+class Peers:
+    """A shared index and claim set, one live reactor and one reference reactor per agent."""
+
+    def __init__(self, directory: Path):
+        registry = default_registry()
+        self.index = GlobalIndex(directory / GlobalIndex.FILENAME)
+        self.claims = ConsumptionClaims()
+        self.resolvable: dict = {}
+        self.unresolved: dict = {}
+        self.published: list = []
+
+        def reactor(name, tools, subdir):
+            return ArtifactReactor(
+                profile=load_profile({"name": name, "preferred_tools": tools}, registry),
+                registry=registry,
+                index=self.index,
+                graph=LineageGraph(),
+                store=ArtifactStore.open_dir(directory / subdir / name),
+                resolve_artifact=lambda e: self.resolvable.get(e.artifact_id),
+                data_dir=directory / subdir / name,
+                clock=ManualClock(),
+                claims=self.claims,
+            )
+
+        self.reactors = {n: reactor(n, t, "live") for n, t in AGENTS.items()}
+        self.references = {n: reactor(n, t, "reference") for n, t in AGENTS.items()}
+
+    def publish(self, op) -> None:
+        _, producer, type_pick, keys, investigation, second, needs, resolved, fulfil = op
+        carriers_keys = [
+            NeedKey(e.artifact_id, i, vid)
+            for e in self.published if e.needs is not None
+            for i, item in enumerate(e.needs.items) for vid in variant_ids(item)
+        ]
+        fulfills = None
+        if fulfil is not None and carriers_keys:
+            fulfills = carriers_keys[fulfil % len(carriers_keys)]
+        signal = None
+        if needs:
+            signal = NeedsSignal(items=tuple(
+                NeedItem(artifact_type=TYPES[t], query=f"need query {t}", rationale=RATIONALE,
+                         parallel_variants=tuple({"sequence": "A" * (v + 1)} for v in range(n)))
+                for t, n in needs
+            ))
+        number = len(self.published)
+        artifact = create_artifact(
+            artifact_type=TYPES[type_pick],
+            producer_agent=list(AGENTS)[producer],
+            skill="synthesize",
+            payload={key: number for key in keys},
+            investigation_id=investigation,
+            needs=signal,
+            clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
+            id_factory=lambda: f"a{number:03d}",
+        )
+        entry = IndexEntry.for_artifact(artifact, fulfills=fulfills)
+        self.index.publish(entry)
+        self.published.append(entry)
+        (self.resolvable if resolved else self.unresolved)[artifact.artifact_id] = artifact
+
+
+publishes = st.tuples(
+    st.just("publish"),
+    st.integers(0, len(AGENTS) - 1),
+    st.integers(0, len(TYPES) - 1),
+    st.sets(st.sampled_from(KEYS), max_size=3),
+    st.sampled_from(("", "x", "y")),
+    st.integers(0, 12),  # seconds after the epoch: timestamps land out of order
+    st.lists(st.tuples(st.integers(0, len(TYPES) - 1), st.integers(0, 2)), max_size=2),
+    st.booleans(),  # resolvable at once, or only after a later "resolve"
+    st.none() | st.integers(0, 40),  # fulfil one of the keys broadcast so far
+)
+claims = st.tuples(st.just("claim"), st.integers(0, 60))
+resolves = st.tuples(st.just("resolve"))
+checks = st.tuples(st.just("check"), st.integers(0, len(AGENTS) - 1), st.sampled_from(FILTERS))
+
+
+@settings(max_examples=120)
+@given(ops=st.lists(st.one_of(publishes, publishes, claims, resolves, checks, checks),
+                    min_size=5, max_size=40))
+def test_incremental_scans_match_full_rescan(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        peers = Peers(Path(tmp))
+        for op in ops + [("resolve",)] + [("check", a, f) for a in range(len(AGENTS))
+                                           for f in FILTERS]:
+            if op[0] == "publish":
+                peers.publish(op)
+            elif op[0] == "claim" and peers.published:
+                peers.claims.claim_all((peers.published[op[1] % len(peers.published)]
+                                        .artifact_id,))
+            elif op[0] == "resolve":
+                peers.resolvable.update(peers.unresolved)
+                peers.unresolved.clear()
+            elif op[0] == "check":
+                name, investigation = list(AGENTS)[op[1]], op[2]
+                reactor, reference = peers.reactors[name], peers.references[name]
+                found = reactor.scan_available(investigation)
+                expected = [e for e in peers.index.scan(investigation_id=investigation,
+                                                        exclude_producer=name)
+                            if reference.can_react(e)]
+                assert found == expected
+                assert all(i not in peers.claims for i in reactor.candidate_keys)
+                rows = peers.index.open_needs(investigation)
+                rescanned = rescanned_open_needs(peers.index, investigation)
+                assert rows == rescanned
+                assert reactor.scan_needs(rows) == reference.scan_needs(rescanned)
+        reloaded = GlobalIndex(Path(tmp) / GlobalIndex.FILENAME)
+        assert reloaded.open_needs() == peers.index.open_needs()
+
+
+# -- the lazy gap choice against the sort it replaced ---------------------------------
+
+def sorted_gap(seed: int, agent: str, feed, started: set) -> str | None:
+    """Head of the gap queue as the heartbeat built it before: every unstarted
+    question, deduplicated in feed order, sorted by the agent's hash."""
+    gaps = []
+    for post in feed:
+        if post.author == agent:
+            continue
+        for question in post.open_questions:
+            if slugify(question) not in started and question not in gaps:
+                gaps.append(question)
+    gaps.sort(key=lambda q: stable_hash(str(seed), "gap", agent, q))
+    return gaps[0] if gaps else None
+
+
+# Slug collisions ("Role of X?" / "role of x") and repeats are deliberate.
+QUESTIONS = ("Role of X?", "role of x", "What is the role of kinetics in y?",
+             "What is the role of grain in y?", "Why Z", "why-z!", "open")
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 50),
+    posts=st.lists(st.tuples(st.sampled_from(("me", "p1", "p2")),
+                             st.lists(st.sampled_from(QUESTIONS), max_size=3)),
+                   max_size=6),
+    started=st.sets(st.sampled_from(QUESTIONS)),
+)
+def test_lazy_gap_choice_matches_sorted_queue(seed, posts, started):
+    feed = [SimpleNamespace(author=a, open_questions=q) for a, q in posts]
+    slugs = {slugify(q) for q in started}
+    world = SimpleNamespace(
+        agents={"me": SimpleNamespace(tracker=slugs)},
+        scenario=SimpleNamespace(seed=seed),
+        question_slug=slugify,
+    )
+    assert choose_gap(world, "me", feed) == sorted_gap(seed, "me", feed, slugs)
+
+
+def test_gap_ties_go_to_the_first_question_in_feed_order(monkeypatch):
+    import artifact.sim as sim
+
+    monkeypatch.setattr(sim, "stable_hash", lambda *parts: 7)
+    feed = [SimpleNamespace(author="p1", open_questions=["b question", "a question"])]
+    world = SimpleNamespace(agents={"me": SimpleNamespace(tracker=set())},
+                            scenario=SimpleNamespace(seed=1), question_slug=slugify)
+    assert choose_gap(world, "me", feed) == "b question"

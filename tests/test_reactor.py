@@ -15,6 +15,7 @@ from artifact.reactor import (
     ConsumptionClaims,
     build_params,
     merge_payloads,
+    param_keys,
     schema_overlap,
 )
 from artifact.skills import SkillManifest, load_profile, registry_from_dict
@@ -211,18 +212,26 @@ def test_incompatible_payload_not_available(harness):
 def test_scan_needs_basic(harness):
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
-    rows = harness.reactors["bob"].scan_needs()
+    board = harness.index.open_needs()
+    rows = harness.reactors["bob"].scan_needs(board)
     assert [(k.artifact_id, k.need_index) for k, _, _ in rows] == [(carrier.artifact_id, 0)]
     # alice cannot answer her own need; carol cannot produce the type
-    assert harness.reactors["alice"].scan_needs() == []
-    assert harness.reactors["carol"].scan_needs() == []
+    assert harness.reactors["alice"].scan_needs(board) == []
+    assert harness.reactors["carol"].scan_needs(board) == []
 
 
 def test_scan_needs_excludes_consumed_key(harness):
+    """A claimed key is skipped by every reactor sharing the claims, also
+    while its answer is not (or never gets) published."""
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
-    harness.reactors["bob"].ledger.add_need_key(NeedKey(carrier.artifact_id, 0, "default"))
-    assert harness.reactors["bob"].scan_needs() == []
+    key = NeedKey(carrier.artifact_id, 0, "default")
+    assert harness.claims.claim_need(key)
+    assert [k for k, _, _ in harness.index.open_needs()] == [key]
+    assert harness.reactors["bob"].scan_needs(harness.index.open_needs()) == []
+    state = harness.rngs["bob"].getstate()
+    assert harness.reactors["bob"].react_to_needs(limit=1) == []
+    assert harness.rngs["bob"].getstate() == state  # no skill was run for it
 
 
 # -- need-driven reactions ------------------------------------------------------
@@ -434,12 +443,131 @@ def test_ledger_files_on_disk(harness, tmp_path):
 
 
 def test_payload_key_cache_is_transparent(harness):
+    """A candidate's kept payload keys are the keys a fresh read gives, and
+    they go when the candidate is claimed; a claimed entry never gets any."""
     artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
+    taken = harness.emit("carol", "protein_data", {"sequence": "CCC"})
+    harness.claims.claim_all((taken.artifact_id,))
     reactor = harness.reactors["bob"]
-    entry = harness.index.entries()[0]
-    fresh = reactor._payload_keys(entry)
-    cached = reactor._payload_keys(entry)
-    assert fresh == cached
-    reactor._payload_keys_cache.clear()
-    assert reactor._payload_keys(entry) == fresh
-    assert "sequence" in fresh and artifact.artifact_id in harness.artifacts
+    assert [e.artifact_id for e in reactor.scan_available()] == [artifact.artifact_id]
+    assert reactor.candidate_keys == {artifact.artifact_id: param_keys(artifact.payload)}
+    assert "sequence" in reactor.candidate_keys[artifact.artifact_id]
+    harness.claims.claim_all((artifact.artifact_id,))
+    assert reactor.scan_available() == []
+    assert reactor.candidate_keys == {}
+
+
+# -- exclusive need keys ------------------------------------------------------------
+
+def test_need_key_has_exactly_one_winner(tmp_path, registry):
+    """Two reactors that both see a need as open answer it once between them."""
+    harness = Harness(tmp_path, registry, {
+        "alice": ["paper_search"],
+        "bob": ["sequence_align"],
+        "dave": ["sequence_align"],
+    })
+    signal = NeedsSignal(items=(need("sequence_alignment"),))
+    carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
+    # Both take their rows from the same view of the board, as two agents
+    # running at once do before either has published its answer.
+    stale = harness.index.open_needs()
+    harness.index.open_needs = lambda investigation_id=None: list(stale)
+    records = [r for name in ("bob", "dave")
+               for r in harness.reactors[name].react_to_needs(limit=1)]
+    key = NeedKey(carrier.artifact_id, 0, "default")
+    assert [r.fulfilled_need for r in records] == [key]
+    fulfilments = [e for e in harness.index.entries() if e.fulfills == key]
+    assert len(fulfilments) == 1
+    assert key.text not in harness.reactors["dave"].ledger.consumed_need_keys
+    assert not (tmp_path / "agents" / "dave" / "consumed_needs.txt").exists()
+
+
+def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
+    """A reactor whose skill ran while a peer answered the same key loses the
+    claim and writes nothing."""
+    import artifact.reactor as reactor_module
+
+    harness = Harness(tmp_path, registry, {
+        "alice": ["paper_search"],
+        "bob": ["sequence_align"],
+        "dave": ["sequence_align"],
+    })
+    signal = NeedsSignal(items=(need("sequence_alignment"),))
+    carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
+    real_execute = reactor_module.execute
+    calls = []
+
+    def execute_while_bob_answers(manifest, params, seed):
+        calls.append(seed)
+        if len(calls) == 1:  # dave's run: bob answers the key meanwhile
+            assert [r.fulfilled_need for r in harness.reactors["bob"].react_to_needs(limit=1)]
+        return real_execute(manifest, params, seed)
+
+    monkeypatch.setattr(reactor_module, "execute", execute_while_bob_answers)
+    assert harness.reactors["dave"].react_to_needs(limit=1) == []
+    key = NeedKey(carrier.artifact_id, 0, "default")
+    assert len(calls) == 2
+    assert [(e.producer_agent, e.fulfills) for e in harness.index.entries()
+            if e.fulfills is not None] == [("bob", key)]
+    assert key.text not in harness.reactors["dave"].ledger.consumed_need_keys
+    assert not (tmp_path / "agents" / "dave" / "consumed_needs.txt").exists()
+    assert not (tmp_path / "agents" / "dave" / "reactions.jsonl").exists()
+
+
+def test_claims_are_seeded_from_both_ledger_files(harness, tmp_path, registry):
+    artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
+    signal = NeedsSignal(items=(need("sequence_alignment"),))
+    carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
+    harness.reactors["bob"].react(limit=3)
+    restarted = ConsumptionClaims()
+    ArtifactReactor(
+        profile=harness.reactors["bob"].profile, registry=registry, index=harness.index,
+        graph=harness.graph, store=harness.stores["bob"],
+        resolve_artifact=lambda e: harness.artifacts.get(e.artifact_id),
+        data_dir=tmp_path / "agents" / "bob", clock=harness.clock, claims=restarted,
+    )
+    assert artifact.artifact_id in restarted
+    assert not restarted.claim_need(NeedKey(carrier.artifact_id, 0, "default"))
+    assert not restarted.claim_all((artifact.artifact_id,))
+
+
+def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
+    """Many reactors race on threads for the same needs; none is answered twice."""
+    import sys
+    import threading
+
+    names = [f"r{i}" for i in range(12)]
+    harness = Harness(tmp_path, registry,
+                      {"alice": ["paper_search"], **{n: ["sequence_align"] for n in names}})
+    for i in range(6):
+        signal = NeedsSignal(items=(
+            need("sequence_alignment", query=f"alignment {i} query",
+                 variants=({"sequence": "AAAA"}, {"sequence": "CCCC"})),
+        ))
+        harness.emit("alice", "synthesis", {"topic": f"t{i}"}, needs=signal)
+    start = threading.Barrier(len(names))
+    errors = []
+
+    def work(name):
+        try:
+            start.wait(timeout=10)
+            harness.reactors[name].react_to_needs(limit=3)
+        except Exception as exc:  # reported below: a thread must not die silently
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    answered = [e.fulfills.text for e in harness.index.entries() if e.fulfills is not None]
+    ledgers = [k for n in names for k in harness.reactors[n].ledger.consumed_need_keys]
+    assert len(answered) == len(set(answered)) == 12
+    assert sorted(ledgers) == sorted(answered)

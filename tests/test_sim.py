@@ -340,6 +340,8 @@ def _graft(node, new_parent):
     ("garbled store line", "CorruptStore"),
     ("graft onto a descendant", "CycleRejected"),
     ("graft onto a missing parent", "DanglingParent"),
+    ("malformed mutation line", "CorruptStore"),
+    ("key-less mutation line", "CorruptStore"),
 ])
 def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     out = tmp_path / "out"
@@ -349,6 +351,10 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     parent = child.parent_artifact_ids[0]
     if damage == "garbled store line":
         _append_line(alice / ArtifactStore.FILENAME, "{not json\n")
+    elif damage == "malformed mutation line":
+        _append_line(alice / "mutations.jsonl", "{broken\n")
+    elif damage == "key-less mutation line":
+        _append_line(alice / "mutations.jsonl", {"kind": "graft"})
     elif damage == "graft onto a descendant":
         _append_line(alice / "mutations.jsonl", _graft(parent, child.artifact_id))
     else:
@@ -356,6 +362,34 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     violations = verify_output(out)
     assert len(violations) == 1
     assert error in violations[0]
+
+
+@pytest.mark.parametrize("line", ["{broken\n", {"kind": "single_parent"},
+                                  {"consumed_ids": "abc", "fulfilled_need": None}])
+def test_verify_reports_damaged_reaction_line_as_violation(tmp_path, line):
+    out = tmp_path / "out"
+    run(fig2_scenario(cycles=2), out)
+    reactions = out / "agents" / "bruno" / "reactions.jsonl"
+    assert reactions.exists()
+    _append_line(reactions, line)
+    violations = verify_output(out)
+    assert len(violations) == 1
+    assert "unparseable reaction" in violations[0]
+
+
+def test_verify_reports_need_key_fulfilled_twice(tmp_path):
+    out = tmp_path / "out"
+    run(fig2_scenario(), out)
+    agents = out / "agents"
+    fulfilment = next(
+        line for path in sorted(agents.glob("*/reactions.jsonl"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if json.loads(line)["fulfilled_need"] is not None
+    )
+    _append_line(agents / "chen" / "reactions.jsonl", fulfilment + "\n")
+    violations = verify_output(out)
+    assert len(violations) == 1
+    assert "fulfilled twice" in violations[0]
 
 
 def test_gating_holds_over_full_trace(tmp_path):
