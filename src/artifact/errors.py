@@ -155,19 +155,7 @@ class AlreadyComplete(ArtifactError):
     pass
 
 
-class DanglingConcept(ArtifactError):
-    pass
-
-
-# --- sessions / scenarios ---
-
-class AlreadyClaimed(ArtifactError):
-    pass
-
-
-class SkillMismatch(ArtifactError):
-    pass
-
+# --- scenarios ---
 
 class InvalidFormat(ArtifactError):
     pass

@@ -1,8 +1,8 @@
-"""Per-agent persistent memory: journal, investigation tracker, knowledge graph.
+"""Per-agent persistent memory: a journal and an investigation tracker.
 
-The journal is an append-only record-per-line log. The tracker and the graph
-are single documents rewritten atomically (write to a temp file, rename), so
-a crash never leaves a half-written document behind.
+The journal is an append-only record-per-line log. The tracker is a single
+document rewritten atomically (write to a temp file, rename), so a crash
+never leaves a half-written document behind.
 """
 
 from __future__ import annotations
@@ -16,21 +16,9 @@ from pathlib import Path
 
 from .canonical import canonical_line
 from .clock import Clock, SystemClock, format_timestamp
-from .errors import (
-    AlreadyComplete,
-    CorruptStore,
-    DanglingConcept,
-    InvalidKind,
-    InvalidRelation,
-    UnknownInvestigation,
-)
+from .errors import AlreadyComplete, CorruptStore, InvalidKind, UnknownInvestigation
 
 JOURNAL_KINDS = ("observation", "hypothesis", "experiment", "conclusion")
-
-EDGE_RELATIONS = (
-    "contradicts", "extends", "requires", "causes",
-    "binds_to", "associated_with", "activates", "inhibits",
-)
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
@@ -209,54 +197,3 @@ class InvestigationTracker:
         investigation.status = "complete"
         investigation.completed = format_timestamp(self.clock.now())
         self._save()
-
-
-class KnowledgeGraph:
-    FILENAME = "knowledge_graph.json"
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._nodes: dict[str, str] = {}
-        self._edges: list[tuple[str, str, str]] = []
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            self._nodes = dict(data.get("nodes", {}))
-            self._edges = [tuple(edge) for edge in data.get("edges", [])]
-
-    def _save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.path, {
-            "nodes": self._nodes,
-            "edges": [list(edge) for edge in self._edges],
-        })
-
-    def add_node(self, entity: str, node_type: str = "concept") -> None:
-        if entity not in self._nodes:
-            self._nodes[entity] = node_type
-            self._save()
-
-    def add_edge(self, source: str, target: str, relation: str) -> None:
-        if relation not in EDGE_RELATIONS:
-            raise InvalidRelation(f"relation must be one of {EDGE_RELATIONS}")
-        if source not in self._nodes or target not in self._nodes:
-            raise DanglingConcept(f"both endpoints must exist: {source} -> {target}")
-        self._edges.append((source, target, relation))
-        self._save()
-
-    def query(self, entity: str) -> list[tuple[str, str]]:
-        """(other concept, relation) for every edge incident to the entity."""
-        related = []
-        for source, target, relation in self._edges:
-            if source == entity:
-                related.append((target, relation))
-            elif target == entity:
-                related.append((source, relation))
-        related.sort()
-        return related
-
-    def nodes(self) -> dict[str, str]:
-        return dict(self._nodes)
-
-    def edges(self) -> list[tuple[str, str, str]]:
-        return list(self._edges)

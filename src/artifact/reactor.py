@@ -2,8 +2,11 @@
 
 Each agent owns one reactor. A react() call runs three phases against a
 shared budget (need-driven reactions first, then multi-parent synthesis,
-then single-parent transforms), with every consumed artifact id and need key
-written to the agent's ledgers before the produced artifact is published.
+then single-parent transforms). Each reaction appends one line to the
+agent's ``reactions.jsonl`` naming the artifact ids and the need key it
+consumed, after the claim and before its product is published: that log is
+the one persisted record of consumption, and a reactor seeds the shared
+claims from it when it starts.
 
 Consumption is globally exclusive: reactors share a claim set so that no
 artifact's payload is ever reacted to twice, and no need key is answered
@@ -25,6 +28,7 @@ once per need phase; keys any reactor has claimed are skipped there.
 
 from __future__ import annotations
 
+import json
 import logging
 import random
 import threading
@@ -35,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from .canonical import Payload, canonical_line
 from .clock import Clock
-from .errors import ArtifactError, InvalidParam
+from .errors import ArtifactError, CorruptStore, InvalidParam
 from .index import GlobalIndex, IndexEntry, NeedKey, scan_order, variant_params
 from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
 from .lineage import LineageGraph
@@ -52,8 +56,6 @@ from .skills import (
 
 log = logging.getLogger(__name__)
 
-CONSUMED_FILE = "consumed.txt"
-CONSUMED_NEEDS_FILE = "consumed_needs.txt"
 REACTIONS_FILE = "reactions.jsonl"
 
 REACTION_KINDS = ("need_driven", "multi_parent", "single_parent")
@@ -87,6 +89,43 @@ class ReactionRecord:
             "pressure": self.pressure.to_dict() if self.pressure else None,
             "timestamp": self.timestamp,
         }
+
+
+def reaction_fields(raw: str) -> tuple[list[str], str | None]:
+    """The consumed ids and fulfilled need key of one reactions.jsonl line.
+
+    Raises ValueError for a line that is not such a record.
+    """
+    try:
+        record = json.loads(raw)
+        consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a reaction record: {exc!r}") from exc
+    if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
+            and (fulfilled is None or isinstance(fulfilled, str))):
+        raise ValueError("consumed_ids must be a list of ids and fulfilled_need a key or null")
+    return consumed_ids, fulfilled
+
+
+def _read_consumption(path: Path) -> tuple[set[str], set[str]]:
+    """The artifact ids and need keys a reactions.jsonl records as consumed.
+
+    A damaged line raises CorruptStore with its path and line number.
+    """
+    ids: set[str] = set()
+    need_keys: set[str] = set()
+    if not path.exists():
+        return ids, need_keys
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                consumed_ids, fulfilled = reaction_fields(raw)
+            except ValueError as exc:
+                raise CorruptStore(str(path), number, f"unparseable reaction: {exc!r}") from exc
+            ids.update(consumed_ids)
+            if fulfilled is not None:
+                need_keys.add(fulfilled)
+    return ids, need_keys
 
 
 class ConsumptionClaims:
@@ -128,45 +167,6 @@ class ConsumptionClaims:
                 return False
             self._claimed_needs.add(key.text)
             return True
-
-
-class ConsumptionLedger:
-    """Per-agent append-only record of consumed artifacts and need keys.
-
-    The files are read once, here; after that the in-memory sets are
-    authoritative, since only this ledger appends to them.
-    """
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.consumed_path = self.directory / CONSUMED_FILE
-        self.consumed_needs_path = self.directory / CONSUMED_NEEDS_FILE
-        self.consumed_artifact_ids: set[str] = set(self._read(self.consumed_path))
-        self.consumed_need_keys: set[str] = set(self._read(self.consumed_needs_path))
-
-    @staticmethod
-    def _read(path: Path) -> list[str]:
-        if not path.exists():
-            return []
-        with open(path, "r", encoding="utf-8") as handle:
-            return [line.strip() for line in handle if line.strip()]
-
-    @staticmethod
-    def _append(path: Path, token: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(token + "\n")
-            handle.flush()
-
-    def add_artifact(self, artifact_id: str) -> None:
-        if artifact_id not in self.consumed_artifact_ids:
-            self._append(self.consumed_path, artifact_id)
-            self.consumed_artifact_ids.add(artifact_id)
-
-    def add_need_key(self, key: NeedKey) -> None:
-        if key.text not in self.consumed_need_keys:
-            self._append(self.consumed_needs_path, key.text)
-            self.consumed_need_keys.add(key.text)
 
 
 def merge_payloads(parents: Sequence[Artifact]) -> Payload:
@@ -252,9 +252,9 @@ class ArtifactReactor:
         self.data_dir = Path(data_dir)
         self.clock = clock
         self.rng = rng or random.Random()
-        self.ledger = ConsumptionLedger(self.data_dir)
+        self.reactions_path = self.data_dir / REACTIONS_FILE
         self.claims = claims or ConsumptionClaims()
-        self.claims.seed(self.ledger.consumed_artifact_ids, self.ledger.consumed_need_keys)
+        self.claims.seed(*_read_consumption(self.reactions_path))
         self.on_publish = on_publish
         self.on_reaction = on_reaction
         self.reaction_log: list[ReactionRecord] = []
@@ -351,21 +351,21 @@ class ArtifactReactor:
 
     # -- reactions ----------------------------------------------------------
 
-    def _record(self, record: ReactionRecord) -> None:
-        self.reaction_log.append(record)
-        path = self.data_dir / REACTIONS_FILE
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
+    def _commit(self, artifact: Artifact, record: ReactionRecord) -> ReactionRecord:
+        """Append the reaction line, then publish its product: what was
+        consumed is on disk before anyone can see the product."""
+        self.reactions_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.reactions_path, "a", encoding="utf-8") as handle:
             handle.write(canonical_line(record.to_dict()))
-        if self.on_reaction is not None:
-            self.on_reaction(record)
-
-    def _publish(self, artifact: Artifact, fulfills: NeedKey | None = None) -> None:
         self.store.append(artifact)
         self.graph.insert(artifact)
-        self.index.publish(IndexEntry.for_artifact(artifact, fulfills=fulfills))
+        self.index.publish(IndexEntry.for_artifact(artifact, fulfills=record.fulfilled_need))
         if self.on_publish is not None:
             self.on_publish(artifact)
+        self.reaction_log.append(record)
+        if self.on_reaction is not None:
+            self.on_reaction(record)
+        return record
 
     def _create(
         self,
@@ -450,7 +450,6 @@ class ArtifactReactor:
             return None
         if not self.claims.claim_need(key):
             return None
-        self.ledger.add_need_key(key)
         artifact = self._create(
             artifact_type=item.artifact_type,
             skill=manifest.name,
@@ -458,8 +457,7 @@ class ArtifactReactor:
             parents=(entry.artifact_id,),
             investigation_id=entry.investigation_id,
         )
-        self._publish(artifact, fulfills=key)
-        record = ReactionRecord(
+        return self._commit(artifact, ReactionRecord(
             kind="need_driven",
             consumed_ids=(),
             fulfilled_need=key,
@@ -467,9 +465,7 @@ class ArtifactReactor:
             skill=manifest.name,
             pressure=breakdown,
             timestamp=artifact.timestamp,
-        )
-        self._record(record)
-        return record
+        ))
 
     def react_multi(self, investigation_filter: str | None = None) -> ReactionRecord | None:
         """Merge >=2 compatible peer artifacts through one shared skill."""
@@ -500,18 +496,14 @@ class ArtifactReactor:
             consumed = tuple(a.artifact_id for a in artifacts)
             if not self.claims.claim_all(consumed):
                 continue
-            for artifact_id in consumed:
-                self.ledger.add_artifact(artifact_id)
-            investigation = self._common_investigation(artifacts)
             produced = self._create(
                 artifact_type="synthesis",
                 skill=manifest.name,
                 payload=payload,
                 parents=consumed,
-                investigation_id=investigation,
+                investigation_id=self._common_investigation(artifacts),
             )
-            self._publish(produced)
-            record = ReactionRecord(
+            return self._commit(produced, ReactionRecord(
                 kind="multi_parent",
                 consumed_ids=consumed,
                 fulfilled_need=None,
@@ -519,9 +511,7 @@ class ArtifactReactor:
                 skill=manifest.name,
                 pressure=None,
                 timestamp=produced.timestamp,
-            )
-            self._record(record)
-            return record
+            ))
         return None
 
     @staticmethod
@@ -545,7 +535,6 @@ class ArtifactReactor:
                 continue
             if not self.claims.claim_all((entry.artifact_id,)):
                 continue
-            self.ledger.add_artifact(entry.artifact_id)
             produced = self._create(
                 artifact_type=manifest.output_artifact_type,
                 skill=manifest.name,
@@ -553,8 +542,7 @@ class ArtifactReactor:
                 parents=(entry.artifact_id,),
                 investigation_id=entry.investigation_id,
             )
-            self._publish(produced)
-            record = ReactionRecord(
+            return self._commit(produced, ReactionRecord(
                 kind="single_parent",
                 consumed_ids=(entry.artifact_id,),
                 fulfilled_need=None,
@@ -562,9 +550,7 @@ class ArtifactReactor:
                 skill=manifest.name,
                 pressure=None,
                 timestamp=produced.timestamp,
-            )
-            self._record(record)
-            return record
+            ))
         return None
 
     def react(self, limit: int = 3, investigation_filter: str | None = None) -> list[ReactionRecord]:

@@ -23,7 +23,6 @@ from typing import Sequence
 from .canonical import Payload, canonicalize
 from .clock import EPOCH, ManualClock, parse_timestamp
 from .errors import (
-    AlreadyClaimed,
     ArtifactError,
     CorruptStore,
     CycleRejected,
@@ -31,14 +30,13 @@ from .errors import (
     InvalidFormat,
     InvalidScenario,
     RateLimited,
-    SkillMismatch,
     UnknownArtifact,
 )
 from .governance import ArtifactRef, GovernanceLedger
 from .index import GlobalIndex, IndexEntry
 from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid, verify_integrity
 from .lineage import LineageGraph
-from .memory import AgentJournal, InvestigationTracker, KnowledgeGraph, slugify
+from .memory import AgentJournal, InvestigationTracker, slugify
 from .mutator import MUTATIONS_FILE, MutationEvent, MutationPolicy, Mutator
 from .needs import NeedItem, NeedsSignal, tokenize
 from .reactor import (
@@ -47,6 +45,7 @@ from .reactor import (
     ConsumptionClaims,
     ReactionRecord,
     build_params,
+    reaction_fields,
 )
 from .skills import (
     AgentProfile,
@@ -186,86 +185,6 @@ def demo_scenario() -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Collaborative sessions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SessionTask:
-    task_id: str
-    description: str
-    required_skill: str
-    status: str = "open"
-    claimant: str | None = None
-    result_ref: str | None = None
-
-
-@dataclass
-class Session:
-    id: str
-    topic: str
-    participants: list = field(default_factory=list)
-    tasks: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
-    synthesis: bool = False
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def claim_task(self, agent: str, task_id: str, agent_skills: Sequence[str]) -> SessionTask:
-        """Atomically claim an open task; exactly one claimant ever succeeds."""
-        with self._lock:
-            task = self.tasks.get(task_id)
-            if task is None:
-                raise UnknownArtifact(f"no task {task_id} in session {self.id}")
-            if task.required_skill not in agent_skills:
-                raise SkillMismatch(
-                    f"task {task_id} requires {task.required_skill}, "
-                    f"which {agent} does not have"
-                )
-            if task.status != "open":
-                raise AlreadyClaimed(f"task {task_id} already claimed by {task.claimant}")
-            task.status = "claimed"
-            task.claimant = agent
-            if agent not in self.participants:
-                self.participants.append(agent)
-            return task
-
-    def complete_task(self, agent: str, task_id: str, result_ref: str) -> SessionTask:
-        with self._lock:
-            task = self.tasks.get(task_id)
-            if task is None:
-                raise UnknownArtifact(f"no task {task_id} in session {self.id}")
-            if task.claimant != agent or task.status != "claimed":
-                raise ArtifactError(f"task {task_id} is not claimed by {agent}")
-            task.status = "done"
-            task.result_ref = result_ref
-            self.results.append(result_ref)
-            return task
-
-
-class SessionBoard:
-    def __init__(self):
-        self._sessions: dict[str, Session] = {}
-        self._counter = 0
-        self._lock = threading.Lock()
-
-    def create_session(self, topic: str, tasks: Sequence[tuple]) -> Session:
-        """tasks: (description, required_skill) pairs."""
-        with self._lock:
-            self._counter += 1
-            session_id = f"session-{self._counter:04d}"
-            session = Session(id=session_id, topic=topic)
-            for i, (description, skill) in enumerate(tasks):
-                task_id = f"{session_id}-t{i}"
-                session.tasks[task_id] = SessionTask(
-                    task_id=task_id, description=description, required_skill=skill
-                )
-            self._sessions[session_id] = session
-            return session
-
-    def get(self, session_id: str) -> Session:
-        return self._sessions[session_id]
-
-
-# ---------------------------------------------------------------------------
 # World
 # ---------------------------------------------------------------------------
 
@@ -288,7 +207,6 @@ class AgentRuntime:
         self.tracker = InvestigationTracker(
             self.dir / InvestigationTracker.FILENAME, clock=world.clock
         )
-        self.knowledge = KnowledgeGraph(self.dir / KnowledgeGraph.FILENAME)
         self.reactor = ArtifactReactor(
             profile=profile,
             registry=world.registry,
@@ -338,7 +256,6 @@ class World:
             clock=self.clock,
             resolve_ref=self.index.__contains__,
         )
-        self.sessions = SessionBoard()
         self.artifacts: dict[str, Artifact] = {}
         self.birth_cycles: dict[str, int] = {}
         self.current_cycle = 0
@@ -382,12 +299,6 @@ class World:
     def on_reaction(self, record: ReactionRecord) -> None:
         for hook in self.reaction_hooks:
             hook(record)
-
-    def claim_task(self, session_id: str, agent_name: str, task_id: str):
-        """Claim a session task on behalf of an agent, using its own skill set."""
-        profile = self.profiles[agent_name]
-        skills = [m.name for m in self.registry.skills_for(profile)]
-        return self.sessions.get(session_id).claim_task(agent_name, task_id, skills)
 
     def emit(
         self,
@@ -785,7 +696,14 @@ def need_latencies(index: GlobalIndex) -> dict[str, float]:
 
 
 def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationReport]:
-    """Execute a scenario and write stores, index, ledgers, and report.json."""
+    """Execute a scenario and write stores, index, ledgers, and report.json.
+
+    ``out_dir`` must be missing or an empty directory: a run never writes
+    over part of an earlier one.
+    """
+    out = Path(out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ArtifactError(f"output directory {out} exists and is not empty")
     world = World(scenario, out_dir)
     cycle_reports = []
     for cycle in range(scenario.cycles):
@@ -892,22 +810,6 @@ def export_dag(graph: LineageGraph, fmt: str) -> str:
 # Invariant verification
 # ---------------------------------------------------------------------------
 
-def _reaction_fields(raw: str) -> tuple[list[str], str | None]:
-    """The consumed ids and fulfilled need key of one reactions.jsonl line.
-
-    Raises ValueError for a line that is not such a record.
-    """
-    try:
-        record = json.loads(raw)
-        consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a reaction record: {exc!r}") from exc
-    if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
-            and (fulfilled is None or isinstance(fulfilled, str))):
-        raise ValueError("consumed_ids must be a list of ids and fulfilled_need a key or null")
-    return consumed_ids, fulfilled
-
-
 def verify_output(out_dir: str | Path) -> list[str]:
     """Re-check the core invariants from the files a run left behind.
 
@@ -915,8 +817,9 @@ def verify_output(out_dir: str | Path) -> list[str]:
     When the lineage cannot be rebuilt at all (a damaged store or mutation
     log line, or a graft that names a missing node or would close a cycle),
     that is the one violation returned, since every other check reads the
-    rebuilt lineage. A damaged reactions.jsonl line is one violation, and the
-    checks go on with the other lines: no artifact consumed twice, no need
+    rebuilt lineage. An unreadable report.json (bad JSON, or no scenario or
+    metrics in it) and a damaged reactions.jsonl line are one violation each,
+    and the checks go on with what is left: no artifact consumed twice, no need
     key fulfilled twice, none of an agent's own artifacts consumed, and
     every consumed type within the agent's domain.
     """
@@ -937,18 +840,24 @@ def verify_output(out_dir: str | Path) -> list[str]:
     report_path = out / "report.json"
     scenario = None
     if report_path.exists():
-        with open(report_path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        scenario = Scenario.from_dict(report["scenario"])
-        recomputed = graph.metrics()
-        reported = report["dag_metrics"]
-        if abs(recomputed.avg_dag_depth - reported["avg_dag_depth"]) > 1e-9:
-            violations.append(
-                f"avg_dag_depth mismatch: reported {reported['avg_dag_depth']}, "
-                f"recomputed {recomputed.avg_dag_depth}"
-            )
-        if recomputed.artifact_count != reported["artifact_count"]:
-            violations.append("artifact_count mismatch between report and stores")
+        try:
+            with open(report_path, "r", encoding="utf-8") as handle:
+                report = json.load(handle)
+            scenario = Scenario.from_dict(report["scenario"])
+            reported = report["dag_metrics"]
+            reported_depth = reported["avg_dag_depth"]
+            reported_count = reported["artifact_count"]
+        except (ValueError, KeyError, TypeError, ArtifactError) as exc:
+            violations.append(f"{report_path}: unreadable report: {exc!r}")
+        else:
+            recomputed = graph.metrics()
+            if abs(recomputed.avg_dag_depth - reported_depth) > 1e-9:
+                violations.append(
+                    f"avg_dag_depth mismatch: reported {reported_depth}, "
+                    f"recomputed {recomputed.avg_dag_depth}"
+                )
+            if recomputed.artifact_count != reported_count:
+                violations.append("artifact_count mismatch between report and stores")
 
     # Artifact types each agent may consume, when the scenario is known.
     allowed: dict[str, set[str]] = {}
@@ -970,7 +879,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
         with open(reactions_path, "r", encoding="utf-8") as handle:
             for number, raw in enumerate(handle, start=1):
                 try:
-                    consumed_ids, fulfilled = _reaction_fields(raw)
+                    consumed_ids, fulfilled = reaction_fields(raw)
                 except ValueError as exc:
                     violations.append(
                         f"{reactions_path} line {number}: unparseable reaction: {exc!r}"

@@ -90,17 +90,11 @@ class SkillRegistry:
     def skills(self) -> list[SkillManifest]:
         return list(self._manifests.values())
 
-    def skill_names(self) -> list[str]:
-        return list(self._manifests)
-
     def artifact_types(self) -> set[str]:
         """Controlled vocabulary: every skill output plus the cross-cutting types."""
         types = {m.output_artifact_type for m in self._manifests.values()}
         types.update(CROSS_CUTTING_TYPES)
         return types
-
-    def producers_of(self, artifact_type: str) -> list[SkillManifest]:
-        return [m for m in self._manifests.values() if m.output_artifact_type == artifact_type]
 
     def domains(self) -> list[str]:
         seen: dict[str, None] = {}

@@ -37,6 +37,12 @@ def test_run_writes_report(run_dir, capsys):
     assert report["scenario"]["seed"] == 31
 
 
+def test_run_into_a_used_directory_exits_2(run_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "scenario.json"), "--out", str(run_dir)]) == 2
+    assert "not empty" in capsys.readouterr().err
+
+
 def test_run_seed_override(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(SCENARIO))

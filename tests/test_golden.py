@@ -14,8 +14,8 @@ from artifact.skills import default_registry
 
 from .test_sim import tree_digest
 
-DEMO_DIGEST = "89337916ed81a0f31db9efc806bdd4e2886b119b5c6a4a4ce42e6d0e83005d9a"
-GRID_DIGEST = "2e5be18c5cde51dad5bdac8e7de9cf8bf5029c346f9df0400c6a6c691c5029d9"
+DEMO_DIGEST = "0961f7dd9e11fdc27a0405a40f8e65861f6c1adf85b29a7f296cf09b2e744b4a"
+GRID_DIGEST = "0fcc280d6ce34ce0ae9bbba45239f06aaf6382d82201bf53b8b01c3d9ce14eb3"
 
 # Domain words chain skills; the rest are unmatched and broadcast needs.
 TOPIC_WORDS = (

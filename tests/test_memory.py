@@ -2,19 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from artifact.errors import (
-    AlreadyComplete,
-    DanglingConcept,
-    InvalidKind,
-    InvalidRelation,
-    UnknownInvestigation,
-)
-from artifact.memory import (
-    AgentJournal,
-    InvestigationTracker,
-    KnowledgeGraph,
-    slugify,
-)
+from artifact.errors import AlreadyComplete, InvalidKind, UnknownInvestigation
+from artifact.memory import AgentJournal, InvestigationTracker, slugify
 
 
 # -- journal -------------------------------------------------------------------
@@ -143,68 +132,3 @@ def test_tracker_batch_persists_when_the_block_fails(tmp_path, clock):
             raise RuntimeError("pipeline step failed")
     assert InvestigationTracker(path, clock=clock).get(inv.id).hypotheses == ["h1"]
 
-
-# -- knowledge graph ----------------------------------------------------------------
-
-def test_kg_add_and_query(tmp_path):
-    kg = KnowledgeGraph(tmp_path / "kg.json")
-    kg.add_node("A")
-    kg.add_node("B")
-    kg.add_edge("A", "B", "extends")
-    assert kg.query("A") == [("B", "extends")]
-    assert kg.query("B") == [("A", "extends")]
-
-
-def test_kg_isolated_node_queries_empty(tmp_path):
-    kg = KnowledgeGraph(tmp_path / "kg.json")
-    kg.add_node("lonely")
-    assert kg.query("lonely") == []
-
-
-def test_kg_dangling_edge_rejected(tmp_path):
-    kg = KnowledgeGraph(tmp_path / "kg.json")
-    kg.add_node("A")
-    with pytest.raises(DanglingConcept):
-        kg.add_edge("A", "ghost", "extends")
-
-
-def test_kg_relation_vocabulary_closed(tmp_path):
-    kg = KnowledgeGraph(tmp_path / "kg.json")
-    kg.add_node("A")
-    kg.add_node("B")
-    with pytest.raises(InvalidRelation):
-        kg.add_edge("A", "B", "likes")
-    for relation in ("contradicts", "extends", "requires", "causes",
-                     "binds_to", "associated_with", "activates", "inhibits"):
-        kg.add_edge("A", "B", relation)
-
-
-def test_kg_query_matches_brute_scan(tmp_path):
-    import random
-    kg = KnowledgeGraph(tmp_path / "kg.json")
-    gen = random.Random(8)
-    names = [f"c{i}" for i in range(10)]
-    for name in names:
-        kg.add_node(name)
-    relations = ("extends", "requires", "causes")
-    for _ in range(40):
-        kg.add_edge(gen.choice(names), gen.choice(names), gen.choice(relations))
-    for name in names:
-        brute = []
-        for source, target, relation in kg.edges():
-            if source == name:
-                brute.append((target, relation))
-            elif target == name:
-                brute.append((source, relation))
-        assert kg.query(name) == sorted(brute)
-
-
-def test_kg_persists_across_reload(tmp_path):
-    path = tmp_path / "kg.json"
-    kg = KnowledgeGraph(path)
-    kg.add_node("A", "protein")
-    kg.add_node("B")
-    kg.add_edge("A", "B", "binds_to")
-    reloaded = KnowledgeGraph(path)
-    assert reloaded.nodes() == {"A": "protein", "B": "concept"}
-    assert reloaded.query("A") == [("B", "binds_to")]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import timedelta
 
 import pytest
 
 from artifact.clock import EPOCH, ManualClock
+from artifact.errors import CorruptStore
 from artifact.index import GlobalIndex, IndexEntry, NeedKey
 from artifact.ledger import ArtifactStore, create_artifact, new_uuid
 from artifact.lineage import LineageGraph
@@ -430,16 +432,40 @@ def test_reaction_hooks_see_acyclic_graph(harness):
 
 
 def test_ledger_files_on_disk(harness, tmp_path):
+    """reactions.jsonl is the one persisted record of what was consumed."""
     artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     harness.reactors["bob"].react(limit=3)
     bob_dir = tmp_path / "agents" / "bob"
-    consumed = (bob_dir / "consumed.txt").read_text().split()
-    consumed_needs = (bob_dir / "consumed_needs.txt").read_text().split()
-    assert artifact.artifact_id in consumed
-    assert f"{carrier.artifact_id}:0:default" in consumed_needs
-    assert (bob_dir / "reactions.jsonl").exists()
+    lines = [json.loads(raw) for raw in
+             (bob_dir / "reactions.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert artifact.artifact_id in {i for line in lines for i in line["consumed_ids"]}
+    assert f"{carrier.artifact_id}:0:default" in {line["fulfilled_need"] for line in lines}
+    assert list(bob_dir.glob("consumed*.txt")) == []
+
+
+def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_path):
+    """For every reaction kind, the line naming the product is written first."""
+    log_path = tmp_path / "agents" / "bob" / "reactions.jsonl"
+    seen = []
+
+    def check_log(artifact):
+        harness.artifacts[artifact.artifact_id] = artifact
+        last = json.loads(log_path.read_text(encoding="utf-8").splitlines()[-1])
+        seen.append((last["kind"], last["produced_id"] == artifact.artifact_id))
+
+    bob = harness.reactors["bob"]
+    bob.on_publish = check_log
+    signal = NeedsSignal(items=(need("sequence_alignment"),))
+    harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
+    harness.emit("alice", "protein_data", {"sequence": "AAA"})
+    harness.emit("carol", "protein_data", {"sequence": "CCC"})
+    assert [r.kind for r in bob.react_to_needs(limit=1)] == ["need_driven"]
+    assert bob.react_multi().kind == "multi_parent"
+    harness.emit("alice", "protein_data", {"sequence": "GGG"})
+    assert bob.react_single().kind == "single_parent"
+    assert seen == [("need_driven", True), ("multi_parent", True), ("single_parent", True)]
 
 
 def test_payload_key_cache_is_transparent(harness):
@@ -478,8 +504,6 @@ def test_need_key_has_exactly_one_winner(tmp_path, registry):
     assert [r.fulfilled_need for r in records] == [key]
     fulfilments = [e for e in harness.index.entries() if e.fulfills == key]
     assert len(fulfilments) == 1
-    assert key.text not in harness.reactors["dave"].ledger.consumed_need_keys
-    assert not (tmp_path / "agents" / "dave" / "consumed_needs.txt").exists()
 
 
 def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
@@ -509,26 +533,43 @@ def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
     assert len(calls) == 2
     assert [(e.producer_agent, e.fulfills) for e in harness.index.entries()
             if e.fulfills is not None] == [("bob", key)]
-    assert key.text not in harness.reactors["dave"].ledger.consumed_need_keys
-    assert not (tmp_path / "agents" / "dave" / "consumed_needs.txt").exists()
     assert not (tmp_path / "agents" / "dave" / "reactions.jsonl").exists()
 
 
-def test_claims_are_seeded_from_both_ledger_files(harness, tmp_path, registry):
+def restart(harness, name, claims):
+    """A new reactor for an agent whose earlier reactor has run."""
+    old = harness.reactors[name]
+    return ArtifactReactor(
+        profile=old.profile, registry=harness.registry, index=harness.index,
+        graph=harness.graph, store=harness.stores[name],
+        resolve_artifact=lambda e: harness.artifacts.get(e.artifact_id),
+        data_dir=old.data_dir, clock=harness.clock, claims=claims,
+    )
+
+
+def test_claims_are_seeded_from_both_ledger_files(harness):
+    """Both kinds of consumption, artifact ids and need keys, are seeded
+    from the agent's reactions.jsonl."""
     artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     harness.reactors["bob"].react(limit=3)
     restarted = ConsumptionClaims()
-    ArtifactReactor(
-        profile=harness.reactors["bob"].profile, registry=registry, index=harness.index,
-        graph=harness.graph, store=harness.stores["bob"],
-        resolve_artifact=lambda e: harness.artifacts.get(e.artifact_id),
-        data_dir=tmp_path / "agents" / "bob", clock=harness.clock, claims=restarted,
-    )
+    restart(harness, "bob", restarted)
     assert artifact.artifact_id in restarted
     assert not restarted.claim_need(NeedKey(carrier.artifact_id, 0, "default"))
     assert not restarted.claim_all((artifact.artifact_id,))
+
+
+def test_damaged_reaction_line_stops_a_restart(harness):
+    harness.emit("alice", "protein_data", {"sequence": "AAA"})
+    assert len(harness.reactors["bob"].react(limit=1)) == 1
+    path = harness.reactors["bob"].reactions_path
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"consumed_ids": "abc", "fulfilled_need": null}\n')
+    with pytest.raises(CorruptStore) as info:
+        restart(harness, "bob", ConsumptionClaims())
+    assert (info.value.path, info.value.line_number) == (str(path), 2)
 
 
 def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
@@ -568,6 +609,6 @@ def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     answered = [e.fulfills.text for e in harness.index.entries() if e.fulfills is not None]
-    ledgers = [k for n in names for k in harness.reactors[n].ledger.consumed_need_keys]
+    logged = [r.fulfilled_need.text for n in names for r in harness.reactors[n].reaction_log]
     assert len(answered) == len(set(answered)) == 12
-    assert sorted(ledgers) == sorted(answered)
+    assert sorted(logged) == sorted(answered)

@@ -2,21 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from pathlib import Path
 
 import pytest
 
-from artifact.errors import (
-    AlreadyClaimed,
-    InvalidFormat,
-    InvalidScenario,
-    SkillMismatch,
-)
+from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario
 from artifact.ledger import ArtifactStore
 from artifact.sim import (
     Scenario,
-    SessionBoard,
     World,
     demo_scenario,
     export_dag,
@@ -282,6 +275,30 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
     assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "two")
 
 
+def test_run_refuses_a_non_empty_output_directory(tmp_path):
+    out = tmp_path / "out"
+    run(fig2_scenario(cycles=2), out)
+    before = tree_digest(out)
+    with pytest.raises(ArtifactError, match="not empty"):
+        run(fig2_scenario(cycles=2), out)
+    assert tree_digest(out) == before
+    (tmp_path / "empty").mkdir()
+    run(fig2_scenario(cycles=2), tmp_path / "empty")  # an empty directory is fine
+
+
+def test_demo_run_directory_layout(tmp_path):
+    """The files a demo run writes, as the README's run-directory layout lists them."""
+    out = tmp_path / "out"
+    run(demo_scenario(), out)
+    agent_files = ["investigations.json", "journal.jsonl", "mutations.jsonl",
+                   "reactions.jsonl", "store.jsonl"]
+    expected = ["governance.jsonl", "index.jsonl", "report.json"] + [
+        f"agents/{name}/{file}" for name in ("alice", "bruno", "chen") for file in agent_files
+    ]
+    written = [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()]
+    assert sorted(written) == sorted(expected)
+
+
 def test_different_seeds_diverge(tmp_path):
     run(fig2_scenario(cycles=2, seed=1), tmp_path / "one")
     run(fig2_scenario(cycles=2, seed=2), tmp_path / "two")
@@ -342,6 +359,9 @@ def _graft(node, new_parent):
     ("graft onto a missing parent", "DanglingParent"),
     ("malformed mutation line", "CorruptStore"),
     ("key-less mutation line", "CorruptStore"),
+    ("unparseable report", "JSONDecodeError"),
+    ("report without scenario", "KeyError('scenario')"),
+    ("report without dag_metrics", "KeyError('dag_metrics')"),
 ])
 def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     out = tmp_path / "out"
@@ -349,7 +369,14 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     alice = out / "agents" / "alice"
     child = next(a for a in ArtifactStore.open_dir(alice).load() if a.parent_artifact_ids)
     parent = child.parent_artifact_ids[0]
-    if damage == "garbled store line":
+    report_path = out / "report.json"
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    if damage == "unparseable report":
+        report_path.write_text("{truncated", encoding="utf-8")
+    elif damage.startswith("report without "):
+        del report[damage.removeprefix("report without ")]
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+    elif damage == "garbled store line":
         _append_line(alice / ArtifactStore.FILENAME, "{not json\n")
     elif damage == "malformed mutation line":
         _append_line(alice / "mutations.jsonl", "{broken\n")
@@ -438,59 +465,6 @@ def test_concurrent_mode_preserves_invariants(tmp_path):
     world, _ = run(scenario, tmp_path / "out")
     assert verify_output(tmp_path / "out") == []
     assert world.graph.is_acyclic()
-
-
-# -- sessions -----------------------------------------------------------------------
-
-def test_session_claim_lifecycle():
-    board = SessionBoard()
-    session = board.create_session("joint topic", [("align it", "sequence_align")])
-    task_id = next(iter(session.tasks))
-    task = session.claim_task("bruno", task_id, ["sequence_align"])
-    assert task.status == "claimed" and task.claimant == "bruno"
-    with pytest.raises(AlreadyClaimed):
-        session.claim_task("carol", task_id, ["sequence_align"])
-    done = session.complete_task("bruno", task_id, "artifact://bruno/x")
-    assert done.status == "done" and done.result_ref
-
-
-def test_session_claim_requires_skill():
-    board = SessionBoard()
-    session = board.create_session("joint topic", [("align it", "sequence_align")])
-    task_id = next(iter(session.tasks))
-    with pytest.raises(SkillMismatch):
-        session.claim_task("carol", task_id, ["paper_search"])
-
-
-def test_world_claims_with_profile_skills(tmp_path):
-    world = World(fig2_scenario(), tmp_path)
-    session = world.sessions.create_session("joint", [("align it", "sequence_align")])
-    task_id = next(iter(session.tasks))
-    with pytest.raises(SkillMismatch):
-        world.claim_task(session.id, "chen", task_id)  # chen lacks sequence_align
-    task = world.claim_task(session.id, "bruno", task_id)
-    assert task.claimant == "bruno"
-
-
-def test_concurrent_claims_have_single_winner():
-    board = SessionBoard()
-    session = board.create_session("joint topic", [("align it", "sequence_align")])
-    task_id = next(iter(session.tasks))
-    outcomes = []
-
-    def attempt(agent):
-        try:
-            session.claim_task(agent, task_id, ["sequence_align"])
-            outcomes.append(("won", agent))
-        except AlreadyClaimed:
-            outcomes.append(("lost", agent))
-
-    threads = [threading.Thread(target=attempt, args=(f"agent{i}",)) for i in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert sum(1 for result, _ in outcomes if result == "won") == 1
 
 
 # -- export -----------------------------------------------------------------------
