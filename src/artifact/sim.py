@@ -810,6 +810,25 @@ def export_dag(graph: LineageGraph, fmt: str) -> str:
 # Invariant verification
 # ---------------------------------------------------------------------------
 
+def _read_report(path: Path) -> tuple[float, int, dict[str, set[str]]]:
+    """A report.json's avg_dag_depth and artifact_count, and the artifact
+    types each agent of its scenario may consume."""
+    with open(path, "r", encoding="utf-8") as handle:
+        report = json.load(handle)
+    metrics = report["dag_metrics"]
+    depth, count = metrics["avg_dag_depth"], metrics["artifact_count"]
+    if not (isinstance(depth, (int, float)) and isinstance(count, int)):
+        raise ValueError("dag_metrics needs a numeric avg_dag_depth and an integer artifact_count")
+    scenario = Scenario.from_dict(report["scenario"])
+    registry = default_registry() if scenario.registry == "default" \
+        else load_registry(scenario.registry)
+    allowed = {}
+    for raw in scenario.agents:
+        profile = load_profile(raw, registry)
+        allowed[profile.name] = allowed_types(profile, registry)
+    return depth, count, allowed
+
+
 def verify_output(out_dir: str | Path) -> list[str]:
     """Re-check the core invariants from the files a run left behind.
 
@@ -817,11 +836,12 @@ def verify_output(out_dir: str | Path) -> list[str]:
     When the lineage cannot be rebuilt at all (a damaged store or mutation
     log line, or a graft that names a missing node or would close a cycle),
     that is the one violation returned, since every other check reads the
-    rebuilt lineage. An unreadable report.json (bad JSON, or no scenario or
-    metrics in it) and a damaged reactions.jsonl line are one violation each,
-    and the checks go on with what is left: no artifact consumed twice, no need
-    key fulfilled twice, none of an agent's own artifacts consumed, and
-    every consumed type within the agent's domain.
+    rebuilt lineage. An unreadable report.json (bad JSON, metrics missing or
+    not numbers, a scenario missing or naming an unknown skill) and a damaged
+    reactions.jsonl line are one violation each, and the checks go on with
+    what is left: no artifact consumed twice, no need key fulfilled twice,
+    none of an agent's own artifacts consumed, and every consumed type within
+    the agent's domain.
     """
     out = Path(out_dir)
     violations: list[str] = []
@@ -838,16 +858,11 @@ def verify_output(out_dir: str | Path) -> list[str]:
             violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
 
     report_path = out / "report.json"
-    scenario = None
+    allowed: dict[str, set[str]] = {}
     if report_path.exists():
         try:
-            with open(report_path, "r", encoding="utf-8") as handle:
-                report = json.load(handle)
-            scenario = Scenario.from_dict(report["scenario"])
-            reported = report["dag_metrics"]
-            reported_depth = reported["avg_dag_depth"]
-            reported_count = reported["artifact_count"]
-        except (ValueError, KeyError, TypeError, ArtifactError) as exc:
+            reported_depth, reported_count, allowed = _read_report(report_path)
+        except (OSError, ValueError, KeyError, TypeError, ArtifactError) as exc:
             violations.append(f"{report_path}: unreadable report: {exc!r}")
         else:
             recomputed = graph.metrics()
@@ -858,15 +873,6 @@ def verify_output(out_dir: str | Path) -> list[str]:
                 )
             if recomputed.artifact_count != reported_count:
                 violations.append("artifact_count mismatch between report and stores")
-
-    # Artifact types each agent may consume, when the scenario is known.
-    allowed: dict[str, set[str]] = {}
-    if scenario is not None:
-        registry = default_registry() if scenario.registry == "default" \
-            else load_registry(scenario.registry)
-        for raw in scenario.agents:
-            profile = load_profile(raw, registry)
-            allowed[profile.name] = allowed_types(profile, registry)
 
     consumed_by: dict[str, str] = {}
     fulfilled_by: dict[str, str] = {}

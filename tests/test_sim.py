@@ -362,6 +362,8 @@ def _graft(node, new_parent):
     ("unparseable report", "JSONDecodeError"),
     ("report without scenario", "KeyError('scenario')"),
     ("report without dag_metrics", "KeyError('dag_metrics')"),
+    ("report with a non-numeric depth", "ValueError"),
+    ("report naming an unknown skill", "UnknownSkill"),
 ])
 def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     out = tmp_path / "out"
@@ -373,8 +375,13 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     if damage == "unparseable report":
         report_path.write_text("{truncated", encoding="utf-8")
-    elif damage.startswith("report without "):
-        del report[damage.removeprefix("report without ")]
+    elif damage.startswith("report "):
+        if damage.startswith("report without "):
+            del report[damage.removeprefix("report without ")]
+        elif damage == "report with a non-numeric depth":
+            report["dag_metrics"]["avg_dag_depth"] = "deep"
+        else:
+            report["scenario"]["agents"][0]["preferred_tools"] = ["no_such_skill"]
         report_path.write_text(json.dumps(report), encoding="utf-8")
     elif damage == "garbled store line":
         _append_line(alice / ArtifactStore.FILENAME, "{not json\n")
