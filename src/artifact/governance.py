@@ -1,4 +1,4 @@
-"""Event-sourced ledger of accounts, posts, votes, links, and notifications.
+"""Event-sourced ledger of accounts, posts, votes and links.
 
 All mutation goes through command methods that validate, apply, then append
 one canonical event line; replaying the log rebuilds identical state. Karma
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -38,9 +37,6 @@ VOTES_PER_DAY_TRUSTED = 400
 
 LINK_RELATIONS = ("cite", "contradict", "extend", "replicate")
 COMMENT_TYPES = ("chat", "redirect", "plain")
-NOTIFICATION_KINDS = ("mention", "reply", "upvote", "citation")
-
-_MENTION_RE = re.compile(r"@([A-Za-z0-9_\-]+)")
 
 
 class Tier(str, enum.Enum):
@@ -161,15 +157,6 @@ class CommentAction:
 
 
 @dataclass
-class Notification:
-    id: str
-    recipient: str
-    kind: str
-    source_ids: tuple
-    read: bool = False
-
-
-@dataclass
 class _RateState:
     last_post: datetime | None = None
     last_comment: datetime | None = None
@@ -200,10 +187,9 @@ class GovernanceLedger:
         self.posts: dict[str, Post] = {}
         self.comments: dict[str, CommentAction] = {}
         self.links: list[PostLink] = []
-        self.notifications: dict[str, Notification] = {}
         self.votes: list[dict] = []
         self._rates: dict[str, _RateState] = {}
-        self._counters = {"post": 0, "comment": 0, "notification": 0}
+        self._counters = {"post": 0, "comment": 0}
         self._replaying = False
         if self.path is not None and self.path.exists():
             self._replay()
@@ -272,8 +258,6 @@ class GovernanceLedger:
             )
         elif op == "read_comment":
             self.mark_intervention_read(data["comment"], now=now)
-        elif op == "read_notification":
-            self.mark_notification_read(data["notification"], now=now)
         else:
             raise ArtifactError(f"unknown event op {op!r}")
 
@@ -294,17 +278,6 @@ class GovernanceLedger:
     def _next_id(self, kind: str) -> str:
         self._counters[kind] += 1
         return f"{kind}-{self._counters[kind]:05d}"
-
-    def _notify(self, recipient: str, kind: str, source_ids: Sequence[str]) -> None:
-        if recipient not in self.accounts:
-            return
-        note = Notification(
-            id=self._next_id("notification"),
-            recipient=recipient,
-            kind=kind,
-            source_ids=tuple(source_ids),
-        )
-        self.notifications[note.id] = note
 
     # -- rate limiting -------------------------------------------------------
 
@@ -475,14 +448,10 @@ class GovernanceLedger:
             self.comments[parent_comment].author if parent_comment else post.author
         )
         if replied_to != author:
-            self._notify(replied_to, "reply", (comment.id, post_id))
             target = self.accounts.get(replied_to)
             if target is not None:
                 target.replies_received += 1
                 target.refresh()
-        for name in _MENTION_RE.findall(body):
-            if name != author and name in self.accounts:
-                self._notify(name, "mention", (comment.id, post_id))
 
         self._log("comment", {
             "author": author,
@@ -525,8 +494,6 @@ class GovernanceLedger:
             "direction": direction,
             "now": format_timestamp(now),
         })
-        if direction > 0 and target.author != voter:
-            self._notify(target.author, "upvote", (target_id, voter))
         self._log("vote", {"voter": voter, "target": target_id, "direction": direction}, now)
 
     def link_posts(
@@ -549,9 +516,7 @@ class GovernanceLedger:
         )
         self.links.append(link)
         if relation == "cite":
-            target_author = self.posts[to_post].author
-            self._notify(target_author, "citation", (from_post, to_post))
-            account = self.accounts.get(target_author)
+            account = self.accounts.get(self.posts[to_post].author)
             if account is not None:
                 account.citations_received += 1
                 account.refresh()
@@ -593,20 +558,3 @@ class GovernanceLedger:
         if not comment.read:
             comment.read = True
             self._log("read_comment", {"comment": comment_id}, now)
-
-    def notifications_for(self, agent: str, unread_only: bool = True) -> list[Notification]:
-        found = [
-            n for n in self.notifications.values()
-            if n.recipient == agent and (not unread_only or not n.read)
-        ]
-        found.sort(key=lambda n: n.id)
-        return found
-
-    def mark_notification_read(self, notification_id: str, now: datetime | None = None) -> None:
-        now = self._now(now)
-        note = self.notifications.get(notification_id)
-        if note is None:
-            raise ArtifactError(f"no notification {notification_id}")
-        if not note.read:
-            note.read = True
-            self._log("read_notification", {"notification": notification_id}, now)

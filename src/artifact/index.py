@@ -204,7 +204,6 @@ class GlobalIndex:
         self,
         artifact_type: str | None = None,
         producer: str | None = None,
-        investigation_id: str | None = None,
         exclude_producer: str | None = None,
     ) -> list[IndexEntry]:
         """Entries matching every present filter, ordered by (timestamp, id)."""
@@ -213,8 +212,6 @@ class GlobalIndex:
             if artifact_type is not None and entry.artifact_type != artifact_type:
                 continue
             if producer is not None and entry.producer_agent != producer:
-                continue
-            if investigation_id is not None and entry.investigation_id != investigation_id:
                 continue
             if exclude_producer is not None and entry.producer_agent == exclude_producer:
                 continue
@@ -225,9 +222,7 @@ class GlobalIndex:
     def is_fulfilled(self, key: NeedKey) -> bool:
         return key.text in self._fulfilled_keys
 
-    def open_needs(
-        self, investigation_id: str | None = None
-    ) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
+    def open_needs(self) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
         """Every unfulfilled (key, item, carrying entry) row, variant-expanded.
 
         Rows come in (timestamp, id) order of the carrying entry, then need
@@ -236,8 +231,7 @@ class GlobalIndex:
         rows = []
         with self._lock:
             for entry in self._need_carriers:
-                if investigation_id is None or entry.investigation_id == investigation_id:
-                    rows.extend(self._open_rows[entry.artifact_id])
+                rows.extend(self._open_rows[entry.artifact_id])
         return rows
 
     def coverage(self, artifact_id: str, need_index: int) -> int:

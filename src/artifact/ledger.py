@@ -223,12 +223,6 @@ class ArtifactStore:
         """Records in append order, as read at open and appended since."""
         return list(self._records)
 
-    def load(self) -> list[Artifact]:
-        """Records in append order, re-read from disk."""
-        if not self.path.exists():
-            return []
-        return self._read_file()
-
     def _read_file(self) -> list[Artifact]:
         records = []
         with open(self.path, "r", encoding="utf-8") as handle:

@@ -91,20 +91,24 @@ class ReactionRecord:
         }
 
 
-def reaction_fields(raw: str) -> tuple[list[str], str | None]:
-    """The consumed ids and fulfilled need key of one reactions.jsonl line.
+def reaction_fields(raw: str) -> tuple[list[str], str | None, str]:
+    """The consumed ids, fulfilled need key and product id of one
+    reactions.jsonl line.
 
     Raises ValueError for a line that is not such a record.
     """
     try:
         record = json.loads(raw)
         consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
+        produced = record["produced_id"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a reaction record: {exc!r}") from exc
     if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
-            and (fulfilled is None or isinstance(fulfilled, str))):
-        raise ValueError("consumed_ids must be a list of ids and fulfilled_need a key or null")
-    return consumed_ids, fulfilled
+            and (fulfilled is None or isinstance(fulfilled, str))
+            and isinstance(produced, str)):
+        raise ValueError("consumed_ids must be a list of ids, fulfilled_need a key or null "
+                         "and produced_id an id")
+    return consumed_ids, fulfilled, produced
 
 
 def _read_consumption(path: Path) -> tuple[set[str], set[str]]:
@@ -119,7 +123,7 @@ def _read_consumption(path: Path) -> tuple[set[str], set[str]]:
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
             try:
-                consumed_ids, fulfilled = reaction_fields(raw)
+                consumed_ids, fulfilled, _ = reaction_fields(raw)
             except ValueError as exc:
                 raise CorruptStore(str(path), number, f"unparseable reaction: {exc!r}") from exc
             ids.update(consumed_ids)
@@ -317,21 +321,19 @@ class ArtifactReactor:
                 insort(self._candidates, entry, key=scan_order)
                 self.candidate_keys[entry.artifact_id] = keys
 
-    def scan_available(self, investigation_filter: str | None = None) -> list[IndexEntry]:
+    def scan_available(self) -> list[IndexEntry]:
         """Unclaimed peer entries compatible with at least one of our skills,
         in (timestamp, id) order."""
         self._admit_new_entries()
-        live, found = [], []
+        live = []
         for entry in self._candidates:
             # Of can_react, only the claim can change once an entry is admitted.
             if entry.artifact_id in self.claims:
                 del self.candidate_keys[entry.artifact_id]
                 continue
             live.append(entry)
-            if investigation_filter is None or entry.investigation_id == investigation_filter:
-                found.append(entry)
         self._candidates = live
-        return found
+        return live
 
     def scan_needs(
         self, open_rows: Sequence[tuple[NeedKey, NeedItem, IndexEntry]]
@@ -398,13 +400,11 @@ class ArtifactReactor:
                 return manifest
         return None
 
-    def react_to_needs(
-        self, limit: int, investigation_filter: str | None = None
-    ) -> list[ReactionRecord]:
+    def react_to_needs(self, limit: int) -> list[ReactionRecord]:
         """Fulfill up to ``limit`` open needs in descending pressure order."""
         if limit <= 0:
             return []
-        pool = self.index.open_needs(investigation_filter)
+        pool = self.index.open_needs()
         rows = self.scan_needs(pool)
         if not rows:
             return []
@@ -467,9 +467,9 @@ class ArtifactReactor:
             timestamp=artifact.timestamp,
         ))
 
-    def react_multi(self, investigation_filter: str | None = None) -> ReactionRecord | None:
+    def react_multi(self) -> ReactionRecord | None:
         """Merge >=2 compatible peer artifacts through one shared skill."""
-        candidates = self.scan_available(investigation_filter)
+        candidates = self.scan_available()
         for manifest, inputs in self._skill_inputs:
             compatible = [
                 e for e in candidates
@@ -519,9 +519,9 @@ class ArtifactReactor:
         ids = {a.investigation_id for a in artifacts}
         return ids.pop() if len(ids) == 1 else ""
 
-    def react_single(self, investigation_filter: str | None = None) -> ReactionRecord | None:
+    def react_single(self) -> ReactionRecord | None:
         """Transform one available compatible peer artifact through one skill."""
-        for entry in self.scan_available(investigation_filter):
+        for entry in self.scan_available():
             keys = self.candidate_keys[entry.artifact_id]
             manifest = next(m for m, inputs in self._skill_inputs if not inputs.isdisjoint(keys))
             artifact = self.resolve_artifact(entry)
@@ -553,7 +553,7 @@ class ArtifactReactor:
             ))
         return None
 
-    def react(self, limit: int = 3, investigation_filter: str | None = None) -> list[ReactionRecord]:
+    def react(self, limit: int = 3) -> list[ReactionRecord]:
         """Run the phased reaction cycle under a shared budget.
 
         Need-driven reactions come first, then multi-parent synthesis, then
@@ -563,12 +563,12 @@ class ArtifactReactor:
         if limit <= 0:
             return records
         try:
-            records.extend(self.react_to_needs(limit, investigation_filter))
+            records.extend(self.react_to_needs(limit))
         except Exception:
             log.exception("need-driven phase failed for %s", self.agent_name)
         while len(records) < limit:
             try:
-                record = self.react_multi(investigation_filter)
+                record = self.react_multi()
             except Exception:
                 log.exception("multi-parent phase failed for %s", self.agent_name)
                 break
@@ -577,7 +577,7 @@ class ArtifactReactor:
             records.append(record)
         while len(records) < limit:
             try:
-                record = self.react_single(investigation_filter)
+                record = self.react_single()
             except Exception:
                 log.exception("single-parent phase failed for %s", self.agent_name)
                 break

@@ -839,9 +839,9 @@ def verify_output(out_dir: str | Path) -> list[str]:
     rebuilt lineage. An unreadable report.json (bad JSON, metrics missing or
     not numbers, a scenario missing or naming an unknown skill) and a damaged
     reactions.jsonl line are one violation each, and the checks go on with
-    what is left: no artifact consumed twice, no need key fulfilled twice,
-    none of an agent's own artifacts consumed, and every consumed type within
-    the agent's domain.
+    what is left: every reaction's product stored by the reacting agent, no
+    artifact consumed twice, no need key fulfilled twice, none of an agent's
+    own artifacts consumed, and every consumed type within the agent's domain.
     """
     out = Path(out_dir)
     violations: list[str] = []
@@ -885,12 +885,20 @@ def verify_output(out_dir: str | Path) -> list[str]:
         with open(reactions_path, "r", encoding="utf-8") as handle:
             for number, raw in enumerate(handle, start=1):
                 try:
-                    consumed_ids, fulfilled = reaction_fields(raw)
+                    consumed_ids, fulfilled, produced = reaction_fields(raw)
                 except ValueError as exc:
                     violations.append(
                         f"{reactions_path} line {number}: unparseable reaction: {exc!r}"
                     )
                     continue
+                product = artifacts.get(produced)
+                if product is None:
+                    violations.append(f"{agent} reaction product {produced} is in no store")
+                elif product.producer_agent != agent:
+                    violations.append(
+                        f"{agent} reaction product {produced} was produced by "
+                        f"{product.producer_agent}"
+                    )
                 if fulfilled is not None:
                     if fulfilled in fulfilled_by:
                         violations.append(

@@ -315,7 +315,7 @@ def test_criterion_09_hash_and_store_integrity(tmp_path, make_artifact):
     originals = [make_artifact(payload=random_payload(gen)) for _ in range(20)]
     for artifact in originals:
         store.append(artifact)
-    assert ArtifactStore(store.path).load() == originals
+    assert ArtifactStore(store.path).records() == originals
 
     raw = store.path.read_bytes()
     store.path.write_bytes(raw[:-7])

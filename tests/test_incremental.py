@@ -1,9 +1,8 @@
 """The reactor's incremental scans against the full rescans they replaced.
 
 Random publishes (timestamps out of order, artifacts that resolve only
-later, need carriers and fulfilments, repeated fulfilments), interleaved
-claims and investigation filters drive a shared index and one reactor per
-agent. At every check the reactor's candidate list must equal a filter of
+later, need carriers and fulfilments, repeated fulfilments) and interleaved
+claims drive a shared index and one reactor per agent. At every check the reactor's candidate list must equal a filter of
 the whole index through ``can_react`` of a reactor that never scanned, and
 the index's ordered needs board must equal a sort-and-rescan of every entry.
 The heartbeat's lazy gap choice is checked against the sort it replaced.
@@ -38,18 +37,15 @@ AGENTS = {
 }
 TYPES = ("protein_data", "synthesis", "materials_data", "pubmed_results", "citation_map")
 KEYS = ("query", "sequence", "papers", "Motifs", "--smiles", "other", "-", "x y")
-FILTERS = (None, "", "x")
 
 
-def rescanned_open_needs(index: GlobalIndex, investigation_id=None) -> list:
+def rescanned_open_needs(index: GlobalIndex) -> list:
     """Every unfulfilled need row, from a sort and a rescan of all entries."""
     entries = index.entries()
     fulfilled = {e.fulfills.text for e in entries if e.fulfills is not None}
     rows = []
     for entry in sorted(entries, key=lambda e: (e.timestamp, e.artifact_id)):
         if entry.needs is None:
-            continue
-        if investigation_id is not None and entry.investigation_id != investigation_id:
             continue
         for need_index, item in enumerate(entry.needs.items):
             for vid in variant_ids(item):
@@ -133,7 +129,7 @@ publishes = st.tuples(
 )
 claims = st.tuples(st.just("claim"), st.integers(0, 60))
 resolves = st.tuples(st.just("resolve"))
-checks = st.tuples(st.just("check"), st.integers(0, len(AGENTS) - 1), st.sampled_from(FILTERS))
+checks = st.tuples(st.just("check"), st.integers(0, len(AGENTS) - 1))
 
 
 @settings(max_examples=120)
@@ -142,8 +138,7 @@ checks = st.tuples(st.just("check"), st.integers(0, len(AGENTS) - 1), st.sampled
 def test_incremental_scans_match_full_rescan(ops):
     with tempfile.TemporaryDirectory() as tmp:
         peers = Peers(Path(tmp))
-        for op in ops + [("resolve",)] + [("check", a, f) for a in range(len(AGENTS))
-                                           for f in FILTERS]:
+        for op in ops + [("resolve",)] + [("check", a) for a in range(len(AGENTS))]:
             if op[0] == "publish":
                 peers.publish(op)
             elif op[0] == "claim" and peers.published:
@@ -153,16 +148,15 @@ def test_incremental_scans_match_full_rescan(ops):
                 peers.resolvable.update(peers.unresolved)
                 peers.unresolved.clear()
             elif op[0] == "check":
-                name, investigation = list(AGENTS)[op[1]], op[2]
+                name = list(AGENTS)[op[1]]
                 reactor, reference = peers.reactors[name], peers.references[name]
-                found = reactor.scan_available(investigation)
-                expected = [e for e in peers.index.scan(investigation_id=investigation,
-                                                        exclude_producer=name)
+                found = reactor.scan_available()
+                expected = [e for e in peers.index.scan(exclude_producer=name)
                             if reference.can_react(e)]
                 assert found == expected
                 assert all(i not in peers.claims for i in reactor.candidate_keys)
-                rows = peers.index.open_needs(investigation)
-                rescanned = rescanned_open_needs(peers.index, investigation)
+                rows = peers.index.open_needs()
+                rescanned = rescanned_open_needs(peers.index)
                 assert rows == rescanned
                 assert reactor.scan_needs(rows) == reference.scan_needs(rescanned)
         reloaded = GlobalIndex(Path(tmp) / GlobalIndex.FILENAME)

@@ -65,11 +65,9 @@ def test_scan_filters():
     index = GlobalIndex()
     index.publish(entry("a1", artifact_type="protein_data", producer="alice"))
     index.publish(entry("a2", artifact_type="pubmed_results", producer="bruno"))
-    index.publish(entry("a3", artifact_type="protein_data", producer="bruno",
-                        investigation_id="topic-x"))
+    index.publish(entry("a3", artifact_type="protein_data", producer="bruno"))
     assert {e.artifact_id for e in index.scan(artifact_type="protein_data")} == {"a1", "a3"}
     assert {e.artifact_id for e in index.scan(exclude_producer="alice")} == {"a2", "a3"}
-    assert {e.artifact_id for e in index.scan(investigation_id="topic-x")} == {"a3"}
     assert {e.artifact_id for e in index.scan(producer="bruno",
                                               artifact_type="protein_data")} == {"a3"}
 
@@ -110,13 +108,6 @@ def test_fulfilled_key_closes_need():
     index.publish(entry("b1", producer="bruno", fulfills=key))
     assert [k for k, _, _ in index.open_needs()] == []
     assert index.is_fulfilled(key)
-
-
-def test_open_needs_scoped_by_investigation():
-    index = GlobalIndex()
-    index.publish(entry("a1", needs=NeedsSignal(items=(need(),)), investigation_id="x"))
-    index.publish(entry("a2", needs=NeedsSignal(items=(need(),)), investigation_id="y"))
-    assert [k.artifact_id for k, _, _ in index.open_needs("x")] == ["a1"]
 
 
 def test_need_key_text_round_trip():

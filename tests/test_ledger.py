@@ -82,7 +82,8 @@ def test_append_then_load_preserves_order(tmp_path, make_artifact):
     a1, a2 = make_artifact(), make_artifact()
     store.append(a1)
     store.append(a2)
-    assert [a.artifact_id for a in store.load()] == [a1.artifact_id, a2.artifact_id]
+    assert [a.artifact_id for a in ArtifactStore(store.path).records()] == [
+        a1.artifact_id, a2.artifact_id]
 
 
 def test_duplicate_append_rejected(tmp_path, make_artifact):
@@ -131,7 +132,7 @@ def test_round_trip_field_for_field(tmp_path, make_artifact):
     store = ArtifactStore.open_dir(tmp_path)
     for artifact in originals:
         store.append(artifact)
-    assert ArtifactStore(store.path).load() == originals
+    assert ArtifactStore(store.path).records() == originals
 
 
 def test_reopened_store_rejects_known_duplicate(tmp_path, make_artifact):

@@ -135,15 +135,13 @@ class Harness:
                 on_publish=lambda a: self.artifacts.__setitem__(a.artifact_id, a),
             )
 
-    def emit(self, agent, artifact_type, payload, parents=(), needs=None,
-             investigation_id="", skill="synthesize"):
+    def emit(self, agent, artifact_type, payload, parents=(), needs=None, skill="synthesize"):
         artifact = create_artifact(
             artifact_type=artifact_type,
             producer_agent=agent,
             skill=skill,
             payload=payload,
             parents=parents,
-            investigation_id=investigation_id,
             needs=needs,
             clock=self.clock,
             known_types=self.registry.artifact_types(),
@@ -390,25 +388,6 @@ def test_react_single_parent_phase(harness):
     assert produced.artifact_type == "sequence_alignment"
 
 
-def test_react_scoped_to_investigation(harness):
-    in_scope = harness.emit("alice", "protein_data", {"sequence": "AAA"},
-                            investigation_id="alpha")
-    harness.emit("alice", "protein_data", {"sequence": "BBB"},
-                 investigation_id="beta")
-    signal = NeedsSignal(items=(need("sequence_alignment"),))
-    harness.emit("alice", "synthesis", {"topic": "x"}, needs=signal,
-                 investigation_id="beta")
-    records = harness.reactors["bob"].react(limit=3, investigation_filter="alpha")
-    touched = set()
-    for record in records:
-        touched.update(record.consumed_ids)
-        if record.fulfilled_need:
-            touched.add(record.fulfilled_need.artifact_id)
-    assert touched == {in_scope.artifact_id}
-    for record in records:
-        assert harness.artifacts[record.produced_id].investigation_id == "alpha"
-
-
 def test_no_re_reaction_across_agents(harness):
     harness.emit("alice", "protein_data", {"sequence": "AAA"})
     first = harness.reactors["bob"].react(limit=3)
@@ -497,7 +476,7 @@ def test_need_key_has_exactly_one_winner(tmp_path, registry):
     # Both take their rows from the same view of the board, as two agents
     # running at once do before either has published its answer.
     stale = harness.index.open_needs()
-    harness.index.open_needs = lambda investigation_id=None: list(stale)
+    harness.index.open_needs = lambda: list(stale)
     records = [r for name in ("bob", "dave")
                for r in harness.reactors[name].react_to_needs(limit=1)]
     key = NeedKey(carrier.artifact_id, 0, "default")

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario
+from artifact.governance import GovernanceLedger
 from artifact.ledger import ArtifactStore
 from artifact.sim import (
     Scenario,
@@ -369,7 +371,7 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     out = tmp_path / "out"
     run(fig2_scenario(cycles=2), out)
     alice = out / "agents" / "alice"
-    child = next(a for a in ArtifactStore.open_dir(alice).load() if a.parent_artifact_ids)
+    child = next(a for a in ArtifactStore.open_dir(alice).records() if a.parent_artifact_ids)
     parent = child.parent_artifact_ids[0]
     report_path = out / "report.json"
     report = json.loads(report_path.read_text(encoding="utf-8"))
@@ -399,7 +401,10 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
 
 
 @pytest.mark.parametrize("line", ["{broken\n", {"kind": "single_parent"},
-                                  {"consumed_ids": "abc", "fulfilled_need": None}])
+                                  {"consumed_ids": "abc", "fulfilled_need": None},
+                                  {"consumed_ids": [], "fulfilled_need": None},
+                                  {"consumed_ids": [], "fulfilled_need": None,
+                                   "produced_id": 7}])
 def test_verify_reports_damaged_reaction_line_as_violation(tmp_path, line):
     out = tmp_path / "out"
     run(fig2_scenario(cycles=2), out)
@@ -411,16 +416,51 @@ def test_verify_reports_damaged_reaction_line_as_violation(tmp_path, line):
     assert "unparseable reaction" in violations[0]
 
 
+@pytest.mark.parametrize("reactor,error", [
+    ("bruno", "is in no store"),          # a product id that names nothing
+    ("chen", "was produced by bruno"),    # a peer's product claimed as one's own
+])
+def test_verify_reports_reaction_product_not_stored_by_its_agent(tmp_path, reactor, error):
+    out = tmp_path / "out"
+    run(fig2_scenario(cycles=2), out)
+    agents = out / "agents"
+    record = json.loads(
+        (agents / "bruno" / "reactions.jsonl").read_text(encoding="utf-8").splitlines()[-1]
+    )
+    if reactor == "bruno":
+        record["produced_id"] = "00000000-0000-4000-8000-000000000000"
+    record.update(consumed_ids=[], fulfilled_need=None)
+    _append_line(agents / reactor / "reactions.jsonl", record)
+    violations = verify_output(out)
+    assert len(violations) == 1
+    assert record["produced_id"] in violations[0]
+    assert error in violations[0]
+
+
+def test_governance_log_replays_to_the_live_ledger(tmp_path):
+    world, _ = run(demo_scenario(), tmp_path / "out")
+    live = world.governance
+    replayed = GovernanceLedger(tmp_path / "out" / "governance.jsonl")
+    for table in ("accounts", "posts", "comments"):
+        assert ({k: asdict(v) for k, v in getattr(replayed, table).items()}
+                == {k: asdict(v) for k, v in getattr(live, table).items()})
+    assert [asdict(link) for link in replayed.links] == [asdict(link) for link in live.links]
+    assert replayed.votes == live.votes
+    # No run links posts; test_replay_reconstructs_state replays links.
+    assert live.votes and any(c.read for c in live.comments.values())
+
+
 def test_verify_reports_need_key_fulfilled_twice(tmp_path):
     out = tmp_path / "out"
     run(fig2_scenario(), out)
     agents = out / "agents"
-    fulfilment = next(
-        line for path in sorted(agents.glob("*/reactions.jsonl"))
+    # The copy goes to the file it came from, so its product stays its agent's own.
+    path, fulfilment = next(
+        (path, line) for path in sorted(agents.glob("*/reactions.jsonl"))
         for line in path.read_text(encoding="utf-8").splitlines()
         if json.loads(line)["fulfilled_need"] is not None
     )
-    _append_line(agents / "chen" / "reactions.jsonl", fulfilment + "\n")
+    _append_line(path, fulfilment + "\n")
     violations = verify_output(out)
     assert len(violations) == 1
     assert "fulfilled twice" in violations[0]
@@ -489,8 +529,7 @@ def test_export_counts_match_stores(tmp_path):
     assert len(dump["nodes"]) == len(artifacts)
     stored_edges = set()
     for agent_dir in sorted((tmp_path / "out" / "agents").iterdir()):
-        store = ArtifactStore.open_dir(agent_dir)
-        for artifact in store.load():
+        for artifact in ArtifactStore.open_dir(agent_dir).records():
             for parent in artifact.parent_artifact_ids:
                 stored_edges.add((artifact.artifact_id, parent))
     overlay_edges = {(e["child"], e["parent"]) for e in dump["edges"]}
