@@ -187,7 +187,6 @@ class GovernanceLedger:
         self.posts: dict[str, Post] = {}
         self.comments: dict[str, CommentAction] = {}
         self.links: list[PostLink] = []
-        self.votes: list[dict] = []
         self._rates: dict[str, _RateState] = {}
         self._counters = {"post": 0, "comment": 0}
         self._replaying = False
@@ -487,13 +486,6 @@ class GovernanceLedger:
         author.karma += direction
         author.refresh()
         self._count_action(voter, "vote", now)
-        self.votes.append({
-            "voter": voter,
-            "target": target_id,
-            "author": target.author,
-            "direction": direction,
-            "now": format_timestamp(now),
-        })
         self._log("vote", {"voter": voter, "target": target_id, "direction": direction}, now)
 
     def link_posts(

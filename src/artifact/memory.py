@@ -1,8 +1,19 @@
-"""Per-agent persistent memory: a journal and an investigation tracker.
+"""Per-agent persistent memory: a journal and the investigations folded from it.
 
-The journal is an append-only record-per-line log. The tracker is a single
-document rewritten atomically (write to a temp file, rename), so a crash
-never leaves a half-written document behind.
+The journal is an append-only log, one canonical JSON record per line, and
+the only persisted record of an agent's investigations. The tracker is a
+view of it: each change it makes is one journal line, folded in as it is
+written, and a tracker built over an existing journal folds every line back
+into the same state. The lines it writes all carry the investigation's slug
+as ``investigation`` in their metadata:
+
+- ``observation``, the topic, ``status: "active"``: the investigation starts;
+- ``hypothesis``, the hypothesis;
+- ``experiment``, ``ran <skill>``, with ``artifact`` and ``skill``: a result;
+- ``observation``, ``investigation complete``, ``status: "complete"``.
+
+``_atomic_write`` writes a whole file to a temporary file and renames it
+into place, so a crash leaves no file, never half of one.
 """
 
 from __future__ import annotations
@@ -10,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,11 +38,10 @@ def slugify(topic: str) -> str:
     return _SLUG_RE.sub("-", topic.lower()).strip("-")
 
 
-def _atomic_write(path: Path, data: dict) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
     os.replace(tmp, path)
 
 
@@ -53,11 +62,14 @@ class JournalEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JournalEntry":
+        metadata = data.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError("metadata must be an object")
         return cls(
             timestamp=data["timestamp"],
             kind=data["kind"],
             content=data["content"],
-            metadata=data.get("metadata", {}),
+            metadata=metadata,
         )
 
 
@@ -67,14 +79,6 @@ class AgentJournal:
     def __init__(self, path: str | Path, clock: Clock | None = None):
         self.path = Path(path)
         self.clock = clock or SystemClock()
-        self._entries: list[JournalEntry] = []
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for number, raw in enumerate(handle, start=1):
-                    try:
-                        self._entries.append(JournalEntry.from_dict(json.loads(raw)))
-                    except Exception as exc:
-                        raise CorruptStore(str(self.path), number, f"bad journal entry: {exc}")
 
     def log(self, kind: str, content: str, metadata: dict | None = None) -> JournalEntry:
         if kind not in JOURNAL_KINDS:
@@ -88,11 +92,20 @@ class AgentJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(canonical_line(entry.to_dict()))
-        self._entries.append(entry)
         return entry
 
     def entries(self) -> list[JournalEntry]:
-        return list(self._entries)
+        """Every entry in the file, in order; a damaged line raises CorruptStore."""
+        entries: list[JournalEntry] = []
+        if not self.path.exists():
+            return entries
+        with open(self.path, "r", encoding="utf-8") as handle:
+            for number, raw in enumerate(handle, start=1):
+                try:
+                    entries.append(JournalEntry.from_dict(json.loads(raw)))
+                except Exception as exc:
+                    raise CorruptStore(str(self.path), number, f"bad journal entry: {exc}")
+        return entries
 
 
 @dataclass
@@ -116,59 +129,46 @@ class Investigation:
             "completed": self.completed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Investigation":
-        return cls(**data)
-
 
 class InvestigationTracker:
-    FILENAME = "investigations.json"
+    """An agent's investigations, folded from its journal (the module
+    docstring lists the lines). The journal is read once, here; after that
+    the tracker folds in only the lines it writes itself."""
 
-    def __init__(self, path: str | Path, clock: Clock | None = None):
-        self.path = Path(path)
-        self.clock = clock or SystemClock()
+    def __init__(self, journal: AgentJournal):
+        self.journal = journal
         self._items: dict[str, Investigation] = {}
-        self._deferred = False  # inside batch(): saves wait for its end
-        self._dirty = False
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            for slug in sorted(data):
-                self._items[slug] = Investigation.from_dict(data[slug])
+        for entry in journal.entries():
+            self._fold(entry)
 
-    def _save(self) -> None:
-        if self._deferred:
-            self._dirty = True
-            return
-        self._dirty = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.path, {slug: inv.to_dict() for slug, inv in self._items.items()})
+    def _fold(self, entry: JournalEntry) -> None:
+        slug = entry.metadata.get("investigation")
+        status = entry.metadata.get("status")
+        investigation = self._items.get(slug)
+        if investigation is None:
+            if entry.kind == "observation" and status == "active":
+                self._items[slug] = Investigation(
+                    id=slug, topic=entry.content, created=entry.timestamp
+                )
+        elif entry.kind == "hypothesis":
+            investigation.hypotheses.append(entry.content)
+        elif entry.kind == "experiment" and "skill" in entry.metadata:
+            investigation.results.append(
+                {"artifact": entry.metadata["artifact"], "skill": entry.metadata["skill"]}
+            )
+        elif entry.kind == "observation" and status == "complete":
+            investigation.status = "complete"
+            investigation.completed = entry.timestamp
 
-    @contextmanager
-    def batch(self):
-        """Hold back the saves of the changes made in the block and write the
-        document once when it ends, also when it ends by an exception."""
-        outer = self._deferred
-        self._deferred = True
-        try:
-            yield
-        finally:
-            self._deferred = outer
-            if self._dirty:
-                self._save()
+    def _record(self, kind: str, content: str, metadata: dict) -> None:
+        self._fold(self.journal.log(kind, content, metadata))
 
     def create(self, topic: str) -> Investigation:
         """Idempotent: an existing investigation for the slug is returned as-is."""
         slug = slugify(topic)
-        existing = self._items.get(slug)
-        if existing is not None:
-            return existing
-        investigation = Investigation(
-            id=slug, topic=topic, created=format_timestamp(self.clock.now())
-        )
-        self._items[slug] = investigation
-        self._save()
-        return investigation
+        if slug not in self._items:
+            self._record("observation", topic, {"investigation": slug, "status": "active"})
+        return self._items[slug]
 
     def get(self, investigation_id: str) -> Investigation:
         try:
@@ -183,17 +183,17 @@ class InvestigationTracker:
         return list(self._items.values())
 
     def add_hypothesis(self, investigation_id: str, hypothesis: str) -> None:
-        self.get(investigation_id).hypotheses.append(hypothesis)
-        self._save()
+        self.get(investigation_id)
+        self._record("hypothesis", hypothesis, {"investigation": investigation_id})
 
-    def add_result(self, investigation_id: str, result: dict | str) -> None:
-        self.get(investigation_id).results.append(result)
-        self._save()
+    def add_result(self, investigation_id: str, artifact_id: str, skill: str) -> None:
+        self.get(investigation_id)
+        self._record("experiment", f"ran {skill}", {
+            "investigation": investigation_id, "artifact": artifact_id, "skill": skill,
+        })
 
     def mark_complete(self, investigation_id: str) -> None:
-        investigation = self.get(investigation_id)
-        if investigation.status == "complete":
+        if self.get(investigation_id).status == "complete":
             raise AlreadyComplete(f"investigation {investigation_id} already complete")
-        investigation.status = "complete"
-        investigation.completed = format_timestamp(self.clock.now())
-        self._save()
+        self._record("observation", "investigation complete",
+                     {"investigation": investigation_id, "status": "complete"})

@@ -135,7 +135,7 @@ def build_context(
     parent_depth: int,
     now: datetime,
 ) -> PressureContext:
-    """Convenience assembly used by the reactor and the CLI."""
+    """The pressure context of one need carrier, as the reactor ranks it."""
     return PressureContext(
         coverage=coverage,
         open_needs=tuple(open_items),

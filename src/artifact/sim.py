@@ -36,7 +36,7 @@ from .governance import ArtifactRef, GovernanceLedger
 from .index import GlobalIndex, IndexEntry
 from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid, verify_integrity
 from .lineage import LineageGraph
-from .memory import AgentJournal, InvestigationTracker, slugify
+from .memory import AgentJournal, InvestigationTracker, _atomic_write, slugify
 from .mutator import MUTATIONS_FILE, MutationEvent, MutationPolicy, Mutator
 from .needs import NeedItem, NeedsSignal, tokenize
 from .reactor import (
@@ -204,16 +204,14 @@ class AgentRuntime:
         self.rng = random.Random(stable_hash(str(world.scenario.seed), "agent", profile.name))
         self.store = ArtifactStore.open_dir(self.dir)
         self.journal = AgentJournal(self.dir / AgentJournal.FILENAME, clock=world.clock)
-        self.tracker = InvestigationTracker(
-            self.dir / InvestigationTracker.FILENAME, clock=world.clock
-        )
+        self.tracker = InvestigationTracker(self.journal)
         self.reactor = ArtifactReactor(
             profile=profile,
             registry=world.registry,
             index=world.index,
             graph=world.graph,
             store=self.store,
-            resolve_artifact=lambda entry: world.resolve_entry(entry),
+            resolve_artifact=lambda entry: world.resolve_id(entry.artifact_id),
             data_dir=self.dir,
             clock=world.clock,
             rng=self.rng,
@@ -278,9 +276,6 @@ class World:
                 self.agents[name].mutator.record_policy()
 
     # -- shared services ---------------------------------------------------
-
-    def resolve_entry(self, entry: IndexEntry) -> Artifact | None:
-        return self.artifacts.get(entry.artifact_id)
 
     def resolve_id(self, artifact_id: str) -> Artifact | None:
         return self.artifacts.get(artifact_id)
@@ -412,77 +407,70 @@ def derive_needs(world: World, profile: AgentProfile, topic: str) -> NeedsSignal
 def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
     """Deterministic investigation chain: select, execute, chain, synthesize."""
     runtime = world.agents[agent_name]
-    with runtime.tracker.batch():  # one tracker write per pipeline
-        profile = runtime.profile
-        slug = slugify(topic)
-        investigation = runtime.tracker.create(topic)
-        hypothesis = f"Investigating '{topic}' will surface cross-domain structure."
-        runtime.tracker.add_hypothesis(slug, hypothesis)
-        runtime.journal.log("hypothesis", hypothesis, {"investigation": slug})
+    profile = runtime.profile
+    slug = slugify(topic)
+    investigation = runtime.tracker.create(topic)
+    hypothesis = f"Investigating '{topic}' will surface cross-domain structure."
+    runtime.tracker.add_hypothesis(slug, hypothesis)
 
-        chain = select_chain(world, profile, topic)
-        artifacts: list[Artifact] = []
-        prev_payload: Payload = {}
-        prev_id: str | None = None
-        for manifest in chain:
-            params = build_params(manifest, prev_payload) if prev_payload else {}
-            params.setdefault("query", topic)
-            if manifest.input_params:
-                params.setdefault(manifest.input_params[0], topic)
-            try:
-                payload = execute(manifest, params, runtime.rng.randrange(2**32))
-            except ArtifactError as exc:
-                runtime.journal.log(
-                    "experiment", f"skill {manifest.name} skipped: {exc}",
-                    {"investigation": slug},
-                )
-                continue
-            artifact = world.emit(
-                agent_name,
-                artifact_type=manifest.output_artifact_type,
-                skill=manifest.name,
-                payload=payload,
-                parents=(prev_id,) if prev_id else (),
-                investigation_id=slug,
-            )
+    chain = select_chain(world, profile, topic)
+    artifacts: list[Artifact] = []
+    prev_payload: Payload = {}
+    prev_id: str | None = None
+    for manifest in chain:
+        params = build_params(manifest, prev_payload) if prev_payload else {}
+        params.setdefault("query", topic)
+        if manifest.input_params:
+            params.setdefault(manifest.input_params[0], topic)
+        try:
+            payload = execute(manifest, params, runtime.rng.randrange(2**32))
+        except ArtifactError as exc:
             runtime.journal.log(
-                "experiment", f"ran {manifest.name}",
-                {"investigation": slug, "artifact": artifact.artifact_id},
+                "experiment", f"skill {manifest.name} skipped: {exc}",
+                {"investigation": slug},
             )
-            runtime.tracker.add_result(slug, {"artifact": artifact.artifact_id,
-                                              "skill": manifest.name})
-            artifacts.append(artifact)
-            prev_payload = payload
-            prev_id = artifact.artifact_id
-
-        merged: Payload = {"topic": topic}
-        for artifact in artifacts:
-            merged.update(artifact.payload)
-        needs = derive_needs(world, profile, topic)
-        synthesis = world.emit(
+            continue
+        artifact = world.emit(
             agent_name,
-            artifact_type="synthesis",
-            skill="synthesize",
-            payload=merged,
+            artifact_type=manifest.output_artifact_type,
+            skill=manifest.name,
+            payload=payload,
             parents=(prev_id,) if prev_id else (),
             investigation_id=slug,
-            needs=needs,
         )
-        artifacts.append(synthesis)
-        conclusion = f"Chain of {len(chain)} skill(s) synthesized for '{topic}'."
-        runtime.journal.log("conclusion", conclusion, {"investigation": slug})
-        if investigation.status == "active":  # re-runs resume a completed slug
-            runtime.tracker.mark_complete(slug)
+        runtime.tracker.add_result(slug, artifact.artifact_id, manifest.name)
+        artifacts.append(artifact)
+        prev_payload = payload
+        prev_id = artifact.artifact_id
 
-        unmatched = _unmatched_tokens(world.registry, tokenize(topic))[:2]
-        return {
-            "topic": topic,
-            "investigation": slug,
-            "chain": [m.name for m in chain],
-            "artifacts": artifacts,
-            "synthesis": synthesis,
-            "open_questions": [f"What is the role of {tok} in {topic}?" for tok in unmatched],
-        }
+    merged: Payload = {"topic": topic}
+    for artifact in artifacts:
+        merged.update(artifact.payload)
+    needs = derive_needs(world, profile, topic)
+    synthesis = world.emit(
+        agent_name,
+        artifact_type="synthesis",
+        skill="synthesize",
+        payload=merged,
+        parents=(prev_id,) if prev_id else (),
+        investigation_id=slug,
+        needs=needs,
+    )
+    artifacts.append(synthesis)
+    conclusion = f"Chain of {len(chain)} skill(s) synthesized for '{topic}'."
+    runtime.journal.log("conclusion", conclusion, {"investigation": slug})
+    if investigation.status == "active":  # re-runs resume a completed slug
+        runtime.tracker.mark_complete(slug)
+
+    unmatched = _unmatched_tokens(world.registry, tokenize(topic))[:2]
+    return {
+        "topic": topic,
+        "investigation": slug,
+        "chain": [m.name for m in chain],
+        "artifacts": artifacts,
+        "synthesis": synthesis,
+        "open_questions": [f"What is the role of {tok} in {topic}?" for tok in unmatched],
+    }
 
 
 def choose_gap(world: World, agent_name: str, feed: Sequence) -> str | None:
@@ -754,10 +742,7 @@ def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationRepor
             len(world.agents[name].mutator.events) for name in world.agents
         ),
     )
-    report_path = Path(out_dir) / "report.json"
-    with open(report_path, "wb") as handle:
-        handle.write(canonicalize(report.to_dict()))
-        handle.write(b"\n")
+    _atomic_write(Path(out_dir) / "report.json", canonicalize(report.to_dict()) + b"\n")
     return world, report
 
 
@@ -836,12 +821,13 @@ def verify_output(out_dir: str | Path) -> list[str]:
     When the lineage cannot be rebuilt at all (a damaged store or mutation
     log line, or a graft that names a missing node or would close a cycle),
     that is the one violation returned, since every other check reads the
-    rebuilt lineage. An unreadable report.json (bad JSON, metrics missing or
-    not numbers, a scenario missing or naming an unknown skill) and a damaged
-    reactions.jsonl line are one violation each, and the checks go on with
-    what is left: every reaction's product stored by the reacting agent, no
-    artifact consumed twice, no need key fulfilled twice, none of an agent's
-    own artifacts consumed, and every consumed type within the agent's domain.
+    rebuilt lineage. A missing or unreadable report.json (bad JSON, metrics
+    missing or not numbers, a scenario missing or naming an unknown skill)
+    and a damaged reactions.jsonl line are one violation each, and the
+    checks go on with what is left: every reaction's product stored by the
+    reacting agent, no artifact consumed twice, no need key fulfilled twice,
+    none of an agent's own artifacts consumed, and every consumed type within
+    the agent's domain.
     """
     out = Path(out_dir)
     violations: list[str] = []
@@ -859,20 +845,19 @@ def verify_output(out_dir: str | Path) -> list[str]:
 
     report_path = out / "report.json"
     allowed: dict[str, set[str]] = {}
-    if report_path.exists():
-        try:
-            reported_depth, reported_count, allowed = _read_report(report_path)
-        except (OSError, ValueError, KeyError, TypeError, ArtifactError) as exc:
-            violations.append(f"{report_path}: unreadable report: {exc!r}")
-        else:
-            recomputed = graph.metrics()
-            if abs(recomputed.avg_dag_depth - reported_depth) > 1e-9:
-                violations.append(
-                    f"avg_dag_depth mismatch: reported {reported_depth}, "
-                    f"recomputed {recomputed.avg_dag_depth}"
-                )
-            if recomputed.artifact_count != reported_count:
-                violations.append("artifact_count mismatch between report and stores")
+    try:
+        reported_depth, reported_count, allowed = _read_report(report_path)
+    except (OSError, ValueError, KeyError, TypeError, ArtifactError) as exc:
+        violations.append(f"{report_path}: unreadable report: {exc!r}")
+    else:
+        recomputed = graph.metrics()
+        if abs(recomputed.avg_dag_depth - reported_depth) > 1e-9:
+            violations.append(
+                f"avg_dag_depth mismatch: reported {reported_depth}, "
+                f"recomputed {recomputed.avg_dag_depth}"
+            )
+        if recomputed.artifact_count != reported_count:
+            violations.append("artifact_count mismatch between report and stores")
 
     consumed_by: dict[str, str] = {}
     fulfilled_by: dict[str, str] = {}

@@ -14,8 +14,8 @@ from artifact.skills import default_registry
 
 from .test_sim import tree_digest
 
-DEMO_DIGEST = "0961f7dd9e11fdc27a0405a40f8e65861f6c1adf85b29a7f296cf09b2e744b4a"
-GRID_DIGEST = "0fcc280d6ce34ce0ae9bbba45239f06aaf6382d82201bf53b8b01c3d9ce14eb3"
+DEMO_DIGEST = "b401aa537ecb6a01225b6d62d507dfce121de22e066fcc3b1a63c3c80f99263e"
+GRID_DIGEST = "96573285a5100791c0dd65f01b54f7a8f8e889220ecd4835140a849771957ecd"
 
 # Domain words chain skills; the rest are unmatched and broadcast needs.
 TOPIC_WORDS = (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from datetime import timedelta
 
 import pytest
@@ -318,8 +319,12 @@ def test_replay_reconstructs_state(tmp_path, clock):
 def test_karma_conservation_from_vote_log(ledger, clock):
     _exercise(ledger, clock)
     totals: dict[str, int] = {}
-    for vote in ledger.votes:
-        totals[vote["author"]] = totals.get(vote["author"], 0) + vote["direction"]
+    with open(ledger.path, "r", encoding="utf-8") as handle:
+        votes = [event["data"] for event in map(json.loads, handle) if event["op"] == "vote"]
+    assert len(votes) == 3
+    for vote in votes:
+        target = ledger.posts.get(vote["target"]) or ledger.comments[vote["target"]]
+        totals[target.author] = totals.get(target.author, 0) + vote["direction"]
     for name in ("alice", "bruno", "chen"):
         assert ledger.account(name).karma == totals.get(name, 0)
 

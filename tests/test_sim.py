@@ -10,6 +10,7 @@ import pytest
 from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario
 from artifact.governance import GovernanceLedger
 from artifact.ledger import ArtifactStore
+from artifact.memory import AgentJournal, InvestigationTracker
 from artifact.sim import (
     Scenario,
     World,
@@ -288,17 +289,60 @@ def test_run_refuses_a_non_empty_output_directory(tmp_path):
     run(fig2_scenario(cycles=2), tmp_path / "empty")  # an empty directory is fine
 
 
+def readme_run_layout() -> list[str]:
+    """The files of README's "Run directory layout" block, ``<name>`` kept."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Run directory layout", 1)[1].split("```", 2)[1]
+    files, folder = [], ""
+    for line in block.splitlines():
+        name = line.split("#", 1)[0].strip()
+        if not name or name == "out/":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if name.endswith("/"):
+            folder = name
+        else:
+            files.append(folder + name if depth > 2 else name)
+    return files
+
+
 def test_demo_run_directory_layout(tmp_path):
     """The files a demo run writes, as the README's run-directory layout lists them."""
     out = tmp_path / "out"
     run(demo_scenario(), out)
-    agent_files = ["investigations.json", "journal.jsonl", "mutations.jsonl",
-                   "reactions.jsonl", "store.jsonl"]
-    expected = ["governance.jsonl", "index.jsonl", "report.json"] + [
-        f"agents/{name}/{file}" for name in ("alice", "bruno", "chen") for file in agent_files
-    ]
-    written = [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()]
-    assert sorted(written) == sorted(expected)
+    layout = readme_run_layout()
+    assert "report.json" in layout and "agents/<name>/journal.jsonl" in layout
+    expected = {
+        file.replace("<name>", name) for file in layout for name in ("alice", "bruno", "chen")
+    }
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == expected
+
+
+def test_reopened_trackers_equal_the_live_ones(tmp_path):
+    world, _ = run(demo_scenario(), tmp_path / "out")
+    for name, runtime in world.agents.items():
+        live = runtime.tracker.all()
+        assert live, name
+        journal = AgentJournal(tmp_path / "out" / "agents" / name / AgentJournal.FILENAME)
+        reopened = InvestigationTracker(journal).all()
+        assert [asdict(i) for i in reopened] == [asdict(i) for i in live]
+
+
+def test_failed_report_rename_leaves_no_report(tmp_path, monkeypatch):
+    import artifact.memory as memory
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(memory.os, "replace", failing_replace)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk gone"):
+        run(fig2_scenario(cycles=2), out)
+    monkeypatch.undo()
+    assert not (out / "report.json").exists()
+    violations = verify_output(out)
+    assert len(violations) == 1 and "FileNotFoundError" in violations[0]
 
 
 def test_different_seeds_diverge(tmp_path):
@@ -366,6 +410,7 @@ def _graft(node, new_parent):
     ("report without dag_metrics", "KeyError('dag_metrics')"),
     ("report with a non-numeric depth", "ValueError"),
     ("report naming an unknown skill", "UnknownSkill"),
+    ("missing report", "FileNotFoundError"),
 ])
 def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     out = tmp_path / "out"
@@ -375,7 +420,9 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     parent = child.parent_artifact_ids[0]
     report_path = out / "report.json"
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    if damage == "unparseable report":
+    if damage == "missing report":
+        report_path.unlink()
+    elif damage == "unparseable report":
         report_path.write_text("{truncated", encoding="utf-8")
     elif damage.startswith("report "):
         if damage.startswith("report without "):
@@ -445,9 +492,9 @@ def test_governance_log_replays_to_the_live_ledger(tmp_path):
         assert ({k: asdict(v) for k, v in getattr(replayed, table).items()}
                 == {k: asdict(v) for k, v in getattr(live, table).items()})
     assert [asdict(link) for link in replayed.links] == [asdict(link) for link in live.links]
-    assert replayed.votes == live.votes
     # No run links posts; test_replay_reconstructs_state replays links.
-    assert live.votes and any(c.read for c in live.comments.values())
+    assert any(p.upvotes for p in live.posts.values())
+    assert any(c.read for c in live.comments.values())
 
 
 def test_verify_reports_need_key_fulfilled_twice(tmp_path):
