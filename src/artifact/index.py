@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .canonical import canonical_line
 from .errors import CorruptStore, DuplicateEntry
-from .ledger import Artifact
+from .ledger import AppendLog, Artifact
 from .needs import NeedItem, NeedsSignal
 
 DEFAULT_VARIANT = "default"
@@ -123,6 +123,7 @@ class GlobalIndex:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
+        self.log = AppendLog(self.path) if self.path is not None else None
         self._entries: list[IndexEntry] = []
         self._ids: set[str] = set()
         self._fulfilled_keys: set[str] = set()
@@ -193,11 +194,8 @@ class GlobalIndex:
         with self._lock:
             if entry.artifact_id in self._ids:
                 raise DuplicateEntry(f"index already holds {entry.artifact_id}")
-            if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(canonical_line(entry.to_dict()))
-                    handle.flush()
+            if self.log is not None:
+                self.log.append(canonical_line(entry.to_dict()))
             self._admit(entry)
 
     def scan(

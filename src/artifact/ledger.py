@@ -4,6 +4,11 @@ An artifact captures one skill invocation: who produced it, which skill ran,
 the unchanged payload, the SHA-256 of the canonical payload, and the ordered
 list of parent artifact ids it consumed. Records never change after creation;
 stores only ever grow.
+
+The files of the write-ahead chain (a reactions log, a store, the index) are
+``AppendLog``s: an append writes and flushes one whole line, and ``commit``
+later makes a batch of appends durable with one fsync per file, in the order
+given (group commit).
 """
 
 from __future__ import annotations
@@ -175,18 +180,59 @@ def parse_address(text: str) -> ArtifactAddress:
     return ArtifactAddress(agent=agent, id=artifact_id)
 
 
+class AppendLog:
+    """A JSONL file that grows one whole line at a time and is synced apart.
+
+    ``append`` writes and flushes the line to the operating system, so a
+    process crash loses none of it; only ``sync`` makes it survive a power
+    loss. ``sync`` fsyncs once, and only if something was appended since the
+    last sync.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._unsynced = False
+
+    def append(self, line: str) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+        self._unsynced = True
+
+    def sync(self) -> None:
+        # Cleared before the fsync: a line appended meanwhile by another
+        # thread either is covered by it or sets the flag again.
+        if not self._unsynced:
+            return
+        self._unsynced = False
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
+def commit(logs: Iterable[AppendLog]) -> None:
+    """Group commit: sync each log that has unsynced lines, in the order given."""
+    for log in logs:
+        log.sync()
+
+
 class ArtifactStore:
     """Append-only JSONL store for one agent's artifacts.
 
     One canonical record per line. Appends are whole-line writes, so a crash
     leaves either zero or one complete new line; readers tolerate nothing
-    less than a parseable line and report the first bad line number.
+    less than a parseable line and report the first bad line number. An
+    append is not durable until the store's ``log`` is synced, which the
+    simulator does once per heartbeat (see ``commit``).
     """
 
     FILENAME = "store.jsonl"
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.log = AppendLog(self.path)
         self._records: list[Artifact] = []
         self._by_id: dict[str, Artifact] = {}
         if self.path.exists():
@@ -210,12 +256,7 @@ class ArtifactStore:
     def append(self, artifact: Artifact) -> None:
         if artifact.artifact_id in self._by_id:
             raise DuplicateArtifact(f"artifact {artifact.artifact_id} already stored")
-        line = canonical_line(artifact.to_dict())
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        self.log.append(canonical_line(artifact.to_dict()))
         self._records.append(artifact)
         self._by_id[artifact.artifact_id] = artifact
 

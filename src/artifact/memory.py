@@ -13,7 +13,8 @@ as ``investigation`` in their metadata:
 - ``observation``, ``investigation complete``, ``status: "complete"``.
 
 ``_atomic_write`` writes a whole file to a temporary file and renames it
-into place, so a crash leaves no file, never half of one.
+into place, so a crash leaves no file, never half of one; a write or rename
+that fails removes the temporary file.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ def slugify(topic: str) -> str:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)

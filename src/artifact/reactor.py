@@ -41,7 +41,7 @@ from .canonical import Payload, canonical_line
 from .clock import Clock
 from .errors import ArtifactError, CorruptStore, InvalidParam
 from .index import GlobalIndex, IndexEntry, NeedKey, scan_order, variant_params
-from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
+from .ledger import AppendLog, Artifact, ArtifactStore, create_artifact, new_uuid
 from .lineage import LineageGraph
 from .needs import NeedItem
 from .pressure import PressureBreakdown, build_context, rank
@@ -257,6 +257,7 @@ class ArtifactReactor:
         self.clock = clock
         self.rng = rng or random.Random()
         self.reactions_path = self.data_dir / REACTIONS_FILE
+        self.reactions = AppendLog(self.reactions_path)
         self.claims = claims or ConsumptionClaims()
         self.claims.seed(*_read_consumption(self.reactions_path))
         self.on_publish = on_publish
@@ -356,9 +357,7 @@ class ArtifactReactor:
     def _commit(self, artifact: Artifact, record: ReactionRecord) -> ReactionRecord:
         """Append the reaction line, then publish its product: what was
         consumed is on disk before anyone can see the product."""
-        self.reactions_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.reactions_path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_line(record.to_dict()))
+        self.reactions.append(canonical_line(record.to_dict()))
         self.store.append(artifact)
         self.graph.insert(artifact)
         self.index.publish(IndexEntry.for_artifact(artifact, fulfills=record.fulfilled_need))

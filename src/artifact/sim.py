@@ -34,7 +34,14 @@ from .errors import (
 )
 from .governance import ArtifactRef, GovernanceLedger
 from .index import GlobalIndex, IndexEntry
-from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid, verify_integrity
+from .ledger import (
+    Artifact,
+    ArtifactStore,
+    commit,
+    create_artifact,
+    new_uuid,
+    verify_integrity,
+)
 from .lineage import LineageGraph
 from .memory import AgentJournal, InvestigationTracker, _atomic_write, slugify
 from .mutator import MUTATIONS_FILE, MutationEvent, MutationPolicy, Mutator
@@ -274,8 +281,20 @@ class World:
         if scenario.mutation_enabled:
             for name in self.agents:
                 self.agents[name].mutator.record_policy()
+        self.commit(self.agents)
 
     # -- shared services ---------------------------------------------------
+
+    def commit(self, agent_names) -> None:
+        """Make durable what the named agents appended since their last
+        commit, one fsync per touched file: every reactions log, then every
+        store, then the index. A synced store line therefore never comes
+        before the reaction line that consumed its inputs, nor a synced index
+        entry before its record."""
+        runtimes = [self.agents[name] for name in agent_names]
+        commit([r.reactor.reactions for r in runtimes]
+               + [r.store.log for r in runtimes]
+               + [self.index.log])
 
     def resolve_id(self, artifact_id: str) -> Artifact | None:
         return self.artifacts.get(artifact_id)
@@ -712,10 +731,13 @@ def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationRepor
                 thread.start()
             for thread in threads:
                 thread.join()
+            # The cycle's heartbeats end together, so they commit together.
+            world.commit(world.agents)
             agent_reports = {name: results[name] for name in world.agents}
         else:
             for name in world.agents:
                 agent_reports[name] = heartbeat(world, name, cycle)
+                world.commit([name])
         cycle_reports.append({
             "cycle": cycle,
             "interventions": interventions,

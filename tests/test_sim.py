@@ -341,6 +341,7 @@ def test_failed_report_rename_leaves_no_report(tmp_path, monkeypatch):
         run(fig2_scenario(cycles=2), out)
     monkeypatch.undo()
     assert not (out / "report.json").exists()
+    assert not list(out.rglob("*.tmp"))
     violations = verify_output(out)
     assert len(violations) == 1 and "FileNotFoundError" in violations[0]
 
