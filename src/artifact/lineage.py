@@ -10,6 +10,10 @@ sibling-pair index (``SiblingPairs``) built from it current on every insert
 and graft, so neither needs a rescan of the whole graph after that. A graph
 that is never asked (a run without mutation, the verify reload) pays for
 neither.
+
+Each graft gets the next number of one sequence, assigned under the graph's
+lock, so grafts made by concurrent agents can be replayed in the order they
+were applied.
 """
 
 from __future__ import annotations
@@ -72,6 +76,10 @@ class SiblingPairs:
     cannot yet resolve waits in ``_pending`` and counts only towards
     ``len()``. Present pairs with a verdict are kept sorted, so the rates are
     read from counts and a walk in pair order can stop whenever it likes.
+
+    A pair that has been merged is resolved for good, for every agent at
+    once: ``claim`` checks and marks that under the graph's lock. Resolved
+    pairs still count towards the rates, since both nodes stay siblings.
     """
 
     def __init__(self, lock):
@@ -82,6 +90,7 @@ class SiblingPairs:
         self._judged: list[tuple] = []     # present pairs with a verdict, sorted
         self._conflicts: list[tuple] = []  # those whose verdict is a conflict, sorted
         self._jaccards: dict[float, int] = {}  # Jaccard value -> judged pairs with it
+        self._resolved: set[tuple] = set()
 
     # -- maintenance, called by the graph under its lock --------------------
 
@@ -133,6 +142,18 @@ class SiblingPairs:
                     self._verdicts[pair] = verdict
                     self._count(pair, verdict)
 
+    def claim(self, pair: tuple) -> bool:
+        """Mark a present pair resolved for a merge; False when it is no
+        longer a sibling pair or some merge has claimed it already."""
+        with self._lock:
+            if pair not in self._shared or pair in self._resolved:
+                return False
+            self._resolved.add(pair)
+            return True
+
+    def is_resolved(self, pair: tuple) -> bool:
+        return pair in self._resolved
+
     def __len__(self) -> int:
         return len(self._shared)
 
@@ -180,9 +201,16 @@ class LineageGraph:
         self._children: dict[str, list[str]] | None = None  # see _children_map
         self._pairs: SiblingPairs | None = None
         self._depth_memo: dict[str, int] = {}
+        self._graft_seq = 0
         # Serializes structural writes and depth memoization; queries on a
         # quiescent graph stay lock-cheap.
         self._lock = threading.RLock()
+
+    @property
+    def lock(self) -> threading.RLock:
+        """The graph's own (re-entrant) lock, for callers whose check and
+        graft must be one step."""
+        return self._lock
 
     def __contains__(self, artifact_id: str) -> bool:
         return artifact_id in self._nodes
@@ -324,8 +352,9 @@ class LineageGraph:
             stack.extend(self.parents(current))
         return False
 
-    def set_parents(self, node_id: str, new_parents: tuple) -> None:
-        """Install an overlay parent list, refusing cycles.
+    def set_parents(self, node_id: str, new_parents: tuple) -> int:
+        """Install an overlay parent list, refusing cycles; return the
+        graft's sequence number (1, 2, ... over the graph's life).
 
         Check and install happen under one lock so concurrent grafts cannot
         jointly close a loop that each check alone would miss.
@@ -346,6 +375,8 @@ class LineageGraph:
                 self._link(node_id, [p for p in new if p not in old])
             self._overlay[node_id] = tuple(new_parents)
             self._depth_memo.clear()
+            self._graft_seq += 1
+            return self._graft_seq
 
     def children(self, artifact_id: str) -> list[str]:
         """Ids of the node's effective children, in the order they became so."""

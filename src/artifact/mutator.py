@@ -13,6 +13,12 @@ judges each new pair once (payload-key Jaccard value, and whether a shared
 key disagrees) and the index caches that verdict for good, since artifacts
 are immutable. A cycle therefore reads its conflict and redundancy rates
 from counts and walks the sorted candidates only until its budget is spent.
+
+A pair is merged at most once, by any agent: the cycle claims it in the
+index before merging, and skips a pair that is claimed already. A graft is
+not a claim. It takes its pair out of the index, so a later graft of the
+same node onto another parent answers a new conflict, not the old one. Each
+graft event carries the graph's sequence number for it as ``seq``.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ class MutationEvent:
     outputs: tuple
     cycle: int
     new_parent: str | None = None
+    seq: int | None = None  # a graft's place in the graph's graft order
 
     def __post_init__(self):
         if self.kind not in MUTATION_KINDS:
@@ -86,6 +93,8 @@ class MutationEvent:
             raise ValueError("merge takes >=2 inputs and yields one output")
         if self.kind == "graft" and (len(self.inputs) != 1 or self.new_parent is None):
             raise ValueError("graft takes one input and records its new parent")
+        if self.seq is not None and not isinstance(self.seq, int):
+            raise ValueError("seq must be an integer")
 
     def to_dict(self) -> dict:
         return {
@@ -94,6 +103,7 @@ class MutationEvent:
             "outputs": list(self.outputs),
             "cycle": self.cycle,
             "new_parent": self.new_parent,
+            "seq": self.seq,
         }
 
     @classmethod
@@ -104,6 +114,7 @@ class MutationEvent:
             outputs=tuple(data["outputs"]),
             cycle=data["cycle"],
             new_parent=data.get("new_parent"),
+            seq=data.get("seq"),
         )
 
 
@@ -274,6 +285,8 @@ class Mutator:
         return child_a, child_b
 
     def merge_siblings(self, a: Artifact, b: Artifact, cycle: int = 0) -> Artifact:
+        """Merge two siblings into a synthesis; ``mutate_cycle`` claims the
+        pair first, so no pair is merged twice."""
         if not self._share_parent(a.artifact_id, b.artifact_id):
             raise NotSiblings(f"{a.artifact_id} and {b.artifact_id} share no parent")
         ordered = sorted((a, b), key=lambda x: (x.timestamp, x.artifact_id))
@@ -294,17 +307,16 @@ class Mutator:
         return merged
 
     def graft(self, sibling_id: str, new_parent_id: str, cycle: int = 0) -> None:
-        if self.graph.would_create_cycle(sibling_id, new_parent_id):
-            raise CycleRejected(
-                f"grafting {sibling_id} onto {new_parent_id} would create a cycle"
-            )
-        self.graph.set_parents(sibling_id, (new_parent_id,))
+        """Re-parent the sibling onto the new parent; CycleRejected if that
+        would close a loop."""
+        seq = self.graph.set_parents(sibling_id, (new_parent_id,))
         self._log_event(MutationEvent(
             kind="graft",
             inputs=(sibling_id,),
             outputs=(),
             cycle=cycle,
             new_parent=new_parent_id,
+            seq=seq,
         ))
 
     # -- the cycle --------------------------------------------------------
@@ -313,10 +325,15 @@ class Mutator:
         """Apply at most max_mutations_per_cycle events: conflicts first,
         then redundancy, then stagnation; smallest ids win within each class.
 
-        Candidates are the pairs judged when the cycle starts. Its own grafts
-        and merges only change pairs that hold a touched node (skipped) or a
-        new, still unjudged one, so walking the live index meets the same
-        candidates as walking a copy taken up front.
+        Candidates are the pairs judged when the cycle starts, less those
+        already merged. Its own grafts and merges only change pairs that hold
+        a touched node (skipped) or a new, still unjudged one, so walking the
+        live index meets the same candidates as walking a copy taken up front.
+
+        A conflict is grafted, or, when the graft would close a cycle, claimed
+        for a merge, in one step under the graph's lock, so no other agent can
+        graft or merge the pair in between. The merge itself runs after that
+        step, since publishing its product takes other locks.
         """
         budget = self.policy.max_mutations_per_cycle
         threshold = self.policy.redundancy_threshold
@@ -329,35 +346,39 @@ class Mutator:
             pairs.redundant_count(threshold) / denominator,
         )
 
-        for a_id, b_id in pairs.conflicts():
+        for pair in pairs.conflicts():
             if len(applied) >= budget:
                 return applied
+            a_id, b_id = pair
             if a_id in touched or b_id in touched:
                 continue
-            try:
-                self.graft(b_id, a_id, cycle=cycle)
-                applied.append(self.events[-1])
-            except CycleRejected:
-                art_a, art_b = self.resolve(a_id), self.resolve(b_id)
-                if art_a is None or art_b is None:
+            with self.graph.lock:
+                if pairs.is_resolved(pair):
                     continue
-                self.merge_siblings(art_a, art_b, cycle=cycle)
-                applied.append(self.events[-1])
-            touched.update((a_id, b_id))
+                try:
+                    self.graft(b_id, a_id, cycle=cycle)
+                    merge = None
+                except CycleRejected:
+                    merge = self.resolve(a_id), self.resolve(b_id)
+                    if None in merge or not pairs.claim(pair):
+                        continue
+            if merge is not None:
+                self.merge_siblings(*merge, cycle=cycle)
+            applied.append(self.events[-1])
+            touched.update(pair)
 
-        for a_id, b_id in pairs.redundant(threshold):
+        for pair in pairs.redundant(threshold):
             if len(applied) >= budget:
                 return applied
-            if a_id in touched or b_id in touched:
-                continue
-            if not self._share_parent(a_id, b_id):
+            a_id, b_id = pair
+            if a_id in touched or b_id in touched or pairs.is_resolved(pair):
                 continue
             art_a, art_b = self.resolve(a_id), self.resolve(b_id)
-            if art_a is None or art_b is None:
+            if art_a is None or art_b is None or not pairs.claim(pair):
                 continue
             self.merge_siblings(art_a, art_b, cycle=cycle)
             applied.append(self.events[-1])
-            touched.update((a_id, b_id))
+            touched.update(pair)
 
         for leaf in self.detect_stagnation(cycle):
             if len(applied) >= budget:

@@ -772,12 +772,38 @@ def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationRepor
 # Rebuilding and exporting
 # ---------------------------------------------------------------------------
 
+def _agent_dirs(out: Path) -> list[Path]:
+    return sorted((out / "agents").iterdir()) if (out / "agents").exists() else []
+
+
+def _mutation_events(out: Path) -> list[tuple[str, int, MutationEvent]]:
+    """Every agent's mutation events as (agent, line number, event); a
+    damaged line raises CorruptStore."""
+    found = []
+    for agent_dir in _agent_dirs(out):
+        mut_path = agent_dir / MUTATIONS_FILE
+        if not mut_path.exists():
+            continue
+        with open(mut_path, "r", encoding="utf-8") as handle:
+            for number, raw in enumerate(handle, start=1):
+                try:
+                    event = MutationEvent.from_dict(json.loads(raw))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CorruptStore(str(mut_path), number,
+                                       f"unparseable mutation event: {exc!r}") from exc
+                found.append((agent_dir.name, number, event))
+    return found
+
+
 def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict]:
-    """Rebuild the lineage graph (with graft overlays) from an output dir."""
+    """Rebuild the lineage graph (with graft overlays) from an output dir.
+
+    Grafts replay in ``seq`` order, the order the live graph applied them;
+    a graft line without one replays after those, by cycle, agent and line.
+    """
     out = Path(out_dir)
     artifacts: dict[str, Artifact] = {}
-    agent_dirs = sorted((out / "agents").iterdir()) if (out / "agents").exists() else []
-    for agent_dir in agent_dirs:
+    for agent_dir in _agent_dirs(out):
         store_path = agent_dir / ArtifactStore.FILENAME
         if store_path.exists():
             for artifact in ArtifactStore(store_path).records():
@@ -785,21 +811,9 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict]:
     graph = LineageGraph()
     for artifact in sorted(artifacts.values(), key=lambda a: (a.timestamp, a.artifact_id)):
         graph.insert(artifact)
-    grafts = []
-    for agent_dir in agent_dirs:
-        mut_path = agent_dir / MUTATIONS_FILE
-        if not mut_path.exists():
-            continue
-        with open(mut_path, "r", encoding="utf-8") as handle:
-            for seq, raw in enumerate(handle):
-                try:
-                    event = MutationEvent.from_dict(json.loads(raw))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CorruptStore(str(mut_path), seq + 1,
-                                       f"unparseable mutation event: {exc!r}") from exc
-                if event.kind == "graft":
-                    grafts.append((event.cycle, agent_dir.name, seq, event))
-    for _, _, _, event in sorted(grafts, key=lambda g: (g[0], g[1], g[2])):
+    grafts = [(event.seq is None, event.seq or 0, event.cycle, agent, number, event)
+              for agent, number, event in _mutation_events(out) if event.kind == "graft"]
+    for *_, event in sorted(grafts, key=lambda g: g[:5]):
         graph.set_parents(event.inputs[0], (event.new_parent,))
     return graph, artifacts
 
@@ -849,7 +863,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
     checks go on with what is left: every reaction's product stored by the
     reacting agent, no artifact consumed twice, no need key fulfilled twice,
     none of an agent's own artifacts consumed, and every consumed type within
-    the agent's domain.
+    the agent's domain, and no merge repeating the input set of another.
     """
     out = Path(out_dir)
     violations: list[str] = []
@@ -864,6 +878,19 @@ def verify_output(out_dir: str | Path) -> list[str]:
     for artifact in artifacts.values():
         if not verify_integrity(artifact):
             violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
+
+    merged_by: dict[frozenset, str] = {}
+    # The rebuild has parsed every line already, so this read cannot raise.
+    for agent, _, event in _mutation_events(out):
+        if event.kind != "merge":
+            continue
+        inputs = frozenset(event.inputs)
+        if inputs in merged_by:
+            violations.append(
+                f"merge repeats an input set {sorted(inputs)} "
+                f"({merged_by[inputs]} and {agent})"
+            )
+        merged_by[inputs] = agent
 
     report_path = out / "report.json"
     allowed: dict[str, set[str]] = {}
@@ -883,8 +910,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
 
     consumed_by: dict[str, str] = {}
     fulfilled_by: dict[str, str] = {}
-    agent_dirs = sorted((out / "agents").iterdir()) if (out / "agents").exists() else []
-    for agent_dir in agent_dirs:
+    for agent_dir in _agent_dirs(out):
         agent = agent_dir.name
         reactions_path = agent_dir / REACTIONS_FILE
         if not reactions_path.exists():

@@ -14,8 +14,8 @@ from artifact.skills import default_registry
 
 from .test_sim import tree_digest
 
-DEMO_DIGEST = "b401aa537ecb6a01225b6d62d507dfce121de22e066fcc3b1a63c3c80f99263e"
-GRID_DIGEST = "96573285a5100791c0dd65f01b54f7a8f8e889220ecd4835140a849771957ecd"
+DEMO_DIGEST = "73fe48c93836ec6e0edf47cfe557ad0c5d30dbb53c29371d4cd8ae3dbd772dc1"
+GRID_DIGEST = "7cdd0e8064ac74d8056544ba43940fbfbb011fc72554eebf597d09a5b2c3fcae"
 
 # Domain words chain skills; the rest are unmatched and broadcast needs.
 TOPIC_WORDS = (

@@ -1,0 +1,64 @@
+"""Random scenarios, each run both sequentially and concurrently.
+
+``verify`` must find nothing wrong in either mode, and a sequential run must
+write the same tree again when rerun. Concurrent runs are not compared byte
+for byte: which thread claims an artifact first is up to the scheduler.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from artifact.sim import Scenario, run, verify_output
+from artifact.skills import default_registry
+
+from .test_golden import TOPIC_WORDS
+from .test_sim import tree_digest
+
+TOOLS = [m.name for m in default_registry().skills()]
+
+
+@st.composite
+def scenarios(draw) -> dict:
+    agents = draw(st.integers(1, 5))
+    cycles = draw(st.integers(1, 6))
+    names = [f"agent{i}" for i in range(agents)]
+    topics = draw(st.lists(
+        st.tuples(st.integers(0, cycles - 1), st.sampled_from(names),
+                  st.lists(st.sampled_from(TOPIC_WORDS), min_size=1, max_size=4)),
+        max_size=2 * agents * cycles,
+    ))
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "cycles": cycles,
+        "agents": [
+            {"name": name,
+             "preferred_tools": draw(st.lists(st.sampled_from(TOOLS), unique=True,
+                                              max_size=5))}
+            for name in names
+        ],
+        "seeded_topics": [
+            {"cycle": cycle, "agent": agent, "topic": " ".join(words)}
+            for cycle, agent, words in topics
+        ],
+    }
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(data=scenarios())
+def test_both_modes_verify_and_sequential_reruns_repeat(data):
+    root = Path(tempfile.mkdtemp())
+    try:
+        run(Scenario.from_dict(data), root / "first")
+        assert verify_output(root / "first") == []
+        run(Scenario.from_dict(data), root / "again")
+        assert tree_digest(root / "again") == tree_digest(root / "first")
+        run(Scenario.from_dict({**data, "concurrent": True}), root / "concurrent")
+        assert verify_output(root / "concurrent") == []
+    finally:
+        shutil.rmtree(root)

@@ -361,7 +361,15 @@ def rescanned_pairs(graph):
 
 
 class RescanningMutator(Mutator):
-    """The detection and cycle algorithm that rescans every pair on every call."""
+    """The detection and cycle algorithm that rescans every pair on every call.
+
+    It keeps the index's resolved-pair rule in a set of its own: a merged
+    pair is never grafted or merged again.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.merged = set()
 
     def _payload_keys(self, artifact_id):
         artifact = self.resolve(artifact_id)
@@ -406,7 +414,7 @@ class RescanningMutator(Mutator):
         for a_id, b_id in conflict_pairs:
             if len(applied) >= budget:
                 return applied
-            if a_id in touched or b_id in touched:
+            if a_id in touched or b_id in touched or (a_id, b_id) in self.merged:
                 continue
             try:
                 self.graft(b_id, a_id, cycle=cycle)
@@ -416,12 +424,13 @@ class RescanningMutator(Mutator):
                 if art_a is None or art_b is None:
                     continue
                 self.merge_siblings(art_a, art_b, cycle=cycle)
+                self.merged.add((a_id, b_id))
                 applied.append(self.events[-1])
             touched.update((a_id, b_id))
         for a_id, b_id in redundant:
             if len(applied) >= budget:
                 return applied
-            if a_id in touched or b_id in touched:
+            if a_id in touched or b_id in touched or (a_id, b_id) in self.merged:
                 continue
             if not self._share_parent(a_id, b_id):
                 continue
@@ -429,6 +438,7 @@ class RescanningMutator(Mutator):
             if art_a is None or art_b is None:
                 continue
             self.merge_siblings(art_a, art_b, cycle=cycle)
+            self.merged.add((a_id, b_id))
             applied.append(self.events[-1])
             touched.update((a_id, b_id))
         for leaf in self.detect_stagnation(cycle):

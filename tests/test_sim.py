@@ -448,6 +448,24 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     assert error in violations[0]
 
 
+def test_verify_reports_a_repeated_merge(tmp_path):
+    scenario = demo_scenario()
+    scenario.seed = 2  # a demo seed whose run merges
+    out = tmp_path / "out"
+    run(scenario, out)
+    assert verify_output(out) == []
+    path, line = next(
+        (path, line)
+        for path in sorted(out.glob("agents/*/mutations.jsonl"))
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if json.loads(line)["kind"] == "merge"
+    )
+    _append_line(path, line)
+    violations = verify_output(out)
+    assert len(violations) == 1
+    assert "merge repeats an input set" in violations[0]
+
+
 @pytest.mark.parametrize("line", ["{broken\n", {"kind": "single_parent"},
                                   {"consumed_ids": "abc", "fulfilled_need": None},
                                   {"consumed_ids": [], "fulfilled_need": None},
