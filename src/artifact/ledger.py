@@ -6,9 +6,9 @@ list of parent artifact ids it consumed. Records never change after creation;
 stores only ever grow.
 
 The files of the write-ahead chain (a reactions log, a store, the index) are
-``AppendLog``s: an append writes and flushes one whole line, and ``commit``
-later makes a batch of appends durable with one fsync per file, in the order
-given (group commit).
+``AppendLog``s: an append writes and flushes one whole line, and a later
+``sync`` makes every append since the last one durable with one fsync, so a
+caller can commit a batch of appends as a group.
 """
 
 from __future__ import annotations
@@ -212,12 +212,6 @@ class AppendLog:
             os.close(fd)
 
 
-def commit(logs: Iterable[AppendLog]) -> None:
-    """Group commit: sync each log that has unsynced lines, in the order given."""
-    for log in logs:
-        log.sync()
-
-
 class ArtifactStore:
     """Append-only JSONL store for one agent's artifacts.
 
@@ -225,7 +219,7 @@ class ArtifactStore:
     leaves either zero or one complete new line; readers tolerate nothing
     less than a parseable line and report the first bad line number. An
     append is not durable until the store's ``log`` is synced, which the
-    simulator does once per heartbeat (see ``commit``).
+    simulator does once per heartbeat.
     """
 
     FILENAME = "store.jsonl"

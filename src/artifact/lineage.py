@@ -142,17 +142,18 @@ class SiblingPairs:
                     self._verdicts[pair] = verdict
                     self._count(pair, verdict)
 
-    def claim(self, pair: tuple) -> bool:
-        """Mark a present pair resolved for a merge; False when it is no
-        longer a sibling pair or some merge has claimed it already."""
+    def is_open(self, pair: tuple) -> bool:
+        """Still a sibling pair, and not yet merged."""
         with self._lock:
-            if pair not in self._shared or pair in self._resolved:
+            return pair in self._shared and pair not in self._resolved
+
+    def claim(self, pair: tuple) -> bool:
+        """Mark an open pair resolved, for a merge; False if it is not open."""
+        with self._lock:
+            if not self.is_open(pair):
                 return False
             self._resolved.add(pair)
             return True
-
-    def is_resolved(self, pair: tuple) -> bool:
-        return pair in self._resolved
 
     def __len__(self) -> int:
         return len(self._shared)

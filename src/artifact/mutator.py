@@ -353,7 +353,7 @@ class Mutator:
             if a_id in touched or b_id in touched:
                 continue
             with self.graph.lock:
-                if pairs.is_resolved(pair):
+                if not pairs.is_open(pair):  # merged, or grafted apart by a peer
                     continue
                 try:
                     self.graft(b_id, a_id, cycle=cycle)
@@ -371,7 +371,7 @@ class Mutator:
             if len(applied) >= budget:
                 return applied
             a_id, b_id = pair
-            if a_id in touched or b_id in touched or pairs.is_resolved(pair):
+            if a_id in touched or b_id in touched or not pairs.is_open(pair):
                 continue
             art_a, art_b = self.resolve(a_id), self.resolve(b_id)
             if art_a is None or art_b is None or not pairs.claim(pair):

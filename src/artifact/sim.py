@@ -34,14 +34,7 @@ from .errors import (
 )
 from .governance import ArtifactRef, GovernanceLedger
 from .index import GlobalIndex, IndexEntry
-from .ledger import (
-    Artifact,
-    ArtifactStore,
-    commit,
-    create_artifact,
-    new_uuid,
-    verify_integrity,
-)
+from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid, verify_integrity
 from .lineage import LineageGraph
 from .memory import AgentJournal, InvestigationTracker, _atomic_write, slugify
 from .mutator import MUTATIONS_FILE, MutationEvent, MutationPolicy, Mutator
@@ -292,9 +285,10 @@ class World:
         before the reaction line that consumed its inputs, nor a synced index
         entry before its record."""
         runtimes = [self.agents[name] for name in agent_names]
-        commit([r.reactor.reactions for r in runtimes]
-               + [r.store.log for r in runtimes]
-               + [self.index.log])
+        for log in ([r.reactor.reactions for r in runtimes]
+                    + [r.store.log for r in runtimes]
+                    + [self.index.log]):
+            log.sync()
 
     def resolve_id(self, artifact_id: str) -> Artifact | None:
         return self.artifacts.get(artifact_id)

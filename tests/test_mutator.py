@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from datetime import timedelta
 
 import pytest
@@ -268,6 +270,60 @@ def test_cycle_events_keep_dag_acyclic(harness):
         assert harness.graph.is_acyclic()
 
 
+def test_grafts_carry_the_graph_sequence(harness):
+    roots = [harness.add({"r": i, "r2": i}) for i in range(3)]
+    leaf = harness.add({"c": 1}, parents=(roots[0].artifact_id,))
+    harness.mutator.graft(leaf.artifact_id, roots[1].artifact_id)
+    assert harness.graph.set_parents(leaf.artifact_id, (roots[0].artifact_id,)) == 2
+    harness.mutator.graft(leaf.artifact_id, roots[2].artifact_id)
+    assert [e.seq for e in harness.mutator.events] == [1, 3]
+
+
+def test_cycle_never_merges_a_pair_twice(harness):
+    root = harness.add({"r": 0, "r2": 1})
+    a = harness.add({"x": 1, "y": 2}, parents=(root.artifact_id,), born=9)
+    b = harness.add({"x": 1, "y": 2}, parents=(root.artifact_id,), born=9)
+    merges = [[e.kind for e in harness.mutator.mutate_cycle(cycle=c)].count("merge")
+              for c in (9, 10, 11)]
+    assert merges == [1, 0, 0]
+    pair = tuple(sorted((a.artifact_id, b.artifact_id)))
+    pairs = harness.graph.sibling_pairs()
+    assert pair in pairs.pairs() and not pairs.is_open(pair)
+
+
+def test_concurrent_agents_merge_each_pair_once():
+    """Eight agents' mutators share one graph and mutate it at once."""
+    harness = MutatorHarness(policy=MutationPolicy(max_mutations_per_cycle=3))
+    root = harness.add({"r": 0, "r2": 1})
+    for _ in range(12):
+        harness.add({"x": 1, "y": 2}, parents=(root.artifact_id,), born=9)
+    mutators = [
+        Mutator(agent_name=f"m{i}", graph=harness.graph, resolve=harness.artifacts.get,
+                emit=harness.emit, policy=harness.mutator.policy,
+                birth_cycles=harness.birth_cycles)
+        for i in range(8)
+    ]
+
+    def work(mutator):
+        for cycle in range(9, 14):
+            mutator.mutate_cycle(cycle)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(m,)) for m in mutators]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    merged = [frozenset(e.inputs) for m in mutators for e in m.events if e.kind == "merge"]
+    assert len(merged) >= 6
+    assert len(merged) == len(set(merged))
+
+
 def test_fork_events_record_io(harness):
     artifact = harness.add({"a": 1, "b": 2}, born=0)
     events = harness.mutator.mutate_cycle(cycle=9)
@@ -334,6 +390,9 @@ def test_event_invariants():
         MutationEvent(kind="merge", inputs=("a",), outputs=("b",), cycle=0)
     with pytest.raises(ValueError):
         MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0)
+    with pytest.raises(ValueError):
+        MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent="p",
+                      seq="1")
     MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent="p")
 
 
