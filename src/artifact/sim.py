@@ -856,7 +856,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
     and a damaged reactions.jsonl line are one violation each, and the
     checks go on with what is left: every reaction's product stored by the
     reacting agent, no artifact consumed twice, no need key fulfilled twice,
-    none of an agent's own artifacts consumed, and every consumed type within
+    none of an agent's own artifacts consumed, every consumed type within
     the agent's domain, and no merge repeating the input set of another.
     """
     out = Path(out_dir)
