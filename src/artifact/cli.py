@@ -40,7 +40,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dag(args: argparse.Namespace) -> int:
-    graph, _ = load_world_dag(args.out)
+    graph, _, _ = load_world_dag(args.out)
     text = export_dag(graph, args.format)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -51,7 +51,7 @@ def _cmd_export_dag(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    graph, _ = load_world_dag(args.out)
+    graph, _, _ = load_world_dag(args.out)
     print(json.dumps(graph.metrics().to_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -9,17 +9,14 @@ karma (and reputation, for Trusted) after every change.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .canonical import canonical_line
 from .clock import Clock, SystemClock, format_timestamp, parse_timestamp
 from .errors import (
     ArtifactError,
-    CorruptStore,
     DanglingArtifactRef,
     Forbidden,
     InvalidKind,
@@ -28,6 +25,7 @@ from .errors import (
     RateLimited,
     UnknownPost,
 )
+from .ledger import AppendLog, read_log
 
 POST_INTERVAL_SECONDS = 30 * 60
 COMMENT_INTERVAL_SECONDS = 20
@@ -190,30 +188,24 @@ class GovernanceLedger:
         self._rates: dict[str, _RateState] = {}
         self._counters = {"post": 0, "comment": 0}
         self._replaying = False
-        if self.path is not None and self.path.exists():
+        self._file = AppendLog(self.path) if self.path is not None else None
+        if self.path is not None:
             self._replay()
 
     # -- event log --------------------------------------------------------
 
     def _log(self, op: str, data: dict, now: datetime) -> None:
-        if self._replaying or self.path is None:
+        if self._replaying or self._file is None:
             return
-        record = {"op": op, "now": format_timestamp(now), "data": data}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_line(record))
-            handle.flush()
+        self._file.append({"op": op, "now": format_timestamp(now), "data": data})
 
     def _replay(self) -> None:
+        """Dispatch every logged event again; a damaged line, or an event the
+        commands refuse, raises CorruptStore."""
         self._replaying = True
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for number, raw in enumerate(handle, start=1):
-                    try:
-                        record = json.loads(raw)
-                        self._dispatch(record)
-                    except Exception as exc:
-                        raise CorruptStore(str(self.path), number, f"bad event: {exc}")
+            for _ in read_log(self.path, self._dispatch):
+                pass
         finally:
             self._replaying = False
 

@@ -16,15 +16,13 @@ appended since their last look with ``entries_since``.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 
-from .canonical import canonical_line
 from .errors import CorruptStore, DuplicateEntry
-from .ledger import AppendLog, Artifact
+from .ledger import AppendLog, Artifact, read_log
 from .needs import NeedItem, NeedsSignal
 
 DEFAULT_VARIANT = "default"
@@ -133,14 +131,12 @@ class GlobalIndex:
         self._need_carriers: list[IndexEntry] = []
         self._open_rows: dict[str, list[tuple]] = {}
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for number, raw in enumerate(handle, start=1):
-                    try:
-                        entry = IndexEntry.from_dict(json.loads(raw))
-                    except Exception as exc:
-                        raise CorruptStore(str(self.path), number, f"unparseable entry: {exc}")
-                    self._admit(entry)
+        if self.path is not None:
+            for number, entry in read_log(self.path, IndexEntry.from_dict):
+                if entry.artifact_id in self._ids:
+                    raise CorruptStore(str(self.path), number,
+                                       f"repeated entry {entry.artifact_id}")
+                self._admit(entry)
 
     def _admit(self, entry: IndexEntry) -> None:
         self._entries.append(entry)
@@ -195,7 +191,7 @@ class GlobalIndex:
             if entry.artifact_id in self._ids:
                 raise DuplicateEntry(f"index already holds {entry.artifact_id}")
             if self.log is not None:
-                self.log.append(canonical_line(entry.to_dict()))
+                self.log.append(entry.to_dict())
             self._admit(entry)
 
     def scan(

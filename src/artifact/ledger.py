@@ -5,10 +5,15 @@ the unchanged payload, the SHA-256 of the canonical payload, and the ordered
 list of parent artifact ids it consumed. Records never change after creation;
 stores only ever grow.
 
-The files of the write-ahead chain (a reactions log, a store, the index) are
-``AppendLog``s: an append writes and flushes one whole line, and a later
-``sync`` makes every append since the last one durable with one fsync, so a
-caller can commit a batch of appends as a group.
+Every JSONL file of a run (store, index, reactions, journal, mutations and
+governance log) has one format, kept here: one canonical JSON object per
+newline-terminated UTF-8 line. ``AppendLog`` is its one writer: an append
+writes and flushes one whole line, and a later ``sync`` makes every append
+since the last one durable with one fsync, so a caller can commit a batch of
+appends as a group. Only the files of the write-ahead chain (reactions, store,
+index) are ever synced. ``read_log`` is its one reader, and holds the damage
+rule: a line that breaks the format raises ``CorruptStore`` with the file's
+path and the line's number.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .canonical import Payload, canonical_line, content_hash
 from .clock import Clock, format_timestamp
@@ -183,20 +188,24 @@ def parse_address(text: str) -> ArtifactAddress:
 class AppendLog:
     """A JSONL file that grows one whole line at a time and is synced apart.
 
-    ``append`` writes and flushes the line to the operating system, so a
-    process crash loses none of it; only ``sync`` makes it survive a power
-    loss. ``sync`` fsyncs once, and only if something was appended since the
-    last sync.
+    ``append`` writes a record's canonical line and flushes it to the
+    operating system, so a process crash loses none of it; only ``sync``
+    makes it survive a power loss. ``sync`` fsyncs once, and only if
+    something was appended since the last sync. The file's directory is
+    created at the first append.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._unsynced = False
+        self._dir_made = False
 
-    def append(self, line: str) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+    def append(self, record: dict) -> None:
+        if not self._dir_made:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._dir_made = True
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+            handle.write(canonical_line(record))
         self._unsynced = True
 
     def sync(self) -> None:
@@ -212,14 +221,52 @@ class AppendLog:
             os.close(fd)
 
 
+def read_log(
+    path: str | Path,
+    parse: Callable[[dict], Any],
+    damaged: Callable[[CorruptStore], None] | None = None,
+) -> Iterator[tuple[int, Any]]:
+    """Each line of a JSONL file as (1-based line number, record), where the
+    record is what ``parse`` makes of the line's JSON object.
+
+    A line is damaged when it is blank, unterminated, not UTF-8, not JSON,
+    not an object, or when ``parse`` raises on it. A damaged line raises
+    ``CorruptStore`` with the path and the line number; when ``damaged`` is
+    given, it gets that error instead and reading goes on with the next
+    line. A missing file has no lines.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                if raw == b"\n":
+                    raise ValueError("blank line")
+                if not raw.endswith(b"\n"):
+                    raise ValueError("unterminated line")
+                record = json.loads(raw.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise ValueError(f"a JSON {type(record).__name__}, not an object")
+                record = parse(record)
+            except Exception as exc:  # a parse may raise anything on a malformed record
+                error = CorruptStore(str(path), number, repr(exc))
+                if damaged is None:
+                    raise error from exc
+                damaged(error)
+                continue
+            yield number, record
+
+
 class ArtifactStore:
     """Append-only JSONL store for one agent's artifacts.
 
     One canonical record per line. Appends are whole-line writes, so a crash
-    leaves either zero or one complete new line; readers tolerate nothing
-    less than a parseable line and report the first bad line number. An
-    append is not durable until the store's ``log`` is synced, which the
-    simulator does once per heartbeat.
+    leaves either zero or one complete new line. Opening a store reads it
+    with ``read_log``, and a line repeating an earlier artifact id is damaged
+    too, as ``append`` would have refused it. An append is not durable until
+    the store's ``log`` is synced, which the simulator does once per
+    heartbeat.
     """
 
     FILENAME = "store.jsonl"
@@ -227,12 +274,12 @@ class ArtifactStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.log = AppendLog(self.path)
-        self._records: list[Artifact] = []
         self._by_id: dict[str, Artifact] = {}
-        if self.path.exists():
-            for artifact in self._read_file():
-                self._records.append(artifact)
-                self._by_id[artifact.artifact_id] = artifact
+        for number, artifact in read_log(self.path, Artifact.from_dict):
+            if artifact.artifact_id in self._by_id:
+                raise CorruptStore(str(self.path), number,
+                                   f"repeated artifact id {artifact.artifact_id}")
+            self._by_id[artifact.artifact_id] = artifact
 
     @classmethod
     def open_dir(cls, directory: str | Path) -> "ArtifactStore":
@@ -242,7 +289,7 @@ class ArtifactStore:
         return artifact_id in self._by_id
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_id)
 
     def get(self, artifact_id: str) -> Artifact | None:
         return self._by_id.get(artifact_id)
@@ -250,25 +297,9 @@ class ArtifactStore:
     def append(self, artifact: Artifact) -> None:
         if artifact.artifact_id in self._by_id:
             raise DuplicateArtifact(f"artifact {artifact.artifact_id} already stored")
-        self.log.append(canonical_line(artifact.to_dict()))
-        self._records.append(artifact)
+        self.log.append(artifact.to_dict())
         self._by_id[artifact.artifact_id] = artifact
 
     def records(self) -> list[Artifact]:
         """Records in append order, as read at open and appended since."""
-        return list(self._records)
-
-    def _read_file(self) -> list[Artifact]:
-        records = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    raise CorruptStore(str(self.path), number, "blank line")
-                try:
-                    records.append(Artifact.from_dict(json.loads(line)))
-                except CorruptStore:
-                    raise
-                except Exception as exc:
-                    raise CorruptStore(str(self.path), number, f"unparseable record: {exc}")
-        return records
+        return list(self._by_id.values())

@@ -19,15 +19,14 @@ that fails removes the temporary file.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import canonical_line
 from .clock import Clock, SystemClock, format_timestamp
-from .errors import AlreadyComplete, CorruptStore, InvalidKind, UnknownInvestigation
+from .errors import AlreadyComplete, InvalidKind, UnknownInvestigation
+from .ledger import AppendLog, read_log
 
 JOURNAL_KINDS = ("observation", "hypothesis", "experiment", "conclusion")
 
@@ -84,6 +83,7 @@ class AgentJournal:
     def __init__(self, path: str | Path, clock: Clock | None = None):
         self.path = Path(path)
         self.clock = clock or SystemClock()
+        self._file = AppendLog(self.path)
 
     def log(self, kind: str, content: str, metadata: dict | None = None) -> JournalEntry:
         if kind not in JOURNAL_KINDS:
@@ -94,23 +94,12 @@ class AgentJournal:
             content=content,
             metadata=metadata or {},
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_line(entry.to_dict()))
+        self._file.append(entry.to_dict())
         return entry
 
     def entries(self) -> list[JournalEntry]:
         """Every entry in the file, in order; a damaged line raises CorruptStore."""
-        entries: list[JournalEntry] = []
-        if not self.path.exists():
-            return entries
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                try:
-                    entries.append(JournalEntry.from_dict(json.loads(raw)))
-                except Exception as exc:
-                    raise CorruptStore(str(self.path), number, f"bad journal entry: {exc}")
-        return entries
+        return [entry for _, entry in read_log(self.path, JournalEntry.from_dict)]
 
 
 @dataclass

@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .canonical import Payload, canonical_line
+from .canonical import Payload
 from .errors import CycleRejected, NotForkable, NotSiblings
-from .ledger import Artifact
+from .ledger import AppendLog, Artifact
 from .lineage import POLICY_TYPE, LineageGraph, PairVerdict, SiblingPairs
 from .reactor import merge_payloads
 
@@ -195,7 +195,7 @@ class Mutator:
         self.policy = policy or MutationPolicy()
         self.rng = rng or random.Random()
         self.birth_cycles = birth_cycles if birth_cycles is not None else {}
-        self.data_dir = Path(data_dir) if data_dir is not None else None
+        self._file = AppendLog(Path(data_dir) / MUTATIONS_FILE) if data_dir is not None else None
         self.events: list[MutationEvent] = []
         self.policy_artifact_id: str | None = None
         self.last_rates: tuple[float, float] = (0.0, 0.0)
@@ -204,11 +204,8 @@ class Mutator:
 
     def _log_event(self, event: MutationEvent) -> None:
         self.events.append(event)
-        if self.data_dir is not None:
-            path = self.data_dir / MUTATIONS_FILE
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(canonical_line(event.to_dict()))
+        if self._file is not None:
+            self._file.append(event.to_dict())
 
     def _judge(self, a_id: str, b_id: str) -> PairVerdict | None:
         art_a, art_b = self.resolve(a_id), self.resolve(b_id)

@@ -28,7 +28,6 @@ once per need phase; keys any reactor has claimed are skipped there.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import threading
@@ -37,11 +36,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .canonical import Payload, canonical_line
+from .canonical import Payload
 from .clock import Clock
-from .errors import ArtifactError, CorruptStore, InvalidParam
+from .errors import ArtifactError, InvalidParam
 from .index import GlobalIndex, IndexEntry, NeedKey, scan_order, variant_params
-from .ledger import AppendLog, Artifact, ArtifactStore, create_artifact, new_uuid
+from .ledger import AppendLog, Artifact, ArtifactStore, create_artifact, new_uuid, read_log
 from .lineage import LineageGraph
 from .needs import NeedItem
 from .pressure import PressureBreakdown, build_context, rank
@@ -91,18 +90,14 @@ class ReactionRecord:
         }
 
 
-def reaction_fields(raw: str) -> tuple[list[str], str | None, str]:
+def reaction_fields(record: dict) -> tuple[list[str], str | None, str]:
     """The consumed ids, fulfilled need key and product id of one
-    reactions.jsonl line.
+    reactions.jsonl record.
 
-    Raises ValueError for a line that is not such a record.
+    Raises KeyError or ValueError for a record that is not a reaction.
     """
-    try:
-        record = json.loads(raw)
-        consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
-        produced = record["produced_id"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a reaction record: {exc!r}") from exc
+    consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
+    produced = record["produced_id"]
     if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
             and (fulfilled is None or isinstance(fulfilled, str))
             and isinstance(produced, str)):
@@ -118,17 +113,10 @@ def _read_consumption(path: Path) -> tuple[set[str], set[str]]:
     """
     ids: set[str] = set()
     need_keys: set[str] = set()
-    if not path.exists():
-        return ids, need_keys
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            try:
-                consumed_ids, fulfilled, _ = reaction_fields(raw)
-            except ValueError as exc:
-                raise CorruptStore(str(path), number, f"unparseable reaction: {exc!r}") from exc
-            ids.update(consumed_ids)
-            if fulfilled is not None:
-                need_keys.add(fulfilled)
+    for _, (consumed_ids, fulfilled, _) in read_log(path, reaction_fields):
+        ids.update(consumed_ids)
+        if fulfilled is not None:
+            need_keys.add(fulfilled)
     return ids, need_keys
 
 
@@ -357,7 +345,7 @@ class ArtifactReactor:
     def _commit(self, artifact: Artifact, record: ReactionRecord) -> ReactionRecord:
         """Append the reaction line, then publish its product: what was
         consumed is on disk before anyone can see the product."""
-        self.reactions.append(canonical_line(record.to_dict()))
+        self.reactions.append(record.to_dict())
         self.store.append(artifact)
         self.graph.insert(artifact)
         self.index.publish(IndexEntry.for_artifact(artifact, fulfills=record.fulfilled_need))

@@ -34,7 +34,14 @@ from .errors import (
 )
 from .governance import ArtifactRef, GovernanceLedger
 from .index import GlobalIndex, IndexEntry
-from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid, verify_integrity
+from .ledger import (
+    Artifact,
+    ArtifactStore,
+    create_artifact,
+    new_uuid,
+    read_log,
+    verify_integrity,
+)
 from .lineage import LineageGraph
 from .memory import AgentJournal, InvestigationTracker, _atomic_write, slugify
 from .mutator import MUTATIONS_FILE, MutationEvent, MutationPolicy, Mutator
@@ -773,43 +780,33 @@ def _agent_dirs(out: Path) -> list[Path]:
 def _mutation_events(out: Path) -> list[tuple[str, int, MutationEvent]]:
     """Every agent's mutation events as (agent, line number, event); a
     damaged line raises CorruptStore."""
-    found = []
-    for agent_dir in _agent_dirs(out):
-        mut_path = agent_dir / MUTATIONS_FILE
-        if not mut_path.exists():
-            continue
-        with open(mut_path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                try:
-                    event = MutationEvent.from_dict(json.loads(raw))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CorruptStore(str(mut_path), number,
-                                       f"unparseable mutation event: {exc!r}") from exc
-                found.append((agent_dir.name, number, event))
-    return found
+    return [(agent_dir.name, number, event)
+            for agent_dir in _agent_dirs(out)
+            for number, event in read_log(agent_dir / MUTATIONS_FILE, MutationEvent.from_dict)]
 
 
-def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict]:
+def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
     """Rebuild the lineage graph (with graft overlays) from an output dir.
 
-    Grafts replay in ``seq`` order, the order the live graph applied them;
-    a graft line without one replays after those, by cycle, agent and line.
+    Returns the graph, the stored artifacts by id, and every agent's
+    mutation events as (agent, line number, event). Grafts replay in
+    ``seq`` order, the order the live graph applied them; a graft line
+    without one replays after those, by cycle, agent and line.
     """
     out = Path(out_dir)
     artifacts: dict[str, Artifact] = {}
     for agent_dir in _agent_dirs(out):
-        store_path = agent_dir / ArtifactStore.FILENAME
-        if store_path.exists():
-            for artifact in ArtifactStore(store_path).records():
-                artifacts[artifact.artifact_id] = artifact
+        for artifact in ArtifactStore.open_dir(agent_dir).records():
+            artifacts[artifact.artifact_id] = artifact
     graph = LineageGraph()
     for artifact in sorted(artifacts.values(), key=lambda a: (a.timestamp, a.artifact_id)):
         graph.insert(artifact)
+    events = _mutation_events(out)
     grafts = [(event.seq is None, event.seq or 0, event.cycle, agent, number, event)
-              for agent, number, event in _mutation_events(out) if event.kind == "graft"]
+              for agent, number, event in events if event.kind == "graft"]
     for *_, event in sorted(grafts, key=lambda g: g[:5]):
         graph.set_parents(event.inputs[0], (event.new_parent,))
-    return graph, artifacts
+    return graph, artifacts, events
 
 
 def export_dag(graph: LineageGraph, fmt: str) -> str:
@@ -849,7 +846,8 @@ def verify_output(out_dir: str | Path) -> list[str]:
 
     Returns a list of violation descriptions; empty means all checks passed.
     When the lineage cannot be rebuilt at all (a damaged store or mutation
-    log line, or a graft that names a missing node or would close a cycle),
+    log line, a store line repeating an artifact id, or a graft that names
+    a missing node or would close a cycle),
     that is the one violation returned, since every other check reads the
     rebuilt lineage. A missing or unreadable report.json (bad JSON, metrics
     missing or not numbers, a scenario missing or naming an unknown skill)
@@ -862,7 +860,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
     out = Path(out_dir)
     violations: list[str] = []
     try:
-        graph, artifacts = load_world_dag(out)
+        graph, artifacts, events = load_world_dag(out)
     except (CorruptStore, CycleRejected, DanglingParent, UnknownArtifact) as exc:
         return [f"lineage cannot be rebuilt: {type(exc).__name__}: {exc}"]
 
@@ -874,8 +872,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
             violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
 
     merged_by: dict[frozenset, str] = {}
-    # The rebuild has parsed every line already, so this read cannot raise.
-    for agent, _, event in _mutation_events(out):
+    for agent, _, event in events:
         if event.kind != "merge":
             continue
         inputs = frozenset(event.inputs)
@@ -902,54 +899,48 @@ def verify_output(out_dir: str | Path) -> list[str]:
         if recomputed.artifact_count != reported_count:
             violations.append("artifact_count mismatch between report and stores")
 
+    def damaged_reaction(error: CorruptStore) -> None:
+        violations.append(f"{error.path} line {error.line_number}: "
+                          f"unparseable reaction: {error.reason}")
+
     consumed_by: dict[str, str] = {}
     fulfilled_by: dict[str, str] = {}
     for agent_dir in _agent_dirs(out):
         agent = agent_dir.name
-        reactions_path = agent_dir / REACTIONS_FILE
-        if not reactions_path.exists():
-            continue
-        with open(reactions_path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                try:
-                    consumed_ids, fulfilled, produced = reaction_fields(raw)
-                except ValueError as exc:
+        for _, (consumed_ids, fulfilled, produced) in read_log(
+                agent_dir / REACTIONS_FILE, reaction_fields, damaged_reaction):
+            product = artifacts.get(produced)
+            if product is None:
+                violations.append(f"{agent} reaction product {produced} is in no store")
+            elif product.producer_agent != agent:
+                violations.append(
+                    f"{agent} reaction product {produced} was produced by "
+                    f"{product.producer_agent}"
+                )
+            if fulfilled is not None:
+                if fulfilled in fulfilled_by:
                     violations.append(
-                        f"{reactions_path} line {number}: unparseable reaction: {exc!r}"
+                        f"need key {fulfilled} fulfilled twice "
+                        f"({fulfilled_by[fulfilled]} and {agent})"
                     )
+                fulfilled_by[fulfilled] = agent
+            for consumed in consumed_ids:
+                if consumed in consumed_by:
+                    violations.append(
+                        f"artifact {consumed} consumed twice "
+                        f"({consumed_by[consumed]} and {agent})"
+                    )
+                consumed_by[consumed] = agent
+                producer = artifacts.get(consumed)
+                if producer is None:
                     continue
-                product = artifacts.get(produced)
-                if product is None:
-                    violations.append(f"{agent} reaction product {produced} is in no store")
-                elif product.producer_agent != agent:
+                if producer.producer_agent == agent:
                     violations.append(
-                        f"{agent} reaction product {produced} was produced by "
-                        f"{product.producer_agent}"
+                        f"{agent} consumed its own artifact {consumed}"
                     )
-                if fulfilled is not None:
-                    if fulfilled in fulfilled_by:
-                        violations.append(
-                            f"need key {fulfilled} fulfilled twice "
-                            f"({fulfilled_by[fulfilled]} and {agent})"
-                        )
-                    fulfilled_by[fulfilled] = agent
-                for consumed in consumed_ids:
-                    if consumed in consumed_by:
-                        violations.append(
-                            f"artifact {consumed} consumed twice "
-                            f"({consumed_by[consumed]} and {agent})"
-                        )
-                    consumed_by[consumed] = agent
-                    producer = artifacts.get(consumed)
-                    if producer is None:
-                        continue
-                    if producer.producer_agent == agent:
-                        violations.append(
-                            f"{agent} consumed its own artifact {consumed}"
-                        )
-                    if agent in allowed and producer.artifact_type not in allowed[agent]:
-                        violations.append(
-                            f"{agent} consumed out-of-domain type "
-                            f"{producer.artifact_type} ({consumed})"
-                        )
+                if agent in allowed and producer.artifact_type not in allowed[agent]:
+                    violations.append(
+                        f"{agent} consumed out-of-domain type "
+                        f"{producer.artifact_type} ({consumed})"
+                    )
     return violations

@@ -328,7 +328,7 @@ def test_criterion_09_hash_and_store_integrity(tmp_path, make_artifact):
 
 def _brute_force_avg_depth(out_dir) -> float:
     """Independent recomputation straight off the raw files."""
-    graph, artifacts = load_world_dag(out_dir)
+    graph, artifacts, _ = load_world_dag(out_dir)
     memo: dict[str, int] = {}
 
     def depth_of(node_id: str) -> int:

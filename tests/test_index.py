@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from artifact.errors import DuplicateEntry
+from artifact.errors import CorruptStore, DuplicateEntry
 from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
 from artifact.needs import NeedItem, NeedsSignal
 
@@ -152,6 +152,20 @@ def test_reload_from_file(tmp_path):
     assert len(reloaded) == 2
     assert reloaded.coverage("a1", 0) == 1
     assert reloaded.open_needs() == []
+
+
+def test_reload_rejects_a_repeated_entry(tmp_path):
+    path = tmp_path / "index.jsonl"
+    index = GlobalIndex(path)
+    index.publish(entry("a1"))
+    index.publish(entry("a2"))
+    first = path.read_bytes().splitlines(keepends=True)[0]
+    with open(path, "ab") as handle:
+        handle.write(first)
+    with pytest.raises(CorruptStore) as caught:
+        GlobalIndex(path)
+    assert (caught.value.path, caught.value.line_number) == (str(path), 3)
+    assert "a1" in caught.value.reason
 
 
 def test_scans_are_monotone(tmp_path):

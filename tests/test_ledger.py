@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import shutil
 
 import pytest
 
@@ -22,7 +23,12 @@ from artifact.ledger import (
     parse_address,
     verify_integrity,
 )
+from artifact.governance import GovernanceLedger
+from artifact.index import GlobalIndex
+from artifact.memory import AgentJournal
 from artifact.needs import NeedItem, NeedsSignal
+from artifact.reactor import _read_consumption
+from artifact.sim import demo_scenario, load_world_dag, run
 
 UUID_RE = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}$")
 
@@ -185,3 +191,53 @@ def test_address_round_trip(make_artifact):
 def test_invalid_addresses(bad):
     with pytest.raises(InvalidAddress):
         parse_address(bad)
+
+
+# -- the shared line format of every run file --------------------------------------
+
+# Each kind of JSONL file a run writes: one such file in a demo run, the loader
+# that reads it, and whether its lines carry an id that may appear only once.
+RUN_FILES = {
+    "store": ("agents/alice/store.jsonl", ArtifactStore, True),
+    "index": ("index.jsonl", GlobalIndex, True),
+    "reactions": ("agents/bruno/reactions.jsonl", _read_consumption, False),
+    "journal": ("agents/alice/journal.jsonl", lambda path: AgentJournal(path).entries(), False),
+    "mutations": ("agents/alice/mutations.jsonl",
+                  lambda path: load_world_dag(path.parents[2]), False),
+    "governance": ("governance.jsonl", GovernanceLedger, False),
+}
+
+# A damaged line, made from the file's first line.
+DAMAGE = {
+    "blank": lambda first: b"\n",
+    "truncated JSON": lambda first: first[:len(first) // 2] + b"\n",
+    "unterminated": lambda first: first[:-1],
+    "non-object JSON": lambda first: b"[1, 2]\n",
+    "non-UTF-8": lambda first: first[:-1] + b"\xff\n",
+    "repeated id": lambda first: first,
+}
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo") / "out"
+    run(demo_scenario(), out)
+    return out
+
+
+@pytest.mark.parametrize("kind, damage", [
+    (kind, damage) for kind, (_, _, has_ids) in RUN_FILES.items()
+    for damage in DAMAGE if has_ids or damage != "repeated id"
+])
+def test_damaged_line_of_every_run_file_raises_corrupt_store(demo_run, tmp_path, kind, damage):
+    name, load, _ = RUN_FILES[kind]
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    path = out / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    load(path)
+    with open(path, "ab") as handle:
+        handle.write(DAMAGE[damage](lines[0]))
+    with pytest.raises(CorruptStore) as caught:
+        load(path)
+    assert (caught.value.path, caught.value.line_number) == (str(path), len(lines) + 1)

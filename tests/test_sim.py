@@ -391,8 +391,16 @@ def test_dropped_world_is_freed_without_the_cyclic_collector(tmp_path):
 
 
 def _append_line(path, record):
+    if isinstance(record, bytes):
+        with open(path, "ab") as handle:
+            handle.write(record)
+        return
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(record if isinstance(record, str) else json.dumps(record) + "\n")
+
+
+def _first_line(path):
+    return path.read_bytes().splitlines(keepends=True)[0]
 
 
 def _graft(node, new_parent):
@@ -402,6 +410,9 @@ def _graft(node, new_parent):
 
 @pytest.mark.parametrize("damage, error", [
     ("garbled store line", "CorruptStore"),
+    ("non-UTF-8 store line", "CorruptStore"),
+    ("repeated store line", "CorruptStore"),
+    ("non-UTF-8 mutation line", "CorruptStore"),
     ("graft onto a descendant", "CycleRejected"),
     ("graft onto a missing parent", "DanglingParent"),
     ("malformed mutation line", "CorruptStore"),
@@ -435,6 +446,14 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         report_path.write_text(json.dumps(report), encoding="utf-8")
     elif damage == "garbled store line":
         _append_line(alice / ArtifactStore.FILENAME, "{not json\n")
+    elif damage == "non-UTF-8 store line":
+        _append_line(alice / ArtifactStore.FILENAME,
+                     _first_line(alice / ArtifactStore.FILENAME)[:-1] + b"\xff\n")
+    elif damage == "repeated store line":
+        _append_line(alice / ArtifactStore.FILENAME, _first_line(alice / ArtifactStore.FILENAME))
+    elif damage == "non-UTF-8 mutation line":
+        _append_line(alice / "mutations.jsonl", json.dumps(_graft(child.artifact_id, parent))
+                     .encode("utf-8") + b"\xff\n")
     elif damage == "malformed mutation line":
         _append_line(alice / "mutations.jsonl", "{broken\n")
     elif damage == "key-less mutation line":
@@ -470,7 +489,10 @@ def test_verify_reports_a_repeated_merge(tmp_path):
                                   {"consumed_ids": "abc", "fulfilled_need": None},
                                   {"consumed_ids": [], "fulfilled_need": None},
                                   {"consumed_ids": [], "fulfilled_need": None,
-                                   "produced_id": 7}])
+                                   "produced_id": 7},
+                                  # a non-UTF-8 reaction line
+                                  b'{"consumed_ids":[],"fulfilled_need":null,'
+                                  b'"produced_id":"\xff"}\n'])
 def test_verify_reports_damaged_reaction_line_as_violation(tmp_path, line):
     out = tmp_path / "out"
     run(fig2_scenario(cycles=2), out)
@@ -546,7 +568,7 @@ def test_gating_holds_over_full_trace(tmp_path):
 
 def test_report_metrics_match_rebuilt_dag(tmp_path):
     _, report = run(fig2_scenario(), tmp_path / "out")
-    graph, artifacts = load_world_dag(tmp_path / "out")
+    graph, artifacts, _ = load_world_dag(tmp_path / "out")
     recomputed = graph.metrics()
     assert recomputed.artifact_count == report.dag_metrics["artifact_count"]
     assert recomputed.avg_dag_depth == pytest.approx(
@@ -583,14 +605,14 @@ def test_concurrent_mode_preserves_invariants(tmp_path):
 # -- export -----------------------------------------------------------------------
 
 def test_export_empty_world(tmp_path):
-    graph, _ = load_world_dag(tmp_path)
+    graph, _, _ = load_world_dag(tmp_path)
     assert export_dag(graph, "graph-text") == "digraph lineage {\n}\n"
     assert json.loads(export_dag(graph, "structured-dump")) == {"nodes": [], "edges": []}
 
 
 def test_export_counts_match_stores(tmp_path):
     world, _ = run(fig2_scenario(cycles=2), tmp_path / "out")
-    graph, artifacts = load_world_dag(tmp_path / "out")
+    graph, artifacts, _ = load_world_dag(tmp_path / "out")
     dump = json.loads(export_dag(graph, "structured-dump"))
     assert len(dump["nodes"]) == len(artifacts)
     stored_edges = set()
@@ -625,7 +647,7 @@ def _mutation_events(out_dir):
 
 
 def test_export_rejects_unknown_format(tmp_path):
-    graph, _ = load_world_dag(tmp_path)
+    graph, _, _ = load_world_dag(tmp_path)
     with pytest.raises(InvalidFormat):
         export_dag(graph, "yaml")
 
