@@ -777,21 +777,14 @@ def _agent_dirs(out: Path) -> list[Path]:
     return sorted((out / "agents").iterdir()) if (out / "agents").exists() else []
 
 
-def _mutation_events(out: Path) -> list[tuple[str, int, MutationEvent]]:
-    """Every agent's mutation events as (agent, line number, event); a
-    damaged line raises CorruptStore."""
-    return [(agent_dir.name, number, event)
-            for agent_dir in _agent_dirs(out)
-            for number, event in read_log(agent_dir / MUTATIONS_FILE, MutationEvent.from_dict)]
-
-
 def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
     """Rebuild the lineage graph (with graft overlays) from an output dir.
 
     Returns the graph, the stored artifacts by id, and every agent's
-    mutation events as (agent, line number, event). Grafts replay in
-    ``seq`` order, the order the live graph applied them; a graft line
-    without one replays after those, by cycle, agent and line.
+    mutation events as (agent, line number, event); a damaged store or
+    mutation line raises CorruptStore. Grafts replay in ``seq`` order, the
+    order the live graph applied them; a graft line without one replays
+    after those, by cycle, agent and line.
     """
     out = Path(out_dir)
     artifacts: dict[str, Artifact] = {}
@@ -801,7 +794,9 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
     graph = LineageGraph()
     for artifact in sorted(artifacts.values(), key=lambda a: (a.timestamp, a.artifact_id)):
         graph.insert(artifact)
-    events = _mutation_events(out)
+    events = [(agent_dir.name, number, event)
+              for agent_dir in _agent_dirs(out)
+              for number, event in read_log(agent_dir / MUTATIONS_FILE, MutationEvent.from_dict)]
     grafts = [(event.seq is None, event.seq or 0, event.cycle, agent, number, event)
               for agent, number, event in events if event.kind == "graft"]
     for *_, event in sorted(grafts, key=lambda g: g[:5]):
@@ -847,9 +842,8 @@ def verify_output(out_dir: str | Path) -> list[str]:
     Returns a list of violation descriptions; empty means all checks passed.
     When the lineage cannot be rebuilt at all (a damaged store or mutation
     log line, a store line repeating an artifact id, or a graft that names
-    a missing node or would close a cycle),
-    that is the one violation returned, since every other check reads the
-    rebuilt lineage. A missing or unreadable report.json (bad JSON, metrics
+    a missing node or would close a cycle), that is the one violation
+    returned, since every other check reads the rebuilt lineage. A missing or unreadable report.json (bad JSON, metrics
     missing or not numbers, a scenario missing or naming an unknown skill)
     and a damaged reactions.jsonl line are one violation each, and the
     checks go on with what is left: every reaction's product stored by the
