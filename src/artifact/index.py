@@ -3,12 +3,15 @@
 Index entries mirror an artifact's identity fields but never its payload, so
 agents can scan the whole ecosystem cheaply. Fulfillments are visible here
 too: the fulfilling artifact's entry carries the need key it answered, which
-is what closes a need and what coverage counting reads.
+is what closes a need and what coverage counting reads. In a simulation an
+entry is the last thing ``World.emit`` publishes, after the artifact's store
+line and its lineage node, when the artifact already resolves: a reader can
+resolve every id it finds here.
 
 The needs board is kept current as entries are admitted, never rebuilt: a
 need-bearing entry joins a list held in ``(timestamp, id)`` order (insorted,
-since concurrent publishes can land out of timestamp order) together with
-its unfulfilled keys, a fulfilment removes its key, and an entry leaves the
+since the index takes entries in any timestamp order) together with its
+unfulfilled keys, a fulfilment removes its key, and an entry leaves the
 list once every key it broadcast is fulfilled. ``open_needs`` walks only
 that list. Readers that follow the index incrementally take the entries
 appended since their last look with ``entries_since``.
@@ -212,9 +215,6 @@ class GlobalIndex:
             found.append(entry)
         found.sort(key=scan_order)
         return found
-
-    def is_fulfilled(self, key: NeedKey) -> bool:
-        return key.text in self._fulfilled_keys
 
     def open_needs(self) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
         """Every unfulfilled (key, item, carrying entry) row, variant-expanded.

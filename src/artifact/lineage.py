@@ -72,10 +72,11 @@ class SiblingPairs:
     its lock, and counts the parents each pair shares, so a graft that takes
     away one common parent keeps a pair that still has another. A pair's
     verdict is computed once, by the caller's ``judge``, and cached for good,
-    since the artifacts behind it never change; a present pair the judge
-    cannot yet resolve waits in ``_pending`` and counts only towards
-    ``len()``. Present pairs with a verdict are kept sorted, so the rates are
-    read from counts and a walk in pair order can stop whenever it likes.
+    since the artifacts behind it never change; a present pair waits in
+    ``_pending`` until the next ``refresh`` judges it, and counts only
+    towards ``len()`` until then. Present pairs with a verdict are kept
+    sorted, so the rates are read from counts and a walk in pair order can
+    stop whenever it likes.
 
     A pair that has been merged is resolved for good, for every agent at
     once: ``claim`` checks and marks that under the graph's lock. Resolved
@@ -86,7 +87,7 @@ class SiblingPairs:
         self._lock = lock
         self._shared: dict[tuple, int] = {}
         self._verdicts: dict[tuple, PairVerdict] = {}
-        self._pending: set[tuple] = set()
+        self._pending: set[tuple] = set()  # present pairs not judged yet
         self._judged: list[tuple] = []     # present pairs with a verdict, sorted
         self._conflicts: list[tuple] = []  # those whose verdict is a conflict, sorted
         self._jaccards: dict[float, int] = {}  # Jaccard value -> judged pairs with it
@@ -132,15 +133,13 @@ class SiblingPairs:
 
     # -- queries ------------------------------------------------------------
 
-    def refresh(self, judge: Callable[[str, str], PairVerdict | None]) -> None:
-        """Judge every present pair still waiting for a verdict."""
+    def refresh(self, judge: Callable[[str, str], PairVerdict]) -> None:
+        """Judge every present pair not judged yet."""
         with self._lock:
             for pair in list(self._pending):
-                verdict = judge(*pair)
-                if verdict is not None:
-                    self._pending.discard(pair)
-                    self._verdicts[pair] = verdict
-                    self._count(pair, verdict)
+                verdict = self._verdicts[pair] = judge(*pair)
+                self._pending.discard(pair)
+                self._count(pair, verdict)
 
     def is_open(self, pair: tuple) -> bool:
         """Still a sibling pair, and not yet merged."""

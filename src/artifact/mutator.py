@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from .canonical import Payload
 from .errors import CycleRejected, NotForkable, NotSiblings
@@ -64,15 +64,6 @@ class MutationPolicy:
             "max_mutations_per_cycle": self.max_mutations_per_cycle,
             "drift_step": self.drift_step,
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "MutationPolicy":
-        return cls(
-            stagnation_cycles=payload["stagnation_cycles"],
-            redundancy_threshold=payload["redundancy_threshold"],
-            max_mutations_per_cycle=payload["max_mutations_per_cycle"],
-            drift_step=payload["drift_step"],
-        )
 
 
 @dataclass(frozen=True)
@@ -174,14 +165,15 @@ class Mutator:
     """Per-agent mutation layer run inside the owning agent's cycle.
 
     ``emit`` creates and publishes an artifact on the agent's behalf and
-    returns it; ``resolve`` maps an artifact id to its full record.
+    returns it, recording its birth cycle in ``birth_cycles``; ``resolve``
+    maps an artifact id to its full record.
     """
 
     def __init__(
         self,
         agent_name: str,
         graph: LineageGraph,
-        resolve: Callable[[str], Artifact | None],
+        resolve: Callable[[str], Artifact],
         emit: Callable[..., Artifact],
         policy: MutationPolicy | None = None,
         rng: random.Random | None = None,
@@ -207,11 +199,8 @@ class Mutator:
         if self._file is not None:
             self._file.append(event.to_dict())
 
-    def _judge(self, a_id: str, b_id: str) -> PairVerdict | None:
-        art_a, art_b = self.resolve(a_id), self.resolve(b_id)
-        if art_a is None or art_b is None:
-            return None
-        payload_a, payload_b = art_a.payload, art_b.payload
+    def _judge(self, a_id: str, b_id: str) -> PairVerdict:
+        payload_a, payload_b = self.resolve(a_id).payload, self.resolve(b_id).payload
         return PairVerdict(
             jaccard=jaccard(frozenset(payload_a), frozenset(payload_b)),
             conflict=any(payload_a[key] != payload_b[key]
@@ -219,7 +208,7 @@ class Mutator:
         )
 
     def _sibling_pairs(self) -> SiblingPairs:
-        """The graph's sibling-pair index with every resolvable pair judged."""
+        """The graph's sibling-pair index with every pair judged."""
         pairs = self.graph.sibling_pairs()
         pairs.refresh(self._judge)
         return pairs
@@ -356,9 +345,9 @@ class Mutator:
                     self.graft(b_id, a_id, cycle=cycle)
                     merge = None
                 except CycleRejected:
-                    merge = self.resolve(a_id), self.resolve(b_id)
-                    if None in merge or not pairs.claim(pair):
+                    if not pairs.claim(pair):
                         continue
+                    merge = self.resolve(a_id), self.resolve(b_id)
             if merge is not None:
                 self.merge_siblings(*merge, cycle=cycle)
             applied.append(self.events[-1])
@@ -370,10 +359,9 @@ class Mutator:
             a_id, b_id = pair
             if a_id in touched or b_id in touched or not pairs.is_open(pair):
                 continue
-            art_a, art_b = self.resolve(a_id), self.resolve(b_id)
-            if art_a is None or art_b is None or not pairs.claim(pair):
+            if not pairs.claim(pair):
                 continue
-            self.merge_siblings(art_a, art_b, cycle=cycle)
+            self.merge_siblings(self.resolve(a_id), self.resolve(b_id), cycle=cycle)
             applied.append(self.events[-1])
             touched.update(pair)
 
@@ -383,13 +371,11 @@ class Mutator:
             if leaf in touched:
                 continue
             artifact = self.resolve(leaf)
-            if artifact is None or len(artifact.payload) < 2:
+            if len(artifact.payload) < 2:
                 continue
             child_a, child_b = self.fork(artifact, cycle=cycle)
             applied.append(self.events[-1])
             touched.update((leaf, child_a.artifact_id, child_b.artifact_id))
-            self.birth_cycles.setdefault(child_a.artifact_id, cycle)
-            self.birth_cycles.setdefault(child_b.artifact_id, cycle)
 
         return applied
 

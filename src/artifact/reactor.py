@@ -2,11 +2,13 @@
 
 Each agent owns one reactor. A react() call runs three phases against a
 shared budget (need-driven reactions first, then multi-parent synthesis,
-then single-parent transforms). Each reaction appends one line to the
-agent's ``reactions.jsonl`` naming the artifact ids and the need key it
-consumed, after the claim and before its product is published: that log is
-the one persisted record of consumption, and a reactor seeds the shared
-claims from it when it starts.
+then single-parent transforms). A reactor makes nothing itself: it hands
+each product to the ``emit`` it was given, the world's one publish path.
+Each reaction appends one line to the agent's ``reactions.jsonl`` naming
+the artifact ids and the need key it consumed, after the claim and, from
+``emit``'s ``before_store`` callback, before its product is stored: that
+log is the one persisted record of consumption, and a reactor seeds the
+shared claims from it when it starts.
 
 Consumption is globally exclusive: reactors share a claim set so that no
 artifact's payload is ever reacted to twice, and no need key is answered
@@ -19,9 +21,9 @@ cursor into the index's append order and, on each scan, admits only the
 entries appended since: an entry becomes a candidate when it is unclaimed
 and passes the static half of ``can_react`` (a peer produced it, its type is
 allowed, and its payload keys meet a runnable skill), and candidates are
-held in ``(timestamp, id)`` order with their payload keys. An entry whose
-artifact cannot be resolved yet waits and is retried on the next scan.
-Claims only grow, so a candidate claimed since is dropped when a scan
+held in ``(timestamp, id)`` order with their payload keys. ``emit`` makes
+an artifact resolvable before it enters the index, so every admitted entry
+resolves. Claims only grow, so a candidate claimed since is dropped when a scan
 reaches it. Open needs come from the index's own ordered needs board, read
 once per need phase; keys any reactor has claimed are skipped there.
 """
@@ -40,7 +42,7 @@ from .canonical import Payload
 from .clock import Clock
 from .errors import ArtifactError, InvalidParam
 from .index import GlobalIndex, IndexEntry, NeedKey, scan_order, variant_params
-from .ledger import AppendLog, Artifact, ArtifactStore, create_artifact, new_uuid, read_log
+from .ledger import AppendLog, Artifact, read_log
 from .lineage import LineageGraph
 from .needs import NeedItem
 from .pressure import PressureBreakdown, build_context, rank
@@ -220,27 +222,33 @@ def build_params(manifest: SkillManifest, payload: Payload) -> dict:
 
 
 class ArtifactReactor:
+    """One agent's reactions.
+
+    ``resolve`` maps an artifact id to its record; ``emit`` creates and
+    publishes an artifact on the agent's behalf and returns it, as
+    ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
+    """
+
     def __init__(
         self,
         profile: AgentProfile,
         registry: SkillRegistry,
         index: GlobalIndex,
         graph: LineageGraph,
-        store: ArtifactStore,
-        resolve_artifact: Callable[[IndexEntry], Artifact | None],
+        resolve: Callable[[str], Artifact],
+        emit: Callable[..., Artifact],
         data_dir: str | Path,
         clock: Clock,
         rng: random.Random | None = None,
         claims: ConsumptionClaims | None = None,
-        on_publish: Callable[[Artifact], None] | None = None,
         on_reaction: Callable[[ReactionRecord], None] | None = None,
     ):
         self.profile = profile
         self.registry = registry
         self.index = index
         self.graph = graph
-        self.store = store
-        self.resolve_artifact = resolve_artifact
+        self.resolve = resolve
+        self.emit = emit
         self.data_dir = Path(data_dir)
         self.clock = clock
         self.rng = rng or random.Random()
@@ -248,7 +256,6 @@ class ArtifactReactor:
         self.reactions = AppendLog(self.reactions_path)
         self.claims = claims or ConsumptionClaims()
         self.claims.seed(*_read_consumption(self.reactions_path))
-        self.on_publish = on_publish
         self.on_reaction = on_reaction
         self.reaction_log: list[ReactionRecord] = []
         # The registry is immutable and profiles are frozen: fixed for life.
@@ -256,10 +263,9 @@ class ArtifactReactor:
         self._skill_inputs = [(m, skill_inputs(m)) for m in self._runnable]
         self._producible = {m.output_artifact_type for m in self._runnable}
         self._allowed = allowed_types(profile, registry)
-        # Index entries seen so far, unresolved ones, and the candidates in
-        # (timestamp, id) order with their payload keys (see the module doc).
+        # Index entries seen so far, and the candidates in (timestamp, id)
+        # order with their payload keys (see the module doc).
         self._cursor = 0
-        self._pending: list[IndexEntry] = []
         self._candidates: list[IndexEntry] = []
         self.candidate_keys: dict[str, frozenset] = {}
 
@@ -272,23 +278,16 @@ class ArtifactReactor:
     def _fits(self, keys: frozenset) -> bool:
         return any(not inputs.isdisjoint(keys) for _, inputs in self._skill_inputs)
 
-    def _payload_keys(self, entry: IndexEntry) -> frozenset | None:
-        keys = self.candidate_keys.get(entry.artifact_id)
-        if keys is not None:
-            return keys
-        artifact = self.resolve_artifact(entry)
-        return None if artifact is None else param_keys(artifact.payload)
-
-    def _static_keys(self, entry: IndexEntry) -> frozenset | None:
+    def _static_keys(self, entry: IndexEntry) -> frozenset:
         """The static half of can_react: the entry's payload keys when a peer
         produced it, its type is allowed and the keys meet a runnable skill;
-        an empty set when it fails; None while it cannot be resolved."""
+        an empty set when it fails."""
         if entry.producer_agent == self.agent_name or entry.artifact_type not in self._allowed:
             return frozenset()
-        keys = self._payload_keys(entry)
-        if keys is None or self._fits(keys):
-            return keys
-        return frozenset()
+        keys = self.candidate_keys.get(entry.artifact_id)
+        if keys is None:
+            keys = param_keys(self.resolve(entry.artifact_id).payload)
+        return keys if self._fits(keys) else frozenset()
 
     def can_react(self, entry: IndexEntry) -> bool:
         """True iff this reactor could legitimately consume the entry now."""
@@ -299,14 +298,11 @@ class ArtifactReactor:
         that pass the static half of can_react."""
         fresh = self.index.entries_since(self._cursor)
         self._cursor += len(fresh)
-        waiting, self._pending = self._pending, []
-        for entry in waiting + fresh:
+        for entry in fresh:
             if entry.artifact_id in self.claims:
                 continue
             keys = self._static_keys(entry)
-            if keys is None:
-                self._pending.append(entry)
-            elif keys:
+            if keys:
                 insort(self._candidates, entry, key=scan_order)
                 self.candidate_keys[entry.artifact_id] = keys
 
@@ -342,39 +338,50 @@ class ArtifactReactor:
 
     # -- reactions ----------------------------------------------------------
 
-    def _commit(self, artifact: Artifact, record: ReactionRecord) -> ReactionRecord:
-        """Append the reaction line, then publish its product: what was
-        consumed is on disk before anyone can see the product."""
-        self.reactions.append(record.to_dict())
-        self.store.append(artifact)
-        self.graph.insert(artifact)
-        self.index.publish(IndexEntry.for_artifact(artifact, fulfills=record.fulfilled_need))
-        if self.on_publish is not None:
-            self.on_publish(artifact)
+    def _commit(
+        self,
+        kind: str,
+        manifest: SkillManifest,
+        artifact_type: str,
+        payload: Payload,
+        parents: tuple,
+        investigation_id: str,
+        need: NeedKey | None = None,
+        pressure: PressureBreakdown | None = None,
+    ) -> ReactionRecord:
+        """Publish a reaction's product through ``emit``, which hands it to
+        ``log_reaction`` first: what was consumed is on disk before the
+        product is stored, and so before anyone can see it. A need-driven
+        reaction consumes only its need key; the others consume the parents
+        of their product."""
+        record = None
+
+        def log_reaction(artifact: Artifact) -> None:
+            nonlocal record
+            record = ReactionRecord(
+                kind=kind,
+                consumed_ids=() if need is not None else parents,
+                fulfilled_need=need,
+                produced_id=artifact.artifact_id,
+                skill=manifest.name,
+                pressure=pressure,
+                timestamp=artifact.timestamp,
+            )
+            self.reactions.append(record.to_dict())
+
+        self.emit(
+            artifact_type=artifact_type,
+            skill=manifest.name,
+            payload=payload,
+            parents=parents,
+            investigation_id=investigation_id,
+            fulfills=need,
+            before_store=log_reaction,
+        )
         self.reaction_log.append(record)
         if self.on_reaction is not None:
             self.on_reaction(record)
         return record
-
-    def _create(
-        self,
-        artifact_type: str,
-        skill: str,
-        payload: Payload,
-        parents: Sequence[str],
-        investigation_id: str,
-    ) -> Artifact:
-        return create_artifact(
-            artifact_type=artifact_type,
-            producer_agent=self.agent_name,
-            skill=skill,
-            payload=payload,
-            parents=parents,
-            investigation_id=investigation_id,
-            clock=self.clock,
-            known_types=self.registry.artifact_types(),
-            id_factory=lambda: new_uuid(self.rng),
-        )
 
     def _skill_for_need(self, item: NeedItem) -> SkillManifest | None:
         """Producer choice: the need's preferred skills first, then registry order."""
@@ -437,22 +444,13 @@ class ArtifactReactor:
             return None
         if not self.claims.claim_need(key):
             return None
-        artifact = self._create(
-            artifact_type=item.artifact_type,
-            skill=manifest.name,
-            payload=payload,
+        return self._commit(
+            "need_driven", manifest, item.artifact_type, payload,
             parents=(entry.artifact_id,),
             investigation_id=entry.investigation_id,
-        )
-        return self._commit(artifact, ReactionRecord(
-            kind="need_driven",
-            consumed_ids=(),
-            fulfilled_need=key,
-            produced_id=artifact.artifact_id,
-            skill=manifest.name,
+            need=key,
             pressure=breakdown,
-            timestamp=artifact.timestamp,
-        ))
+        )
 
     def react_multi(self) -> ReactionRecord | None:
         """Merge >=2 compatible peer artifacts through one shared skill."""
@@ -464,15 +462,8 @@ class ArtifactReactor:
             ]
             if len(compatible) < 2:
                 continue
-            artifacts = []
-            for entry in compatible:
-                artifact = self.resolve_artifact(entry)
-                if artifact is None:
-                    break
-                artifacts.append(artifact)
-            if len(artifacts) != len(compatible):
-                continue
-            artifacts.sort(key=lambda a: (a.timestamp, a.artifact_id))
+            # Candidates come in (timestamp, id) order, oldest parent first.
+            artifacts = [self.resolve(entry.artifact_id) for entry in compatible]
             merged = merge_payloads(artifacts)
             params = build_params(manifest, merged)
             try:
@@ -483,22 +474,11 @@ class ArtifactReactor:
             consumed = tuple(a.artifact_id for a in artifacts)
             if not self.claims.claim_all(consumed):
                 continue
-            produced = self._create(
-                artifact_type="synthesis",
-                skill=manifest.name,
-                payload=payload,
+            return self._commit(
+                "multi_parent", manifest, "synthesis", payload,
                 parents=consumed,
                 investigation_id=self._common_investigation(artifacts),
             )
-            return self._commit(produced, ReactionRecord(
-                kind="multi_parent",
-                consumed_ids=consumed,
-                fulfilled_need=None,
-                produced_id=produced.artifact_id,
-                skill=manifest.name,
-                pressure=None,
-                timestamp=produced.timestamp,
-            ))
         return None
 
     @staticmethod
@@ -511,10 +491,7 @@ class ArtifactReactor:
         for entry in self.scan_available():
             keys = self.candidate_keys[entry.artifact_id]
             manifest = next(m for m, inputs in self._skill_inputs if not inputs.isdisjoint(keys))
-            artifact = self.resolve_artifact(entry)
-            if artifact is None:
-                continue
-            params = build_params(manifest, artifact.payload)
+            params = build_params(manifest, self.resolve(entry.artifact_id).payload)
             try:
                 payload = execute(manifest, params, self.rng.randrange(2**32))
             except ArtifactError as exc:
@@ -522,22 +499,11 @@ class ArtifactReactor:
                 continue
             if not self.claims.claim_all((entry.artifact_id,)):
                 continue
-            produced = self._create(
-                artifact_type=manifest.output_artifact_type,
-                skill=manifest.name,
-                payload=payload,
+            return self._commit(
+                "single_parent", manifest, manifest.output_artifact_type, payload,
                 parents=(entry.artifact_id,),
                 investigation_id=entry.investigation_id,
             )
-            return self._commit(produced, ReactionRecord(
-                kind="single_parent",
-                consumed_ids=(entry.artifact_id,),
-                fulfilled_need=None,
-                produced_id=produced.artifact_id,
-                skill=manifest.name,
-                pressure=None,
-                timestamp=produced.timestamp,
-            ))
         return None
 
     def react(self, limit: int = 3) -> list[ReactionRecord]:

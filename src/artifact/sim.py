@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .canonical import Payload, canonicalize
 from .clock import EPOCH, ManualClock, parse_timestamp
@@ -33,7 +33,7 @@ from .errors import (
     UnknownArtifact,
 )
 from .governance import ArtifactRef, GovernanceLedger
-from .index import GlobalIndex, IndexEntry
+from .index import GlobalIndex, IndexEntry, NeedKey
 from .ledger import (
     Artifact,
     ArtifactStore,
@@ -217,23 +217,20 @@ class AgentRuntime:
             registry=world.registry,
             index=world.index,
             graph=world.graph,
-            store=self.store,
-            resolve_artifact=lambda entry: world.resolve_id(entry.artifact_id),
+            resolve=lambda artifact_id: world.resolve_id(artifact_id),
+            emit=lambda **kwargs: world.emit(profile.name, **kwargs),
             data_dir=self.dir,
             clock=world.clock,
             rng=self.rng,
             claims=world.claims,
-            on_publish=lambda artifact: world.on_publish(artifact),
             on_reaction=lambda record: world.on_reaction(record),
         )
-        policy = MutationPolicy(**world.scenario.mutation_policy) \
-            if world.scenario.mutation_policy else MutationPolicy()
         self.mutator = Mutator(
             agent_name=profile.name,
             graph=world.graph,
             resolve=lambda artifact_id: world.resolve_id(artifact_id),
             emit=lambda **kwargs: world.emit(profile.name, **kwargs),
-            policy=policy,
+            policy=MutationPolicy(**world.scenario.mutation_policy),
             rng=random.Random(stable_hash(str(world.scenario.seed), "mutator", profile.name)),
             birth_cycles=world.birth_cycles,
             data_dir=self.dir,
@@ -297,8 +294,11 @@ class World:
                     + [self.index.log]):
             log.sync()
 
-    def resolve_id(self, artifact_id: str) -> Artifact | None:
-        return self.artifacts.get(artifact_id)
+    def resolve_id(self, artifact_id: str) -> Artifact:
+        try:
+            return self.artifacts[artifact_id]
+        except KeyError:
+            raise UnknownArtifact(f"artifact {artifact_id} is not published") from None
 
     def question_slug(self, question: str) -> str:
         """slugify(question), computed once per distinct question."""
@@ -306,10 +306,6 @@ class World:
         if slug is None:
             slug = self._question_slugs[question] = slugify(question)
         return slug
-
-    def on_publish(self, artifact: Artifact) -> None:
-        self.artifacts[artifact.artifact_id] = artifact
-        self.birth_cycles.setdefault(artifact.artifact_id, self.current_cycle)
 
     def on_reaction(self, record: ReactionRecord) -> None:
         for hook in self.reaction_hooks:
@@ -324,8 +320,18 @@ class World:
         parents: Sequence[str] = (),
         investigation_id: str = "",
         needs: NeedsSignal | None = None,
+        fulfills: NeedKey | None = None,
+        before_store: Callable[[Artifact], None] | None = None,
     ) -> Artifact:
-        """Create, store, graph, and index one artifact on an agent's behalf."""
+        """Create and publish one artifact on an agent's behalf; the one
+        place an artifact is made.
+
+        Publishing goes store line, then resolvable (with its birth cycle),
+        then graph, then index, so whoever meets the id in the graph or the
+        index can resolve it. ``before_store`` gets the new artifact before
+        anything is written: a reaction appends its line there, ahead of
+        its product's store line. ``fulfills`` goes on the index entry.
+        """
         runtime = self.agents[agent_name]
         with self._emit_lock:
             artifact = create_artifact(
@@ -340,10 +346,13 @@ class World:
                 known_types=self.registry.artifact_types(),
                 id_factory=lambda: new_uuid(runtime.rng),
             )
+            if before_store is not None:
+                before_store(artifact)
             runtime.store.append(artifact)
+            self.artifacts[artifact.artifact_id] = artifact
+            self.birth_cycles[artifact.artifact_id] = self.current_cycle
             self.graph.insert(artifact)
-            self.index.publish(IndexEntry.for_artifact(artifact))
-            self.on_publish(artifact)
+            self.index.publish(IndexEntry.for_artifact(artifact, fulfills=fulfills))
         return artifact
 
 
@@ -782,14 +791,24 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
 
     Returns the graph, the stored artifacts by id, and every agent's
     mutation events as (agent, line number, event); a damaged store or
-    mutation line raises CorruptStore. Grafts replay in ``seq`` order, the
-    order the live graph applied them; a graft line without one replays
-    after those, by cycle, agent and line.
+    mutation line raises CorruptStore, and so does a store record that
+    another agent produced or that an earlier store holds too. Grafts
+    replay in ``seq`` order, the order the live graph applied them; a graft
+    line without one replays after those, by cycle, agent and line.
     """
     out = Path(out_dir)
     artifacts: dict[str, Artifact] = {}
     for agent_dir in _agent_dirs(out):
-        for artifact in ArtifactStore.open_dir(agent_dir).records():
+        store = ArtifactStore.open_dir(agent_dir)
+        # A store holds one record per line, so a record's place is its line.
+        for number, artifact in enumerate(store.records(), start=1):
+            held = artifacts.get(artifact.artifact_id)
+            if held is not None:
+                raise CorruptStore(str(store.path), number, f"artifact {artifact.artifact_id} "
+                                   f"is in the store of {held.producer_agent} too")
+            if artifact.producer_agent != agent_dir.name:
+                raise CorruptStore(str(store.path), number, f"artifact {artifact.artifact_id} "
+                                   f"was produced by {artifact.producer_agent}")
             artifacts[artifact.artifact_id] = artifact
     graph = LineageGraph()
     for artifact in sorted(artifacts.values(), key=lambda a: (a.timestamp, a.artifact_id)):
@@ -841,15 +860,17 @@ def verify_output(out_dir: str | Path) -> list[str]:
 
     Returns a list of violation descriptions; empty means all checks passed.
     When the lineage cannot be rebuilt at all (a damaged store or mutation
-    log line, a store line repeating an artifact id, or a graft that names
-    a missing node or would close a cycle), that is the one violation
-    returned, since every other check reads the rebuilt lineage. A missing or unreadable report.json (bad JSON, metrics
-    missing or not numbers, a scenario missing or naming an unknown skill)
-    and a damaged reactions.jsonl line are one violation each, and the
-    checks go on with what is left: every reaction's product stored by the
-    reacting agent, no artifact consumed twice, no need key fulfilled twice,
-    none of an agent's own artifacts consumed, every consumed type within
-    the agent's domain, and no merge repeating the input set of another.
+    log line, a store line repeating an artifact id or holding another
+    agent's artifact, or a graft that names a missing node or would close a
+    cycle), that is the one violation returned, since every other check
+    reads the rebuilt lineage. A missing or unreadable report.json (bad
+    JSON, metrics missing or not numbers, a scenario missing or naming an
+    unknown skill) and a damaged reactions.jsonl line are one violation
+    each, and the checks go on with what is left: every reaction's product
+    stored by the reacting agent, no artifact consumed twice, no need key
+    fulfilled twice, none of an agent's own artifacts consumed, every
+    consumed type within the agent's domain, and no merge repeating the
+    input set of another.
     """
     out = Path(out_dir)
     violations: list[str] = []

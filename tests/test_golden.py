@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from artifact.sim import Scenario, demo_scenario, run
+from artifact.sim import Scenario, demo_scenario, run, verify_output
 from artifact.skills import default_registry
 
 from .test_sim import tree_digest
@@ -54,8 +54,10 @@ def grid_scenario(seed: int, agents: int, cycles: int) -> Scenario:
 def test_demo_digest_pinned(tmp_path):
     run(demo_scenario(), tmp_path / "demo")
     assert tree_digest(tmp_path / "demo") == DEMO_DIGEST
+    assert verify_output(tmp_path / "demo") == []
 
 
 def test_mutation_grid_digest_pinned(tmp_path):
     run(grid_scenario(seed=7, agents=10, cycles=10), tmp_path / "grid")
     assert tree_digest(tmp_path / "grid") == GRID_DIGEST
+    assert verify_output(tmp_path / "grid") == []

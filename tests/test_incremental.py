@@ -1,10 +1,11 @@
 """The reactor's incremental scans against the full rescans they replaced.
 
-Random publishes (timestamps out of order, artifacts that resolve only
-later, need carriers and fulfilments, repeated fulfilments) and interleaved
-claims drive a shared index and one reactor per agent. At every check the reactor's candidate list must equal a filter of
-the whole index through ``can_react`` of a reactor that never scanned, and
-the index's ordered needs board must equal a sort-and-rescan of every entry.
+Random publishes (timestamps out of order, need carriers and fulfilments,
+repeated fulfilments) and interleaved claims drive a shared index and one
+reactor per agent. At every check the reactor's candidate list must equal a
+filter of the whole index through ``can_react`` of a reactor that never
+scanned, and the index's ordered needs board must equal a sort-and-rescan of
+every entry.
 The heartbeat's lazy gap choice is checked against the sort it replaced.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from artifact.clock import EPOCH, ManualClock
 from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
-from artifact.ledger import ArtifactStore, create_artifact
+from artifact.ledger import create_artifact
 from artifact.lineage import LineageGraph
 from artifact.memory import slugify
 from artifact.needs import NeedItem, NeedsSignal
@@ -62,8 +63,7 @@ class Peers:
         registry = default_registry()
         self.index = GlobalIndex(directory / GlobalIndex.FILENAME)
         self.claims = ConsumptionClaims()
-        self.resolvable: dict = {}
-        self.unresolved: dict = {}
+        self.artifacts: dict = {}
         self.published: list = []
 
         def reactor(name, tools, subdir):
@@ -72,8 +72,8 @@ class Peers:
                 registry=registry,
                 index=self.index,
                 graph=LineageGraph(),
-                store=ArtifactStore.open_dir(directory / subdir / name),
-                resolve_artifact=lambda e: self.resolvable.get(e.artifact_id),
+                resolve=self.artifacts.__getitem__,
+                emit=None,  # these reactors only scan
                 data_dir=directory / subdir / name,
                 clock=ManualClock(),
                 claims=self.claims,
@@ -83,7 +83,7 @@ class Peers:
         self.references = {n: reactor(n, t, "reference") for n, t in AGENTS.items()}
 
     def publish(self, op) -> None:
-        _, producer, type_pick, keys, investigation, second, needs, resolved, fulfil = op
+        _, producer, type_pick, keys, investigation, second, needs, fulfil = op
         carriers_keys = [
             NeedKey(e.artifact_id, i, vid)
             for e in self.published if e.needs is not None
@@ -111,9 +111,9 @@ class Peers:
             id_factory=lambda: f"a{number:03d}",
         )
         entry = IndexEntry.for_artifact(artifact, fulfills=fulfills)
+        self.artifacts[artifact.artifact_id] = artifact  # resolvable before it is indexed
         self.index.publish(entry)
         self.published.append(entry)
-        (self.resolvable if resolved else self.unresolved)[artifact.artifact_id] = artifact
 
 
 publishes = st.tuples(
@@ -124,29 +124,24 @@ publishes = st.tuples(
     st.sampled_from(("", "x", "y")),
     st.integers(0, 12),  # seconds after the epoch: timestamps land out of order
     st.lists(st.tuples(st.integers(0, len(TYPES) - 1), st.integers(0, 2)), max_size=2),
-    st.booleans(),  # resolvable at once, or only after a later "resolve"
     st.none() | st.integers(0, 40),  # fulfil one of the keys broadcast so far
 )
 claims = st.tuples(st.just("claim"), st.integers(0, 60))
-resolves = st.tuples(st.just("resolve"))
 checks = st.tuples(st.just("check"), st.integers(0, len(AGENTS) - 1))
 
 
 @settings(max_examples=120)
-@given(ops=st.lists(st.one_of(publishes, publishes, claims, resolves, checks, checks),
+@given(ops=st.lists(st.one_of(publishes, publishes, claims, checks, checks),
                     min_size=5, max_size=40))
 def test_incremental_scans_match_full_rescan(ops):
     with tempfile.TemporaryDirectory() as tmp:
         peers = Peers(Path(tmp))
-        for op in ops + [("resolve",)] + [("check", a) for a in range(len(AGENTS))]:
+        for op in ops + [("check", a) for a in range(len(AGENTS))]:
             if op[0] == "publish":
                 peers.publish(op)
             elif op[0] == "claim" and peers.published:
                 peers.claims.claim_all((peers.published[op[1] % len(peers.published)]
                                         .artifact_id,))
-            elif op[0] == "resolve":
-                peers.resolvable.update(peers.unresolved)
-                peers.unresolved.clear()
             elif op[0] == "check":
                 name = list(AGENTS)[op[1]]
                 reactor, reference = peers.reactors[name], peers.references[name]

@@ -1,8 +1,9 @@
 """Random scenarios, each run both sequentially and concurrently.
 
-``verify`` must find nothing wrong in either mode, and a sequential run must
-write the same tree again when rerun. Concurrent runs are not compared byte
-for byte: which thread claims an artifact first is up to the scheduler.
+``verify`` must find nothing wrong in either mode, no ``artifact.*`` logger
+may report a swallowed exception, and a sequential run must write the same
+tree again when rerun. Concurrent runs are not compared byte for byte:
+which thread claims an artifact first is up to the scheduler.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from artifact.sim import Scenario, run, verify_output
 from artifact.skills import default_registry
 
 from .test_golden import TOPIC_WORDS
-from .test_sim import tree_digest
+from .test_sim import logged_errors, tree_digest
 
 TOOLS = [m.name for m in default_registry().skills()]
 
@@ -54,11 +55,13 @@ def scenarios(draw) -> dict:
 def test_both_modes_verify_and_sequential_reruns_repeat(data):
     root = Path(tempfile.mkdtemp())
     try:
-        run(Scenario.from_dict(data), root / "first")
-        assert verify_output(root / "first") == []
-        run(Scenario.from_dict(data), root / "again")
-        assert tree_digest(root / "again") == tree_digest(root / "first")
-        run(Scenario.from_dict({**data, "concurrent": True}), root / "concurrent")
-        assert verify_output(root / "concurrent") == []
+        with logged_errors() as errors:
+            run(Scenario.from_dict(data), root / "first")
+            assert verify_output(root / "first") == []
+            run(Scenario.from_dict(data), root / "again")
+            assert tree_digest(root / "again") == tree_digest(root / "first")
+            run(Scenario.from_dict({**data, "concurrent": True}), root / "concurrent")
+            assert verify_output(root / "concurrent") == []
+        assert [record.getMessage() for record in errors] == []
     finally:
         shutil.rmtree(root)

@@ -29,7 +29,11 @@ class ZeroNoise:
 
 
 class MutatorHarness:
-    """Graph + artifact pool + a mutator whose emissions land in the pool."""
+    """Graph + artifact pool + a mutator whose emissions land in the pool.
+
+    ``emit`` publishes in the order ``World.emit`` does: resolvable, with
+    its birth cycle ``cycle``, before it is in the graph.
+    """
 
     def __init__(self, tmp_path=None, policy=None, mutator_cls=Mutator):
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
@@ -37,10 +41,11 @@ class MutatorHarness:
         self.graph = LineageGraph()
         self.artifacts = {}
         self.birth_cycles = {}
+        self.cycle = 0
         self.mutator = mutator_cls(
             agent_name="mora",
             graph=self.graph,
-            resolve=self.artifacts.get,
+            resolve=self.artifacts.__getitem__,
             emit=self.emit,
             policy=policy or MutationPolicy(),
             rng=random.Random(7),
@@ -59,8 +64,9 @@ class MutatorHarness:
             clock=self.clock,
             id_factory=lambda: new_uuid(self.rng),
         )
-        self.graph.insert(artifact)
         self.artifacts[artifact.artifact_id] = artifact
+        self.birth_cycles[artifact.artifact_id] = self.cycle
+        self.graph.insert(artifact)
         return artifact
 
     def add(self, payload, parents=(), artifact_type="protein_data", born=0):
@@ -93,7 +99,7 @@ def test_policy_bounds_enforced():
 
 def test_policy_payload_round_trip():
     policy = MutationPolicy(stagnation_cycles=5, redundancy_threshold=0.8)
-    assert MutationPolicy.from_payload(policy.to_payload()) == policy
+    assert MutationPolicy(**policy.to_payload()) == policy
 
 
 # -- detection ------------------------------------------------------------------
@@ -298,7 +304,7 @@ def test_concurrent_agents_merge_each_pair_once():
     for _ in range(12):
         harness.add({"x": 1, "y": 2}, parents=(root.artifact_id,), born=9)
     mutators = [
-        Mutator(agent_name=f"m{i}", graph=harness.graph, resolve=harness.artifacts.get,
+        Mutator(agent_name=f"m{i}", graph=harness.graph, resolve=harness.artifacts.__getitem__,
                 emit=harness.emit, policy=harness.mutator.policy,
                 birth_cycles=harness.birth_cycles)
         for i in range(8)
@@ -431,16 +437,13 @@ class RescanningMutator(Mutator):
         self.merged = set()
 
     def _payload_keys(self, artifact_id):
-        artifact = self.resolve(artifact_id)
-        return None if artifact is None else frozenset(artifact.payload)
+        return frozenset(self.resolve(artifact_id).payload)
 
     def detect_redundancy(self):
         flagged = []
         for a_id, b_id in rescanned_pairs(self.graph):
             keys_a = self._payload_keys(a_id)
             keys_b = self._payload_keys(b_id)
-            if keys_a is None or keys_b is None:
-                continue
             if jaccard(keys_a, keys_b) > self.policy.redundancy_threshold:
                 flagged.append((a_id, b_id))
         return flagged
@@ -450,8 +453,6 @@ class RescanningMutator(Mutator):
         for a_id, b_id in rescanned_pairs(self.graph):
             art_a = self.resolve(a_id)
             art_b = self.resolve(b_id)
-            if art_a is None or art_b is None:
-                continue
             for key in sorted(set(art_a.payload) & set(art_b.payload)):
                 if art_a.payload[key] != art_b.payload[key]:
                     flagged.append((a_id, b_id, key))
@@ -479,10 +480,7 @@ class RescanningMutator(Mutator):
                 self.graft(b_id, a_id, cycle=cycle)
                 applied.append(self.events[-1])
             except CycleRejected:
-                art_a, art_b = self.resolve(a_id), self.resolve(b_id)
-                if art_a is None or art_b is None:
-                    continue
-                self.merge_siblings(art_a, art_b, cycle=cycle)
+                self.merge_siblings(self.resolve(a_id), self.resolve(b_id), cycle=cycle)
                 self.merged.add((a_id, b_id))
                 applied.append(self.events[-1])
             touched.update((a_id, b_id))
@@ -493,10 +491,7 @@ class RescanningMutator(Mutator):
                 continue
             if not self._share_parent(a_id, b_id):
                 continue
-            art_a, art_b = self.resolve(a_id), self.resolve(b_id)
-            if art_a is None or art_b is None:
-                continue
-            self.merge_siblings(art_a, art_b, cycle=cycle)
+            self.merge_siblings(self.resolve(a_id), self.resolve(b_id), cycle=cycle)
             self.merged.add((a_id, b_id))
             applied.append(self.events[-1])
             touched.update((a_id, b_id))
@@ -506,13 +501,11 @@ class RescanningMutator(Mutator):
             if leaf in touched:
                 continue
             artifact = self.resolve(leaf)
-            if artifact is None or len(artifact.payload) < 2:
+            if len(artifact.payload) < 2:
                 continue
             child_a, child_b = self.fork(artifact, cycle=cycle)
             applied.append(self.events[-1])
             touched.update((leaf, child_a.artifact_id, child_b.artifact_id))
-            self.birth_cycles.setdefault(child_a.artifact_id, cycle)
-            self.birth_cycles.setdefault(child_b.artifact_id, cycle)
         return applied
 
 
@@ -559,6 +552,7 @@ def test_pair_index_matches_full_rescan(ops, threshold, budget):
             assert outcomes[0] == outcomes[1]
         elif op[0] == "cycle":
             cycle += 1
+            live.cycle = rescan.cycle = cycle
             assert live.graph.sibling_pairs().pairs() == rescanned_pairs(live.graph)
             assert live.mutator.detect_conflict() == rescan.mutator.detect_conflict()
             assert live.mutator.detect_redundancy() == rescan.mutator.detect_redundancy()

@@ -105,6 +105,10 @@ def test_merge_matches_brute_force_fold():
 # -- harness ----------------------------------------------------------------------
 
 class Harness:
+    """A shared index, graph and claim set, and one store and reactor per
+    agent; ``emit`` publishes in the order ``World.emit`` does, and the
+    reactors publish through it."""
+
     def __init__(self, tmp_path, registry, agents: dict):
         self.registry = registry
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
@@ -121,36 +125,43 @@ class Harness:
             store = ArtifactStore.open_dir(agent_dir)
             self.stores[name] = store
             self.rngs[name] = random.Random(name)  # str seeding is stable
-            self.reactors[name] = ArtifactReactor(
-                profile=profile,
-                registry=registry,
-                index=self.index,
-                graph=self.graph,
-                store=store,
-                resolve_artifact=lambda e: self.artifacts.get(e.artifact_id),
-                data_dir=agent_dir,
-                clock=self.clock,
-                rng=self.rngs[name],
-                claims=self.claims,
-                on_publish=lambda a: self.artifacts.__setitem__(a.artifact_id, a),
-            )
+            self.reactors[name] = self.reactor(name, profile, self.claims)
 
-    def emit(self, agent, artifact_type, payload, parents=(), needs=None, skill="synthesize"):
+    def reactor(self, name, profile, claims):
+        """A reactor for the agent that shares the harness's index and graph."""
+        return ArtifactReactor(
+            profile=profile,
+            registry=self.registry,
+            index=self.index,
+            graph=self.graph,
+            resolve=self.artifacts.__getitem__,
+            emit=lambda **kwargs: self.emit(name, **kwargs),
+            data_dir=self.stores[name].path.parent,
+            clock=self.clock,
+            rng=self.rngs[name],
+            claims=claims,
+        )
+
+    def emit(self, agent, artifact_type, payload, parents=(), needs=None, skill="synthesize",
+             investigation_id="", fulfills=None, before_store=None):
         artifact = create_artifact(
             artifact_type=artifact_type,
             producer_agent=agent,
             skill=skill,
             payload=payload,
             parents=parents,
+            investigation_id=investigation_id,
             needs=needs,
             clock=self.clock,
             known_types=self.registry.artifact_types(),
             id_factory=lambda: new_uuid(self.rngs[agent]),
         )
+        if before_store is not None:
+            before_store(artifact)
         self.stores[agent].append(artifact)
-        self.graph.insert(artifact)
-        self.index.publish(IndexEntry.for_artifact(artifact))
         self.artifacts[artifact.artifact_id] = artifact
+        self.graph.insert(artifact)
+        self.index.publish(IndexEntry.for_artifact(artifact, fulfills=fulfills))
         return artifact
 
 
@@ -425,17 +436,21 @@ def test_ledger_files_on_disk(harness, tmp_path):
 
 
 def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_path):
-    """For every reaction kind, the line naming the product is written first."""
+    """For every reaction kind, the line naming the product is written
+    before the product's store line, and so before anyone can see it."""
     log_path = tmp_path / "agents" / "bob" / "reactions.jsonl"
+    store = harness.stores["bob"]
+    store_append = store.append
     seen = []
 
     def check_log(artifact):
-        harness.artifacts[artifact.artifact_id] = artifact
         last = json.loads(log_path.read_text(encoding="utf-8").splitlines()[-1])
-        seen.append((last["kind"], last["produced_id"] == artifact.artifact_id))
+        seen.append((last["kind"], last["produced_id"] == artifact.artifact_id,
+                     artifact.artifact_id in harness.artifacts))
+        store_append(artifact)
 
+    store.append = check_log
     bob = harness.reactors["bob"]
-    bob.on_publish = check_log
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     harness.emit("alice", "protein_data", {"sequence": "AAA"})
@@ -444,7 +459,9 @@ def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_p
     assert bob.react_multi().kind == "multi_parent"
     harness.emit("alice", "protein_data", {"sequence": "GGG"})
     assert bob.react_single().kind == "single_parent"
-    assert seen == [("need_driven", True), ("multi_parent", True), ("single_parent", True)]
+    assert seen == [("need_driven", True, False), ("multi_parent", True, False),
+                    ("single_parent", True, False)]
+    assert [r.produced_id for r in bob.reaction_log] == [a.artifact_id for a in store.records()]
 
 
 def test_payload_key_cache_is_transparent(harness):
@@ -517,13 +534,7 @@ def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
 
 def restart(harness, name, claims):
     """A new reactor for an agent whose earlier reactor has run."""
-    old = harness.reactors[name]
-    return ArtifactReactor(
-        profile=old.profile, registry=harness.registry, index=harness.index,
-        graph=harness.graph, store=harness.stores[name],
-        resolve_artifact=lambda e: harness.artifacts.get(e.artifact_id),
-        data_dir=old.data_dir, clock=harness.clock, claims=claims,
-    )
+    return harness.reactor(name, harness.reactors[name].profile, claims)
 
 
 def test_claims_are_seeded_from_both_ledger_files(harness):

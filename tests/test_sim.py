@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario
+from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario, UnknownArtifact
 from artifact.governance import GovernanceLedger
+from artifact.index import GlobalIndex
 from artifact.ledger import ArtifactStore
+from artifact.lineage import LineageGraph
 from artifact.memory import AgentJournal, InvestigationTracker
 from artifact.sim import (
     Scenario,
@@ -48,6 +53,24 @@ def fig2_scenario(cycles=3, seed=99):
             {"cycle": 1, "agent": "alice", "topic": "peptide conservation scan rr28"},
         ],
     })
+
+
+@contextmanager
+def logged_errors():
+    """The ERROR records any ``artifact.*`` logger writes inside the block.
+
+    The heartbeat and the reactor log an exception they swallow this way, so
+    a run can fail where ``verify`` sees nothing wrong.
+    """
+    records = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("artifact")
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
 
 
 def tree_digest(root) -> str:
@@ -412,6 +435,8 @@ def _graft(node, new_parent):
     ("garbled store line", "CorruptStore"),
     ("non-UTF-8 store line", "CorruptStore"),
     ("repeated store line", "CorruptStore"),
+    ("a peer's store line", "is in the store of alice too"),
+    ("a record a peer produced", "was produced by alice"),
     ("non-UTF-8 mutation line", "CorruptStore"),
     ("graft onto a descendant", "CycleRejected"),
     ("graft onto a missing parent", "DanglingParent"),
@@ -451,6 +476,13 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
                      _first_line(alice / ArtifactStore.FILENAME)[:-1] + b"\xff\n")
     elif damage == "repeated store line":
         _append_line(alice / ArtifactStore.FILENAME, _first_line(alice / ArtifactStore.FILENAME))
+    elif damage == "a peer's store line":
+        _append_line(out / "agents" / "bruno" / ArtifactStore.FILENAME,
+                     _first_line(alice / ArtifactStore.FILENAME))
+    elif damage == "a record a peer produced":
+        record = json.loads(_first_line(alice / ArtifactStore.FILENAME))
+        record["artifact_id"] = "00000000-0000-4000-8000-000000000000"
+        _append_line(out / "agents" / "bruno" / ArtifactStore.FILENAME, record)
     elif damage == "non-UTF-8 mutation line":
         _append_line(alice / "mutations.jsonl", json.dumps(_graft(child.artifact_id, parent))
                      .encode("utf-8") + b"\xff\n")
@@ -597,9 +629,52 @@ def test_concurrent_mode_preserves_invariants(tmp_path):
     data = fig2_scenario(cycles=3).to_dict()
     data["concurrent"] = True
     scenario = Scenario.from_dict(data)
-    world, _ = run(scenario, tmp_path / "out")
+    with logged_errors() as errors:
+        world, _ = run(scenario, tmp_path / "out")
+    assert [record.getMessage() for record in errors] == []
     assert verify_output(tmp_path / "out") == []
     assert world.graph.is_acyclic()
+
+
+def test_an_id_resolves_before_the_graph_or_the_index_holds_it(tmp_path, monkeypatch):
+    """Agents on threads publish through World.emit; every id handed to the
+    world's graph or index already resolves."""
+    worlds, unresolved = [], []
+    world_init = World.__init__
+
+    def init(world, *args, **kwargs):
+        worlds.append(world)
+        world_init(world, *args, **kwargs)
+
+    def checked(method):
+        def wrapper(structure, item):
+            for world in worlds:
+                if structure is world.graph or structure is world.index:
+                    try:
+                        found = world.resolve_id(item.artifact_id)
+                    except UnknownArtifact:
+                        found = None
+                    if found is None:
+                        unresolved.append((type(structure).__name__, item.artifact_id))
+            return method(structure, item)
+        return wrapper
+
+    monkeypatch.setattr(World, "__init__", init)
+    monkeypatch.setattr(LineageGraph, "insert", checked(LineageGraph.insert))
+    monkeypatch.setattr(GlobalIndex, "publish", checked(GlobalIndex.publish))
+    data = fig2_scenario(cycles=3).to_dict()
+    data["concurrent"] = True
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with logged_errors() as errors:
+            world, report = run(Scenario.from_dict(data), tmp_path / "out")
+    finally:
+        sys.setswitchinterval(interval)
+    assert [w is world for w in worlds] == [True]
+    assert unresolved == []
+    assert [record.getMessage() for record in errors] == []
+    assert report.reactions and len(world.artifacts) == len(world.graph) == len(world.index)
 
 
 # -- export -----------------------------------------------------------------------
