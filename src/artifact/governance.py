@@ -4,11 +4,17 @@ All mutation goes through command methods that validate, apply, then append
 one canonical event line; replaying the log rebuilds identical state. Karma
 is the running sum of votes on an author's posts and comments; tier follows
 karma (and reputation, for Trusted) after every change.
+
+The ledger keeps the visible posts in ``(created, id)`` order as they are
+created or replayed, so the feed is read, never sorted. A post is hidden
+only when it is created (its author is shadowbanned then), so a post never
+leaves that order.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -164,6 +170,11 @@ class _RateState:
     votes_today: int = 0
 
 
+def feed_order(post: Post) -> tuple:
+    """The order of the feed, oldest first: created, then id."""
+    return (post.created, post.id)
+
+
 def _seconds_to_next_utc_day(now: datetime) -> float:
     next_day = (now + timedelta(days=1)).replace(hour=0, minute=0, second=0, microsecond=0)
     return (next_day - now).total_seconds()
@@ -183,21 +194,23 @@ class GovernanceLedger:
         self.resolve_ref = resolve_ref
         self.accounts: dict[str, AgentAccount] = {}
         self.posts: dict[str, Post] = {}
+        self._visible: list[Post] = []
+        self.feed_reorders = 0
         self.comments: dict[str, CommentAction] = {}
         self.links: list[PostLink] = []
         self._rates: dict[str, _RateState] = {}
         self._counters = {"post": 0, "comment": 0}
         self._replaying = False
-        self._file = AppendLog(self.path) if self.path is not None else None
+        self.file = AppendLog(self.path) if self.path is not None else None
         if self.path is not None:
             self._replay()
 
     # -- event log --------------------------------------------------------
 
     def _log(self, op: str, data: dict, now: datetime) -> None:
-        if self._replaying or self._file is None:
+        if self._replaying or self.file is None:
             return
-        self._file.append({"op": op, "now": format_timestamp(now), "data": data})
+        self.file.append({"op": op, "now": format_timestamp(now), "data": data})
 
     def _replay(self) -> None:
         """Dispatch every logged event again; a damaged line, or an event the
@@ -374,6 +387,11 @@ class GovernanceLedger:
             created=format_timestamp(now),
         )
         self.posts[post.id] = post
+        if not post.hidden:
+            position = bisect_right(self._visible, feed_order(post), key=feed_order)
+            if position < len(self._visible):
+                self.feed_reorders += 1
+            self._visible.insert(position, post)
         account.post_count += 1
         self._count_action(author, "post", now)
         self._log("post", {
@@ -515,13 +533,18 @@ class GovernanceLedger:
     # -- queries ----------------------------------------------------------
 
     def feed(self, community: str | None = None, limit: int | None = None) -> list[Post]:
-        """Visible posts, newest first."""
-        posts = [
-            p for p in self.posts.values()
-            if not p.hidden and (community is None or p.community == community)
-        ]
-        posts.sort(key=lambda p: (p.created, p.id), reverse=True)
+        """Visible posts, newest first by (created, id), read from the order
+        the ledger keeps."""
+        posts = [p for p in reversed(self._visible)
+                 if community is None or p.community == community]
         return posts if limit is None else posts[:limit]
+
+    def visible_posts(self) -> list[Post]:
+        """The visible posts of every community in (created, id) order: the
+        ledger's own list, to read under the caller's lock and not to
+        change. A post joins at the end unless it is older than the newest,
+        and ``feed_reorders`` counts the posts that joined anywhere else."""
+        return self._visible
 
     def pending_interventions(self, agent: str) -> list[CommentAction]:
         """Unread chat/redirect comments on the agent's posts, oldest first."""

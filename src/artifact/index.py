@@ -15,6 +15,15 @@ unfulfilled keys, a fulfilment removes its key, and an entry leaves the
 list once every key it broadcast is fulfilled. ``open_needs`` walks only
 that list. Readers that follow the index incrementally take the entries
 appended since their last look with ``entries_since``.
+
+The board also keeps each open row's centrality (see ``pressure.centrality``)
+with an inverted file (Zobel and Moffat, ACM Computing Surveys 2006): a
+posting from each ``(artifact_type, token)`` to the open rows whose query has
+that token. A row's query is tokenised once, when it is admitted; its count
+starts at 1 plus the open rows its postings meet, and those rows count it
+too. Closing a row takes it out of its postings and out of the counts of the
+rows it met. Rows of one ``NeedItem`` object, the variants of one need,
+never count each other.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from pathlib import Path
 
 from .errors import CorruptStore, DuplicateEntry
 from .ledger import AppendLog, Artifact, read_log
-from .needs import NeedItem, NeedsSignal
+from .needs import NeedItem, NeedsSignal, tokenize
 
 DEFAULT_VARIANT = "default"
 
@@ -118,7 +127,9 @@ def scan_order(entry: "IndexEntry") -> tuple:
 
 
 class GlobalIndex:
-    """Append-only shared index; scans are deterministic snapshots."""
+    """Append-only shared index with the needs board; scans are
+    deterministic snapshots, and the board keeps each open row's centrality
+    count as rows open and close (see the module doc)."""
 
     FILENAME = "index.jsonl"
 
@@ -133,6 +144,11 @@ class GlobalIndex:
         # open (key, item, entry) rows in need-index and variant order.
         self._need_carriers: list[IndexEntry] = []
         self._open_rows: dict[str, list[tuple]] = {}
+        # Centrality: each open row's count and query tokens, and the
+        # postings from (artifact_type, token) to open rows and their items.
+        self._centrality: dict[NeedKey, int] = {}
+        self._row_tokens: dict[NeedKey, set[str]] = {}
+        self._postings: dict[tuple[str, str], dict[NeedKey, NeedItem]] = {}
         self._lock = threading.Lock()
         if self.path is not None:
             for number, entry in read_log(self.path, IndexEntry.from_dict):
@@ -147,10 +163,12 @@ class GlobalIndex:
         if entry.needs is not None:
             rows = []
             for need_index, item in enumerate(entry.needs.items):
+                tokens = tokenize(item.query)
                 for vid in variant_ids(item):
                     key = NeedKey(entry.artifact_id, need_index, vid)
                     if key.text not in self._fulfilled_keys:
                         rows.append((key, item, entry))
+                        self._count_in(key, item, tokens)
             if rows:
                 self._open_rows[entry.artifact_id] = rows
                 insort(self._need_carriers, entry, key=scan_order)
@@ -160,12 +178,50 @@ class GlobalIndex:
             self._coverage[pair] = self._coverage.get(pair, 0) + 1
             self._close(entry.fulfills)
 
+    def _met_rows(self, item: NeedItem, tokens: set[str]) -> dict[NeedKey, NeedItem]:
+        """The open rows whose postings meet ``tokens`` in the item's type,
+        other than rows of the item itself."""
+        met: dict[NeedKey, NeedItem] = {}
+        for token in tokens:
+            posting = self._postings.get((item.artifact_type, token))
+            if posting:
+                met.update(posting)
+        return {key: other for key, other in met.items() if other is not item}
+
+    def _count_in(self, key: NeedKey, item: NeedItem, tokens: set[str]) -> None:
+        """Open a row's count and postings, and count it in the rows it meets."""
+        met = self._met_rows(item, tokens)
+        for other in met:
+            self._centrality[other] += 1
+        self._centrality[key] = 1 + len(met)
+        self._row_tokens[key] = tokens
+        for token in tokens:
+            self._postings.setdefault((item.artifact_type, token), {})[key] = item
+
+    def _count_out(self, key: NeedKey, item: NeedItem) -> None:
+        """Close a row's count and postings, and uncount it where it met."""
+        del self._centrality[key]
+        tokens = self._row_tokens.pop(key)
+        for token in tokens:
+            posting_key = (item.artifact_type, token)
+            posting = self._postings[posting_key]
+            del posting[key]
+            if not posting:
+                del self._postings[posting_key]
+        for other in self._met_rows(item, tokens):
+            self._centrality[other] -= 1
+
     def _close(self, key: NeedKey) -> None:
         """Drop a fulfilled key's row, and its carrier once no row is left."""
         rows = self._open_rows.get(key.artifact_id)
         if rows is None:
             return
-        remaining = [row for row in rows if row[0] != key]
+        remaining = []
+        for row in rows:
+            if row[0] == key:
+                self._count_out(key, row[1])
+            else:
+                remaining.append(row)
         if remaining:
             self._open_rows[key.artifact_id] = remaining
             return
@@ -216,16 +272,21 @@ class GlobalIndex:
         found.sort(key=scan_order)
         return found
 
-    def open_needs(self) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
+    def open_needs(
+        self, centrality: dict[NeedKey, int] | None = None
+    ) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
         """Every unfulfilled (key, item, carrying entry) row, variant-expanded.
 
         Rows come in (timestamp, id) order of the carrying entry, then need
-        index, then variant.
+        index, then variant. When ``centrality`` is given, it gets each
+        row's centrality count, read under the same lock as the rows.
         """
         rows = []
         with self._lock:
             for entry in self._need_carriers:
                 rows.extend(self._open_rows[entry.artifact_id])
+            if centrality is not None:
+                centrality.update(self._centrality)
         return rows
 
     def coverage(self, artifact_id: str, need_index: int) -> int:

@@ -7,11 +7,12 @@ stores only ever grow.
 
 Every JSONL file of a run (store, index, reactions, journal, mutations and
 governance log) has one format, kept here: one canonical JSON object per
-newline-terminated UTF-8 line. ``AppendLog`` is its one writer: an append
-writes and flushes one whole line, and a later ``sync`` makes every append
-since the last one durable with one fsync, so a caller can commit a batch of
-appends as a group. Only the files of the write-ahead chain (reactions, store,
-index) are ever synced. ``read_log`` is its one reader, and holds the damage
+newline-terminated UTF-8 line. ``AppendLog`` is its one writer: it keeps
+its file open between appends, an append hands one whole line to the
+operating system, and a later ``sync`` makes every append since the last one
+durable with one fsync of that same handle, so a caller can commit a batch
+of appends as a group. Only the files of the write-ahead chain (reactions,
+store, index) are ever synced. ``read_log`` is its one reader, and holds the damage
 rule: a line that breaks the format raises ``CorruptStore`` with the file's
 path and the line's number.
 """
@@ -188,24 +189,31 @@ def parse_address(text: str) -> ArtifactAddress:
 class AppendLog:
     """A JSONL file that grows one whole line at a time and is synced apart.
 
-    ``append`` writes a record's canonical line and flushes it to the
-    operating system, so a process crash loses none of it; only ``sync``
-    makes it survive a power loss. ``sync`` fsyncs once, and only if
-    something was appended since the last sync. The file's directory is
-    created at the first append.
+    The file is opened, and its directory made, at the first append, and
+    kept open until ``close``; an append after a close opens it again. The
+    handle is unbuffered: ``append`` writes a record's whole canonical line
+    to the operating system before it returns, so a process crash loses
+    none of it and no part of a line waits in the process. Only ``sync``
+    makes it survive a power loss. ``sync`` fsyncs the handle once, and only
+    if something was appended since the last sync.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._handle = None
         self._unsynced = False
-        self._dir_made = False
+
+    def _open(self):
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.path, "ab", buffering=0)
+        return self._handle
 
     def append(self, record: dict) -> None:
-        if not self._dir_made:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._dir_made = True
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_line(record))
+        line = memoryview(canonical_line(record).encode("utf-8"))
+        handle = self._open()
+        while line:  # a raw write may take only part of the line
+            line = line[handle.write(line):]
         self._unsynced = True
 
     def sync(self) -> None:
@@ -214,11 +222,13 @@ class AppendLog:
         if not self._unsynced:
             return
         self._unsynced = False
-        fd = os.open(self.path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        os.fsync(self._open().fileno())
+
+    def close(self) -> None:
+        """Close the file; what was appended stays as it is, synced or not."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 def read_log(

@@ -83,7 +83,7 @@ class AgentJournal:
     def __init__(self, path: str | Path, clock: Clock | None = None):
         self.path = Path(path)
         self.clock = clock or SystemClock()
-        self._file = AppendLog(self.path)
+        self.file = AppendLog(self.path)
 
     def log(self, kind: str, content: str, metadata: dict | None = None) -> JournalEntry:
         if kind not in JOURNAL_KINDS:
@@ -94,7 +94,7 @@ class AgentJournal:
             content=content,
             metadata=metadata or {},
         )
-        self._file.append(entry.to_dict())
+        self.file.append(entry.to_dict())
         return entry
 
     def entries(self) -> list[JournalEntry]:

@@ -187,7 +187,7 @@ class Mutator:
         self.policy = policy or MutationPolicy()
         self.rng = rng or random.Random()
         self.birth_cycles = birth_cycles if birth_cycles is not None else {}
-        self._file = AppendLog(Path(data_dir) / MUTATIONS_FILE) if data_dir is not None else None
+        self.file = AppendLog(Path(data_dir) / MUTATIONS_FILE) if data_dir is not None else None
         self.events: list[MutationEvent] = []
         self.policy_artifact_id: str | None = None
         self.last_rates: tuple[float, float] = (0.0, 0.0)
@@ -196,8 +196,8 @@ class Mutator:
 
     def _log_event(self, event: MutationEvent) -> None:
         self.events.append(event)
-        if self._file is not None:
-            self._file.append(event.to_dict())
+        if self.file is not None:
+            self.file.append(event.to_dict())
 
     def _judge(self, a_id: str, b_id: str) -> PairVerdict:
         payload_a, payload_b = self.resolve(a_id).payload, self.resolve(b_id).payload

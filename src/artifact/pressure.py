@@ -4,7 +4,10 @@ score = 2.0 * novelty + 1.0 * centrality + 0.5 * depth + 0.2 * age
 
 Novelty is 1/(1 + coverage), so unanswered needs outrank well-served ones.
 Centrality counts convergent demand: open needs of the same type whose query
-tokens overlap. Depth is the DAG depth of the artifact carrying the need.
+tokens overlap. ``centrality`` is its specification; in a simulation the
+index keeps each open need's count as needs open and close, and the reactor
+hands that count in through the context. Depth is the DAG depth of the
+artifact carrying the need.
 The age term grows as log(1 + minutes), so a need left open long enough
 eventually outranks any fixed competitor.
 """
@@ -50,11 +53,16 @@ class PressureBreakdown:
 
 @dataclass(frozen=True)
 class PressureContext:
+    """What a need's score depends on besides the need. ``centrality``, when
+    given, is the need's count as the index keeps it; otherwise the count is
+    computed from ``open_needs``."""
+
     coverage: int
     open_needs: tuple
     parent_depth: int
     created: datetime
     now: datetime
+    centrality: int | None = None
 
 
 def novelty(coverage: int) -> float:
@@ -87,7 +95,10 @@ def age_term(created: datetime, now: datetime) -> float:
 
 def pressure(need: NeedItem, context: PressureContext) -> PressureBreakdown:
     nov = novelty(context.coverage)
-    cen = centrality(need, context.open_needs)
+    if context.centrality is None:
+        cen = centrality(need, context.open_needs)
+    else:
+        cen = float(context.centrality)
     age = age_term(context.created, context.now)
     score = W_NOVELTY * nov + W_CENTRALITY * cen + W_DEPTH * context.parent_depth + W_AGE * age
     return PressureBreakdown(
@@ -131,15 +142,17 @@ def rank(
 def build_context(
     entry: IndexEntry,
     coverage: int,
-    open_items: Sequence[NeedItem],
+    centrality_count: int,
     parent_depth: int,
     now: datetime,
 ) -> PressureContext:
-    """The pressure context of one need carrier, as the reactor ranks it."""
+    """The pressure context of one need row, as the reactor ranks it, with
+    the centrality count the index keeps for the row."""
     return PressureContext(
         coverage=coverage,
-        open_needs=tuple(open_items),
+        open_needs=(),
         parent_depth=parent_depth,
         created=parse_timestamp(entry.timestamp),
         now=now,
+        centrality=centrality_count,
     )

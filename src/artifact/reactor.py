@@ -25,7 +25,8 @@ held in ``(timestamp, id)`` order with their payload keys. ``emit`` makes
 an artifact resolvable before it enters the index, so every admitted entry
 resolves. Claims only grow, so a candidate claimed since is dropped when a scan
 reaches it. Open needs come from the index's own ordered needs board, read
-once per need phase; keys any reactor has claimed are skipped there.
+once per need phase, with each row's centrality count; keys any reactor has
+claimed are skipped there.
 """
 
 from __future__ import annotations
@@ -398,11 +399,10 @@ class ArtifactReactor:
         """Fulfill up to ``limit`` open needs in descending pressure order."""
         if limit <= 0:
             return []
-        pool = self.index.open_needs()
-        rows = self.scan_needs(pool)
+        centrality: dict[NeedKey, int] = {}
+        rows = self.scan_needs(self.index.open_needs(centrality))
         if not rows:
             return []
-        pool_items = tuple(item for _, item, _ in pool)
         now = self.clock.now()
         contexts = {}
         for key, item, entry in rows:
@@ -410,7 +410,7 @@ class ArtifactReactor:
             contexts[key.text] = build_context(
                 entry=entry,
                 coverage=self.index.coverage(key.artifact_id, key.need_index),
-                open_items=pool_items,
+                centrality_count=centrality[key],
                 parent_depth=depth,
                 now=now,
             )

@@ -10,6 +10,7 @@ seeded deterministic stub that preserves the control flow.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import random
@@ -32,7 +33,7 @@ from .errors import (
     RateLimited,
     UnknownArtifact,
 )
-from .governance import ArtifactRef, GovernanceLedger
+from .governance import ArtifactRef, GovernanceLedger, Post
 from .index import GlobalIndex, IndexEntry, NeedKey
 from .ledger import (
     Artifact,
@@ -195,6 +196,65 @@ def demo_scenario() -> Scenario:
 # World
 # ---------------------------------------------------------------------------
 
+class GapQueue:
+    """One agent's open questions on peers' visible posts, in the agent's
+    seeded hash order: the queue ``choose_gap`` takes its head from.
+
+    It follows the ledger's visible posts with a cursor. Each post that
+    joined since the last look, unless the agent wrote it or it belongs to
+    another community, pushes one entry per open question, and so a question
+    asked twice has two entries. An entry is one int, packed from the high
+    bits down: the question's hash rank; ``LAST_PLACE`` minus the post's
+    place in the visible posts, so that newer posts sort first; the
+    question's place in its post. Equal ranks therefore go to the question
+    that comes first in feed order, newest post first. An entry
+    whose investigation the agent has started is popped only when it
+    reaches the top: trackers only grow, and a post is hidden only when it
+    is created, so no entry below the top can come back. Should a post
+    join the feed anywhere but at its end, which a run's clock never makes
+    happen, the places shift and the queue is rebuilt from the start.
+    """
+
+    QUESTION_BITS = 16  # questions past the first 2**16 of one post are not queued
+    PLACE_BITS = 32
+    LAST_PLACE = (1 << PLACE_BITS) - 1
+
+    def __init__(self, agent: str, seed: int, community: str):
+        self.agent = agent
+        self.seed = str(seed)
+        self.community = community
+        self._cursor = 0
+        self._reorders = 0
+        self._heap: list[int] = []
+
+    def _admit(self, posts: list[Post]) -> None:
+        for place in range(self._cursor, len(posts)):
+            post = posts[place]
+            if post.author == self.agent or post.community != self.community:
+                continue
+            for number, question in enumerate(post.open_questions[:1 << self.QUESTION_BITS]):
+                rank = stable_hash(self.seed, "gap", self.agent, question)
+                from_newest = self.LAST_PLACE - place
+                heapq.heappush(self._heap, (((rank << self.PLACE_BITS) | from_newest)
+                                            << self.QUESTION_BITS) | number)
+        self._cursor = len(posts)
+
+    def head(self, governance: GovernanceLedger, started: Callable[[str], bool]) -> str | None:
+        """The first queued question that ``started`` says is not started."""
+        if governance.feed_reorders != self._reorders:
+            self._reorders, self._cursor, self._heap = governance.feed_reorders, 0, []
+        posts = governance.visible_posts()
+        self._admit(posts)
+        while self._heap:
+            packed = self._heap[0]
+            place = self.LAST_PLACE - ((packed >> self.QUESTION_BITS) & self.LAST_PLACE)
+            question = posts[place].open_questions[packed & ((1 << self.QUESTION_BITS) - 1)]
+            if not started(question):
+                return question
+            heapq.heappop(self._heap)
+        return None
+
+
 class AgentRuntime:
     """Everything one agent owns: stores, memory, reactor, mutator.
 
@@ -212,6 +272,7 @@ class AgentRuntime:
         self.store = ArtifactStore.open_dir(self.dir)
         self.journal = AgentJournal(self.dir / AgentJournal.FILENAME, clock=world.clock)
         self.tracker = InvestigationTracker(self.journal)
+        self.gaps = GapQueue(profile.name, world.scenario.seed, world.scenario.community)
         self.reactor = ArtifactReactor(
             profile=profile,
             registry=world.registry,
@@ -263,6 +324,10 @@ class World:
         self.current_cycle = 0
         self.reaction_hooks: list = []
         self._question_slugs: dict[str, str] = {}
+        # The first seeded topic of each (cycle, agent), as scenario order gives it.
+        self.seeded_topics: dict[tuple[int, str], str] = {}
+        for seeded in scenario.seeded_topics:
+            self.seeded_topics.setdefault((seeded.cycle, seeded.agent), seeded.topic)
         self._gov_lock = threading.Lock()
         self._emit_lock = threading.Lock()
 
@@ -293,6 +358,17 @@ class World:
                     + [r.store.log for r in runtimes]
                     + [self.index.log]):
             log.sync()
+
+    def close(self) -> None:
+        """Close every append log the world holds open; a later append
+        opens its file again."""
+        logs = [self.index.log, self.governance.file]
+        for runtime in self.agents.values():
+            logs += [runtime.store.log, runtime.journal.file,
+                     runtime.reactor.reactions, runtime.mutator.file]
+        for log in logs:
+            if log is not None:
+                log.close()
 
     def resolve_id(self, artifact_id: str) -> Artifact:
         try:
@@ -502,26 +578,20 @@ def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
     }
 
 
-def choose_gap(world: World, agent_name: str, feed: Sequence) -> str | None:
-    """The open question on a peer's post that the agent takes up next.
+def choose_gap(world: World, agent_name: str) -> str | None:
+    """The open question on a peer's visible post that the agent takes up next.
 
-    Of the questions whose investigation the agent has not started, the one
-    that comes first in the agent's seeded hash order; ties (equal hashes)
-    go to the question seen first in feed order.
+    Of the questions in the feed whose investigation the agent has not
+    started, the one that comes first in the agent's seeded hash order; ties
+    (equal hashes) go to the question seen first in feed order. The agent's
+    ``GapQueue`` keeps that order across heartbeats, so a call hashes only
+    the questions posted since the last. Call it under the world's
+    governance lock.
     """
-    tracker = world.agents[agent_name].tracker
-    seed = str(world.scenario.seed)
-    best, best_rank = None, None
-    for post in feed:
-        if post.author == agent_name:
-            continue
-        for question in post.open_questions:
-            if world.question_slug(question) in tracker:
-                continue
-            rank = stable_hash(seed, "gap", agent_name, question)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = question, rank
-    return best
+    runtime = world.agents[agent_name]
+    tracker = runtime.tracker
+    return runtime.gaps.head(world.governance,
+                             lambda question: world.question_slug(question) in tracker)
 
 
 def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
@@ -559,16 +629,14 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
 
     # The topic queue is redirects, then seeded topics, then gaps; only its
     # head is used, so gaps are looked at only when nothing comes before them.
-    seeded = next(
-        (t.topic for t in scenario.seeded_topics if t.cycle == cycle and t.agent == agent_name),
-        None,
-    )
+    seeded = world.seeded_topics.get((cycle, agent_name))
     if redirects:
         topic = redirects[0]
     elif seeded is not None:
         topic = seeded
     else:
-        topic = choose_gap(world, agent_name, feed)
+        with world._gov_lock:
+            topic = choose_gap(world, agent_name)
     report["topic"] = topic
 
     if topic is not None:
@@ -611,9 +679,9 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
                 runtime.journal.log("observation", f"post deferred: {exc}")
 
     with world._gov_lock:
-        peers = [p for p in feed if p.author not in (agent_name, HUMAN_ACTOR)]
-        if peers:
-            target = peers[0]  # feed is newest-first
+        # The feed is newest-first: the target is the newest peer post.
+        target = next((p for p in feed if p.author not in (agent_name, HUMAN_ACTOR)), None)
+        if target is not None:
             try:
                 world.governance.apply_vote(agent_name, target.id, 1)
                 report["upvoted"] = target.id
@@ -722,6 +790,15 @@ def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationRepor
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ArtifactError(f"output directory {out} exists and is not empty")
     world = World(scenario, out_dir)
+    try:
+        return world, _run_cycles(world)
+    finally:
+        world.close()
+
+
+def _run_cycles(world: World) -> SimulationReport:
+    """Every cycle of the world's scenario, then report.json."""
+    scenario = world.scenario
     cycle_reports = []
     for cycle in range(scenario.cycles):
         world.current_cycle = cycle
@@ -774,8 +851,8 @@ def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationRepor
             len(world.agents[name].mutator.events) for name in world.agents
         ),
     )
-    _atomic_write(Path(out_dir) / "report.json", canonicalize(report.to_dict()) + b"\n")
-    return world, report
+    _atomic_write(world.out_dir / "report.json", canonicalize(report.to_dict()) + b"\n")
+    return report
 
 
 # ---------------------------------------------------------------------------

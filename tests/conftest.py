@@ -7,11 +7,34 @@ import pytest
 from hypothesis import settings
 
 from artifact.clock import EPOCH, ManualClock
-from artifact.ledger import create_artifact, new_uuid
+from artifact.ledger import AppendLog, create_artifact, new_uuid
 from artifact.skills import default_registry
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def close_append_logs(monkeypatch):
+    """Close every append log a test opened once the test ends.
+
+    An ``AppendLog`` keeps its file open until it is closed, and ``run``
+    closes all of a run's logs; a test that builds an index, a store or a
+    ledger of its own leaves that to this fixture, so no file is left to the
+    garbage collector (which warns under ``python -X dev``).
+    """
+    opened = []
+    original = AppendLog._open
+
+    def tracked_open(log):
+        if log._handle is None:
+            opened.append(log)
+        return original(log)
+
+    monkeypatch.setattr(AppendLog, "_open", tracked_open)
+    yield
+    for log in opened:
+        log.close()
 
 
 @pytest.fixture

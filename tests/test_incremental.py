@@ -6,7 +6,12 @@ reactor per agent. At every check the reactor's candidate list must equal a
 filter of the whole index through ``can_react`` of a reactor that never
 scanned, and the index's ordered needs board must equal a sort-and-rescan of
 every entry.
-The heartbeat's lazy gap choice is checked against the sort it replaced.
+Random publishes, fulfilments and closes check the centrality count the index
+keeps for each open need row against ``pressure.centrality``, the count's
+specification.
+One agent's gap queue, driven across calls while posts arrive and questions
+are started, is checked at every call against the sort it replaced, and the
+ledger's ordered feed against a sort of every post.
 """
 
 from __future__ import annotations
@@ -20,13 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.clock import EPOCH, ManualClock
+from artifact.governance import GovernanceLedger
 from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
 from artifact.ledger import create_artifact
 from artifact.lineage import LineageGraph
 from artifact.memory import slugify
 from artifact.needs import NeedItem, NeedsSignal
+from artifact.pressure import centrality
 from artifact.reactor import ArtifactReactor, ConsumptionClaims
-from artifact.sim import choose_gap, stable_hash
+from artifact.sim import GapQueue, choose_gap, stable_hash
 from artifact.skills import default_registry, load_profile
 
 RATIONALE = "downstream synthesis is blocked on this data"
@@ -158,7 +165,66 @@ def test_incremental_scans_match_full_rescan(ops):
         assert reloaded.open_needs() == peers.index.open_needs()
 
 
-# -- the lazy gap choice against the sort it replaced ---------------------------------
+# -- centrality kept by the index against its specification ---------------------------
+
+# Queries that overlap in some tokens and not in others; equal queries on two
+# carriers come up often.
+QUERIES = ("TP53 Y220C binding", "tp53 motif", "alloy density", "density-of-ALLOY",
+           "a b c", "binding energy")
+
+need_specs = st.tuples(st.integers(0, 2), st.sampled_from(QUERIES), st.integers(0, 3))
+carries = st.tuples(st.just("carry"), st.lists(need_specs, min_size=1, max_size=2),
+                    st.booleans(),  # one NeedItem object carried twice by the signal
+                    st.integers(0, 12))
+fulfils = st.tuples(st.just("fulfil"), st.integers(0, 60), st.integers(0, 12))
+
+
+def assert_counts_match_specification(index: GlobalIndex) -> None:
+    counts: dict = {}
+    rows = index.open_needs(counts)
+    items = [item for _, item, _ in rows]
+    assert set(counts) == {key for key, _, _ in rows}
+    for key, item, _ in rows:
+        assert counts[key] == centrality(item, items), key.text
+
+
+@settings(max_examples=150)
+@given(ops=st.lists(st.one_of(carries, carries, fulfils), min_size=1, max_size=30))
+def test_index_centrality_counts_match_the_specification(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / GlobalIndex.FILENAME
+        index = GlobalIndex(path)
+        keys: list[NeedKey] = []
+        for number, op in enumerate(ops):
+            fulfills, signal = None, None
+            if op[0] == "carry":
+                _, specs, repeat, second = op
+                items = tuple(
+                    NeedItem(artifact_type=TYPES[t], query=query, rationale=RATIONALE,
+                             parallel_variants=tuple({"sequence": "A" * (v + 1)}
+                                                     for v in range(n)))
+                    for t, query, n in specs)
+                signal = NeedsSignal(items=items[:1] * 2 if repeat else items)
+            else:
+                _, pick, second = op
+                if not keys:
+                    continue
+                fulfills = keys[pick % len(keys)]  # a repeated fulfilment closes nothing
+            entry = IndexEntry(
+                artifact_id=f"a{number:03d}", artifact_type="synthesis",
+                producer_agent="alice",
+                timestamp=f"2024-01-01T00:00:{second:02d}.000000+00:00",
+                parent_artifact_ids=(), investigation_id="", needs=signal,
+                fulfills=fulfills)
+            index.publish(entry)
+            if signal is not None:
+                keys += [NeedKey(entry.artifact_id, i, vid)
+                         for i, item in enumerate(signal.items) for vid in variant_ids(item)]
+            assert_counts_match_specification(index)
+        assert_counts_match_specification(GlobalIndex(path))
+
+
+# -- the gap queue against the sort it replaced -----------------------------------------
 
 def sorted_gap(seed: int, agent: str, feed, started: set) -> str | None:
     """Head of the gap queue as the heartbeat built it before: every unstarted
@@ -177,32 +243,85 @@ def sorted_gap(seed: int, agent: str, feed, started: set) -> str | None:
 # Slug collisions ("Role of X?" / "role of x") and repeats are deliberate.
 QUESTIONS = ("Role of X?", "role of x", "What is the role of kinetics in y?",
              "What is the role of grain in y?", "Why Z", "why-z!", "open")
+# "me" chooses; "shady" is shadowbanned, so its posts are hidden; "late" posts
+# are backdated, so they join the feed before its newest post.
+AUTHORS = ("me", "p1", "p2", "shady", "late")
+
+
+class GapFeed:
+    """A governance ledger and one agent's gap queue, driven across calls."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.clock = ManualClock(current=EPOCH + timedelta(days=1), step=timedelta(seconds=1))
+        self.ledger = GovernanceLedger(clock=self.clock)
+        for name in AUTHORS[:4]:
+            self.ledger.register_agent(name)
+        shady = self.ledger.account("shady")
+        shady.karma = -20
+        shady.refresh()
+        self.started: set = set()
+        self.world = SimpleNamespace(
+            agents={"me": SimpleNamespace(gaps=GapQueue("me", seed, "main"),
+                                          tracker=self.started)},
+            governance=self.ledger,
+            question_slug=slugify,
+        )
+        self.backdated = 0
+
+    def post(self, author: str, questions, community: str) -> None:
+        now = None
+        if author == "late":
+            self.backdated += 1
+            author = f"late{self.backdated}"
+            self.ledger.register_agent(author)
+            now = EPOCH + timedelta(seconds=self.backdated)
+        self.clock.advance(minutes=31)  # past the per-author post interval
+        self.ledger.create_post(author=author, title="t", community=community,
+                                open_questions=questions, now=now)
+
+    def check(self) -> None:
+        """The queue's head, and the ledger's feed, against a sort of every post."""
+        feed = sorted((p for p in self.ledger.posts.values()
+                       if not p.hidden and p.community == "main"),
+                      key=lambda p: (p.created, p.id), reverse=True)
+        assert self.ledger.feed(community="main") == feed
+        assert choose_gap(self.world, "me") == sorted_gap(self.seed, "me", feed, self.started)
+
+
+gap_posts = st.tuples(st.just("post"), st.sampled_from(AUTHORS),
+                      st.lists(st.sampled_from(QUESTIONS), max_size=3),
+                      st.sampled_from(("main", "main", "side")))
+gap_starts = st.tuples(st.just("start"), st.sampled_from(QUESTIONS))
+gap_calls = st.tuples(st.just("call"))
 
 
 @settings(max_examples=150)
-@given(
-    seed=st.integers(0, 50),
-    posts=st.lists(st.tuples(st.sampled_from(("me", "p1", "p2")),
-                             st.lists(st.sampled_from(QUESTIONS), max_size=3)),
-                   max_size=6),
-    started=st.sets(st.sampled_from(QUESTIONS)),
-)
-def test_lazy_gap_choice_matches_sorted_queue(seed, posts, started):
-    feed = [SimpleNamespace(author=a, open_questions=q) for a, q in posts]
-    slugs = {slugify(q) for q in started}
-    world = SimpleNamespace(
-        agents={"me": SimpleNamespace(tracker=slugs)},
-        scenario=SimpleNamespace(seed=seed),
-        question_slug=slugify,
-    )
-    assert choose_gap(world, "me", feed) == sorted_gap(seed, "me", feed, slugs)
+@given(seed=st.integers(0, 50),
+       ops=st.lists(st.one_of(gap_posts, gap_posts, gap_starts, gap_calls), max_size=25))
+def test_lazy_gap_choice_matches_sorted_queue(seed, ops):
+    gaps = GapFeed(seed)
+    for op in ops + [("call",)]:
+        if op[0] == "post":
+            gaps.post(*op[1:])
+        elif op[0] == "start":
+            gaps.started.add(slugify(op[1]))  # trackers only grow
+        else:
+            gaps.check()
 
 
 def test_gap_ties_go_to_the_first_question_in_feed_order(monkeypatch):
     import artifact.sim as sim
 
     monkeypatch.setattr(sim, "stable_hash", lambda *parts: 7)
-    feed = [SimpleNamespace(author="p1", open_questions=["b question", "a question"])]
-    world = SimpleNamespace(agents={"me": SimpleNamespace(tracker=set())},
-                            scenario=SimpleNamespace(seed=1), question_slug=slugify)
-    assert choose_gap(world, "me", feed) == "b question"
+    gaps = GapFeed(seed=1)
+    gaps.post("p1", ["b question", "a question"], "main")
+    assert choose_gap(gaps.world, "me") == "b question"
+    gaps.post("p2", ["d question", "c question"], "main")  # newer, so first in the feed
+    assert choose_gap(gaps.world, "me") == "d question"
+    gaps.started.update({"d-question", "c-question"})
+    assert choose_gap(gaps.world, "me") == "b question"
+    gaps.post("late", ["e question"], "main")  # backdated, so last in the feed
+    assert choose_gap(gaps.world, "me") == "b question"
+    gaps.started.update({"b-question", "a-question"})
+    assert choose_gap(gaps.world, "me") == "e question"

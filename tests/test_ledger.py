@@ -16,11 +16,13 @@ from artifact.errors import (
     UnknownArtifactType,
 )
 from artifact.ledger import (
+    AppendLog,
     ArtifactAddress,
     ArtifactStore,
     create_artifact,
     format_address,
     parse_address,
+    read_log,
     verify_integrity,
 )
 from artifact.governance import GovernanceLedger
@@ -241,3 +243,19 @@ def test_damaged_line_of_every_run_file_raises_corrupt_store(demo_run, tmp_path,
     with pytest.raises(CorruptStore) as caught:
         load(path)
     assert (caught.value.path, caught.value.line_number) == (str(path), len(lines) + 1)
+
+
+def test_append_log_reopens_after_close(tmp_path):
+    """A log keeps its file open between appends; an append after ``close``
+    opens it again, and every line is whole, in append order."""
+    log = AppendLog(tmp_path / "sub" / "log.jsonl")
+    log.append({"n": 1})
+    log.append({"n": 2})
+    log.close()
+    log.close()  # a second close is a no-op
+    log.append({"n": 3})
+    log.sync()
+    log.close()
+    log.sync()  # nothing appended since the last sync
+    assert [record["n"] for _, record in read_log(log.path, dict)] == [1, 2, 3]
+    assert log.path.read_bytes() == b'{"n":1}\n{"n":2}\n{"n":3}\n'

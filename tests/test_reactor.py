@@ -492,8 +492,15 @@ def test_need_key_has_exactly_one_winner(tmp_path, registry):
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     # Both take their rows from the same view of the board, as two agents
     # running at once do before either has published its answer.
-    stale = harness.index.open_needs()
-    harness.index.open_needs = lambda: list(stale)
+    stale_counts: dict = {}
+    stale = harness.index.open_needs(stale_counts)
+
+    def stale_view(centrality=None):
+        if centrality is not None:
+            centrality.update(stale_counts)
+        return list(stale)
+
+    harness.index.open_needs = stale_view
     records = [r for name in ("bob", "dave")
                for r in harness.reactors[name].react_to_needs(limit=1)]
     key = NeedKey(carrier.artifact_id, 0, "default")

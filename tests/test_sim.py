@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -411,6 +412,49 @@ def test_dropped_world_is_freed_without_the_cyclic_collector(tmp_path):
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+def open_files_under(root: Path) -> list[str]:
+    """The files under ``root`` that a descriptor of this process holds open."""
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("no /proc/self/fd to list open descriptors")
+    held = []
+    for fd in fd_dir.iterdir():
+        try:
+            target = Path(os.readlink(fd))
+        except OSError:  # closed between the listing and the read
+            continue
+        if target.is_relative_to(root.resolve()):
+            held.append(str(target))
+    return held
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_run_leaves_no_file_open(tmp_path, concurrent):
+    scenario = fig2_scenario()
+    scenario.concurrent = concurrent
+    out = tmp_path / "out"
+    run(scenario, out)
+    assert list(out.rglob("*.jsonl")) and open_files_under(out) == []
+
+
+def test_run_whose_heartbeat_raises_leaves_no_file_open(tmp_path, monkeypatch):
+    import artifact.sim as sim
+
+    calls = []
+
+    def failing_heartbeat(world, agent_name, cycle):
+        calls.append(agent_name)
+        if len(calls) == 4:
+            raise RuntimeError("heartbeat down")
+        return heartbeat(world, agent_name, cycle)
+
+    monkeypatch.setattr(sim, "heartbeat", failing_heartbeat)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="heartbeat down"):
+        run(fig2_scenario(), out)
+    assert list(out.rglob("*.jsonl")) and open_files_under(out) == []
 
 
 def _append_line(path, record):
