@@ -1,12 +1,20 @@
 """Metadata-only global index plus the shared needs board.
 
-Index entries mirror an artifact's identity fields but never its payload, so
-agents can scan the whole ecosystem cheaply. Fulfillments are visible here
-too: the fulfilling artifact's entry carries the need key it answered, which
-is what closes a need and what coverage counting reads. In a simulation an
-entry is the last thing ``World.emit`` publishes, after the artifact's store
-line and its lineage node, when the artifact already resolves: a reader can
-resolve every id it finds here.
+An index entry holds an artifact's metadata (type, producer, timestamp,
+parents, investigation and needs) but never its payload, so agents can scan
+the whole ecosystem cheaply. Fulfillments are visible here too: the
+fulfilling artifact's entry carries the need key it answered, which is what
+closes a need and what coverage counting reads. In a simulation an entry is
+the last thing ``World.emit`` publishes, after the artifact's store line and
+its lineage node, when the artifact already resolves: a reader can resolve
+every id it finds here.
+
+``index.jsonl`` is the publication log: one line per entry, in publication
+order, holding only what no store holds, the artifact's address
+(``artifact_id``, ``producer_agent``) and its ``fulfills`` key. Every other
+field of an entry is its store record's, so reloading the index joins each
+line with the record that ``resolve`` finds for its id; a line whose id
+resolves to nothing, or to another producer's record, is damaged.
 
 The needs board is kept current as entries are admitted, never rebuilt: a
 need-bearing entry joins a list held in ``(timestamp, id)`` order (insorted,
@@ -32,8 +40,9 @@ import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .errors import CorruptStore, DuplicateEntry
+from .errors import CorruptStore, DuplicateEntry, UnknownArtifact
 from .ledger import AppendLog, Artifact, read_log
 from .needs import NeedItem, NeedsSignal, tokenize
 
@@ -94,31 +103,31 @@ class IndexEntry:
         )
 
     def to_dict(self) -> dict:
+        """The entry's line in ``index.jsonl``: its address and fulfilled key."""
         return {
             "artifact_id": self.artifact_id,
-            "artifact_type": self.artifact_type,
             "producer_agent": self.producer_agent,
-            "timestamp": self.timestamp,
-            "parent_artifact_ids": list(self.parent_artifact_ids),
-            "investigation_id": self.investigation_id,
-            "needs": self.needs.to_dict() if self.needs is not None else None,
             "fulfills": self.fulfills.text if self.fulfills is not None else None,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IndexEntry":
-        needs = data.get("needs")
-        fulfills = data.get("fulfills")
-        return cls(
-            artifact_id=data["artifact_id"],
-            artifact_type=data["artifact_type"],
-            producer_agent=data["producer_agent"],
-            timestamp=data["timestamp"],
-            parent_artifact_ids=tuple(data["parent_artifact_ids"]),
-            investigation_id=data["investigation_id"],
-            needs=NeedsSignal.from_dict(needs) if needs else None,
-            fulfills=NeedKey.parse(fulfills) if fulfills else None,
-        )
+
+def index_fields(record: dict) -> tuple[str, str, NeedKey | None]:
+    """The artifact id, producer and fulfilled need key of one index.jsonl
+    record.
+
+    Raises KeyError or ValueError for a record that is not an index line.
+    """
+    artifact_id, producer, fulfills = (record["artifact_id"], record["producer_agent"],
+                                       record["fulfills"])
+    if not (isinstance(artifact_id, str) and isinstance(producer, str)
+            and (fulfills is None or isinstance(fulfills, str))):
+        raise ValueError("artifact_id and producer_agent must be strings, "
+                         "fulfills a need key or null")
+    return artifact_id, producer, NeedKey.parse(fulfills) if fulfills is not None else None
+
+
+def _unresolvable(artifact_id: str) -> Artifact:
+    raise UnknownArtifact(f"no store holds artifact {artifact_id}")
 
 
 def scan_order(entry: "IndexEntry") -> tuple:
@@ -129,11 +138,19 @@ def scan_order(entry: "IndexEntry") -> tuple:
 class GlobalIndex:
     """Append-only shared index with the needs board; scans are
     deterministic snapshots, and the board keeps each open row's centrality
-    count as rows open and close (see the module doc)."""
+    count as rows open and close (see the module doc).
+
+    ``resolve`` maps an id to its stored record, raising for an id no store
+    holds; it is read only while ``path``'s lines are reloaded.
+    """
 
     FILENAME = "index.jsonl"
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(
+        self,
+        path: str | Path | None = None,
+        resolve: Callable[[str], Artifact] = _unresolvable,
+    ):
         self.path = Path(path) if path is not None else None
         self.log = AppendLog(self.path) if self.path is not None else None
         self._entries: list[IndexEntry] = []
@@ -151,7 +168,15 @@ class GlobalIndex:
         self._postings: dict[tuple[str, str], dict[NeedKey, NeedItem]] = {}
         self._lock = threading.Lock()
         if self.path is not None:
-            for number, entry in read_log(self.path, IndexEntry.from_dict):
+            def joined(record: dict) -> IndexEntry:
+                artifact_id, producer, fulfills = index_fields(record)
+                artifact = resolve(artifact_id)
+                if artifact.producer_agent != producer:
+                    raise ValueError(f"{artifact_id} was produced by {artifact.producer_agent}, "
+                                     f"not {producer}")
+                return IndexEntry.for_artifact(artifact, fulfills)
+
+            for number, entry in read_log(self.path, joined):
                 if entry.artifact_id in self._ids:
                     raise CorruptStore(str(self.path), number,
                                        f"repeated entry {entry.artifact_id}")

@@ -26,7 +26,7 @@ import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 from .canonical import Payload, canonical_line, content_hash
 from .clock import Clock, format_timestamp
@@ -127,7 +127,7 @@ def create_artifact(
     clock: Clock | None = None,
     result_quality: str = "unknown",
     schema_version: int = 1,
-    known_types: Iterable[str] | None = None,
+    known_types: Collection[str] | None = None,
     id_factory: Callable[[], str] | None = None,
 ) -> Artifact:
     """Assemble a fresh, hash-stamped artifact record.
@@ -135,7 +135,7 @@ def create_artifact(
     ``known_types``, when given, is the controlled vocabulary to validate
     ``artifact_type`` against. The timestamp comes from the injected clock.
     """
-    if known_types is not None and artifact_type not in set(known_types):
+    if known_types is not None and artifact_type not in known_types:
         raise UnknownArtifactType(f"artifact type {artifact_type!r} is not registered")
     if result_quality not in RESULT_QUALITIES:
         raise ArtifactError(f"result_quality must be one of {RESULT_QUALITIES}")
@@ -210,7 +210,7 @@ class AppendLog:
         return self._handle
 
     def append(self, record: dict) -> None:
-        line = memoryview(canonical_line(record).encode("utf-8"))
+        line = memoryview(canonical_line(record))
         handle = self._open()
         while line:  # a raw write may take only part of the line
             line = line[handle.write(line):]

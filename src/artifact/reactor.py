@@ -36,6 +36,7 @@ import random
 import threading
 from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -190,8 +191,15 @@ def schema_overlap(manifest: SkillManifest, payload_keys: Iterable[str]) -> bool
 
 def param_keys(payload: Payload) -> frozenset:
     """A payload's top-level keys in param form; keys with no such form drop."""
+    return _param_keys(tuple(payload))
+
+
+@lru_cache(maxsize=256)
+def _param_keys(payload_keys: tuple) -> frozenset:
+    # Payloads of a run have few distinct key lists: the cache holds one
+    # set per list, however many artifacts keep it.
     keys = set()
-    for key in payload:
+    for key in payload_keys:
         try:
             keys.add(normalize_param(key))
         except InvalidParam:
@@ -228,6 +236,9 @@ class ArtifactReactor:
     ``resolve`` maps an artifact id to its record; ``emit`` creates and
     publishes an artifact on the agent's behalf and returns it, as
     ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
+    ``payload_keys`` maps an artifact id to its payload's ``param_keys``;
+    reactors that share it, as they share ``claims``, read each payload's
+    keys once between them.
     """
 
     def __init__(
@@ -242,6 +253,7 @@ class ArtifactReactor:
         clock: Clock,
         rng: random.Random | None = None,
         claims: ConsumptionClaims | None = None,
+        payload_keys: dict[str, frozenset] | None = None,
         on_reaction: Callable[[ReactionRecord], None] | None = None,
     ):
         self.profile = profile
@@ -257,6 +269,7 @@ class ArtifactReactor:
         self.reactions = AppendLog(self.reactions_path)
         self.claims = claims or ConsumptionClaims()
         self.claims.seed(*_read_consumption(self.reactions_path))
+        self.payload_keys = payload_keys if payload_keys is not None else {}
         self.on_reaction = on_reaction
         self.reaction_log: list[ReactionRecord] = []
         # The registry is immutable and profiles are frozen: fixed for life.
@@ -285,9 +298,10 @@ class ArtifactReactor:
         an empty set when it fails."""
         if entry.producer_agent == self.agent_name or entry.artifact_type not in self._allowed:
             return frozenset()
-        keys = self.candidate_keys.get(entry.artifact_id)
+        keys = self.payload_keys.get(entry.artifact_id)
         if keys is None:
             keys = param_keys(self.resolve(entry.artifact_id).payload)
+            self.payload_keys[entry.artifact_id] = keys
         return keys if self._fits(keys) else frozenset()
 
     def can_react(self, entry: IndexEntry) -> bool:

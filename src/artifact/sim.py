@@ -34,7 +34,7 @@ from .errors import (
     UnknownArtifact,
 )
 from .governance import ArtifactRef, GovernanceLedger, Post
-from .index import GlobalIndex, IndexEntry, NeedKey
+from .index import GlobalIndex, IndexEntry, NeedKey, index_fields, variant_ids
 from .ledger import (
     Artifact,
     ArtifactStore,
@@ -284,6 +284,7 @@ class AgentRuntime:
             clock=world.clock,
             rng=self.rng,
             claims=world.claims,
+            payload_keys=world.payload_keys,
             on_reaction=lambda record: world.on_reaction(record),
         )
         self.mutator = Mutator(
@@ -311,15 +312,17 @@ class World:
             self.registry = default_registry()
         else:
             self.registry = load_registry(scenario.registry)
-        self.index = GlobalIndex(self.out_dir / GlobalIndex.FILENAME)
+        self.artifact_types = self.registry.artifact_types()
+        self.artifacts: dict[str, Artifact] = {}
+        self.index = GlobalIndex(self.out_dir / GlobalIndex.FILENAME, self.resolve_id)
         self.graph = LineageGraph()
         self.claims = ConsumptionClaims()
+        self.payload_keys: dict[str, frozenset] = {}
         self.governance = GovernanceLedger(
             self.out_dir / "governance.jsonl",
             clock=self.clock,
             resolve_ref=self.index.__contains__,
         )
-        self.artifacts: dict[str, Artifact] = {}
         self.birth_cycles: dict[str, int] = {}
         self.current_cycle = 0
         self.reaction_hooks: list = []
@@ -419,7 +422,7 @@ class World:
                 investigation_id=investigation_id,
                 needs=needs,
                 clock=self.clock,
-                known_types=self.registry.artifact_types(),
+                known_types=self.artifact_types,
                 id_factory=lambda: new_uuid(runtime.rng),
             )
             if before_store is not None:
@@ -942,12 +945,14 @@ def verify_output(out_dir: str | Path) -> list[str]:
     cycle), that is the one violation returned, since every other check
     reads the rebuilt lineage. A missing or unreadable report.json (bad
     JSON, metrics missing or not numbers, a scenario missing or naming an
-    unknown skill) and a damaged reactions.jsonl line are one violation
-    each, and the checks go on with what is left: every reaction's product
-    stored by the reacting agent, no artifact consumed twice, no need key
-    fulfilled twice, none of an agent's own artifacts consumed, every
-    consumed type within the agent's domain, and no merge repeating the
-    input set of another.
+    unknown skill) and a damaged reactions.jsonl or index.jsonl line are
+    one violation each, and the checks go on with what is left: every
+    reaction's product stored by the reacting agent, no artifact consumed
+    twice, no need key fulfilled twice, none of an agent's own artifacts
+    consumed, every consumed type within the agent's domain, no merge
+    repeating the input set of another, and an index that lists each stored
+    artifact once under its producer, with no need key fulfilled twice in
+    it and none its carrier never broadcast.
     """
     out = Path(out_dir)
     violations: list[str] = []
@@ -1035,4 +1040,49 @@ def verify_output(out_dir: str | Path) -> list[str]:
                         f"{agent} consumed out-of-domain type "
                         f"{producer.artifact_type} ({consumed})"
                     )
+    violations += _index_violations(out / GlobalIndex.FILENAME, artifacts)
+    return violations
+
+
+def _broadcast(carrier: Artifact | None, key: NeedKey) -> bool:
+    """True iff the carrier's needs hold the key's need index and variant."""
+    if carrier is None or carrier.needs is None:
+        return False
+    items = carrier.needs.items
+    return 0 <= key.need_index < len(items) and key.variant_id in variant_ids(items[key.need_index])
+
+
+def _index_violations(path: Path, artifacts: dict[str, Artifact]) -> list[str]:
+    """What ``index.jsonl`` gets wrong against the stores: a damaged line, an
+    id no store holds or held by another producer, a stored artifact listed
+    twice or never, a need key its carrier never broadcast or fulfilled
+    twice."""
+    violations: list[str] = []
+
+    def damaged(error: CorruptStore) -> None:
+        violations.append(f"{error.path} line {error.line_number}: "
+                          f"unparseable index entry: {error.reason}")
+
+    listed: set[str] = set()
+    fulfilled: set[NeedKey] = set()
+    for number, (artifact_id, producer, fulfills) in read_log(path, index_fields, damaged):
+        where = f"{path} line {number}"
+        artifact = artifacts.get(artifact_id)
+        if artifact is None:
+            violations.append(f"{where}: index entry {artifact_id} is in no store")
+        elif artifact.producer_agent != producer:
+            violations.append(f"{where}: index entry {artifact_id} names producer {producer}, "
+                              f"its record {artifact.producer_agent}")
+        if artifact_id in listed:
+            violations.append(f"{where}: artifact {artifact_id} is in the index twice")
+        listed.add(artifact_id)
+        if fulfills is None:
+            continue
+        if fulfills in fulfilled:
+            violations.append(f"{where}: need key {fulfills.text} fulfilled twice in the index")
+        fulfilled.add(fulfills)
+        if not _broadcast(artifacts.get(fulfills.artifact_id), fulfills):
+            violations.append(f"{where}: need key {fulfills.text} was never broadcast")
+    violations += [f"stored artifact {artifact_id} is not in the index"
+                   for artifact_id in artifacts if artifact_id not in listed]
     return violations

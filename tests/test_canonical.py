@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from artifact.canonical import canonicalize, content_hash
+from artifact.canonical import canonical_line, canonicalize, content_hash
 from artifact.errors import InvalidPayload
 
 from .conftest import random_payload, shuffle_keys
@@ -60,6 +61,30 @@ def test_unserializable_value_rejected():
         canonicalize({"x": object()})
 
 
+@pytest.mark.parametrize("payload", [
+    {"a": [{1: "x"}]},
+    {"a": {None: 1}},
+    {"a": {True: 1}},
+    {"a": ({2.5: 1},)},
+    {1: "a", "b": 2},   # keys that do not even sort together
+    {(1, 2): "x"},      # a key json has no form for
+])
+def test_non_string_key_rejected_at_any_depth(payload):
+    with pytest.raises(InvalidPayload):
+        canonicalize(payload)
+
+
+def test_self_containing_payload_rejected():
+    payload = {"a": 1}
+    payload["self"] = payload
+    with pytest.raises(InvalidPayload):
+        canonicalize(payload)
+    loop = []
+    loop.append(loop)
+    with pytest.raises(InvalidPayload):
+        content_hash({"x": [1, loop]})
+
+
 def test_hash_shape_and_determinism():
     digest = content_hash({"a": 1})
     assert len(digest) == 64
@@ -97,7 +122,12 @@ json_values = st.recursive(
 
 @given(st.dictionaries(st.text(max_size=6), json_values, max_size=5))
 def test_canonical_bytes_roundtrip_as_json(payload):
-    import json
-
     data = json.loads(canonicalize(payload).decode("utf-8"))
     assert canonicalize(data) == canonicalize(payload)
+
+
+@given(st.dictionaries(st.text(max_size=6), json_values, max_size=5))
+def test_canonical_line_is_json_dumps_of_sorted_keys_plus_newline(payload):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert canonicalize(payload) == text.encode("utf-8")
+    assert canonical_line(payload) == text.encode("utf-8") + b"\n"

@@ -7,15 +7,19 @@ A change that alters output on purpose re-pins the digests and says why.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
+
+import pytest
 
 from artifact.sim import Scenario, demo_scenario, run, verify_output
 from artifact.skills import default_registry
 
 from .test_sim import tree_digest
 
-DEMO_DIGEST = "73fe48c93836ec6e0edf47cfe557ad0c5d30dbb53c29371d4cd8ae3dbd772dc1"
-GRID_DIGEST = "7cdd0e8064ac74d8056544ba43940fbfbb011fc72554eebf597d09a5b2c3fcae"
+DEMO_DIGEST = "197a7ceb2d2f21de87d6a5e6e572f72ae7fba3fbf947433a6b7b3dc58ada1a8a"
+GRID_DIGEST = "50cdc622a168489670c02271bcd35aae2e1fe78b20b7d745d8ea07c933b891c5"
 
 # Domain words chain skills; the rest are unmatched and broadcast needs.
 TOPIC_WORDS = (
@@ -61,3 +65,22 @@ def test_mutation_grid_digest_pinned(tmp_path):
     run(grid_scenario(seed=7, agents=10, cycles=10), tmp_path / "grid")
     assert tree_digest(tmp_path / "grid") == GRID_DIGEST
     assert verify_output(tmp_path / "grid") == []
+
+
+def load_checker():
+    """The benchmark's output checker, imported from its file: it reads the
+    run files with json and hashlib alone, apart from the simulator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("scenario", [
+    demo_scenario,
+    lambda: grid_scenario(seed=7, agents=10, cycles=10),
+], ids=["demo", "grid"])
+def test_benchmark_checker_passes_the_golden_runs(tmp_path, scenario):
+    run(scenario(), tmp_path / "out")
+    assert load_checker().check_run_dir(tmp_path / "out") == []

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from artifact.clock import EPOCH, ManualClock
 from artifact.governance import GovernanceLedger
 from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
-from artifact.ledger import create_artifact
+from artifact.ledger import ArtifactStore, create_artifact
 from artifact.lineage import LineageGraph
 from artifact.memory import slugify
 from artifact.needs import NeedItem, NeedsSignal
@@ -35,6 +35,8 @@ from artifact.pressure import centrality
 from artifact.reactor import ArtifactReactor, ConsumptionClaims
 from artifact.sim import GapQueue, choose_gap, stable_hash
 from artifact.skills import default_registry, load_profile
+
+from .test_index import reopened
 
 RATIONALE = "downstream synthesis is blocked on this data"
 AGENTS = {
@@ -69,6 +71,7 @@ class Peers:
     def __init__(self, directory: Path):
         registry = default_registry()
         self.index = GlobalIndex(directory / GlobalIndex.FILENAME)
+        self.store = ArtifactStore(directory / ArtifactStore.FILENAME)
         self.claims = ConsumptionClaims()
         self.artifacts: dict = {}
         self.published: list = []
@@ -118,6 +121,7 @@ class Peers:
             id_factory=lambda: f"a{number:03d}",
         )
         entry = IndexEntry.for_artifact(artifact, fulfills=fulfills)
+        self.store.append(artifact)
         self.artifacts[artifact.artifact_id] = artifact  # resolvable before it is indexed
         self.index.publish(entry)
         self.published.append(entry)
@@ -161,7 +165,7 @@ def test_incremental_scans_match_full_rescan(ops):
                 rescanned = rescanned_open_needs(peers.index)
                 assert rows == rescanned
                 assert reactor.scan_needs(rows) == reference.scan_needs(rescanned)
-        reloaded = GlobalIndex(Path(tmp) / GlobalIndex.FILENAME)
+        reloaded = GlobalIndex(Path(tmp) / GlobalIndex.FILENAME, reopened(peers.store))
         assert reloaded.open_needs() == peers.index.open_needs()
 
 
@@ -194,6 +198,7 @@ def test_index_centrality_counts_match_the_specification(ops):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / GlobalIndex.FILENAME
         index = GlobalIndex(path)
+        store = ArtifactStore(Path(tmp) / ArtifactStore.FILENAME)
         keys: list[NeedKey] = []
         for number, op in enumerate(ops):
             fulfills, signal = None, None
@@ -210,18 +215,19 @@ def test_index_centrality_counts_match_the_specification(ops):
                 if not keys:
                     continue
                 fulfills = keys[pick % len(keys)]  # a repeated fulfilment closes nothing
-            entry = IndexEntry(
-                artifact_id=f"a{number:03d}", artifact_type="synthesis",
-                producer_agent="alice",
-                timestamp=f"2024-01-01T00:00:{second:02d}.000000+00:00",
-                parent_artifact_ids=(), investigation_id="", needs=signal,
-                fulfills=fulfills)
+            artifact = create_artifact(
+                artifact_type="synthesis", producer_agent="alice", skill="synthesize",
+                payload={}, needs=signal,
+                clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
+                id_factory=lambda: f"a{number:03d}")
+            store.append(artifact)
+            entry = IndexEntry.for_artifact(artifact, fulfills=fulfills)
             index.publish(entry)
             if signal is not None:
                 keys += [NeedKey(entry.artifact_id, i, vid)
                          for i, item in enumerate(signal.items) for vid in variant_ids(item)]
             assert_counts_match_specification(index)
-        assert_counts_match_specification(GlobalIndex(path))
+        assert_counts_match_specification(GlobalIndex(path, reopened(store)))
 
 
 # -- the gap queue against the sort it replaced -----------------------------------------

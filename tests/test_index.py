@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from artifact.clock import ManualClock
 from artifact.errors import CorruptStore, DuplicateEntry
 from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
+from artifact.ledger import ArtifactStore, create_artifact
 from artifact.needs import NeedItem, NeedsSignal
 
 RATIONALE = "more data on this entity would advance the run"
@@ -143,29 +146,87 @@ def test_coverage_ignores_other_need_index():
 
 # -- persistence & invariants ------------------------------------------------------
 
+def stored(store, artifact_id, *, producer="alice", needs=None, fulfills=None):
+    """Store an artifact with this id and return its index entry."""
+    artifact = create_artifact(
+        artifact_type="protein_data", producer_agent=producer, skill="protein_lookup",
+        payload={"n": len(store)}, needs=needs, clock=ManualClock(),
+        id_factory=lambda: artifact_id,
+    )
+    store.append(artifact)
+    return IndexEntry.for_artifact(artifact, fulfills=fulfills)
+
+
+def reopened(store):
+    """Resolve an id through the store as read back from its file."""
+    return {a.artifact_id: a for a in ArtifactStore(store.path).records()}.__getitem__
+
+
+def test_index_line_holds_the_address_and_fulfilled_key(tmp_path):
+    path = tmp_path / "index.jsonl"
+    store = ArtifactStore(tmp_path / "store.jsonl")
+    index = GlobalIndex(path)
+    index.publish(stored(store, "a1", needs=NeedsSignal(items=(need(),))))
+    index.publish(stored(store, "b1", producer="bruno", fulfills=NeedKey("a1", 0, "default")))
+    assert path.read_bytes() == (
+        b'{"artifact_id":"a1","fulfills":null,"producer_agent":"alice"}\n'
+        b'{"artifact_id":"b1","fulfills":"a1:0:default","producer_agent":"bruno"}\n'
+    )
+
+
 def test_reload_from_file(tmp_path):
     path = tmp_path / "index.jsonl"
+    store = ArtifactStore(tmp_path / "store.jsonl")
     index = GlobalIndex(path)
-    index.publish(entry("a1", needs=NeedsSignal(items=(need(),))))
-    index.publish(entry("b1", producer="bruno", fulfills=NeedKey("a1", 0, "default")))
-    reloaded = GlobalIndex(path)
+    index.publish(stored(store, "a1", needs=NeedsSignal(items=(need(),))))
+    index.publish(stored(store, "b1", producer="bruno", fulfills=NeedKey("a1", 0, "default")))
+    reloaded = GlobalIndex(path, reopened(store))
     assert len(reloaded) == 2
     assert reloaded.coverage("a1", 0) == 1
     assert reloaded.open_needs() == []
+    assert reloaded.entries() == index.entries()
 
 
 def test_reload_rejects_a_repeated_entry(tmp_path):
     path = tmp_path / "index.jsonl"
+    store = ArtifactStore(tmp_path / "store.jsonl")
     index = GlobalIndex(path)
-    index.publish(entry("a1"))
-    index.publish(entry("a2"))
+    index.publish(stored(store, "a1"))
+    index.publish(stored(store, "a2"))
     first = path.read_bytes().splitlines(keepends=True)[0]
     with open(path, "ab") as handle:
         handle.write(first)
     with pytest.raises(CorruptStore) as caught:
-        GlobalIndex(path)
+        GlobalIndex(path, reopened(store))
     assert (caught.value.path, caught.value.line_number) == (str(path), 3)
     assert "a1" in caught.value.reason
+
+
+def test_reload_rejects_an_id_no_store_holds(tmp_path):
+    path = tmp_path / "index.jsonl"
+    store = ArtifactStore(tmp_path / "store.jsonl")
+    index = GlobalIndex(path)
+    index.publish(stored(store, "a1"))
+    index.publish(entry("a2"))  # indexed, never stored
+    with pytest.raises(CorruptStore) as caught:
+        GlobalIndex(path, reopened(store))
+    assert (caught.value.path, caught.value.line_number) == (str(path), 2)
+    assert "a2" in caught.value.reason
+    with pytest.raises(CorruptStore) as caught:
+        GlobalIndex(path)  # no store to join with
+    assert caught.value.line_number == 1
+
+
+def test_reload_rejects_a_producer_other_than_the_records(tmp_path):
+    path = tmp_path / "index.jsonl"
+    store = ArtifactStore(tmp_path / "store.jsonl")
+    index = GlobalIndex(path)
+    index.publish(stored(store, "a1"))
+    index.publish(dataclasses.replace(stored(store, "a2"), producer_agent="bruno"))
+    with pytest.raises(CorruptStore) as caught:
+        GlobalIndex(path, reopened(store))
+    assert (caught.value.path, caught.value.line_number) == (str(path), 2)
+    assert "alice" in caught.value.reason and "bruno" in caught.value.reason
 
 
 def test_scans_are_monotone(tmp_path):

@@ -201,7 +201,8 @@ def test_invalid_addresses(bad):
 # that reads it, and whether its lines carry an id that may appear only once.
 RUN_FILES = {
     "store": ("agents/alice/store.jsonl", ArtifactStore, True),
-    "index": ("index.jsonl", GlobalIndex, True),
+    "index": ("index.jsonl",
+              lambda path: GlobalIndex(path, load_world_dag(path.parent)[1].__getitem__), True),
     "reactions": ("agents/bruno/reactions.jsonl", _read_consumption, False),
     "journal": ("agents/alice/journal.jsonl", lambda path: AgentJournal(path).entries(), False),
     "mutations": ("agents/alice/mutations.jsonl",

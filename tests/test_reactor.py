@@ -6,6 +6,7 @@ from datetime import timedelta
 
 import pytest
 
+from artifact import reactor as reactor_module
 from artifact.clock import EPOCH, ManualClock
 from artifact.errors import CorruptStore
 from artifact.index import GlobalIndex, IndexEntry, NeedKey
@@ -115,6 +116,7 @@ class Harness:
         self.index = GlobalIndex(tmp_path / "index.jsonl")
         self.graph = LineageGraph()
         self.claims = ConsumptionClaims()
+        self.payload_keys = {}
         self.artifacts = {}
         self.reactors = {}
         self.stores = {}
@@ -140,6 +142,7 @@ class Harness:
             clock=self.clock,
             rng=self.rngs[name],
             claims=claims,
+            payload_keys=self.payload_keys,
         )
 
     def emit(self, agent, artifact_type, payload, parents=(), needs=None, skill="synthesize",
@@ -477,6 +480,23 @@ def test_payload_key_cache_is_transparent(harness):
     harness.claims.claim_all((artifact.artifact_id,))
     assert reactor.scan_available() == []
     assert reactor.candidate_keys == {}
+
+
+def test_reactors_sharing_payload_keys_read_each_payload_once(harness, monkeypatch):
+    """Every reactor admits every peer entry, but the payload keys of an
+    artifact are read once between the reactors that share them."""
+    reads = []
+    monkeypatch.setattr(reactor_module, "param_keys",
+                        lambda payload: reads.append(payload) or param_keys(payload))
+    first = harness.emit("alice", "protein_data", {"sequence": "AAA"})
+    second = harness.emit("carol", "protein_data", {"sequence": "CCC", "query": "q"})
+    for name in ("alice", "bob", "carol"):
+        harness.reactors[name].scan_available()
+    assert sorted(reads, key=len) == [first.payload, second.payload]
+    assert harness.payload_keys == {a.artifact_id: param_keys(a.payload)
+                                    for a in (first, second)}
+    bob = harness.reactors["bob"]
+    assert bob.candidate_keys == harness.payload_keys
 
 
 # -- exclusive need keys ------------------------------------------------------------

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from artifact import reactor as reactor_module
 from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario, UnknownArtifact
 from artifact.governance import GovernanceLedger
 from artifact.index import GlobalIndex
 from artifact.ledger import ArtifactStore
 from artifact.lineage import LineageGraph
 from artifact.memory import AgentJournal, InvestigationTracker
+from artifact.reactor import param_keys
 from artifact.sim import (
     Scenario,
     World,
@@ -399,6 +401,16 @@ def test_run_passes_invariant_checks(tmp_path):
     assert verify_output(tmp_path / "out") == []
 
 
+def test_a_world_reads_each_payloads_keys_once(tmp_path, monkeypatch):
+    """Every reactor admits every peer entry, but the reactors of a world
+    share the payload keys they read."""
+    reads = []
+    monkeypatch.setattr(reactor_module, "param_keys",
+                        lambda payload: reads.append(id(payload)) or param_keys(payload))
+    world, _ = run(demo_scenario(), tmp_path / "out")
+    assert reads and len(reads) == len(set(reads)) <= len(world.artifacts)
+
+
 def test_dropped_world_is_freed_without_the_cyclic_collector(tmp_path):
     import gc
     import weakref
@@ -628,6 +640,84 @@ def test_verify_reports_need_key_fulfilled_twice(tmp_path):
     violations = verify_output(out)
     assert len(violations) == 1
     assert "fulfilled twice" in violations[0]
+
+
+def _index_lines(out):
+    return [json.loads(line) for line in
+            (out / "index.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def _write_index(out, records):
+    (out / "index.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                     encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage, error", [
+    ("garbled line", "unparseable index entry"),
+    ("non-UTF-8 line", "unparseable index entry"),
+    ("line without fulfills", "unparseable index entry"),
+    ("malformed need key", "unparseable index entry"),
+    ("an id no store holds", "is in no store"),
+    ("another producer", "names producer"),
+    ("stored artifact left out", "is not in the index"),
+    ("entry listed twice", "is in the index twice"),
+    ("need index never broadcast", "was never broadcast"),
+    ("variant never broadcast", "was never broadcast"),
+    ("key on a carrier with no needs", "was never broadcast"),
+    ("key fulfilled twice", "fulfilled twice in the index"),
+])
+def test_verify_reports_index_damage_as_violation(tmp_path, damage, error):
+    out = tmp_path / "out"
+    run(fig2_scenario(), out)
+    assert verify_output(out) == []
+    records = _index_lines(out)
+    fulfilling = next(r for r in records if r["fulfills"] is not None)
+    plain = next(r for r in records if r["fulfills"] is None)
+    carrier, need_index, _ = fulfilling["fulfills"].split(":")
+    appended = None  # a line added to the index, or else the records rewritten
+    if damage == "garbled line":
+        appended = "{broken\n"
+    elif damage == "non-UTF-8 line":
+        appended = _first_line(out / "index.jsonl")[:-1] + b"\xff\n"
+    elif damage == "line without fulfills":
+        appended = {"artifact_id": plain["artifact_id"], "producer_agent": plain["producer_agent"]}
+    elif damage == "malformed need key":
+        appended = dict(plain, fulfills=carrier)
+    elif damage == "an id no store holds":
+        appended = dict(plain, artifact_id="artifact-gone")
+    elif damage == "another producer":
+        plain["producer_agent"] = "zed"
+    elif damage == "stored artifact left out":
+        records.remove(plain)
+    elif damage == "entry listed twice":
+        records.append(plain)
+    elif damage == "need index never broadcast":
+        fulfilling["fulfills"] = f"{carrier}:99:default"
+    elif damage == "variant never broadcast":
+        fulfilling["fulfills"] = f"{carrier}:{need_index}:v9"
+    elif damage == "key on a carrier with no needs":
+        bare = next(a for a in ArtifactStore.open_dir(out / "agents" / "alice").records()
+                    if a.needs is None)
+        fulfilling["fulfills"] = f"{bare.artifact_id}:0:default"
+    else:
+        plain["fulfills"] = fulfilling["fulfills"]
+    if appended is None:
+        _write_index(out, records)
+    else:
+        _append_line(out / "index.jsonl", appended)
+    violations = verify_output(out)
+    assert len(violations) == 1, violations
+    assert error in violations[0]
+
+
+def test_verify_reports_each_artifact_cut_off_the_index(tmp_path):
+    out = tmp_path / "out"
+    run(demo_scenario(), out)
+    records = _index_lines(out)
+    _write_index(out, records[:-3])
+    violations = verify_output(out)
+    assert violations == [f"stored artifact {r['artifact_id']} is not in the index"
+                          for r in records[-3:]]
 
 
 def test_gating_holds_over_full_trace(tmp_path):
