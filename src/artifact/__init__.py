@@ -10,7 +10,7 @@ deterministic simulator drives the whole loop with synthetic skills.
 from .canonical import canonicalize, content_hash
 from .clock import ManualClock, SystemClock
 from .governance import GovernanceLedger, Tier, tier_of
-from .index import GlobalIndex, IndexEntry, NeedKey
+from .index import GlobalIndex, NeedKey
 from .ledger import (
     Artifact,
     ArtifactAddress,
@@ -45,7 +45,6 @@ __all__ = [
     "DagMetrics",
     "GlobalIndex",
     "GovernanceLedger",
-    "IndexEntry",
     "LineageGraph",
     "ManualClock",
     "MutationEvent",

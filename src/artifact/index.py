@@ -1,27 +1,25 @@
-"""Metadata-only global index plus the shared needs board.
+"""The global index of published artifacts, plus the shared needs board.
 
-An index entry holds an artifact's metadata (type, producer, timestamp,
-parents, investigation and needs) but never its payload, so agents can scan
-the whole ecosystem cheaply. Fulfillments are visible here too: the
-fulfilling artifact's entry carries the need key it answered, which is what
-closes a need and what coverage counting reads. In a simulation an entry is
-the last thing ``World.emit`` publishes, after the artifact's store line and
-its lineage node, when the artifact already resolves: a reader can resolve
-every id it finds here.
+The index holds each published ``Artifact`` itself, the one in-memory record
+of it, with the need key it fulfilled, if any: that key is what closes a
+need and what coverage counting reads. Scans read only an artifact's
+metadata (type, producer, timestamp, parents, investigation and needs). In a
+simulation an artifact is the last thing ``World.emit`` publishes, after its
+store line and its lineage node, when it already resolves.
 
-``index.jsonl`` is the publication log: one line per entry, in publication
-order, holding only what no store holds, the artifact's address
+``index.jsonl`` is the publication log: one line per artifact, in
+publication order, holding only what no store holds, the artifact's address
 (``artifact_id``, ``producer_agent``) and its ``fulfills`` key. Every other
-field of an entry is its store record's, so reloading the index joins each
-line with the record that ``resolve`` finds for its id; a line whose id
-resolves to nothing, or to another producer's record, is damaged.
+field is its store record's, so reloading the index joins each line with the
+record that ``resolve`` finds for its id; a line whose id resolves to
+nothing, or to another producer's record, is damaged.
 
 The needs board is kept current as entries are admitted, never rebuilt: a
-need-bearing entry joins a list held in ``(timestamp, id)`` order (insorted,
-since the index takes entries in any timestamp order) together with its
-unfulfilled keys, a fulfilment removes its key, and an entry leaves the
+need-bearing artifact joins a list held in ``(timestamp, id)`` order (insorted,
+since the index takes artifacts in any timestamp order) together with its
+unfulfilled keys, a fulfilment removes its key, and an artifact leaves the
 list once every key it broadcast is fulfilled. ``open_needs`` walks only
-that list. Readers that follow the index incrementally take the entries
+that list. Readers that follow the index incrementally take the artifacts
 appended since their last look with ``entries_since``.
 
 The board also keeps each open row's centrality (see ``pressure.centrality``)
@@ -78,37 +76,13 @@ def variant_params(item: NeedItem, variant_id: str) -> dict:
     return dict(item.parallel_variants[int(variant_id[1:])])
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    artifact_id: str
-    artifact_type: str
-    producer_agent: str
-    timestamp: str
-    parent_artifact_ids: tuple
-    investigation_id: str
-    needs: NeedsSignal | None = None
-    fulfills: NeedKey | None = None
-
-    @classmethod
-    def for_artifact(cls, artifact: Artifact, fulfills: NeedKey | None = None) -> "IndexEntry":
-        return cls(
-            artifact_id=artifact.artifact_id,
-            artifact_type=artifact.artifact_type,
-            producer_agent=artifact.producer_agent,
-            timestamp=artifact.timestamp,
-            parent_artifact_ids=tuple(artifact.parent_artifact_ids),
-            investigation_id=artifact.investigation_id,
-            needs=artifact.needs,
-            fulfills=fulfills,
-        )
-
-    def to_dict(self) -> dict:
-        """The entry's line in ``index.jsonl``: its address and fulfilled key."""
-        return {
-            "artifact_id": self.artifact_id,
-            "producer_agent": self.producer_agent,
-            "fulfills": self.fulfills.text if self.fulfills is not None else None,
-        }
+def index_line(artifact: Artifact, fulfills: NeedKey | None) -> dict:
+    """An artifact's line in ``index.jsonl``: its address and fulfilled key."""
+    return {
+        "artifact_id": artifact.artifact_id,
+        "producer_agent": artifact.producer_agent,
+        "fulfills": fulfills.text if fulfills is not None else None,
+    }
 
 
 def index_fields(record: dict) -> tuple[str, str, NeedKey | None]:
@@ -130,9 +104,9 @@ def _unresolvable(artifact_id: str) -> Artifact:
     raise UnknownArtifact(f"no store holds artifact {artifact_id}")
 
 
-def scan_order(entry: "IndexEntry") -> tuple:
+def scan_order(artifact: Artifact) -> tuple:
     """The order every scan of the index returns: timestamp, then id."""
-    return (entry.timestamp, entry.artifact_id)
+    return (artifact.timestamp, artifact.artifact_id)
 
 
 class GlobalIndex:
@@ -153,13 +127,13 @@ class GlobalIndex:
     ):
         self.path = Path(path) if path is not None else None
         self.log = AppendLog(self.path) if self.path is not None else None
-        self._entries: list[IndexEntry] = []
-        self._ids: set[str] = set()
+        self._entries: list[Artifact] = []
+        self._fulfills: dict[str, NeedKey | None] = {}  # the key each id fulfilled
         self._fulfilled_keys: set[str] = set()
         self._coverage: dict[tuple, int] = {}
-        # Entries with an open need, in (timestamp, id) order, and their
-        # open (key, item, entry) rows in need-index and variant order.
-        self._need_carriers: list[IndexEntry] = []
+        # Artifacts with an open need, in (timestamp, id) order, and their
+        # open (key, item, artifact) rows in need-index and variant order.
+        self._need_carriers: list[Artifact] = []
         self._open_rows: dict[str, list[tuple]] = {}
         # Centrality: each open row's count and query tokens, and the
         # postings from (artifact_type, token) to open rows and their items.
@@ -168,40 +142,40 @@ class GlobalIndex:
         self._postings: dict[tuple[str, str], dict[NeedKey, NeedItem]] = {}
         self._lock = threading.Lock()
         if self.path is not None:
-            def joined(record: dict) -> IndexEntry:
+            def joined(record: dict) -> tuple[Artifact, NeedKey | None]:
                 artifact_id, producer, fulfills = index_fields(record)
                 artifact = resolve(artifact_id)
                 if artifact.producer_agent != producer:
                     raise ValueError(f"{artifact_id} was produced by {artifact.producer_agent}, "
                                      f"not {producer}")
-                return IndexEntry.for_artifact(artifact, fulfills)
+                return artifact, fulfills
 
-            for number, entry in read_log(self.path, joined):
-                if entry.artifact_id in self._ids:
+            for number, (artifact, fulfills) in read_log(self.path, joined):
+                if artifact.artifact_id in self._fulfills:
                     raise CorruptStore(str(self.path), number,
-                                       f"repeated entry {entry.artifact_id}")
-                self._admit(entry)
+                                       f"repeated entry {artifact.artifact_id}")
+                self._admit(artifact, fulfills)
 
-    def _admit(self, entry: IndexEntry) -> None:
-        self._entries.append(entry)
-        self._ids.add(entry.artifact_id)
-        if entry.needs is not None:
+    def _admit(self, artifact: Artifact, fulfills: NeedKey | None) -> None:
+        self._entries.append(artifact)
+        self._fulfills[artifact.artifact_id] = fulfills
+        if artifact.needs is not None:
             rows = []
-            for need_index, item in enumerate(entry.needs.items):
+            for need_index, item in enumerate(artifact.needs.items):
                 tokens = tokenize(item.query)
                 for vid in variant_ids(item):
-                    key = NeedKey(entry.artifact_id, need_index, vid)
+                    key = NeedKey(artifact.artifact_id, need_index, vid)
                     if key.text not in self._fulfilled_keys:
-                        rows.append((key, item, entry))
+                        rows.append((key, item, artifact))
                         self._count_in(key, item, tokens)
             if rows:
-                self._open_rows[entry.artifact_id] = rows
-                insort(self._need_carriers, entry, key=scan_order)
-        if entry.fulfills is not None:
-            self._fulfilled_keys.add(entry.fulfills.text)
-            pair = (entry.fulfills.artifact_id, entry.fulfills.need_index)
+                self._open_rows[artifact.artifact_id] = rows
+                insort(self._need_carriers, artifact, key=scan_order)
+        if fulfills is not None:
+            self._fulfilled_keys.add(fulfills.text)
+            pair = (fulfills.artifact_id, fulfills.need_index)
             self._coverage[pair] = self._coverage.get(pair, 0) + 1
-            self._close(entry.fulfills)
+            self._close(fulfills)
 
     def _met_rows(self, item: NeedItem, tokens: set[str]) -> dict[NeedKey, NeedItem]:
         """The open rows whose postings meet ``tokens`` in the item's type,
@@ -259,57 +233,62 @@ class GlobalIndex:
         return len(self._entries)
 
     def __contains__(self, artifact_id: str) -> bool:
-        return artifact_id in self._ids
+        return artifact_id in self._fulfills
 
-    def entries(self) -> list[IndexEntry]:
+    def entries(self) -> list[Artifact]:
         return list(self._entries)
 
-    def entries_since(self, position: int) -> list[IndexEntry]:
-        """Entries admitted after the first ``position``, in append order."""
+    def entries_since(self, position: int) -> list[Artifact]:
+        """Artifacts admitted after the first ``position``, in append order."""
         with self._lock:
             return self._entries[position:]
 
-    def publish(self, entry: IndexEntry) -> None:
-        """Append one entry; appends serialize so lines never interleave."""
+    def fulfilled_key(self, artifact_id: str) -> NeedKey | None:
+        """The need key a published artifact fulfilled, or None."""
+        return self._fulfills[artifact_id]
+
+    def publish(self, artifact: Artifact, fulfills: NeedKey | None = None) -> None:
+        """Append one artifact, with the need key it fulfills; appends
+        serialize so lines never interleave."""
         with self._lock:
-            if entry.artifact_id in self._ids:
-                raise DuplicateEntry(f"index already holds {entry.artifact_id}")
+            if artifact.artifact_id in self._fulfills:
+                raise DuplicateEntry(f"index already holds {artifact.artifact_id}")
             if self.log is not None:
-                self.log.append(entry.to_dict())
-            self._admit(entry)
+                self.log.append(index_line(artifact, fulfills))
+            self._admit(artifact, fulfills)
 
     def scan(
         self,
         artifact_type: str | None = None,
         producer: str | None = None,
         exclude_producer: str | None = None,
-    ) -> list[IndexEntry]:
-        """Entries matching every present filter, ordered by (timestamp, id)."""
+    ) -> list[Artifact]:
+        """Artifacts matching every present filter, ordered by (timestamp, id)."""
         found = []
-        for entry in self.entries():
-            if artifact_type is not None and entry.artifact_type != artifact_type:
+        for artifact in self.entries():
+            if artifact_type is not None and artifact.artifact_type != artifact_type:
                 continue
-            if producer is not None and entry.producer_agent != producer:
+            if producer is not None and artifact.producer_agent != producer:
                 continue
-            if exclude_producer is not None and entry.producer_agent == exclude_producer:
+            if exclude_producer is not None and artifact.producer_agent == exclude_producer:
                 continue
-            found.append(entry)
+            found.append(artifact)
         found.sort(key=scan_order)
         return found
 
     def open_needs(
         self, centrality: dict[NeedKey, int] | None = None
-    ) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
-        """Every unfulfilled (key, item, carrying entry) row, variant-expanded.
+    ) -> list[tuple[NeedKey, NeedItem, Artifact]]:
+        """Every unfulfilled (key, item, carrying artifact) row, variant-expanded.
 
-        Rows come in (timestamp, id) order of the carrying entry, then need
+        Rows come in (timestamp, id) order of the carrying artifact, then need
         index, then variant. When ``centrality`` is given, it gets each
         row's centrality count, read under the same lock as the rows.
         """
         rows = []
         with self._lock:
-            for entry in self._need_carriers:
-                rows.extend(self._open_rows[entry.artifact_id])
+            for carrier in self._need_carriers:
+                rows.extend(self._open_rows[carrier.artifact_id])
             if centrality is not None:
                 centrality.update(self._centrality)
         return rows

@@ -29,15 +29,6 @@ from .errors import CycleRejected, DanglingParent, UnknownArtifact
 POLICY_TYPE = "mutation_policy"
 
 
-@dataclass(frozen=True)
-class NodeInfo:
-    artifact_id: str
-    artifact_type: str
-    producer_agent: str
-    timestamp: str
-    parent_ids: tuple
-
-
 @dataclass
 class DagMetrics:
     artifact_count: int
@@ -196,7 +187,7 @@ class SiblingPairs:
 
 class LineageGraph:
     def __init__(self):
-        self._nodes: dict[str, NodeInfo] = {}
+        self._nodes: dict = {}  # id -> the inserted record itself
         self._overlay: dict[str, tuple] = {}
         self._children: dict[str, list[str]] | None = None  # see _children_map
         self._pairs: SiblingPairs | None = None
@@ -218,7 +209,8 @@ class LineageGraph:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def node(self, artifact_id: str) -> NodeInfo:
+    def node(self, artifact_id: str):
+        """The record inserted under the id."""
         try:
             return self._nodes[artifact_id]
         except KeyError:
@@ -226,33 +218,24 @@ class LineageGraph:
 
     def parents(self, artifact_id: str) -> tuple:
         """Effective parent list: overlay replacement when one exists."""
-        info = self.node(artifact_id)
-        return self._overlay.get(artifact_id, info.parent_ids)
-
-    def node_ids(self) -> list[str]:
-        return list(self._nodes)
+        return self._overlay.get(artifact_id, self.node(artifact_id).parent_artifact_ids)
 
     def insert(self, artifact) -> None:
         """Add a node; every parent must already be present.
 
-        Accepts anything with artifact_id / artifact_type / producer_agent /
-        timestamp / parent_artifact_ids attributes (artifacts and index
-        entries both qualify).
+        The graph keeps the record itself, and ``node`` returns it: an
+        ``Artifact``, or anything else with artifact_id / artifact_type /
+        producer_agent / timestamp / parent_artifact_ids attributes, whose
+        parents are a tuple.
         """
-        parent_ids = tuple(artifact.parent_artifact_ids)
+        parent_ids = artifact.parent_artifact_ids
         with self._lock:
             for parent in parent_ids:
                 if parent not in self._nodes:
                     raise DanglingParent(
                         f"artifact {artifact.artifact_id} references missing parent {parent}"
                     )
-            self._nodes[artifact.artifact_id] = NodeInfo(
-                artifact_id=artifact.artifact_id,
-                artifact_type=artifact.artifact_type,
-                producer_agent=artifact.producer_agent,
-                timestamp=artifact.timestamp,
-                parent_ids=parent_ids,
-            )
+            self._nodes[artifact.artifact_id] = artifact
             if self._children is not None:
                 self._link(artifact.artifact_id, dict.fromkeys(parent_ids))
             # A fresh node cannot be anyone's parent yet, so existing depths stand.
@@ -418,10 +401,10 @@ class LineageGraph:
         synthesis = 0
         depths = []
         for node_id in sorted(self._nodes):
-            info = self._nodes[node_id]
-            per_agent[info.producer_agent] = per_agent.get(info.producer_agent, 0) + 1
+            record = self._nodes[node_id]
+            per_agent[record.producer_agent] = per_agent.get(record.producer_agent, 0) + 1
             parents = self.parents(node_id)
-            if len(parents) >= 2 or info.artifact_type == "synthesis":
+            if len(parents) >= 2 or record.artifact_type == "synthesis":
                 synthesis += 1
             if parents:
                 depths.append(self.depth(node_id))
@@ -440,8 +423,8 @@ class LineageGraph:
         """Graphviz rendering with deterministic node order."""
         lines = ["digraph lineage {"]
         for nid in self._ordered_ids():
-            info = self._nodes[nid]
-            lines.append(f'  "{nid}" [label="{info.artifact_type}\\n{info.producer_agent}"];')
+            record = self._nodes[nid]
+            lines.append(f'  "{nid}" [label="{record.artifact_type}\\n{record.producer_agent}"];')
         for nid in self._ordered_ids():
             for parent in self.parents(nid):
                 lines.append(f'  "{nid}" -> "{parent}";')
@@ -453,12 +436,12 @@ class LineageGraph:
         nodes = []
         edges = []
         for nid in self._ordered_ids():
-            info = self._nodes[nid]
+            record = self._nodes[nid]
             nodes.append({
                 "artifact_id": nid,
-                "artifact_type": info.artifact_type,
-                "producer_agent": info.producer_agent,
-                "timestamp": info.timestamp,
+                "artifact_type": record.artifact_type,
+                "producer_agent": record.producer_agent,
+                "timestamp": record.timestamp,
                 "parent_artifact_ids": list(self.parents(nid)),
             })
             for parent in self.parents(nid):

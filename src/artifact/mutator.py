@@ -165,15 +165,14 @@ class Mutator:
     """Per-agent mutation layer run inside the owning agent's cycle.
 
     ``emit`` creates and publishes an artifact on the agent's behalf and
-    returns it, recording its birth cycle in ``birth_cycles``; ``resolve``
-    maps an artifact id to its full record.
+    returns it, recording its birth cycle in ``birth_cycles``. Payloads are
+    read from the records the lineage graph holds.
     """
 
     def __init__(
         self,
         agent_name: str,
         graph: LineageGraph,
-        resolve: Callable[[str], Artifact],
         emit: Callable[..., Artifact],
         policy: MutationPolicy | None = None,
         rng: random.Random | None = None,
@@ -182,7 +181,6 @@ class Mutator:
     ):
         self.agent_name = agent_name
         self.graph = graph
-        self.resolve = resolve
         self.emit = emit
         self.policy = policy or MutationPolicy()
         self.rng = rng or random.Random()
@@ -200,7 +198,7 @@ class Mutator:
             self.file.append(event.to_dict())
 
     def _judge(self, a_id: str, b_id: str) -> PairVerdict:
-        payload_a, payload_b = self.resolve(a_id).payload, self.resolve(b_id).payload
+        payload_a, payload_b = self.graph.node(a_id).payload, self.graph.node(b_id).payload
         return PairVerdict(
             jaccard=jaccard(frozenset(payload_a), frozenset(payload_b)),
             conflict=any(payload_a[key] != payload_b[key]
@@ -237,8 +235,8 @@ class Mutator:
         """(pair, key) rows where siblings disagree on a shared top-level key."""
         flagged = []
         for a_id, b_id in self._sibling_pairs().conflicts():
-            payload_a = self.resolve(a_id).payload
-            payload_b = self.resolve(b_id).payload
+            payload_a = self.graph.node(a_id).payload
+            payload_b = self.graph.node(b_id).payload
             for key in sorted(payload_a.keys() & payload_b.keys()):
                 if payload_a[key] != payload_b[key]:
                     flagged.append((a_id, b_id, key))
@@ -347,7 +345,7 @@ class Mutator:
                 except CycleRejected:
                     if not pairs.claim(pair):
                         continue
-                    merge = self.resolve(a_id), self.resolve(b_id)
+                    merge = self.graph.node(a_id), self.graph.node(b_id)
             if merge is not None:
                 self.merge_siblings(*merge, cycle=cycle)
             applied.append(self.events[-1])
@@ -361,7 +359,7 @@ class Mutator:
                 continue
             if not pairs.claim(pair):
                 continue
-            self.merge_siblings(self.resolve(a_id), self.resolve(b_id), cycle=cycle)
+            self.merge_siblings(self.graph.node(a_id), self.graph.node(b_id), cycle=cycle)
             applied.append(self.events[-1])
             touched.update(pair)
 
@@ -370,7 +368,7 @@ class Mutator:
                 return applied
             if leaf in touched:
                 continue
-            artifact = self.resolve(leaf)
+            artifact = self.graph.node(leaf)
             if len(artifact.payload) < 2:
                 continue
             child_a, child_b = self.fork(artifact, cycle=cycle)

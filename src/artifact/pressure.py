@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 
 from .clock import parse_timestamp
 from .errors import ClockSkew, InvalidCoverage
-from .index import IndexEntry, NeedKey
+from .index import NeedKey
+from .ledger import Artifact
 from .needs import NeedItem, tokenize
 
 W_NOVELTY = 2.0
@@ -114,12 +115,12 @@ def pressure(need: NeedItem, context: PressureContext) -> PressureBreakdown:
 class RankedNeed:
     key: NeedKey
     item: NeedItem
-    entry: IndexEntry
+    carrier: Artifact
     breakdown: PressureBreakdown
 
 
 def rank(
-    rows: Sequence[tuple[NeedKey, NeedItem, IndexEntry]],
+    rows: Sequence[tuple[NeedKey, NeedItem, Artifact]],
     contexts: Mapping[str, PressureContext],
     ranking_agent: str,
 ) -> list[RankedNeed]:
@@ -130,17 +131,17 @@ def rank(
     shuffle-independent.
     """
     scored = []
-    for key, item, entry in rows:
-        if entry.producer_agent == ranking_agent:
+    for key, item, carrier in rows:
+        if carrier.producer_agent == ranking_agent:
             continue
         context = contexts[key.text]
-        scored.append(RankedNeed(key, item, entry, pressure(item, context)))
-    scored.sort(key=lambda r: (-r.breakdown.score, r.entry.timestamp, r.key.text))
+        scored.append(RankedNeed(key, item, carrier, pressure(item, context)))
+    scored.sort(key=lambda r: (-r.breakdown.score, r.carrier.timestamp, r.key.text))
     return scored
 
 
 def build_context(
-    entry: IndexEntry,
+    carrier: Artifact,
     coverage: int,
     centrality_count: int,
     parent_depth: int,
@@ -152,7 +153,7 @@ def build_context(
         coverage=coverage,
         open_needs=(),
         parent_depth=parent_depth,
-        created=parse_timestamp(entry.timestamp),
+        created=parse_timestamp(carrier.timestamp),
         now=now,
         centrality=centrality_count,
     )

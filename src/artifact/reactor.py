@@ -18,13 +18,13 @@ feed a later synthesis.
 
 Scans follow what changed, not everything ever published. A reactor keeps a
 cursor into the index's append order and, on each scan, admits only the
-entries appended since: an entry becomes a candidate when it is unclaimed
-and passes the static half of ``can_react`` (a peer produced it, its type is
-allowed, and its payload keys meet a runnable skill), and candidates are
-held in ``(timestamp, id)`` order with their payload keys. ``emit`` makes
-an artifact resolvable before it enters the index, so every admitted entry
-resolves. Claims only grow, so a candidate claimed since is dropped when a scan
-reaches it. Open needs come from the index's own ordered needs board, read
+artifacts appended since: an artifact becomes a candidate when it is
+unclaimed and passes the static half of ``can_react`` (a peer produced it,
+its type is allowed, and its payload keys meet a runnable skill), and
+candidates are held in ``(timestamp, id)`` order. The index hands out the
+artifacts themselves, so a reactor reads a candidate's payload from it, and
+its payload keys from the ``payload_keys`` map its scan filled. Claims only
+grow, so a candidate claimed since is dropped when a scan reaches it. Open needs come from the index's own ordered needs board, read
 once per need phase, with each row's centrality count; keys any reactor has
 claimed are skipped there.
 """
@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 from .canonical import Payload
 from .clock import Clock
 from .errors import ArtifactError, InvalidParam
-from .index import GlobalIndex, IndexEntry, NeedKey, scan_order, variant_params
+from .index import GlobalIndex, NeedKey, scan_order, variant_params
 from .ledger import AppendLog, Artifact, read_log
 from .lineage import LineageGraph
 from .needs import NeedItem
@@ -233,9 +233,8 @@ def build_params(manifest: SkillManifest, payload: Payload) -> dict:
 class ArtifactReactor:
     """One agent's reactions.
 
-    ``resolve`` maps an artifact id to its record; ``emit`` creates and
-    publishes an artifact on the agent's behalf and returns it, as
-    ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
+    ``emit`` creates and publishes an artifact on the agent's behalf and
+    returns it, as ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
     ``payload_keys`` maps an artifact id to its payload's ``param_keys``;
     reactors that share it, as they share ``claims``, read each payload's
     keys once between them.
@@ -247,7 +246,6 @@ class ArtifactReactor:
         registry: SkillRegistry,
         index: GlobalIndex,
         graph: LineageGraph,
-        resolve: Callable[[str], Artifact],
         emit: Callable[..., Artifact],
         data_dir: str | Path,
         clock: Clock,
@@ -260,7 +258,6 @@ class ArtifactReactor:
         self.registry = registry
         self.index = index
         self.graph = graph
-        self.resolve = resolve
         self.emit = emit
         self.data_dir = Path(data_dir)
         self.clock = clock
@@ -278,10 +275,9 @@ class ArtifactReactor:
         self._producible = {m.output_artifact_type for m in self._runnable}
         self._allowed = allowed_types(profile, registry)
         # Index entries seen so far, and the candidates in (timestamp, id)
-        # order with their payload keys (see the module doc).
+        # order (see the module doc).
         self._cursor = 0
-        self._candidates: list[IndexEntry] = []
-        self.candidate_keys: dict[str, frozenset] = {}
+        self._candidates: list[Artifact] = []
 
     @property
     def agent_name(self) -> str:
@@ -292,63 +288,53 @@ class ArtifactReactor:
     def _fits(self, keys: frozenset) -> bool:
         return any(not inputs.isdisjoint(keys) for _, inputs in self._skill_inputs)
 
-    def _static_keys(self, entry: IndexEntry) -> frozenset:
-        """The static half of can_react: the entry's payload keys when a peer
-        produced it, its type is allowed and the keys meet a runnable skill;
-        an empty set when it fails."""
-        if entry.producer_agent == self.agent_name or entry.artifact_type not in self._allowed:
-            return frozenset()
-        keys = self.payload_keys.get(entry.artifact_id)
+    def _static_fit(self, artifact: Artifact) -> bool:
+        """The static half of can_react: a peer produced the artifact, its
+        type is allowed and its payload keys, kept in ``payload_keys``, meet
+        a runnable skill."""
+        if (artifact.producer_agent == self.agent_name
+                or artifact.artifact_type not in self._allowed):
+            return False
+        keys = self.payload_keys.get(artifact.artifact_id)
         if keys is None:
-            keys = param_keys(self.resolve(entry.artifact_id).payload)
-            self.payload_keys[entry.artifact_id] = keys
-        return keys if self._fits(keys) else frozenset()
+            keys = self.payload_keys[artifact.artifact_id] = param_keys(artifact.payload)
+        return self._fits(keys)
 
-    def can_react(self, entry: IndexEntry) -> bool:
-        """True iff this reactor could legitimately consume the entry now."""
-        return entry.artifact_id not in self.claims and bool(self._static_keys(entry))
+    def can_react(self, artifact: Artifact) -> bool:
+        """True iff this reactor could legitimately consume the artifact now."""
+        return artifact.artifact_id not in self.claims and self._static_fit(artifact)
 
     def _admit_new_entries(self) -> None:
-        """Move the cursor to the index's end, admitting unclaimed entries
+        """Move the cursor to the index's end, admitting unclaimed artifacts
         that pass the static half of can_react."""
         fresh = self.index.entries_since(self._cursor)
         self._cursor += len(fresh)
-        for entry in fresh:
-            if entry.artifact_id in self.claims:
-                continue
-            keys = self._static_keys(entry)
-            if keys:
-                insort(self._candidates, entry, key=scan_order)
-                self.candidate_keys[entry.artifact_id] = keys
+        for artifact in fresh:
+            if artifact.artifact_id not in self.claims and self._static_fit(artifact):
+                insort(self._candidates, artifact, key=scan_order)
 
-    def scan_available(self) -> list[IndexEntry]:
-        """Unclaimed peer entries compatible with at least one of our skills,
-        in (timestamp, id) order."""
+    def scan_available(self) -> list[Artifact]:
+        """Unclaimed peer artifacts compatible with at least one of our
+        skills, in (timestamp, id) order."""
         self._admit_new_entries()
-        live = []
-        for entry in self._candidates:
-            # Of can_react, only the claim can change once an entry is admitted.
-            if entry.artifact_id in self.claims:
-                del self.candidate_keys[entry.artifact_id]
-                continue
-            live.append(entry)
-        self._candidates = live
-        return live
+        # Of can_react, only the claim can change once an artifact is admitted.
+        self._candidates = [a for a in self._candidates if a.artifact_id not in self.claims]
+        return self._candidates
 
     def scan_needs(
-        self, open_rows: Sequence[tuple[NeedKey, NeedItem, IndexEntry]]
-    ) -> list[tuple[NeedKey, NeedItem, IndexEntry]]:
+        self, open_rows: Sequence[tuple[NeedKey, NeedItem, Artifact]]
+    ) -> list[tuple[NeedKey, NeedItem, Artifact]]:
         """Of ``index.open_needs(...)`` rows, the peer needs this agent could
         produce and that no reactor has claimed yet."""
         rows = []
-        for key, item, entry in open_rows:
-            if entry.producer_agent == self.agent_name:
+        for key, item, carrier in open_rows:
+            if carrier.producer_agent == self.agent_name:
                 continue
             if self.claims.has_need(key):
                 continue
             if item.artifact_type not in self._producible:
                 continue
-            rows.append((key, item, entry))
+            rows.append((key, item, carrier))
         return rows
 
     # -- reactions ----------------------------------------------------------
@@ -419,10 +405,11 @@ class ArtifactReactor:
             return []
         now = self.clock.now()
         contexts = {}
-        for key, item, entry in rows:
-            depth = self.graph.depth(entry.artifact_id) if entry.artifact_id in self.graph else 0
+        for key, item, carrier in rows:
+            depth = (self.graph.depth(carrier.artifact_id)
+                     if carrier.artifact_id in self.graph else 0)
             contexts[key.text] = build_context(
-                entry=entry,
+                carrier=carrier,
                 coverage=self.index.coverage(key.artifact_id, key.need_index),
                 centrality_count=centrality[key],
                 parent_depth=depth,
@@ -432,7 +419,7 @@ class ArtifactReactor:
         for ranked in rank(rows, contexts, self.agent_name):
             if len(records) >= limit:
                 break
-            record = self._fulfill(ranked.key, ranked.item, ranked.entry, ranked.breakdown)
+            record = self._fulfill(ranked.key, ranked.item, ranked.carrier, ranked.breakdown)
             if record is not None:
                 records.append(record)
         return records
@@ -441,7 +428,7 @@ class ArtifactReactor:
         self,
         key: NeedKey,
         item: NeedItem,
-        entry: IndexEntry,
+        carrier: Artifact,
         breakdown: PressureBreakdown,
     ) -> ReactionRecord | None:
         manifest = self._skill_for_need(item)
@@ -460,8 +447,8 @@ class ArtifactReactor:
             return None
         return self._commit(
             "need_driven", manifest, item.artifact_type, payload,
-            parents=(entry.artifact_id,),
-            investigation_id=entry.investigation_id,
+            parents=(carrier.artifact_id,),
+            investigation_id=carrier.investigation_id,
             need=key,
             pressure=breakdown,
         )
@@ -470,14 +457,13 @@ class ArtifactReactor:
         """Merge >=2 compatible peer artifacts through one shared skill."""
         candidates = self.scan_available()
         for manifest, inputs in self._skill_inputs:
-            compatible = [
-                e for e in candidates
-                if not inputs.isdisjoint(self.candidate_keys[e.artifact_id])
-            ]
-            if len(compatible) < 2:
-                continue
             # Candidates come in (timestamp, id) order, oldest parent first.
-            artifacts = [self.resolve(entry.artifact_id) for entry in compatible]
+            artifacts = [
+                a for a in candidates
+                if not inputs.isdisjoint(self.payload_keys[a.artifact_id])
+            ]
+            if len(artifacts) < 2:
+                continue
             merged = merge_payloads(artifacts)
             params = build_params(manifest, merged)
             try:
@@ -502,21 +488,21 @@ class ArtifactReactor:
 
     def react_single(self) -> ReactionRecord | None:
         """Transform one available compatible peer artifact through one skill."""
-        for entry in self.scan_available():
-            keys = self.candidate_keys[entry.artifact_id]
+        for artifact in self.scan_available():
+            keys = self.payload_keys[artifact.artifact_id]
             manifest = next(m for m, inputs in self._skill_inputs if not inputs.isdisjoint(keys))
-            params = build_params(manifest, self.resolve(entry.artifact_id).payload)
+            params = build_params(manifest, artifact.payload)
             try:
                 payload = execute(manifest, params, self.rng.randrange(2**32))
             except ArtifactError as exc:
-                log.warning("single-parent on %s skipped: %s", entry.artifact_id, exc)
+                log.warning("single-parent on %s skipped: %s", artifact.artifact_id, exc)
                 continue
-            if not self.claims.claim_all((entry.artifact_id,)):
+            if not self.claims.claim_all((artifact.artifact_id,)):
                 continue
             return self._commit(
                 "single_parent", manifest, manifest.output_artifact_type, payload,
-                parents=(entry.artifact_id,),
-                investigation_id=entry.investigation_id,
+                parents=(artifact.artifact_id,),
+                investigation_id=artifact.investigation_id,
             )
         return None
 

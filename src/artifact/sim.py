@@ -34,7 +34,7 @@ from .errors import (
     UnknownArtifact,
 )
 from .governance import ArtifactRef, GovernanceLedger, Post
-from .index import GlobalIndex, IndexEntry, NeedKey, index_fields, variant_ids
+from .index import GlobalIndex, NeedKey, index_fields, variant_ids
 from .ledger import (
     Artifact,
     ArtifactStore,
@@ -278,7 +278,6 @@ class AgentRuntime:
             registry=world.registry,
             index=world.index,
             graph=world.graph,
-            resolve=lambda artifact_id: world.resolve_id(artifact_id),
             emit=lambda **kwargs: world.emit(profile.name, **kwargs),
             data_dir=self.dir,
             clock=world.clock,
@@ -290,7 +289,6 @@ class AgentRuntime:
         self.mutator = Mutator(
             agent_name=profile.name,
             graph=world.graph,
-            resolve=lambda artifact_id: world.resolve_id(artifact_id),
             emit=lambda **kwargs: world.emit(profile.name, **kwargs),
             policy=MutationPolicy(**world.scenario.mutation_policy),
             rng=random.Random(stable_hash(str(world.scenario.seed), "mutator", profile.name)),
@@ -407,9 +405,10 @@ class World:
 
         Publishing goes store line, then resolvable (with its birth cycle),
         then graph, then index, so whoever meets the id in the graph or the
-        index can resolve it. ``before_store`` gets the new artifact before
-        anything is written: a reaction appends its line there, ahead of
-        its product's store line. ``fulfills`` goes on the index entry.
+        index can resolve it; both hold the artifact itself. ``before_store``
+        gets the new artifact before anything is written: a reaction appends
+        its line there, ahead of its product's store line. ``fulfills`` is
+        published with the artifact in the index.
         """
         runtime = self.agents[agent_name]
         with self._emit_lock:
@@ -431,7 +430,7 @@ class World:
             self.artifacts[artifact.artifact_id] = artifact
             self.birth_cycles[artifact.artifact_id] = self.current_cycle
             self.graph.insert(artifact)
-            self.index.publish(IndexEntry.for_artifact(artifact, fulfills=fulfills))
+            self.index.publish(artifact, fulfills)
         return artifact
 
 
@@ -768,18 +767,18 @@ def _apply_interventions(world: World, cycle: int) -> list[dict]:
 
 def need_latencies(index: GlobalIndex) -> dict[str, float]:
     """Seconds from a need's broadcast to each recorded fulfillment."""
-    created: dict[str, str] = {}
-    for entry in index.entries():
-        created[entry.artifact_id] = entry.timestamp
+    artifacts = index.entries()
+    created = {artifact.artifact_id: artifact.timestamp for artifact in artifacts}
     latencies: dict[str, float] = {}
-    for entry in index.entries():
-        if entry.fulfills is None:
+    for artifact in artifacts:
+        key = index.fulfilled_key(artifact.artifact_id)
+        if key is None:
             continue
-        born = created.get(entry.fulfills.artifact_id)
+        born = created.get(key.artifact_id)
         if born is None:
             continue
-        delta = parse_timestamp(entry.timestamp) - parse_timestamp(born)
-        latencies[entry.fulfills.text] = delta.total_seconds()
+        delta = parse_timestamp(artifact.timestamp) - parse_timestamp(born)
+        latencies[key.text] = delta.total_seconds()
     return latencies
 
 
@@ -949,10 +948,11 @@ def verify_output(out_dir: str | Path) -> list[str]:
     one violation each, and the checks go on with what is left: every
     reaction's product stored by the reacting agent, no artifact consumed
     twice, no need key fulfilled twice, none of an agent's own artifacts
-    consumed, every consumed type within the agent's domain, no merge
-    repeating the input set of another, and an index that lists each stored
-    artifact once under its producer, with no need key fulfilled twice in
-    it and none its carrier never broadcast.
+    consumed, every consumed type within the agent's domain, every merge
+    and fork line's inputs stored and its outputs stored by the agent that
+    logged it, no merge repeating the input set of another, and an index
+    that lists each stored artifact once under its producer, with no need
+    key fulfilled twice in it and none its carrier never broadcast.
     """
     out = Path(out_dir)
     violations: list[str] = []
@@ -969,7 +969,10 @@ def verify_output(out_dir: str | Path) -> list[str]:
             violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
 
     merged_by: dict[frozenset, str] = {}
-    for agent, _, event in events:
+    for agent, number, event in events:
+        if event.kind == "graft":
+            continue
+        violations += _mutation_line_violations(agent, number, event, artifacts)
         if event.kind != "merge":
             continue
         inputs = frozenset(event.inputs)
@@ -1041,6 +1044,24 @@ def verify_output(out_dir: str | Path) -> list[str]:
                         f"{producer.artifact_type} ({consumed})"
                     )
     violations += _index_violations(out / GlobalIndex.FILENAME, artifacts)
+    return violations
+
+
+def _mutation_line_violations(agent: str, number: int, event: MutationEvent,
+                              artifacts: dict[str, Artifact]) -> list[str]:
+    """What a merge or fork line of an agent's mutations.jsonl gets wrong
+    against the stores: an input no store holds, or an output that is not a
+    stored artifact of that agent."""
+    where = f"{agent} {MUTATIONS_FILE} line {number}: {event.kind}"
+    violations = [f"{where} input {input_id} is in no store"
+                  for input_id in event.inputs if input_id not in artifacts]
+    for output_id in event.outputs:
+        output = artifacts.get(output_id)
+        if output is None:
+            violations.append(f"{where} output {output_id} is in no store")
+        elif output.producer_agent != agent:
+            violations.append(f"{where} output {output_id} was produced by "
+                              f"{output.producer_agent}")
     return violations
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from artifact.clock import EPOCH, ManualClock
 from artifact.governance import GovernanceLedger
-from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
+from artifact.index import GlobalIndex, NeedKey, variant_ids
 from artifact.ledger import ArtifactStore, create_artifact
 from artifact.lineage import LineageGraph
 from artifact.memory import slugify
@@ -52,7 +52,7 @@ KEYS = ("query", "sequence", "papers", "Motifs", "--smiles", "other", "-", "x y"
 def rescanned_open_needs(index: GlobalIndex) -> list:
     """Every unfulfilled need row, from a sort and a rescan of all entries."""
     entries = index.entries()
-    fulfilled = {e.fulfills.text for e in entries if e.fulfills is not None}
+    fulfilled = {index.fulfilled_key(e.artifact_id) for e in entries}
     rows = []
     for entry in sorted(entries, key=lambda e: (e.timestamp, e.artifact_id)):
         if entry.needs is None:
@@ -60,7 +60,7 @@ def rescanned_open_needs(index: GlobalIndex) -> list:
         for need_index, item in enumerate(entry.needs.items):
             for vid in variant_ids(item):
                 key = NeedKey(entry.artifact_id, need_index, vid)
-                if key.text not in fulfilled:
+                if key not in fulfilled:
                     rows.append((key, item, entry))
     return rows
 
@@ -73,7 +73,6 @@ class Peers:
         self.index = GlobalIndex(directory / GlobalIndex.FILENAME)
         self.store = ArtifactStore(directory / ArtifactStore.FILENAME)
         self.claims = ConsumptionClaims()
-        self.artifacts: dict = {}
         self.published: list = []
 
         def reactor(name, tools, subdir):
@@ -82,7 +81,6 @@ class Peers:
                 registry=registry,
                 index=self.index,
                 graph=LineageGraph(),
-                resolve=self.artifacts.__getitem__,
                 emit=None,  # these reactors only scan
                 data_dir=directory / subdir / name,
                 clock=ManualClock(),
@@ -120,11 +118,9 @@ class Peers:
             clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
             id_factory=lambda: f"a{number:03d}",
         )
-        entry = IndexEntry.for_artifact(artifact, fulfills=fulfills)
         self.store.append(artifact)
-        self.artifacts[artifact.artifact_id] = artifact  # resolvable before it is indexed
-        self.index.publish(entry)
-        self.published.append(entry)
+        self.index.publish(artifact, fulfills)
+        self.published.append(artifact)
 
 
 publishes = st.tuples(
@@ -160,7 +156,7 @@ def test_incremental_scans_match_full_rescan(ops):
                 expected = [e for e in peers.index.scan(exclude_producer=name)
                             if reference.can_react(e)]
                 assert found == expected
-                assert all(i not in peers.claims for i in reactor.candidate_keys)
+                assert all(a.artifact_id not in peers.claims for a in found)
                 rows = peers.index.open_needs()
                 rescanned = rescanned_open_needs(peers.index)
                 assert rows == rescanned
@@ -221,10 +217,9 @@ def test_index_centrality_counts_match_the_specification(ops):
                 clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
                 id_factory=lambda: f"a{number:03d}")
             store.append(artifact)
-            entry = IndexEntry.for_artifact(artifact, fulfills=fulfills)
-            index.publish(entry)
+            index.publish(artifact, fulfills)
             if signal is not None:
-                keys += [NeedKey(entry.artifact_id, i, vid)
+                keys += [NeedKey(artifact.artifact_id, i, vid)
                          for i, item in enumerate(signal.items) for vid in variant_ids(item)]
             assert_counts_match_specification(index)
         assert_counts_match_specification(GlobalIndex(path, reopened(store)))

@@ -7,25 +7,28 @@ import pytest
 
 from artifact.clock import ManualClock
 from artifact.errors import CorruptStore, DuplicateEntry
-from artifact.index import GlobalIndex, IndexEntry, NeedKey, variant_ids
-from artifact.ledger import ArtifactStore, create_artifact
+from artifact.index import GlobalIndex, NeedKey, variant_ids
+from artifact.ledger import Artifact, ArtifactStore, create_artifact
 from artifact.needs import NeedItem, NeedsSignal
 
 RATIONALE = "more data on this entity would advance the run"
 
 
 def entry(artifact_id, *, artifact_type="protein_data", producer="alice",
-          timestamp="2024-01-01T00:00:00.000000+00:00", parents=(),
-          investigation_id="", needs=None, fulfills=None):
-    return IndexEntry(
+          timestamp="2024-01-01T00:00:00.000000+00:00", needs=None):
+    """An artifact record for the index; the index never reads its payload."""
+    return Artifact(
         artifact_id=artifact_id,
         artifact_type=artifact_type,
         producer_agent=producer,
+        skill="protein_lookup",
+        schema_version=1,
+        payload={},
+        investigation_id="",
         timestamp=timestamp,
-        parent_artifact_ids=tuple(parents),
-        investigation_id=investigation_id,
+        content_hash="",
+        parent_artifact_ids=(),
         needs=needs,
-        fulfills=fulfills,
     )
 
 
@@ -49,19 +52,6 @@ def test_duplicate_publish_rejected(tmp_path):
     index.publish(entry("a1"))
     with pytest.raises(DuplicateEntry):
         index.publish(entry("a1"))
-
-
-def test_entries_carry_no_payload():
-    with pytest.raises(TypeError):
-        IndexEntry(
-            artifact_id="a1",
-            artifact_type="protein_data",
-            producer_agent="alice",
-            timestamp="t",
-            parent_artifact_ids=(),
-            investigation_id="",
-            payload={"x": 1},
-        )
 
 
 def test_scan_filters():
@@ -108,7 +98,7 @@ def test_fulfilled_key_closes_need():
     index = GlobalIndex()
     index.publish(entry("a1", needs=NeedsSignal(items=(need(),))))
     key = NeedKey("a1", 0, "default")
-    index.publish(entry("b1", producer="bruno", fulfills=key))
+    index.publish(entry("b1", producer="bruno"), key)
     assert [k for k, _, _ in index.open_needs()] == []
     assert index.coverage("a1", 0) == 1
 
@@ -131,30 +121,30 @@ def test_coverage_counts_across_variants():
     signal = NeedsSignal(items=(need(variants=({"a": 1}, {"a": 2})),))
     index.publish(entry("a1", needs=signal))
     assert index.coverage("a1", 0) == 0
-    index.publish(entry("b1", producer="bruno", fulfills=NeedKey("a1", 0, "v0")))
-    index.publish(entry("b2", producer="chen", fulfills=NeedKey("a1", 0, "v1")))
+    index.publish(entry("b1", producer="bruno"), NeedKey("a1", 0, "v0"))
+    index.publish(entry("b2", producer="chen"), NeedKey("a1", 0, "v1"))
     assert index.coverage("a1", 0) == 2
 
 
 def test_coverage_ignores_other_need_index():
     index = GlobalIndex()
     index.publish(entry("a1", needs=NeedsSignal(items=(need(), need(query="other q")))))
-    index.publish(entry("b1", producer="bruno", fulfills=NeedKey("a1", 1, "default")))
+    index.publish(entry("b1", producer="bruno"), NeedKey("a1", 1, "default"))
     assert index.coverage("a1", 0) == 0
     assert index.coverage("a1", 1) == 1
 
 
 # -- persistence & invariants ------------------------------------------------------
 
-def stored(store, artifact_id, *, producer="alice", needs=None, fulfills=None):
-    """Store an artifact with this id and return its index entry."""
+def stored(store, artifact_id, *, producer="alice", needs=None):
+    """Store an artifact with this id and return it."""
     artifact = create_artifact(
         artifact_type="protein_data", producer_agent=producer, skill="protein_lookup",
         payload={"n": len(store)}, needs=needs, clock=ManualClock(),
         id_factory=lambda: artifact_id,
     )
     store.append(artifact)
-    return IndexEntry.for_artifact(artifact, fulfills=fulfills)
+    return artifact
 
 
 def reopened(store):
@@ -167,7 +157,7 @@ def test_index_line_holds_the_address_and_fulfilled_key(tmp_path):
     store = ArtifactStore(tmp_path / "store.jsonl")
     index = GlobalIndex(path)
     index.publish(stored(store, "a1", needs=NeedsSignal(items=(need(),))))
-    index.publish(stored(store, "b1", producer="bruno", fulfills=NeedKey("a1", 0, "default")))
+    index.publish(stored(store, "b1", producer="bruno"), NeedKey("a1", 0, "default"))
     assert path.read_bytes() == (
         b'{"artifact_id":"a1","fulfills":null,"producer_agent":"alice"}\n'
         b'{"artifact_id":"b1","fulfills":"a1:0:default","producer_agent":"bruno"}\n'
@@ -179,12 +169,13 @@ def test_reload_from_file(tmp_path):
     store = ArtifactStore(tmp_path / "store.jsonl")
     index = GlobalIndex(path)
     index.publish(stored(store, "a1", needs=NeedsSignal(items=(need(),))))
-    index.publish(stored(store, "b1", producer="bruno", fulfills=NeedKey("a1", 0, "default")))
+    index.publish(stored(store, "b1", producer="bruno"), NeedKey("a1", 0, "default"))
     reloaded = GlobalIndex(path, reopened(store))
     assert len(reloaded) == 2
     assert reloaded.coverage("a1", 0) == 1
     assert reloaded.open_needs() == []
     assert reloaded.entries() == index.entries()
+    assert [reloaded.fulfilled_key(i) for i in ("a1", "b1")] == [None, NeedKey("a1", 0, "default")]
 
 
 def test_reload_rejects_a_repeated_entry(tmp_path):
@@ -242,8 +233,8 @@ def test_open_needs_never_intersect_fulfilled(tmp_path):
     index = GlobalIndex(tmp_path / "index.jsonl")
     signal = NeedsSignal(items=(need(variants=({"a": 1}, {"a": 2})), need(query="zz top")))
     index.publish(entry("a1", needs=signal))
-    index.publish(entry("f1", producer="bruno", fulfills=NeedKey("a1", 0, "v0")))
-    index.publish(entry("f2", producer="bruno", fulfills=NeedKey("a1", 1, "default")))
+    index.publish(entry("f1", producer="bruno"), NeedKey("a1", 0, "v0"))
+    index.publish(entry("f2", producer="bruno"), NeedKey("a1", 1, "default"))
     open_keys = {k.text for k, _, _ in index.open_needs()}
     fulfilled = {"a1:0:v0", "a1:1:default"}
     assert open_keys.isdisjoint(fulfilled)
@@ -256,7 +247,7 @@ def test_coverage_matches_brute_force_over_raw_file(tmp_path):
     signal = NeedsSignal(items=(need(variants=({"a": 1}, {"a": 2}, {"a": 3})),))
     index.publish(entry("a1", needs=signal))
     for i, variant in enumerate(["v0", "v1", "v2"]):
-        index.publish(entry(f"f{i}", producer="bruno", fulfills=NeedKey("a1", 0, variant)))
+        index.publish(entry(f"f{i}", producer="bruno"), NeedKey("a1", 0, variant))
 
     brute = 0
     with open(path, "r", encoding="utf-8") as handle:

@@ -45,7 +45,6 @@ class MutatorHarness:
         self.mutator = mutator_cls(
             agent_name="mora",
             graph=self.graph,
-            resolve=self.artifacts.__getitem__,
             emit=self.emit,
             policy=policy or MutationPolicy(),
             rng=random.Random(7),
@@ -304,8 +303,8 @@ def test_concurrent_agents_merge_each_pair_once():
     for _ in range(12):
         harness.add({"x": 1, "y": 2}, parents=(root.artifact_id,), born=9)
     mutators = [
-        Mutator(agent_name=f"m{i}", graph=harness.graph, resolve=harness.artifacts.__getitem__,
-                emit=harness.emit, policy=harness.mutator.policy,
+        Mutator(agent_name=f"m{i}", graph=harness.graph, emit=harness.emit,
+                policy=harness.mutator.policy,
                 birth_cycles=harness.birth_cycles)
         for i in range(8)
     ]
@@ -404,14 +403,15 @@ def test_event_invariants():
 
 # -- the sibling-pair index against the full rescan it replaced ----------------------
 
-def rescanned_pairs(graph):
-    """Distinct id pairs sharing at least one effective parent, from scratch.
+def rescanned_pairs(graph, ids):
+    """Distinct pairs of the ids sharing at least one effective parent, from
+    scratch.
 
     Siblings are gathered in a set: a node that names one parent twice is
     still not its own sibling.
     """
     children = {}
-    for node_id in graph.node_ids():
+    for node_id in ids:
         if graph.node(node_id).artifact_type == "mutation_policy":
             continue
         for parent in graph.parents(node_id):
@@ -429,7 +429,9 @@ class RescanningMutator(Mutator):
     """The detection and cycle algorithm that rescans every pair on every call.
 
     It keeps the index's resolved-pair rule in a set of its own: a merged
-    pair is never grafted or merged again.
+    pair is never grafted or merged again. Its nodes are the ids in
+    ``birth_cycles``, which the harness's ``emit`` fills with every id it
+    publishes.
     """
 
     def __init__(self, *args, **kwargs):
@@ -437,11 +439,14 @@ class RescanningMutator(Mutator):
         self.merged = set()
 
     def _payload_keys(self, artifact_id):
-        return frozenset(self.resolve(artifact_id).payload)
+        return frozenset(self.graph.node(artifact_id).payload)
+
+    def _rescanned_pairs(self):
+        return rescanned_pairs(self.graph, list(self.birth_cycles))
 
     def detect_redundancy(self):
         flagged = []
-        for a_id, b_id in rescanned_pairs(self.graph):
+        for a_id, b_id in self._rescanned_pairs():
             keys_a = self._payload_keys(a_id)
             keys_b = self._payload_keys(b_id)
             if jaccard(keys_a, keys_b) > self.policy.redundancy_threshold:
@@ -450,9 +455,9 @@ class RescanningMutator(Mutator):
 
     def detect_conflict(self):
         flagged = []
-        for a_id, b_id in rescanned_pairs(self.graph):
-            art_a = self.resolve(a_id)
-            art_b = self.resolve(b_id)
+        for a_id, b_id in self._rescanned_pairs():
+            art_a = self.graph.node(a_id)
+            art_b = self.graph.node(b_id)
             for key in sorted(set(art_a.payload) & set(art_b.payload)):
                 if art_a.payload[key] != art_b.payload[key]:
                     flagged.append((a_id, b_id, key))
@@ -462,7 +467,7 @@ class RescanningMutator(Mutator):
         budget = self.policy.max_mutations_per_cycle
         applied = []
         touched = set()
-        sibling_pairs = rescanned_pairs(self.graph)
+        sibling_pairs = self._rescanned_pairs()
         conflicts = self.detect_conflict()
         redundant = self.detect_redundancy()
         denominator = max(1, len(sibling_pairs))
@@ -480,7 +485,7 @@ class RescanningMutator(Mutator):
                 self.graft(b_id, a_id, cycle=cycle)
                 applied.append(self.events[-1])
             except CycleRejected:
-                self.merge_siblings(self.resolve(a_id), self.resolve(b_id), cycle=cycle)
+                self.merge_siblings(self.graph.node(a_id), self.graph.node(b_id), cycle=cycle)
                 self.merged.add((a_id, b_id))
                 applied.append(self.events[-1])
             touched.update((a_id, b_id))
@@ -491,7 +496,7 @@ class RescanningMutator(Mutator):
                 continue
             if not self._share_parent(a_id, b_id):
                 continue
-            self.merge_siblings(self.resolve(a_id), self.resolve(b_id), cycle=cycle)
+            self.merge_siblings(self.graph.node(a_id), self.graph.node(b_id), cycle=cycle)
             self.merged.add((a_id, b_id))
             applied.append(self.events[-1])
             touched.update((a_id, b_id))
@@ -500,7 +505,7 @@ class RescanningMutator(Mutator):
                 return applied
             if leaf in touched:
                 continue
-            artifact = self.resolve(leaf)
+            artifact = self.graph.node(leaf)
             if len(artifact.payload) < 2:
                 continue
             child_a, child_b = self.fork(artifact, cycle=cycle)
@@ -533,7 +538,7 @@ def test_pair_index_matches_full_rescan(ops, threshold, budget):
     rescan = MutatorHarness(policy=policy, mutator_cls=RescanningMutator)
     cycle = 0
     for op in ops:
-        ids = live.graph.node_ids()
+        ids = list(live.artifacts)
         if op[0] == "insert":
             _, picks, payload, policy_node, born = op
             parents = tuple(ids[i % len(ids)] for i in picks) if ids else ()
@@ -553,7 +558,7 @@ def test_pair_index_matches_full_rescan(ops, threshold, budget):
         elif op[0] == "cycle":
             cycle += 1
             live.cycle = rescan.cycle = cycle
-            assert live.graph.sibling_pairs().pairs() == rescanned_pairs(live.graph)
+            assert live.graph.sibling_pairs().pairs() == rescanned_pairs(live.graph, ids)
             assert live.mutator.detect_conflict() == rescan.mutator.detect_conflict()
             assert live.mutator.detect_redundancy() == rescan.mutator.detect_redundancy()
             events = [e.to_dict() for e in live.mutator.mutate_cycle(cycle)]
@@ -563,8 +568,8 @@ def test_pair_index_matches_full_rescan(ops, threshold, budget):
             live.mutator.drift_policy()
             rescan.mutator.drift_policy()
     graph = live.graph
-    assert graph.sibling_pairs().pairs() == rescanned_pairs(graph)
-    ids = graph.node_ids()
+    ids = list(live.artifacts)
+    assert graph.sibling_pairs().pairs() == rescanned_pairs(graph, ids)
     for node_id in ids:
         assert sorted(graph.children(node_id)) == \
             sorted(n for n in ids if node_id in graph.parents(n))

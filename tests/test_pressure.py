@@ -8,7 +8,8 @@ import pytest
 
 from artifact.clock import EPOCH
 from artifact.errors import ClockSkew, InvalidCoverage
-from artifact.index import IndexEntry, NeedKey
+from artifact.index import NeedKey
+from artifact.ledger import Artifact
 from artifact.needs import NeedItem
 from artifact.pressure import (
     PressureContext,
@@ -27,13 +28,18 @@ def need(artifact_type="protein_data", query="TP53 Y220C"):
 
 
 def entry(artifact_id, producer="alice", timestamp=None):
-    return IndexEntry(
+    """A need carrier; ranking reads only its producer and timestamp."""
+    return Artifact(
         artifact_id=artifact_id,
         artifact_type="synthesis",
         producer_agent=producer,
-        timestamp=timestamp or "2024-01-01T00:00:00.000000+00:00",
-        parent_artifact_ids=(),
+        skill="topic_summary",
+        schema_version=1,
+        payload={},
         investigation_id="",
+        timestamp=timestamp or "2024-01-01T00:00:00.000000+00:00",
+        content_hash="",
+        parent_artifact_ids=(),
     )
 
 

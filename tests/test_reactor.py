@@ -9,7 +9,7 @@ import pytest
 from artifact import reactor as reactor_module
 from artifact.clock import EPOCH, ManualClock
 from artifact.errors import CorruptStore
-from artifact.index import GlobalIndex, IndexEntry, NeedKey
+from artifact.index import GlobalIndex, NeedKey
 from artifact.ledger import ArtifactStore, create_artifact, new_uuid
 from artifact.lineage import LineageGraph
 from artifact.needs import NeedItem, NeedsSignal
@@ -136,7 +136,6 @@ class Harness:
             registry=self.registry,
             index=self.index,
             graph=self.graph,
-            resolve=self.artifacts.__getitem__,
             emit=lambda **kwargs: self.emit(name, **kwargs),
             data_dir=self.stores[name].path.parent,
             clock=self.clock,
@@ -164,8 +163,14 @@ class Harness:
         self.stores[agent].append(artifact)
         self.artifacts[artifact.artifact_id] = artifact
         self.graph.insert(artifact)
-        self.index.publish(IndexEntry.for_artifact(artifact, fulfills=fulfills))
+        self.index.publish(artifact, fulfills)
         return artifact
+
+
+def fulfilments(index):
+    """(artifact, need key) for each published artifact that fulfilled a need."""
+    keyed = ((a, index.fulfilled_key(a.artifact_id)) for a in index.entries())
+    return [(a, key) for a, key in keyed if key is not None]
 
 
 @pytest.fixture
@@ -264,8 +269,7 @@ def test_single_need_limit_three(harness):
     assert produced.artifact_type == "sequence_alignment"
     assert produced.parent_artifact_ids == (carrier.artifact_id,)
     # fulfillment is visible in the index
-    fulfilled = [e for e in harness.index.entries() if e.fulfills is not None]
-    assert fulfilled[0].fulfills == record.fulfilled_need
+    assert [key for _, key in fulfilments(harness.index)] == [record.fulfilled_need]
 
 
 def test_higher_pressure_need_wins_budget(harness):
@@ -468,18 +472,19 @@ def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_p
 
 
 def test_payload_key_cache_is_transparent(harness):
-    """A candidate's kept payload keys are the keys a fresh read gives, and
-    they go when the candidate is claimed; a claimed entry never gets any."""
+    """A candidate's kept payload keys are the keys a fresh read gives, a
+    claimed entry is never admitted, and a candidate claimed since goes."""
     artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
     taken = harness.emit("carol", "protein_data", {"sequence": "CCC"})
     harness.claims.claim_all((taken.artifact_id,))
     reactor = harness.reactors["bob"]
-    assert [e.artifact_id for e in reactor.scan_available()] == [artifact.artifact_id]
-    assert reactor.candidate_keys == {artifact.artifact_id: param_keys(artifact.payload)}
-    assert "sequence" in reactor.candidate_keys[artifact.artifact_id]
+    found = reactor.scan_available()
+    assert [a.artifact_id for a in found] == [artifact.artifact_id]
+    assert found[0] is artifact
+    assert reactor.payload_keys == {artifact.artifact_id: param_keys(artifact.payload)}
+    assert "sequence" in reactor.payload_keys[artifact.artifact_id]
     harness.claims.claim_all((artifact.artifact_id,))
     assert reactor.scan_available() == []
-    assert reactor.candidate_keys == {}
 
 
 def test_reactors_sharing_payload_keys_read_each_payload_once(harness, monkeypatch):
@@ -496,7 +501,7 @@ def test_reactors_sharing_payload_keys_read_each_payload_once(harness, monkeypat
     assert harness.payload_keys == {a.artifact_id: param_keys(a.payload)
                                     for a in (first, second)}
     bob = harness.reactors["bob"]
-    assert bob.candidate_keys == harness.payload_keys
+    assert {a.artifact_id for a in bob.scan_available()} == set(harness.payload_keys)
 
 
 # -- exclusive need keys ------------------------------------------------------------
@@ -525,8 +530,7 @@ def test_need_key_has_exactly_one_winner(tmp_path, registry):
                for r in harness.reactors[name].react_to_needs(limit=1)]
     key = NeedKey(carrier.artifact_id, 0, "default")
     assert [r.fulfilled_need for r in records] == [key]
-    fulfilments = [e for e in harness.index.entries() if e.fulfills == key]
-    assert len(fulfilments) == 1
+    assert [k for _, k in fulfilments(harness.index)].count(key) == 1
 
 
 def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
@@ -554,8 +558,7 @@ def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
     assert harness.reactors["dave"].react_to_needs(limit=1) == []
     key = NeedKey(carrier.artifact_id, 0, "default")
     assert len(calls) == 2
-    assert [(e.producer_agent, e.fulfills) for e in harness.index.entries()
-            if e.fulfills is not None] == [("bob", key)]
+    assert [(a.producer_agent, k) for a, k in fulfilments(harness.index)] == [("bob", key)]
     assert not (tmp_path / "agents" / "dave" / "reactions.jsonl").exists()
 
 
@@ -625,7 +628,7 @@ def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    answered = [e.fulfills.text for e in harness.index.entries() if e.fulfills is not None]
+    answered = [key.text for _, key in fulfilments(harness.index)]
     logged = [r.fulfilled_need.text for n in names for r in harness.reactors[n].reaction_log]
     assert len(answered) == len(set(answered)) == 12
     assert sorted(logged) == sorted(answered)

@@ -396,6 +396,17 @@ def test_emergent_multi_producer_synthesis(tmp_path):
         assert entry.parent_artifact_ids == artifact.parent_artifact_ids
 
 
+def test_index_graph_and_world_hold_one_record_per_artifact(tmp_path):
+    """The index and the lineage graph hold the artifact the world made, not
+    copies of its fields."""
+    world, _ = run(demo_scenario(), tmp_path / "out")
+    published = world.index.entries()
+    assert len(published) == len(world.artifacts) == len(world.graph)
+    for artifact in published:
+        assert world.artifacts[artifact.artifact_id] is artifact
+        assert world.graph.node(artifact.artifact_id) is artifact
+
+
 def test_run_passes_invariant_checks(tmp_path):
     run(fig2_scenario(), tmp_path / "out")
     assert verify_output(tmp_path / "out") == []
@@ -487,6 +498,14 @@ def _graft(node, new_parent):
             "new_parent": new_parent}
 
 
+UNKNOWN_ID = "00000000-0000-4000-8000-000000000000"
+
+
+def _reshape(kind, inputs, outputs):
+    return {"kind": kind, "inputs": inputs, "outputs": outputs, "cycle": 99,
+            "new_parent": None}
+
+
 @pytest.mark.parametrize("damage, error", [
     ("garbled store line", "CorruptStore"),
     ("non-UTF-8 store line", "CorruptStore"),
@@ -498,6 +517,9 @@ def _graft(node, new_parent):
     ("graft onto a missing parent", "DanglingParent"),
     ("malformed mutation line", "CorruptStore"),
     ("key-less mutation line", "CorruptStore"),
+    ("fork into an id no store holds", f"fork output {UNKNOWN_ID} is in no store"),
+    ("merge into a peer's artifact", "was produced by bruno"),
+    ("merge of an id no store holds", f"merge input {UNKNOWN_ID} is in no store"),
     ("unparseable report", "JSONDecodeError"),
     ("report without scenario", "KeyError('scenario')"),
     ("report without dag_metrics", "KeyError('dag_metrics')"),
@@ -548,6 +570,16 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         _append_line(alice / "mutations.jsonl", {"kind": "graft"})
     elif damage == "graft onto a descendant":
         _append_line(alice / "mutations.jsonl", _graft(parent, child.artifact_id))
+    elif damage == "fork into an id no store holds":
+        _append_line(alice / "mutations.jsonl",
+                     _reshape("fork", [parent], [child.artifact_id, UNKNOWN_ID]))
+    elif damage == "merge into a peer's artifact":
+        peer = ArtifactStore.open_dir(out / "agents" / "bruno").records()[0]
+        _append_line(alice / "mutations.jsonl",
+                     _reshape("merge", [parent, child.artifact_id], [peer.artifact_id]))
+    elif damage == "merge of an id no store holds":
+        _append_line(alice / "mutations.jsonl",
+                     _reshape("merge", [parent, UNKNOWN_ID], [child.artifact_id]))
     else:
         _append_line(alice / "mutations.jsonl", _graft(child.artifact_id, "artifact-gone"))
     violations = verify_output(out)
@@ -781,7 +813,7 @@ def test_an_id_resolves_before_the_graph_or_the_index_holds_it(tmp_path, monkeyp
         world_init(world, *args, **kwargs)
 
     def checked(method):
-        def wrapper(structure, item):
+        def wrapper(structure, item, *args):
             for world in worlds:
                 if structure is world.graph or structure is world.index:
                     try:
@@ -790,7 +822,7 @@ def test_an_id_resolves_before_the_graph_or_the_index_holds_it(tmp_path, monkeyp
                         found = None
                     if found is None:
                         unresolved.append((type(structure).__name__, item.artifact_id))
-            return method(structure, item)
+            return method(structure, item, *args)
         return wrapper
 
     monkeypatch.setattr(World, "__init__", init)
