@@ -181,15 +181,20 @@ def _seconds_to_next_utc_day(now: datetime) -> float:
 
 
 class GovernanceLedger:
-    """Single-writer state machine over a record-per-line event log."""
+    """Single-writer state machine over a record-per-line event log.
+
+    Opening a ledger replays the events ``path`` holds; every command after
+    that appends its event there. ``clock`` dates a command given no time,
+    and ``resolve_ref``, when given, must know each artifact a post cites.
+    """
 
     def __init__(
         self,
-        path: str | Path | None = None,
+        path: str | Path,
         clock: Clock | None = None,
         resolve_ref: Callable[[str], bool] | None = None,
     ):
-        self.path = Path(path) if path is not None else None
+        self.path = Path(path)
         self.clock = clock or SystemClock()
         self.resolve_ref = resolve_ref
         self.accounts: dict[str, AgentAccount] = {}
@@ -201,14 +206,13 @@ class GovernanceLedger:
         self._rates: dict[str, _RateState] = {}
         self._counters = {"post": 0, "comment": 0}
         self._replaying = False
-        self.file = AppendLog(self.path) if self.path is not None else None
-        if self.path is not None:
-            self._replay()
+        self.file = AppendLog(self.path)
+        self._replay()
 
     # -- event log --------------------------------------------------------
 
     def _log(self, op: str, data: dict, now: datetime) -> None:
-        if self._replaying or self.file is None:
+        if self._replaying:
             return
         self.file.append({"op": op, "now": format_timestamp(now), "data": data})
 
@@ -532,12 +536,10 @@ class GovernanceLedger:
 
     # -- queries ----------------------------------------------------------
 
-    def feed(self, community: str | None = None, limit: int | None = None) -> list[Post]:
-        """Visible posts, newest first by (created, id), read from the order
-        the ledger keeps."""
-        posts = [p for p in reversed(self._visible)
-                 if community is None or p.community == community]
-        return posts if limit is None else posts[:limit]
+    def feed(self, community: str) -> list[Post]:
+        """A community's visible posts, newest first by (created, id), read
+        from the order the ledger keeps."""
+        return [p for p in reversed(self._visible) if p.community == community]
 
     def visible_posts(self) -> list[Post]:
         """The visible posts of every community in (created, id) order: the

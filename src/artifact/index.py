@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .errors import CorruptStore, DuplicateEntry, UnknownArtifact
+from .errors import CorruptStore, DuplicateEntry
 from .ledger import AppendLog, Artifact, read_log
-from .needs import NeedItem, NeedsSignal, tokenize
+from .needs import NeedItem, tokenize
 
 DEFAULT_VARIANT = "default"
 
@@ -100,10 +100,6 @@ def index_fields(record: dict) -> tuple[str, str, NeedKey | None]:
     return artifact_id, producer, NeedKey.parse(fulfills) if fulfills is not None else None
 
 
-def _unresolvable(artifact_id: str) -> Artifact:
-    raise UnknownArtifact(f"no store holds artifact {artifact_id}")
-
-
 def scan_order(artifact: Artifact) -> tuple:
     """The order every scan of the index returns: timestamp, then id."""
     return (artifact.timestamp, artifact.artifact_id)
@@ -120,13 +116,9 @@ class GlobalIndex:
 
     FILENAME = "index.jsonl"
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        resolve: Callable[[str], Artifact] = _unresolvable,
-    ):
-        self.path = Path(path) if path is not None else None
-        self.log = AppendLog(self.path) if self.path is not None else None
+    def __init__(self, path: str | Path, resolve: Callable[[str], Artifact]):
+        self.path = Path(path)
+        self.log = AppendLog(self.path)
         self._entries: list[Artifact] = []
         self._fulfills: dict[str, NeedKey | None] = {}  # the key each id fulfilled
         self._fulfilled_keys: set[str] = set()
@@ -141,20 +133,20 @@ class GlobalIndex:
         self._row_tokens: dict[NeedKey, set[str]] = {}
         self._postings: dict[tuple[str, str], dict[NeedKey, NeedItem]] = {}
         self._lock = threading.Lock()
-        if self.path is not None:
-            def joined(record: dict) -> tuple[Artifact, NeedKey | None]:
-                artifact_id, producer, fulfills = index_fields(record)
-                artifact = resolve(artifact_id)
-                if artifact.producer_agent != producer:
-                    raise ValueError(f"{artifact_id} was produced by {artifact.producer_agent}, "
-                                     f"not {producer}")
-                return artifact, fulfills
 
-            for number, (artifact, fulfills) in read_log(self.path, joined):
-                if artifact.artifact_id in self._fulfills:
-                    raise CorruptStore(str(self.path), number,
-                                       f"repeated entry {artifact.artifact_id}")
-                self._admit(artifact, fulfills)
+        def joined(record: dict) -> tuple[Artifact, NeedKey | None]:
+            artifact_id, producer, fulfills = index_fields(record)
+            artifact = resolve(artifact_id)
+            if artifact.producer_agent != producer:
+                raise ValueError(f"{artifact_id} was produced by {artifact.producer_agent}, "
+                                 f"not {producer}")
+            return artifact, fulfills
+
+        for number, (artifact, fulfills) in read_log(self.path, joined):
+            if artifact.artifact_id in self._fulfills:
+                raise CorruptStore(str(self.path), number,
+                                   f"repeated entry {artifact.artifact_id}")
+            self._admit(artifact, fulfills)
 
     def _admit(self, artifact: Artifact, fulfills: NeedKey | None) -> None:
         self._entries.append(artifact)
@@ -247,14 +239,13 @@ class GlobalIndex:
         """The need key a published artifact fulfilled, or None."""
         return self._fulfills[artifact_id]
 
-    def publish(self, artifact: Artifact, fulfills: NeedKey | None = None) -> None:
+    def publish(self, artifact: Artifact, fulfills: NeedKey | None) -> None:
         """Append one artifact, with the need key it fulfills; appends
         serialize so lines never interleave."""
         with self._lock:
             if artifact.artifact_id in self._fulfills:
                 raise DuplicateEntry(f"index already holds {artifact.artifact_id}")
-            if self.log is not None:
-                self.log.append(index_line(artifact, fulfills))
+            self.log.append(index_line(artifact, fulfills))
             self._admit(artifact, fulfills)
 
     def scan(
@@ -277,20 +268,19 @@ class GlobalIndex:
         return found
 
     def open_needs(
-        self, centrality: dict[NeedKey, int] | None = None
+        self, centrality: dict[NeedKey, int]
     ) -> list[tuple[NeedKey, NeedItem, Artifact]]:
         """Every unfulfilled (key, item, carrying artifact) row, variant-expanded.
 
         Rows come in (timestamp, id) order of the carrying artifact, then need
-        index, then variant. When ``centrality`` is given, it gets each
-        row's centrality count, read under the same lock as the rows.
+        index, then variant. ``centrality`` gets each row's centrality count,
+        read under the same lock as the rows.
         """
         rows = []
         with self._lock:
             for carrier in self._need_carriers:
                 rows.extend(self._open_rows[carrier.artifact_id])
-            if centrality is not None:
-                centrality.update(self._centrality)
+            centrality.update(self._centrality)
         return rows
 
     def coverage(self, artifact_id: str, need_index: int) -> int:

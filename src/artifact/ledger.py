@@ -31,7 +31,6 @@ from typing import Any, Callable, Collection, Iterable, Iterator
 from .canonical import Payload, canonical_line, content_hash
 from .clock import Clock, format_timestamp
 from .errors import (
-    ArtifactError,
     CorruptStore,
     CyclicLineage,
     DuplicateArtifact,
@@ -41,16 +40,8 @@ from .errors import (
 )
 from .needs import NeedsSignal
 
-RESULT_QUALITIES = ("good", "poor", "unknown")
-
 ADDRESS_SCHEME = "artifact://"
 _UUID_RE = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$")
-
-_FIELDS = (
-    "artifact_id", "artifact_type", "producer_agent", "skill", "schema_version",
-    "payload", "investigation_id", "timestamp", "content_hash",
-    "parent_artifact_ids", "result_quality", "needs",
-)
 
 
 @dataclass(frozen=True)
@@ -109,10 +100,8 @@ class ArtifactAddress:
     id: str
 
 
-def new_uuid(rng: random.Random | None = None) -> str:
-    """Fresh UUID4 in text form; seeded when an rng is supplied."""
-    if rng is None:
-        return str(uuid.uuid4())
+def new_uuid(rng: random.Random) -> str:
+    """A UUID4 in text form, drawn from ``rng``."""
     return str(uuid.UUID(bytes=rng.getrandbits(128).to_bytes(16, "big"), version=4))
 
 
@@ -121,43 +110,37 @@ def create_artifact(
     producer_agent: str,
     skill: str,
     payload: Payload,
-    parents: Iterable[str] = (),
-    investigation_id: str = "",
-    needs: NeedsSignal | None = None,
-    clock: Clock | None = None,
-    result_quality: str = "unknown",
-    schema_version: int = 1,
+    parents: Iterable[str],
+    investigation_id: str,
+    needs: NeedsSignal | None,
+    *,
+    clock: Clock,
+    id_factory: Callable[[], str],
     known_types: Collection[str] | None = None,
-    id_factory: Callable[[], str] | None = None,
 ) -> Artifact:
     """Assemble a fresh, hash-stamped artifact record.
 
+    The id comes from ``id_factory`` and the timestamp from ``clock``.
     ``known_types``, when given, is the controlled vocabulary to validate
-    ``artifact_type`` against. The timestamp comes from the injected clock.
+    ``artifact_type`` against.
     """
     if known_types is not None and artifact_type not in known_types:
         raise UnknownArtifactType(f"artifact type {artifact_type!r} is not registered")
-    if result_quality not in RESULT_QUALITIES:
-        raise ArtifactError(f"result_quality must be one of {RESULT_QUALITIES}")
     parent_ids = tuple(parents)
-    artifact_id = (id_factory or (lambda: new_uuid()))()
+    artifact_id = id_factory()
     if artifact_id in parent_ids:
         raise CyclicLineage(f"artifact {artifact_id} cannot be its own parent")
-    if clock is None:
-        from .clock import SystemClock
-        clock = SystemClock()
     return Artifact(
         artifact_id=artifact_id,
         artifact_type=artifact_type,
         producer_agent=producer_agent,
         skill=skill,
-        schema_version=schema_version,
+        schema_version=1,
         payload=payload,
         investigation_id=investigation_id,
         timestamp=format_timestamp(clock.now()),
         content_hash=content_hash(payload),
         parent_artifact_ids=parent_ids,
-        result_quality=result_quality,
         needs=needs,
     )
 

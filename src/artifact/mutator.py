@@ -50,6 +50,12 @@ class MutationPolicy:
     drift_step: float = 0.05
 
     def __post_init__(self):
+        for name in ("stagnation_cycles", "max_mutations_per_cycle"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        for name in ("redundancy_threshold", "drift_step"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
         lo, hi = STAGNATION_BOUNDS
         if not lo <= self.stagnation_cycles <= hi:
             raise ValueError(f"stagnation_cycles out of bounds {STAGNATION_BOUNDS}")
@@ -166,7 +172,8 @@ class Mutator:
 
     ``emit`` creates and publishes an artifact on the agent's behalf and
     returns it, recording its birth cycle in ``birth_cycles``. Payloads are
-    read from the records the lineage graph holds.
+    read from the records the lineage graph holds. ``rng`` drives the policy
+    drift, and every event is appended to ``data_dir``'s mutations.jsonl.
     """
 
     def __init__(
@@ -174,18 +181,18 @@ class Mutator:
         agent_name: str,
         graph: LineageGraph,
         emit: Callable[..., Artifact],
-        policy: MutationPolicy | None = None,
-        rng: random.Random | None = None,
-        birth_cycles: dict | None = None,
-        data_dir: str | Path | None = None,
+        policy: MutationPolicy,
+        rng: random.Random,
+        birth_cycles: dict[str, int],
+        data_dir: str | Path,
     ):
         self.agent_name = agent_name
         self.graph = graph
         self.emit = emit
-        self.policy = policy or MutationPolicy()
-        self.rng = rng or random.Random()
-        self.birth_cycles = birth_cycles if birth_cycles is not None else {}
-        self.file = AppendLog(Path(data_dir) / MUTATIONS_FILE) if data_dir is not None else None
+        self.policy = policy
+        self.rng = rng
+        self.birth_cycles = birth_cycles
+        self.file = AppendLog(Path(data_dir) / MUTATIONS_FILE)
         self.events: list[MutationEvent] = []
         self.policy_artifact_id: str | None = None
         self.last_rates: tuple[float, float] = (0.0, 0.0)
@@ -194,8 +201,7 @@ class Mutator:
 
     def _log_event(self, event: MutationEvent) -> None:
         self.events.append(event)
-        if self.file is not None:
-            self.file.append(event.to_dict())
+        self.file.append(event.to_dict())
 
     def _judge(self, a_id: str, b_id: str) -> PairVerdict:
         payload_a, payload_b = self.graph.node(a_id).payload, self.graph.node(b_id).payload
@@ -244,7 +250,7 @@ class Mutator:
 
     # -- operations -----------------------------------------------------
 
-    def fork(self, artifact: Artifact, cycle: int = 0) -> tuple[Artifact, Artifact]:
+    def fork(self, artifact: Artifact, cycle: int) -> tuple[Artifact, Artifact]:
         payload_a, payload_b = fork_payloads(artifact.payload)
         child_a = self.emit(
             artifact_type=artifact.artifact_type,
@@ -268,7 +274,7 @@ class Mutator:
         ))
         return child_a, child_b
 
-    def merge_siblings(self, a: Artifact, b: Artifact, cycle: int = 0) -> Artifact:
+    def merge_siblings(self, a: Artifact, b: Artifact, cycle: int) -> Artifact:
         """Merge two siblings into a synthesis; ``mutate_cycle`` claims the
         pair first, so no pair is merged twice."""
         if not self._share_parent(a.artifact_id, b.artifact_id):
@@ -290,7 +296,7 @@ class Mutator:
         ))
         return merged
 
-    def graft(self, sibling_id: str, new_parent_id: str, cycle: int = 0) -> None:
+    def graft(self, sibling_id: str, new_parent_id: str, cycle: int) -> None:
         """Re-parent the sibling onto the new parent; CycleRejected if that
         would close a loop."""
         seq = self.graph.set_parents(sibling_id, (new_parent_id,))

@@ -54,16 +54,14 @@ class PressureBreakdown:
 
 @dataclass(frozen=True)
 class PressureContext:
-    """What a need's score depends on besides the need. ``centrality``, when
-    given, is the need's count as the index keeps it; otherwise the count is
-    computed from ``open_needs``."""
+    """What a need's score depends on. ``centrality`` is the need's count,
+    which the function ``centrality`` specifies and the index keeps."""
 
     coverage: int
-    open_needs: tuple
+    centrality: int
     parent_depth: int
     created: datetime
     now: datetime
-    centrality: int | None = None
 
 
 def novelty(coverage: int) -> float:
@@ -94,12 +92,9 @@ def age_term(created: datetime, now: datetime) -> float:
     return math.log(1.0 + minutes)
 
 
-def pressure(need: NeedItem, context: PressureContext) -> PressureBreakdown:
+def pressure(context: PressureContext) -> PressureBreakdown:
     nov = novelty(context.coverage)
-    if context.centrality is None:
-        cen = centrality(need, context.open_needs)
-    else:
-        cen = float(context.centrality)
+    cen = float(context.centrality)
     age = age_term(context.created, context.now)
     score = W_NOVELTY * nov + W_CENTRALITY * cen + W_DEPTH * context.parent_depth + W_AGE * age
     return PressureBreakdown(
@@ -135,7 +130,7 @@ def rank(
         if carrier.producer_agent == ranking_agent:
             continue
         context = contexts[key.text]
-        scored.append(RankedNeed(key, item, carrier, pressure(item, context)))
+        scored.append(RankedNeed(key, item, carrier, pressure(context)))
     scored.sort(key=lambda r: (-r.breakdown.score, r.carrier.timestamp, r.key.text))
     return scored
 
@@ -151,9 +146,8 @@ def build_context(
     the centrality count the index keeps for the row."""
     return PressureContext(
         coverage=coverage,
-        open_needs=(),
+        centrality=centrality_count,
         parent_depth=parent_depth,
         created=parse_timestamp(carrier.timestamp),
         now=now,
-        centrality=centrality_count,
     )

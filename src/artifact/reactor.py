@@ -235,6 +235,7 @@ class ArtifactReactor:
 
     ``emit`` creates and publishes an artifact on the agent's behalf and
     returns it, as ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
+    ``claims`` is the claim set every reactor of a world shares.
     ``payload_keys`` maps an artifact id to its payload's ``param_keys``;
     reactors that share it, as they share ``claims``, read each payload's
     keys once between them.
@@ -249,10 +250,9 @@ class ArtifactReactor:
         emit: Callable[..., Artifact],
         data_dir: str | Path,
         clock: Clock,
-        rng: random.Random | None = None,
-        claims: ConsumptionClaims | None = None,
-        payload_keys: dict[str, frozenset] | None = None,
-        on_reaction: Callable[[ReactionRecord], None] | None = None,
+        rng: random.Random,
+        claims: ConsumptionClaims,
+        payload_keys: dict[str, frozenset],
     ):
         self.profile = profile
         self.registry = registry
@@ -261,13 +261,12 @@ class ArtifactReactor:
         self.emit = emit
         self.data_dir = Path(data_dir)
         self.clock = clock
-        self.rng = rng or random.Random()
+        self.rng = rng
         self.reactions_path = self.data_dir / REACTIONS_FILE
         self.reactions = AppendLog(self.reactions_path)
-        self.claims = claims or ConsumptionClaims()
+        self.claims = claims
         self.claims.seed(*_read_consumption(self.reactions_path))
-        self.payload_keys = payload_keys if payload_keys is not None else {}
-        self.on_reaction = on_reaction
+        self.payload_keys = payload_keys
         self.reaction_log: list[ReactionRecord] = []
         # The registry is immutable and profiles are frozen: fixed for life.
         self._runnable = registry.skills_for(profile)
@@ -380,8 +379,6 @@ class ArtifactReactor:
             before_store=log_reaction,
         )
         self.reaction_log.append(record)
-        if self.on_reaction is not None:
-            self.on_reaction(record)
         return record
 
     def _skill_for_need(self, item: NeedItem) -> SkillManifest | None:

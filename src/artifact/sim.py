@@ -51,7 +51,6 @@ from .reactor import (
     REACTIONS_FILE,
     ArtifactReactor,
     ConsumptionClaims,
-    ReactionRecord,
     build_params,
     reaction_fields,
 )
@@ -139,6 +138,10 @@ class Scenario:
                 raise InvalidScenario("interventions must be chat or redirect")
             if not 0 <= act.cycle < self.cycles:
                 raise InvalidScenario(f"intervention cycle {act.cycle} out of range")
+        try:
+            MutationPolicy(**self.mutation_policy)
+        except (TypeError, ValueError) as exc:
+            raise InvalidScenario(f"mutation_policy: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -163,25 +166,68 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        scenario = cls(
-            seed=data["seed"],
-            cycles=data["cycles"],
-            agents=list(data["agents"]),
-            registry=data.get("registry", "default"),
-            seeded_topics=[SeededTopic(**t) for t in data.get("seeded_topics", [])],
-            interventions=[Intervention(**i) for i in data.get("interventions", [])],
-            mutation_policy=dict(data.get("mutation_policy", {})),
-            mutation_enabled=data.get("mutation_enabled", True),
-            concurrent=data.get("concurrent", False),
-            community=data.get("community", "main"),
+        """A validated scenario from its scenario-file form. A field that is
+        missing without a default, of the wrong JSON type or unknown raises
+        InvalidScenario."""
+        fields = _fields(data, "scenario", {"seed": int, "cycles": int, "agents": list}, {
+            "registry": "default", "seeded_topics": [], "interventions": [],
+            "mutation_policy": {}, "mutation_enabled": True, "concurrent": False,
+            "community": "main"})
+        for agent in fields["agents"]:
+            profile = _fields(agent, "agent", {"name": str},
+                              {"preferred_tools": [], "research_interests": []})
+            if any(not isinstance(v, str)
+                   for v in profile["preferred_tools"] + profile["research_interests"]):
+                raise InvalidScenario(f"agent {profile['name']!r}: preferred_tools and "
+                                      f"research_interests must be lists of strings")
+        topic = {"cycle": int, "agent": str, "topic": str}
+        act = {"cycle": int, "agent": str, "comment_type": str, "body": str}
+        fields.update(
+            agents=list(fields["agents"]),
+            seeded_topics=[SeededTopic(**_fields(t, "seeded topic", topic, {}))
+                           for t in fields["seeded_topics"]],
+            interventions=[Intervention(**_fields(i, "intervention", act, {}))
+                           for i in fields["interventions"]],
+            mutation_policy=dict(fields["mutation_policy"]),
         )
+        scenario = cls(**fields)
         scenario.validate()
         return scenario
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise InvalidScenario(f"{path} is not a JSON file: {exc}") from None
+        return cls.from_dict(data)
+
+
+_JSON_TYPES = {int: "integer", str: "string", bool: "boolean", list: "array", dict: "object"}
+
+
+def _fields(data, where: str, required: dict[str, type], optional: dict) -> dict:
+    """The required and optional fields of a scenario-file object, each of
+    its JSON type (an optional field's default gives its type), a missing
+    optional one as its default; InvalidScenario for a missing required
+    field, a field of another type, a field of no other name (a misspelt
+    optional field would go unnoticed), or ``data`` not an object."""
+    if not isinstance(data, dict):
+        raise InvalidScenario(f"{where} must be a JSON object, not {type(data).__name__}")
+    kinds = {**required, **{name: type(default) for name, default in optional.items()}}
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise InvalidScenario(f"{where} has unknown field(s) {unknown}")
+    fields = {}
+    for name, kind in kinds.items():
+        if name not in data and name not in optional:
+            raise InvalidScenario(f"{where} has no {name!r}")
+        value = fields[name] = data.get(name, optional.get(name))
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise InvalidScenario(f"{where} {name!r} must be a JSON {_JSON_TYPES[kind]}, "
+                                  f"not {type(value).__name__} {value!r}")
+    return fields
 
 
 def demo_scenario() -> Scenario:
@@ -284,7 +330,6 @@ class AgentRuntime:
             rng=self.rng,
             claims=world.claims,
             payload_keys=world.payload_keys,
-            on_reaction=lambda record: world.on_reaction(record),
         )
         self.mutator = Mutator(
             agent_name=profile.name,
@@ -304,13 +349,19 @@ class World:
         scenario.validate()
         self.scenario = scenario
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
         if scenario.registry == "default":
             self.registry = default_registry()
         else:
             self.registry = load_registry(scenario.registry)
         self.artifact_types = self.registry.artifact_types()
+        # Profiles are read before anything is written: a scenario naming an
+        # unknown skill leaves no output behind.
+        self.profiles: dict[str, AgentProfile] = {}
+        for raw in scenario.agents:
+            profile = load_profile(raw, self.registry)
+            self.profiles[profile.name] = profile
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, Artifact] = {}
         self.index = GlobalIndex(self.out_dir / GlobalIndex.FILENAME, self.resolve_id)
         self.graph = LineageGraph()
@@ -323,7 +374,6 @@ class World:
         )
         self.birth_cycles: dict[str, int] = {}
         self.current_cycle = 0
-        self.reaction_hooks: list = []
         self._question_slugs: dict[str, str] = {}
         # The first seeded topic of each (cycle, agent), as scenario order gives it.
         self.seeded_topics: dict[tuple[int, str], str] = {}
@@ -333,12 +383,9 @@ class World:
         self._emit_lock = threading.Lock()
 
         self.governance.register_agent(HUMAN_ACTOR)
-        self.profiles: dict[str, AgentProfile] = {}
+        for name in self.profiles:
+            self.governance.register_agent(name)
         self.agents: dict[str, AgentRuntime] = {}
-        for raw in scenario.agents:
-            profile = load_profile(raw, self.registry)
-            self.profiles[profile.name] = profile
-            self.governance.register_agent(profile.name)
         for name, profile in self.profiles.items():
             self.agents[name] = AgentRuntime(profile, weakref.proxy(self))
         if scenario.mutation_enabled:
@@ -368,8 +415,7 @@ class World:
             logs += [runtime.store.log, runtime.journal.file,
                      runtime.reactor.reactions, runtime.mutator.file]
         for log in logs:
-            if log is not None:
-                log.close()
+            log.close()
 
     def resolve_id(self, artifact_id: str) -> Artifact:
         try:
@@ -383,10 +429,6 @@ class World:
         if slug is None:
             slug = self._question_slugs[question] = slugify(question)
         return slug
-
-    def on_reaction(self, record: ReactionRecord) -> None:
-        for hook in self.reaction_hooks:
-            hook(record)
 
     def emit(
         self,
@@ -950,9 +992,10 @@ def verify_output(out_dir: str | Path) -> list[str]:
     twice, no need key fulfilled twice, none of an agent's own artifacts
     consumed, every consumed type within the agent's domain, every merge
     and fork line's inputs stored and its outputs stored by the agent that
-    logged it, no merge repeating the input set of another, and an index
-    that lists each stored artifact once under its producer, with no need
-    key fulfilled twice in it and none its carrier never broadcast.
+    logged it, no merge repeating the input set of another, no graft
+    repeating the seq of another, and an index that lists each stored
+    artifact once under its producer, with no need key fulfilled twice in
+    it and none its carrier never broadcast.
     """
     out = Path(out_dir)
     violations: list[str] = []
@@ -969,8 +1012,16 @@ def verify_output(out_dir: str | Path) -> list[str]:
             violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
 
     merged_by: dict[frozenset, str] = {}
+    grafted_by: dict[int, str] = {}
     for agent, number, event in events:
         if event.kind == "graft":
+            # The graph numbers each graft once, so a seq on two lines is a
+            # line repeated or copied from another agent's log.
+            if event.seq in grafted_by:
+                violations.append(f"{agent} {MUTATIONS_FILE} line {number}: graft seq "
+                                  f"{event.seq} repeats a graft of {grafted_by[event.seq]}")
+            elif event.seq is not None:
+                grafted_by[event.seq] = agent
             continue
         violations += _mutation_line_violations(agent, number, event, artifacts)
         if event.kind != "merge":

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from artifact.clock import EPOCH, ManualClock
+from artifact.errors import UnknownArtifact
 from artifact.ledger import AppendLog, create_artifact, new_uuid
 from artifact.skills import default_registry
 
@@ -73,6 +74,11 @@ def make_artifact(clock, rng):
         )
 
     return factory
+
+
+def nothing_stored(artifact_id: str):
+    """The ``resolve`` of an index built on a new file: no id resolves."""
+    raise UnknownArtifact(f"no store holds artifact {artifact_id}")
 
 
 def random_payload(rng: random.Random, depth: int = 0) -> dict:

@@ -41,10 +41,10 @@ def _need(query="TP53 Y220C", artifact_type="protein_data"):
     return NeedItem(artifact_type=artifact_type, query=query, rationale=RATIONALE)
 
 
-def _context(coverage=0, open_needs=(), parent_depth=0, age_minutes=0.0):
+def _context(coverage=0, count=1, parent_depth=0, age_minutes=0.0):
     return PressureContext(
         coverage=coverage,
-        open_needs=tuple(open_needs),
+        centrality=count,
         parent_depth=parent_depth,
         created=EPOCH,
         now=EPOCH + timedelta(minutes=age_minutes),
@@ -57,7 +57,7 @@ def test_criterion_01_pressure_formula_fidelity():
     assert abs(novelty(2) - 1 / 3) <= 1e-9
 
     ours = _need()
-    baseline = pressure(ours, _context(open_needs=[ours]))
+    baseline = pressure(_context(count=centrality(ours, [ours])))
     assert baseline.score == 3.0  # 2*1.0 + 1*1.0 + 0 + 0, exactly
 
     gen = random.Random(1001)
@@ -67,9 +67,9 @@ def test_criterion_01_pressure_formula_fidelity():
         minutes = gen.uniform(0, 50_000)
         peers = gen.randint(0, 7)
         pool = [ours] + [_need(query=f"TP53 Y220C peer {i}") for i in range(peers)]
-        ctx = _context(coverage=coverage, open_needs=pool,
+        ctx = _context(coverage=coverage, count=centrality(ours, pool),
                        parent_depth=depth, age_minutes=minutes)
-        got = pressure(ours, ctx).score
+        got = pressure(ctx).score
         elapsed = (ctx.now - ctx.created).total_seconds() / 60
         expected = 2.0 * (1 / (1 + coverage)) + 1.0 * (1 + peers) + 0.5 * depth + 0.2 * math.log(1 + elapsed)
         assert abs(got - expected) <= 1e-12
@@ -158,9 +158,17 @@ def test_criterion_04_loop_prevention_over_50_cycles(tmp_path):
 
     from artifact import sim as sim_module
 
-    original_run = sim_module.run  # run() builds the world; hook via World
+    original_run = sim_module.run  # run() builds the world; check via World.emit
     world = sim_module.World(scenario, tmp_path / "out")
-    world.reaction_hooks.append(lambda record: acyclic_checks.append(world.graph.is_acyclic()))
+    emit = world.emit
+
+    def emit_then_check(agent_name, **kwargs):
+        artifact = emit(agent_name, **kwargs)
+        if kwargs.get("before_store") is not None:  # the product of a reaction
+            acyclic_checks.append(world.graph.is_acyclic())
+        return artifact
+
+    world.emit = emit_then_check
     for cycle in range(scenario.cycles):
         world.current_cycle = cycle
         world.clock.advance(seconds=21600)

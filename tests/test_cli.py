@@ -115,3 +115,39 @@ def test_accounts_table(run_dir, capsys):
     assert "ana" in out and "karma" in out
     assert main(["accounts", "--out", str(run_dir), "--agent", "bo"]) == 0
     assert main(["accounts", "--out", str(run_dir), "--agent", "ghost"]) == 1
+
+
+# Malformed scenario files, and one naming an unknown skill, each with a
+# word its error message must name.
+MALFORMED = {
+    "missing seed": ({"cycles": 1, "agents": [{"name": "a"}]}, "'seed'"),
+    "agent without name": ({"seed": 1, "cycles": 1, "agents": [{}]}, "'name'"),
+    "cycles as a string": ({"seed": 1, "cycles": "3", "agents": [{"name": "a"}]}, "'cycles'"),
+    "seeded topic without agent": ({"seed": 1, "cycles": 1, "agents": [{"name": "a"}],
+                                    "seeded_topics": [{"cycle": 0, "topic": "t"}]}, "'agent'"),
+    "seeded topic without topic": ({"seed": 1, "cycles": 1, "agents": [{"name": "a"}],
+                                    "seeded_topics": [{"cycle": 0, "agent": "a"}]}, "'topic'"),
+    "top-level array": ([{"seed": 1, "cycles": 1, "agents": [{"name": "a"}]}], "JSON object"),
+    "misspelt field": ({"seed": 1, "cycles": 1, "agents": [{"name": "a"}],
+                        "mutation_enabeld": False}, "'mutation_enabeld'"),
+    "drift_step as a string": ({"seed": 1, "cycles": 1, "agents": [{"name": "a"}],
+                                "mutation_policy": {"drift_step": "x"}}, "drift_step"),
+    "unknown skill": ({"seed": 1, "cycles": 1,
+                       "agents": [{"name": "a", "preferred_tools": ["nope"]}]}, "'nope'"),
+}
+SCENARIO_TEXTS = {case: (json.dumps(data), named) for case, (data, named) in MALFORMED.items()}
+SCENARIO_TEXTS["not JSON"] = ('{"seed": 1,', "not a JSON file")
+
+
+@pytest.mark.parametrize("case", SCENARIO_TEXTS)
+def test_malformed_scenario_file_exits_2(tmp_path, capsys, case):
+    """A malformed scenario is an error message and exit code 2, as an
+    unknown skill is, never a traceback; nothing is written."""
+    text, named = SCENARIO_TEXTS[case]
+    path = tmp_path / "sc.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()

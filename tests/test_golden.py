@@ -8,7 +8,7 @@ A change that alters output on purpose re-pins the digests and says why.
 from __future__ import annotations
 
 import importlib.util
-import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,38 +21,30 @@ from .test_sim import tree_digest
 DEMO_DIGEST = "197a7ceb2d2f21de87d6a5e6e572f72ae7fba3fbf947433a6b7b3dc58ada1a8a"
 GRID_DIGEST = "50cdc622a168489670c02271bcd35aae2e1fe78b20b7d745d8ea07c933b891c5"
 
-# Domain words chain skills; the rest are unmatched and broadcast needs.
-TOPIC_WORDS = (
-    "literature", "paper", "review", "survey", "citation",
-    "protein", "peptide", "sequence", "receptor", "binding", "motif",
-    "chemistry", "compound", "molecule", "drug", "smiles", "admet",
-    "materials", "ceramic", "crystal", "alloy", "density",
-    "kinetics", "toxicity", "scaling", "entropy", "fatigue", "folding",
-    "porosity", "resonance", "lattice", "solvent", "grain", "signal",
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark, imported from its file: the benchmark's
+    modules use the standard library alone, apart from the simulator."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up as it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+WORKLOADS = load_perfbench("workloads")
 
 
 def grid_scenario(seed: int, agents: int, cycles: int) -> Scenario:
-    """Agent i runs the 4 registry tools from index 3i mod 12; every even
-    agent gets a seeded 3-keyword topic each cycle. Mutation stays on."""
+    """A mutation-on grid made by the benchmark's own recipe,
+    ``perfbench/workloads.grid_scenario``, from the default registry's tools."""
     tools = [m.name for m in default_registry().skills()]
-    rng = random.Random(seed)
-    return Scenario.from_dict({
-        "seed": seed,
-        "cycles": cycles,
-        "agents": [
-            {"name": f"agent{i:02d}",
-             "preferred_tools": [tools[(3 * i + k) % len(tools)] for k in range(4)]}
-            for i in range(agents)
-        ],
-        "seeded_topics": [
-            {"cycle": cycle, "agent": f"agent{i:02d}",
-             "topic": " ".join(rng.sample(TOPIC_WORDS, 3))}
-            for cycle in range(cycles)
-            for i in range(0, agents, 2)
-        ],
-        "mutation_enabled": True,
-    })
+    return Scenario.from_dict(WORKLOADS.grid_scenario(seed, agents, cycles, True, tools))
 
 
 def test_demo_digest_pinned(tmp_path):
@@ -67,20 +59,10 @@ def test_mutation_grid_digest_pinned(tmp_path):
     assert verify_output(tmp_path / "grid") == []
 
 
-def load_checker():
-    """The benchmark's output checker, imported from its file: it reads the
-    run files with json and hashlib alone, apart from the simulator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("scenario", [
     demo_scenario,
     lambda: grid_scenario(seed=7, agents=10, cycles=10),
 ], ids=["demo", "grid"])
 def test_benchmark_checker_passes_the_golden_runs(tmp_path, scenario):
     run(scenario(), tmp_path / "out")
-    assert load_checker().check_run_dir(tmp_path / "out") == []
+    assert load_perfbench("checker").check_run_dir(tmp_path / "out") == []

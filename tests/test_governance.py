@@ -191,7 +191,7 @@ def test_shadowbanned_post_hidden(ledger):
     shady.refresh()
     post = make_post(ledger)
     assert post.hidden
-    assert post.id not in [p.id for p in ledger.feed()]
+    assert post.id not in [p.id for p in ledger.feed("main")]
 
 
 def test_banned_author_cannot_post(ledger):
@@ -311,7 +311,7 @@ def test_replay_reconstructs_state(tmp_path, clock):
                 ours.post_count, ours.comment_count) == \
                (theirs.karma, theirs.reputation, theirs.tier,
                 theirs.post_count, theirs.comment_count)
-    assert [p.id for p in replayed.feed()] == [p.id for p in ledger.feed()]
+    assert [p.id for p in replayed.feed("main")] == [p.id for p in ledger.feed("main")]
     assert len(replayed.comments) == len(ledger.comments)
     assert replayed.links == ledger.links
 

@@ -16,6 +16,7 @@ ledger's ordered feed against a sort of every post.
 
 from __future__ import annotations
 
+import random
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -36,6 +37,7 @@ from artifact.reactor import ArtifactReactor, ConsumptionClaims
 from artifact.sim import GapQueue, choose_gap, stable_hash
 from artifact.skills import default_registry, load_profile
 
+from .conftest import nothing_stored
 from .test_index import reopened
 
 RATIONALE = "downstream synthesis is blocked on this data"
@@ -66,16 +68,19 @@ def rescanned_open_needs(index: GlobalIndex) -> list:
 
 
 class Peers:
-    """A shared index and claim set, one live reactor and one reference reactor per agent."""
+    """A shared index and claim set, one live reactor and one reference
+    reactor per agent. The live reactors share their payload-key map, as a
+    world's do; each reference reactor keeps its own."""
 
     def __init__(self, directory: Path):
         registry = default_registry()
-        self.index = GlobalIndex(directory / GlobalIndex.FILENAME)
+        self.index = GlobalIndex(directory / GlobalIndex.FILENAME, nothing_stored)
         self.store = ArtifactStore(directory / ArtifactStore.FILENAME)
         self.claims = ConsumptionClaims()
         self.published: list = []
+        shared_keys: dict = {}
 
-        def reactor(name, tools, subdir):
+        def reactor(name, tools, subdir, payload_keys):
             return ArtifactReactor(
                 profile=load_profile({"name": name, "preferred_tools": tools}, registry),
                 registry=registry,
@@ -84,11 +89,13 @@ class Peers:
                 emit=None,  # these reactors only scan
                 data_dir=directory / subdir / name,
                 clock=ManualClock(),
+                rng=random.Random(name),
                 claims=self.claims,
+                payload_keys=payload_keys,
             )
 
-        self.reactors = {n: reactor(n, t, "live") for n, t in AGENTS.items()}
-        self.references = {n: reactor(n, t, "reference") for n, t in AGENTS.items()}
+        self.reactors = {n: reactor(n, t, "live", shared_keys) for n, t in AGENTS.items()}
+        self.references = {n: reactor(n, t, "reference", {}) for n, t in AGENTS.items()}
 
     def publish(self, op) -> None:
         _, producer, type_pick, keys, investigation, second, needs, fulfil = op
@@ -113,6 +120,7 @@ class Peers:
             producer_agent=list(AGENTS)[producer],
             skill="synthesize",
             payload={key: number for key in keys},
+            parents=(),
             investigation_id=investigation,
             needs=signal,
             clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
@@ -157,12 +165,12 @@ def test_incremental_scans_match_full_rescan(ops):
                             if reference.can_react(e)]
                 assert found == expected
                 assert all(a.artifact_id not in peers.claims for a in found)
-                rows = peers.index.open_needs()
+                rows = peers.index.open_needs({})
                 rescanned = rescanned_open_needs(peers.index)
                 assert rows == rescanned
                 assert reactor.scan_needs(rows) == reference.scan_needs(rescanned)
         reloaded = GlobalIndex(Path(tmp) / GlobalIndex.FILENAME, reopened(peers.store))
-        assert reloaded.open_needs() == peers.index.open_needs()
+        assert reloaded.open_needs({}) == peers.index.open_needs({})
 
 
 # -- centrality kept by the index against its specification ---------------------------
@@ -193,7 +201,7 @@ def assert_counts_match_specification(index: GlobalIndex) -> None:
 def test_index_centrality_counts_match_the_specification(ops):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / GlobalIndex.FILENAME
-        index = GlobalIndex(path)
+        index = GlobalIndex(path, nothing_stored)
         store = ArtifactStore(Path(tmp) / ArtifactStore.FILENAME)
         keys: list[NeedKey] = []
         for number, op in enumerate(ops):
@@ -213,7 +221,7 @@ def test_index_centrality_counts_match_the_specification(ops):
                 fulfills = keys[pick % len(keys)]  # a repeated fulfilment closes nothing
             artifact = create_artifact(
                 artifact_type="synthesis", producer_agent="alice", skill="synthesize",
-                payload={}, needs=signal,
+                payload={}, parents=(), investigation_id="", needs=signal,
                 clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
                 id_factory=lambda: f"a{number:03d}")
             store.append(artifact)
@@ -250,12 +258,13 @@ AUTHORS = ("me", "p1", "p2", "shady", "late")
 
 
 class GapFeed:
-    """A governance ledger and one agent's gap queue, driven across calls."""
+    """A governance ledger logging to ``path`` and one agent's gap queue,
+    driven across calls."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, path: Path):
         self.seed = seed
         self.clock = ManualClock(current=EPOCH + timedelta(days=1), step=timedelta(seconds=1))
-        self.ledger = GovernanceLedger(clock=self.clock)
+        self.ledger = GovernanceLedger(path, clock=self.clock)
         for name in AUTHORS[:4]:
             self.ledger.register_agent(name)
         shady = self.ledger.account("shady")
@@ -301,21 +310,25 @@ gap_calls = st.tuples(st.just("call"))
 @given(seed=st.integers(0, 50),
        ops=st.lists(st.one_of(gap_posts, gap_posts, gap_starts, gap_calls), max_size=25))
 def test_lazy_gap_choice_matches_sorted_queue(seed, ops):
-    gaps = GapFeed(seed)
-    for op in ops + [("call",)]:
-        if op[0] == "post":
-            gaps.post(*op[1:])
-        elif op[0] == "start":
-            gaps.started.add(slugify(op[1]))  # trackers only grow
-        else:
-            gaps.check()
+    with tempfile.TemporaryDirectory() as tmp:
+        gaps = GapFeed(seed, Path(tmp) / "governance.jsonl")
+        try:
+            for op in ops + [("call",)]:
+                if op[0] == "post":
+                    gaps.post(*op[1:])
+                elif op[0] == "start":
+                    gaps.started.add(slugify(op[1]))  # trackers only grow
+                else:
+                    gaps.check()
+        finally:
+            gaps.ledger.file.close()
 
 
-def test_gap_ties_go_to_the_first_question_in_feed_order(monkeypatch):
+def test_gap_ties_go_to_the_first_question_in_feed_order(monkeypatch, tmp_path):
     import artifact.sim as sim
 
     monkeypatch.setattr(sim, "stable_hash", lambda *parts: 7)
-    gaps = GapFeed(seed=1)
+    gaps = GapFeed(seed=1, path=tmp_path / "governance.jsonl")
     gaps.post("p1", ["b question", "a question"], "main")
     assert choose_gap(gaps.world, "me") == "b question"
     gaps.post("p2", ["d question", "c question"], "main")  # newer, so first in the feed

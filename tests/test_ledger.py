@@ -30,7 +30,7 @@ from artifact.index import GlobalIndex
 from artifact.memory import AgentJournal
 from artifact.needs import NeedItem, NeedsSignal
 from artifact.reactor import _read_consumption
-from artifact.sim import demo_scenario, load_world_dag, run
+from artifact.sim import demo_scenario, load_world_dag, run, verify_output
 
 UUID_RE = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}$")
 
@@ -78,6 +78,8 @@ def test_self_parent_rejected(clock):
             skill="s",
             payload={},
             parents=("fixed-id",),
+            investigation_id="",
+            needs=None,
             clock=clock,
             id_factory=lambda: "fixed-id",
         )
@@ -244,6 +246,45 @@ def test_damaged_line_of_every_run_file_raises_corrupt_store(demo_run, tmp_path,
     with pytest.raises(CorruptStore) as caught:
         load(path)
     assert (caught.value.path, caught.value.line_number) == (str(path), len(lines) + 1)
+
+
+# The kinds of run file ``verify`` reads, each with another agent's file of
+# that kind, where there is one.
+VERIFIED = {
+    "store": "agents/bruno/store.jsonl",
+    "index": None,
+    "reactions": "agents/alice/reactions.jsonl",
+    "mutations": "agents/bruno/mutations.jsonl",
+}
+
+
+def damaged_lines(damage, lines, other_lines):
+    """A file's lines after one damage: a ``DAMAGE`` line appended, its last
+    line cut mid-line, or the first line of another agent's file appended."""
+    if damage == "tail cut mid-line":
+        return lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]
+    if damage == "another agent's line":
+        return lines + other_lines[:1]
+    return lines + [DAMAGE[damage](lines[0])]
+
+
+@pytest.mark.parametrize("kind, damage", [
+    (kind, damage) for kind, other in VERIFIED.items()
+    for damage in [*DAMAGE, "tail cut mid-line", "another agent's line"]
+    if other is not None or damage != "another agent's line"
+])
+def test_damaged_line_of_every_verified_file_is_a_violation(demo_run, tmp_path, kind, damage):
+    """The verify twin of the test above: a damaged line is reported, and
+    nothing is raised."""
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    path = out / RUN_FILES[kind][0]
+    lines = path.read_bytes().splitlines(keepends=True)
+    other = VERIFIED[kind]
+    other_lines = (out / other).read_bytes().splitlines(keepends=True) if other else []
+    assert verify_output(out) == []
+    path.write_bytes(b"".join(damaged_lines(damage, lines, other_lines)))
+    assert verify_output(out) != []
 
 
 def test_append_log_reopens_after_close(tmp_path):

@@ -25,10 +25,11 @@ from artifact.mutator import REDUNDANCY_BOUNDS, STAGNATION_BOUNDS
 from artifact.sim import Scenario, demo_scenario, run, verify_output
 from artifact.skills import default_registry
 
-from .test_golden import TOPIC_WORDS
+from .test_golden import WORKLOADS
 from .test_sim import logged_errors, tree_digest
 
 TOOLS = [m.name for m in default_registry().skills()]
+TOPIC_WORDS = WORKLOADS.TOPIC_WORDS
 
 
 @st.composite

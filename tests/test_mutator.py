@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 import sys
+import tempfile
 import threading
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +31,14 @@ class ZeroNoise:
 
 
 class MutatorHarness:
-    """Graph + artifact pool + a mutator whose emissions land in the pool.
+    """Graph + artifact pool + a mutator whose emissions land in the pool
+    and whose events land in ``data_dir``'s mutations.jsonl.
 
     ``emit`` publishes in the order ``World.emit`` does: resolvable, with
     its birth cycle ``cycle``, before it is in the graph.
     """
 
-    def __init__(self, tmp_path=None, policy=None, mutator_cls=Mutator):
+    def __init__(self, data_dir, policy=None, mutator_cls=Mutator):
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
         self.rng = random.Random(42)
         self.graph = LineageGraph()
@@ -49,7 +52,7 @@ class MutatorHarness:
             policy=policy or MutationPolicy(),
             rng=random.Random(7),
             birth_cycles=self.birth_cycles,
-            data_dir=tmp_path,
+            data_dir=data_dir,
         )
 
     def emit(self, artifact_type, skill, payload, parents=(), investigation_id=""):
@@ -60,6 +63,7 @@ class MutatorHarness:
             payload=payload,
             parents=parents,
             investigation_id=investigation_id,
+            needs=None,
             clock=self.clock,
             id_factory=lambda: new_uuid(self.rng),
         )
@@ -180,7 +184,7 @@ def test_fork_single_key_rejected():
 
 def test_fork_partitions_parent_keys(harness):
     artifact = harness.add({"a": 1, "b": 2, "c": 3, "d": 4})
-    child_a, child_b = harness.mutator.fork(artifact)
+    child_a, child_b = harness.mutator.fork(artifact, cycle=0)
     keys_a, keys_b = set(child_a.payload), set(child_b.payload)
     assert keys_a | keys_b == set(artifact.payload)
     assert keys_a & keys_b == set()
@@ -192,7 +196,7 @@ def test_merge_duplicate_payload_is_identity(harness):
     root = harness.add({"r": 0, "r2": 1})
     a = harness.add({"x": 1}, parents=(root.artifact_id,))
     b = harness.add({"x": 1}, parents=(root.artifact_id,))
-    merged = harness.mutator.merge_siblings(a, b)
+    merged = harness.mutator.merge_siblings(a, b, cycle=0)
     assert merged.payload == {"x": 1}
     assert merged.artifact_type == "synthesis"
     assert len(merged.parent_artifact_ids) == 2
@@ -202,7 +206,7 @@ def test_merge_newest_value_survives(harness):
     root = harness.add({"r": 0, "r2": 1})
     older = harness.add({"x": "old"}, parents=(root.artifact_id,))
     newer = harness.add({"x": "new"}, parents=(root.artifact_id,))
-    merged = harness.mutator.merge_siblings(older, newer)
+    merged = harness.mutator.merge_siblings(older, newer, cycle=0)
     assert merged.payload["x"] == "new"
 
 
@@ -210,14 +214,14 @@ def test_merge_requires_shared_parent(harness):
     a = harness.add({"x": 1})
     b = harness.add({"x": 2})
     with pytest.raises(NotSiblings):
-        harness.mutator.merge_siblings(a, b)
+        harness.mutator.merge_siblings(a, b, cycle=0)
 
 
 def test_graft_onto_unrelated_root(harness):
     root_a = harness.add({"a": 1, "a2": 2})
     root_b = harness.add({"b": 1, "b2": 2})
     leaf = harness.add({"c": 1}, parents=(root_a.artifact_id,))
-    harness.mutator.graft(leaf.artifact_id, root_b.artifact_id)
+    harness.mutator.graft(leaf.artifact_id, root_b.artifact_id, cycle=0)
     assert harness.graph.parents(leaf.artifact_id) == (root_b.artifact_id,)
     assert harness.graph.is_acyclic()
 
@@ -226,7 +230,7 @@ def test_graft_onto_descendant_rejected(harness):
     root = harness.add({"a": 1, "a2": 2})
     child = harness.add({"b": 1}, parents=(root.artifact_id,))
     with pytest.raises(CycleRejected):
-        harness.mutator.graft(root.artifact_id, child.artifact_id)
+        harness.mutator.graft(root.artifact_id, child.artifact_id, cycle=0)
 
 
 def test_graft_updates_depth(harness):
@@ -235,7 +239,7 @@ def test_graft_updates_depth(harness):
     other_root = harness.add({"c": 1, "c2": 2})
     leaf = harness.add({"d": 1}, parents=(other_root.artifact_id,))
     assert harness.graph.depth(leaf.artifact_id) == 1
-    harness.mutator.graft(leaf.artifact_id, deep_mid.artifact_id)
+    harness.mutator.graft(leaf.artifact_id, deep_mid.artifact_id, cycle=0)
     assert harness.graph.depth(leaf.artifact_id) == 2
 
 
@@ -278,9 +282,9 @@ def test_cycle_events_keep_dag_acyclic(harness):
 def test_grafts_carry_the_graph_sequence(harness):
     roots = [harness.add({"r": i, "r2": i}) for i in range(3)]
     leaf = harness.add({"c": 1}, parents=(roots[0].artifact_id,))
-    harness.mutator.graft(leaf.artifact_id, roots[1].artifact_id)
+    harness.mutator.graft(leaf.artifact_id, roots[1].artifact_id, cycle=0)
     assert harness.graph.set_parents(leaf.artifact_id, (roots[0].artifact_id,)) == 2
-    harness.mutator.graft(leaf.artifact_id, roots[2].artifact_id)
+    harness.mutator.graft(leaf.artifact_id, roots[2].artifact_id, cycle=0)
     assert [e.seq for e in harness.mutator.events] == [1, 3]
 
 
@@ -296,16 +300,16 @@ def test_cycle_never_merges_a_pair_twice(harness):
     assert pair in pairs.pairs() and not pairs.is_open(pair)
 
 
-def test_concurrent_agents_merge_each_pair_once():
+def test_concurrent_agents_merge_each_pair_once(tmp_path):
     """Eight agents' mutators share one graph and mutate it at once."""
-    harness = MutatorHarness(policy=MutationPolicy(max_mutations_per_cycle=3))
+    harness = MutatorHarness(tmp_path, policy=MutationPolicy(max_mutations_per_cycle=3))
     root = harness.add({"r": 0, "r2": 1})
     for _ in range(12):
         harness.add({"x": 1, "y": 2}, parents=(root.artifact_id,), born=9)
     mutators = [
         Mutator(agent_name=f"m{i}", graph=harness.graph, emit=harness.emit,
-                policy=harness.mutator.policy,
-                birth_cycles=harness.birth_cycles)
+                policy=harness.mutator.policy, rng=random.Random(i),
+                birth_cycles=harness.birth_cycles, data_dir=tmp_path / f"m{i}")
         for i in range(8)
     ]
 
@@ -534,8 +538,20 @@ cycles = st.tuples(st.just("cycle"))
 )
 def test_pair_index_matches_full_rescan(ops, threshold, budget):
     policy = MutationPolicy(redundancy_threshold=threshold, max_mutations_per_cycle=budget)
-    live = MutatorHarness(policy=policy)
-    rescan = MutatorHarness(policy=policy, mutator_cls=RescanningMutator)
+    with tempfile.TemporaryDirectory() as tmp:
+        live = MutatorHarness(Path(tmp) / "live", policy=policy)
+        rescan = MutatorHarness(Path(tmp) / "rescan", policy=policy,
+                                mutator_cls=RescanningMutator)
+        try:
+            replay_against_rescan(ops, live, rescan)
+        finally:
+            live.mutator.file.close()
+            rescan.mutator.file.close()
+
+
+def replay_against_rescan(ops, live, rescan):
+    """Apply ``ops`` to both harnesses, checking after each mutation cycle
+    that the live mutator detects and applies what the rescanning one does."""
     cycle = 0
     for op in ops:
         ids = list(live.artifacts)

@@ -43,10 +43,10 @@ def entry(artifact_id, producer="alice", timestamp=None):
     )
 
 
-def context(coverage=0, open_needs=(), parent_depth=0, age_minutes=0.0):
+def context(coverage=0, count=1, parent_depth=0, age_minutes=0.0):
     return PressureContext(
         coverage=coverage,
-        open_needs=tuple(open_needs),
+        centrality=count,
         parent_depth=parent_depth,
         created=EPOCH,
         now=EPOCH + timedelta(minutes=age_minutes),
@@ -125,7 +125,7 @@ def test_age_clock_skew():
 
 def test_score_baseline_is_three():
     ours = need()
-    breakdown = pressure(ours, context(open_needs=[ours]))
+    breakdown = pressure(context(count=centrality(ours, [ours])))
     assert breakdown.score == 3.0
     assert breakdown.novelty == 1.0
     assert breakdown.centrality == 1.0
@@ -136,15 +136,15 @@ def test_score_baseline_is_three():
 def test_score_worked_example():
     ours = need()
     others = [need(query=f"TP53 Y220C agent {i}") for i in range(4)]
-    breakdown = pressure(ours, context(coverage=2, open_needs=[ours] + others,
-                                       parent_depth=2))
+    breakdown = pressure(context(coverage=2, count=centrality(ours, [ours] + others),
+                                 parent_depth=2))
     assert breakdown.score == pytest.approx(2 * (1 / 3) + 5 + 1 + 0, abs=1e-9)
 
 
 def test_score_decreases_with_coverage():
     ours = need()
     scores = [
-        pressure(ours, context(coverage=c, open_needs=[ours])).score
+        pressure(context(coverage=c, count=centrality(ours, [ours]))).score
         for c in range(6)
     ]
     assert all(a > b for a, b in zip(scores, scores[1:]))
@@ -159,9 +159,9 @@ def test_score_matches_independent_reevaluation():
         minutes = gen.uniform(0, 10_000)
         pool_size = gen.randint(0, 6)
         pool = [ours] + [need(query=f"TP53 Y220C peer {i}") for i in range(pool_size)]
-        ctx = context(coverage=coverage, open_needs=pool,
+        ctx = context(coverage=coverage, count=centrality(ours, pool),
                       parent_depth=depth, age_minutes=minutes)
-        breakdown = pressure(ours, ctx)
+        breakdown = pressure(ctx)
         elapsed = (ctx.now - ctx.created).total_seconds() / 60
         expected = 2.0 * (1 / (1 + coverage)) + 1.0 * (1 + pool_size) \
             + 0.5 * depth + 0.2 * math.log(1 + elapsed)
@@ -170,12 +170,12 @@ def test_score_matches_independent_reevaluation():
 
 def test_starvation_age_overtakes_fixed_score():
     ours = need()
-    early = pressure(ours, context(age_minutes=0)).score
+    early = pressure(context(age_minutes=0)).score
     # Hold everything else fixed; enough elapsed time must beat a fixed
     # competitor score, here one with maximal novelty and depth 2.
     competitor = 2.0 + 1.0 + 0.5 * 2
     minutes = math.exp((competitor - early) / 0.2)
-    late = pressure(ours, context(age_minutes=minutes)).score
+    late = pressure(context(age_minutes=minutes)).score
     assert early < competitor < late
 
 
@@ -199,8 +199,8 @@ def test_rank_higher_score_first():
     quiet = make_row("b1", "unrelated thing")
     rows = [quiet, busy]
     ctxs = {
-        busy[0].text: context(parent_depth=6, open_needs=[busy[1]]),
-        quiet[0].text: context(parent_depth=0, open_needs=[quiet[1]]),
+        busy[0].text: context(parent_depth=6, count=centrality(busy[1], [busy[1]])),
+        quiet[0].text: context(parent_depth=0, count=centrality(quiet[1], [quiet[1]])),
     }
     ranked = rank(rows, ctxs, ranking_agent="zara")
     assert [r.key.artifact_id for r in ranked] == ["a1", "b1"]

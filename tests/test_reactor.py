@@ -23,6 +23,8 @@ from artifact.reactor import (
 )
 from artifact.skills import SkillManifest, load_profile, registry_from_dict
 
+from .conftest import nothing_stored
+
 RATIONALE = "downstream synthesis is blocked on this data"
 
 
@@ -113,7 +115,7 @@ class Harness:
     def __init__(self, tmp_path, registry, agents: dict):
         self.registry = registry
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
-        self.index = GlobalIndex(tmp_path / "index.jsonl")
+        self.index = GlobalIndex(tmp_path / "index.jsonl", nothing_stored)
         self.graph = LineageGraph()
         self.claims = ConsumptionClaims()
         self.payload_keys = {}
@@ -231,7 +233,7 @@ def test_incompatible_payload_not_available(harness):
 def test_scan_needs_basic(harness):
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
-    board = harness.index.open_needs()
+    board = harness.index.open_needs({})
     rows = harness.reactors["bob"].scan_needs(board)
     assert [(k.artifact_id, k.need_index) for k, _, _ in rows] == [(carrier.artifact_id, 0)]
     # alice cannot answer her own need; carol cannot produce the type
@@ -246,8 +248,8 @@ def test_scan_needs_excludes_consumed_key(harness):
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     key = NeedKey(carrier.artifact_id, 0, "default")
     assert harness.claims.claim_need(key)
-    assert [k for k, _, _ in harness.index.open_needs()] == [key]
-    assert harness.reactors["bob"].scan_needs(harness.index.open_needs()) == []
+    assert [k for k, _, _ in harness.index.open_needs({})] == [key]
+    assert harness.reactors["bob"].scan_needs(harness.index.open_needs({})) == []
     state = harness.rngs["bob"].getstate()
     assert harness.reactors["bob"].react_to_needs(limit=1) == []
     assert harness.rngs["bob"].getstate() == state  # no skill was run for it
@@ -290,7 +292,7 @@ def test_higher_pressure_need_wins_budget(harness):
     assert len(records) == 1
     assert records[0].fulfilled_need.artifact_id == deep.artifact_id
     # the shallow need stays open
-    still_open = {k.artifact_id for k, _, _ in harness.index.open_needs()}
+    still_open = {k.artifact_id for k, _, _ in harness.index.open_needs({})}
     assert shallow.artifact_id in still_open
 
 
@@ -305,7 +307,7 @@ def test_variant_need_records_variant_key(harness):
     produced = harness.artifacts[records[0].produced_id]
     assert produced.payload["echo"]["sequence"] == "AAAA"  # variant overrides query
     # the sibling variant remains open
-    open_keys = {k.text for k, _, _ in harness.index.open_needs()}
+    open_keys = {k.text for k, _, _ in harness.index.open_needs({})}
     assert f"{carrier.artifact_id}:0:v1" in open_keys
 
 
@@ -340,7 +342,7 @@ def test_failed_fulfillment_leaves_need_open(tmp_path):
     records = harness.reactors["bob"].react_to_needs(limit=3)
     # only the variant-bearing need can execute; the other stays open
     assert [r.fulfilled_need.need_index for r in records] == [1]
-    open_rows = harness.index.open_needs()
+    open_rows = harness.index.open_needs({})
     assert [(k.artifact_id, k.need_index) for k, _, _ in open_rows] == \
         [(carrier.artifact_id, 0)]
 
@@ -414,18 +416,6 @@ def test_no_re_reaction_across_agents(harness):
     second = harness.reactors["carol"].react(limit=3)
     consumed_by_carol = {i for r in second for i in r.consumed_ids}
     assert consumed_by_bob.isdisjoint(consumed_by_carol)
-
-
-def test_reaction_hooks_see_acyclic_graph(harness):
-    checks = []
-    for reactor in harness.reactors.values():
-        reactor.on_reaction = lambda record: checks.append(harness.graph.is_acyclic())
-    signal = NeedsSignal(items=(need("sequence_alignment"),))
-    harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
-    harness.emit("alice", "protein_data", {"sequence": "AAA"})
-    harness.emit("carol", "protein_data", {"sequence": "CCC"})
-    harness.reactors["bob"].react(limit=3)
-    assert checks and all(checks)
 
 
 def test_ledger_files_on_disk(harness, tmp_path):
@@ -520,9 +510,8 @@ def test_need_key_has_exactly_one_winner(tmp_path, registry):
     stale_counts: dict = {}
     stale = harness.index.open_needs(stale_counts)
 
-    def stale_view(centrality=None):
-        if centrality is not None:
-            centrality.update(stale_counts)
+    def stale_view(centrality):
+        centrality.update(stale_counts)
         return list(stale)
 
     harness.index.open_needs = stale_view
