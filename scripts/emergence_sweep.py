@@ -3,7 +3,8 @@
 
 Runs the three-agent need-broadcast scenario over a range of seeds and
 reports, per seed, the number of synthesis artifacts whose parents span
-at least two producer agents, plus the mean need-fulfillment latency.
+at least two producer agents, counted from the run directory's stores,
+plus the mean need-fulfillment latency.
 
 Usage: python scripts/emergence_sweep.py [n_seeds] [cycles]
 """
@@ -14,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from artifact.rundir import load_world_dag
 from artifact.sim import Scenario, run
 
 AGENTS = [
@@ -33,13 +35,13 @@ TOPICS = [
 ]
 
 
-def spanning_syntheses(world) -> int:
+def spanning_syntheses(out_dir: Path) -> int:
+    _, artifacts, _ = load_world_dag(out_dir)
     count = 0
-    for entry in world.index.entries():
-        if entry.artifact_type != "synthesis" or len(entry.parent_artifact_ids) < 2:
+    for artifact in artifacts.values():
+        if artifact.artifact_type != "synthesis" or len(artifact.parent_artifact_ids) < 2:
             continue
-        producers = {world.artifacts[p].producer_agent
-                     for p in entry.parent_artifact_ids}
+        producers = {artifacts[p].producer_agent for p in artifact.parent_artifact_ids}
         if len(producers) >= 2:
             count += 1
     return count
@@ -58,8 +60,8 @@ def main() -> int:
             "seeded_topics": TOPICS,
         })
         with tempfile.TemporaryDirectory() as tmp:
-            world, report = run(scenario, Path(tmp))
-            spanning = spanning_syntheses(world)
+            _, report = run(scenario, Path(tmp))
+            spanning = spanning_syntheses(Path(tmp))
             emerged += spanning > 0
             latency = report.mean_need_latency_seconds
             latency_h = f"{latency / 3600:.2f}" if latency is not None else "-"

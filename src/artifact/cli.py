@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 from .errors import ArtifactError
-from .ledger import ArtifactStore, parse_address
-from .sim import Scenario, demo_scenario, export_dag, load_world_dag, run, verify_output
+from .governance import GovernanceLedger
+from .ledger import parse_address
+from .rundir import RunDir, load_world_dag, read_store, verify_output
+from .sim import Scenario, demo_scenario, export_dag, run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -28,15 +30,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"avg dag depth: {report.dag_metrics['avg_dag_depth']:.3f}")
     print(f"posts: {report.posts}  reactions: {report.reactions}  "
           f"mutations: {report.mutations}")
-    print(f"report written to {Path(args.out) / 'report.json'}")
-    if args.verify:
-        violations = verify_output(args.out)
-        if violations:
-            for violation in violations:
-                print(f"INVARIANT VIOLATION: {violation}", file=sys.stderr)
-            return 1
-        print("all invariant checks passed")
-    return 0
+    print(f"report written to {RunDir(args.out).report}")
+    return _cmd_verify(args) if args.verify else 0
 
 
 def _cmd_export_dag(args: argparse.Namespace) -> int:
@@ -58,11 +53,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     address = parse_address(args.address)
-    store_path = Path(args.out) / "agents" / address.agent / ArtifactStore.FILENAME
-    if not store_path.exists():
+    run_dir = RunDir(args.out)
+    if not run_dir.agent(address.agent).store.exists():
         print(f"no store for agent {address.agent!r} under {args.out}", file=sys.stderr)
         return 1
-    artifact = ArtifactStore(store_path).get(address.id)
+    stored: dict = {}
+    read_store(run_dir, address.agent, stored)
+    artifact = stored.get(address.id)
     if artifact is None:
         print(f"artifact {address.id} not found in {address.agent}'s store", file=sys.stderr)
         return 1
@@ -81,9 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_accounts(args: argparse.Namespace) -> int:
-    from .governance import GovernanceLedger
-
-    path = Path(args.out) / "governance.jsonl"
+    path = RunDir(args.out).governance
     if not path.exists():
         print(f"no governance ledger under {args.out}", file=sys.stderr)
         return 1

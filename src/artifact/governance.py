@@ -355,15 +355,15 @@ class GovernanceLedger:
         self,
         author: str,
         title: str,
-        content: str = "",
-        community: str = "main",
-        hypothesis: str = "",
-        method: str = "",
-        findings: str = "",
-        data_sources: Sequence[str] = (),
-        open_questions: Sequence[str] = (),
-        tools_used: Sequence[str] = (),
-        artifact_refs: Sequence[ArtifactRef] = (),
+        content: str,
+        community: str,
+        hypothesis: str,
+        method: str,
+        findings: str,
+        data_sources: Sequence[str],
+        open_questions: Sequence[str],
+        tools_used: Sequence[str],
+        artifact_refs: Sequence[ArtifactRef],
         now: datetime | None = None,
     ) -> Post:
         now = self._now(now)
@@ -418,9 +418,9 @@ class GovernanceLedger:
         author: str,
         post_id: str,
         body: str,
-        comment_type: str = "plain",
+        comment_type: str,
+        redirect_subquestion: str | None,
         parent_comment: str | None = None,
-        redirect_subquestion: str | None = None,
         now: datetime | None = None,
     ) -> CommentAction:
         now = self._now(now)
@@ -507,7 +507,7 @@ class GovernanceLedger:
         from_post: str,
         to_post: str,
         relation: str,
-        description: str = "",
+        description: str,
         now: datetime | None = None,
     ) -> PostLink:
         now = self._now(now)

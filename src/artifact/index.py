@@ -11,8 +11,10 @@ store line and its lineage node, when it already resolves.
 publication order, holding only what no store holds, the artifact's address
 (``artifact_id``, ``producer_agent``) and its ``fulfills`` key. Every other
 field is its store record's, so reloading the index joins each line with the
-record that ``resolve`` finds for its id; a line whose id resolves to
-nothing, or to another producer's record, is damaged.
+record that ``resolve`` finds for its id. ``read_index`` holds the rule
+that the reload and ``verify`` share: a line whose id resolves to nothing or
+to another producer's record, or that repeats an earlier line's id, is
+damaged.
 
 The needs board is kept current as entries are admitted, never rebuilt: a
 need-bearing artifact joins a list held in ``(timestamp, id)`` order (insorted,
@@ -38,7 +40,7 @@ import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import CorruptStore, DuplicateEntry
 from .ledger import AppendLog, Artifact, read_log
@@ -100,6 +102,39 @@ def index_fields(record: dict) -> tuple[str, str, NeedKey | None]:
     return artifact_id, producer, NeedKey.parse(fulfills) if fulfills is not None else None
 
 
+def read_index(path: str | Path, resolve: Callable[[str], Artifact | None],
+               damaged: Callable[[CorruptStore], None] | None) -> Iterator[tuple]:
+    """Each line of an ``index.jsonl`` as (line number, artifact id, record,
+    fulfilled need key), with the record ``resolve`` gives for the id, or None.
+
+    A line is damaged when ``read_log`` finds it so, or when its id resolves
+    to no record or to another producer's, or repeats an earlier line's id.
+    A damaged line raises ``CorruptStore``, as in ``read_log``; when
+    ``damaged`` is given, it gets the error instead, and a line damaged by
+    one of the last three rules is still yielded.
+    """
+    def fail(number: int, reason: str) -> None:
+        error = CorruptStore(str(path), number, reason)
+        if damaged is None:
+            raise error
+        damaged(error)
+
+    listed: set[str] = set()
+    for number, (artifact_id, producer, fulfills) in read_log(
+            path, index_fields,
+            lambda error: fail(error.line_number, f"unparseable index entry: {error.reason}")):
+        artifact = resolve(artifact_id)
+        if artifact is None:
+            fail(number, f"index entry {artifact_id} is in no store")
+        elif artifact.producer_agent != producer:
+            fail(number, f"index entry {artifact_id} names producer {producer}, "
+                         f"its record {artifact.producer_agent}")
+        if artifact_id in listed:
+            fail(number, f"artifact {artifact_id} is in the index twice")
+        listed.add(artifact_id)
+        yield number, artifact_id, artifact, fulfills
+
+
 def scan_order(artifact: Artifact) -> tuple:
     """The order every scan of the index returns: timestamp, then id."""
     return (artifact.timestamp, artifact.artifact_id)
@@ -110,13 +145,12 @@ class GlobalIndex:
     deterministic snapshots, and the board keeps each open row's centrality
     count as rows open and close (see the module doc).
 
-    ``resolve`` maps an id to its stored record, raising for an id no store
-    holds; it is read only while ``path``'s lines are reloaded.
+    ``resolve`` maps an id to its stored record, or to None for an id no
+    store holds; it is read only while ``path``'s lines are reloaded, with
+    ``read_index``.
     """
 
-    FILENAME = "index.jsonl"
-
-    def __init__(self, path: str | Path, resolve: Callable[[str], Artifact]):
+    def __init__(self, path: str | Path, resolve: Callable[[str], Artifact | None]):
         self.path = Path(path)
         self.log = AppendLog(self.path)
         self._entries: list[Artifact] = []
@@ -133,19 +167,7 @@ class GlobalIndex:
         self._row_tokens: dict[NeedKey, set[str]] = {}
         self._postings: dict[tuple[str, str], dict[NeedKey, NeedItem]] = {}
         self._lock = threading.Lock()
-
-        def joined(record: dict) -> tuple[Artifact, NeedKey | None]:
-            artifact_id, producer, fulfills = index_fields(record)
-            artifact = resolve(artifact_id)
-            if artifact.producer_agent != producer:
-                raise ValueError(f"{artifact_id} was produced by {artifact.producer_agent}, "
-                                 f"not {producer}")
-            return artifact, fulfills
-
-        for number, (artifact, fulfills) in read_log(self.path, joined):
-            if artifact.artifact_id in self._fulfills:
-                raise CorruptStore(str(self.path), number,
-                                   f"repeated entry {artifact.artifact_id}")
+        for _, _, artifact, fulfills in read_index(self.path, resolve, None):
             self._admit(artifact, fulfills)
 
     def _admit(self, artifact: Artifact, fulfills: NeedKey | None) -> None:

@@ -262,8 +262,6 @@ class ArtifactStore:
     heartbeat.
     """
 
-    FILENAME = "store.jsonl"
-
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.log = AppendLog(self.path)
@@ -274,18 +272,8 @@ class ArtifactStore:
                                    f"repeated artifact id {artifact.artifact_id}")
             self._by_id[artifact.artifact_id] = artifact
 
-    @classmethod
-    def open_dir(cls, directory: str | Path) -> "ArtifactStore":
-        return cls(Path(directory) / cls.FILENAME)
-
-    def __contains__(self, artifact_id: str) -> bool:
-        return artifact_id in self._by_id
-
     def __len__(self) -> int:
         return len(self._by_id)
-
-    def get(self, artifact_id: str) -> Artifact | None:
-        return self._by_id.get(artifact_id)
 
     def append(self, artifact: Artifact) -> None:
         if artifact.artifact_id in self._by_id:

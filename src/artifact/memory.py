@@ -78,8 +78,6 @@ class JournalEntry:
 
 
 class AgentJournal:
-    FILENAME = "journal.jsonl"
-
     def __init__(self, path: str | Path, clock: Clock | None = None):
         self.path = Path(path)
         self.clock = clock or SystemClock()

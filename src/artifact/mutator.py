@@ -34,8 +34,6 @@ from .ledger import AppendLog, Artifact
 from .lineage import POLICY_TYPE, LineageGraph, PairVerdict, SiblingPairs
 from .reactor import merge_payloads
 
-MUTATIONS_FILE = "mutations.jsonl"
-
 STAGNATION_BOUNDS = (1, 10)
 REDUNDANCY_BOUNDS = (0.3, 0.95)
 
@@ -173,7 +171,7 @@ class Mutator:
     ``emit`` creates and publishes an artifact on the agent's behalf and
     returns it, recording its birth cycle in ``birth_cycles``. Payloads are
     read from the records the lineage graph holds. ``rng`` drives the policy
-    drift, and every event is appended to ``data_dir``'s mutations.jsonl.
+    drift, and every event is appended to the mutations log at ``path``.
     """
 
     def __init__(
@@ -184,7 +182,7 @@ class Mutator:
         policy: MutationPolicy,
         rng: random.Random,
         birth_cycles: dict[str, int],
-        data_dir: str | Path,
+        path: str | Path,
     ):
         self.agent_name = agent_name
         self.graph = graph
@@ -192,7 +190,7 @@ class Mutator:
         self.policy = policy
         self.rng = rng
         self.birth_cycles = birth_cycles
-        self.file = AppendLog(Path(data_dir) / MUTATIONS_FILE)
+        self.file = AppendLog(path)
         self.events: list[MutationEvent] = []
         self.policy_artifact_id: str | None = None
         self.last_rates: tuple[float, float] = (0.0, 0.0)

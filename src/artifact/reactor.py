@@ -59,8 +59,6 @@ from .skills import (
 
 log = logging.getLogger(__name__)
 
-REACTIONS_FILE = "reactions.jsonl"
-
 REACTION_KINDS = ("need_driven", "multi_parent", "single_parent")
 
 
@@ -231,7 +229,7 @@ def build_params(manifest: SkillManifest, payload: Payload) -> dict:
 
 
 class ArtifactReactor:
-    """One agent's reactions.
+    """One agent's reactions, each logged to ``reactions_path``.
 
     ``emit`` creates and publishes an artifact on the agent's behalf and
     returns it, as ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
@@ -248,7 +246,7 @@ class ArtifactReactor:
         index: GlobalIndex,
         graph: LineageGraph,
         emit: Callable[..., Artifact],
-        data_dir: str | Path,
+        reactions_path: str | Path,
         clock: Clock,
         rng: random.Random,
         claims: ConsumptionClaims,
@@ -259,10 +257,9 @@ class ArtifactReactor:
         self.index = index
         self.graph = graph
         self.emit = emit
-        self.data_dir = Path(data_dir)
         self.clock = clock
         self.rng = rng
-        self.reactions_path = self.data_dir / REACTIONS_FILE
+        self.reactions_path = Path(reactions_path)
         self.reactions = AppendLog(self.reactions_path)
         self.claims = claims
         self.claims.seed(*_read_consumption(self.reactions_path))

@@ -4,65 +4,38 @@ A scenario pins the seed, the agent profiles, seeded topics, and scripted
 interventions; a run is then fully reproducible: identical seeds yield
 byte-identical stores, index, and report. Everything the paper delegates to
 an LLM (topic analysis, gap scoring, engagement choice) is replaced by a
-seeded deterministic stub that preserves the control flow.
+seeded deterministic stub that preserves the control flow. The run
+directory's layout, and every read of a finished run, are ``rundir``'s.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import logging
 import random
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .canonical import Payload, canonicalize
 from .clock import EPOCH, ManualClock, parse_timestamp
-from .errors import (
-    ArtifactError,
-    CorruptStore,
-    CycleRejected,
-    DanglingParent,
-    InvalidFormat,
-    InvalidScenario,
-    RateLimited,
-    UnknownArtifact,
-)
+from .errors import ArtifactError, InvalidFormat, RateLimited
 from .governance import ArtifactRef, GovernanceLedger, Post
-from .index import GlobalIndex, NeedKey, index_fields, variant_ids
-from .ledger import (
-    Artifact,
-    ArtifactStore,
-    create_artifact,
-    new_uuid,
-    read_log,
-    verify_integrity,
-)
+from .index import GlobalIndex, NeedKey
+from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
 from .lineage import LineageGraph
 from .memory import AgentJournal, InvestigationTracker, _atomic_write, slugify
-from .mutator import MUTATIONS_FILE, MutationEvent, MutationPolicy, Mutator
+from .mutator import MutationPolicy, Mutator
 from .needs import NeedItem, NeedsSignal, tokenize
-from .reactor import (
-    REACTIONS_FILE,
-    ArtifactReactor,
-    ConsumptionClaims,
-    build_params,
-    reaction_fields,
-)
-from .skills import (
-    AgentProfile,
-    SkillRegistry,
-    allowed_types,
-    default_registry,
-    execute,
-    load_profile,
-    load_registry,
-)
+from .reactor import ArtifactReactor, ConsumptionClaims, build_params
+# The audit and the scenario are named here too, for callers that name them in sim.
+from .rundir import RunDir, load_world_dag, verify_output  # noqa: F401
+from .scenario import Scenario, demo_scenario  # noqa: F401
+from .skills import AgentProfile, SkillRegistry, execute
 
 log = logging.getLogger(__name__)
 
@@ -82,160 +55,6 @@ def stable_hash(*parts: str) -> int:
     """Seedable, process-independent hash for stub ordering decisions."""
     material = "\x1f".join(parts).encode("utf-8")
     return int(hashlib.sha256(material).hexdigest()[:16], 16)
-
-
-# ---------------------------------------------------------------------------
-# Scenario
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeededTopic:
-    cycle: int
-    agent: str
-    topic: str
-
-
-@dataclass(frozen=True)
-class Intervention:
-    cycle: int
-    agent: str  # the post author whose newest post receives the comment
-    comment_type: str
-    body: str
-
-
-@dataclass
-class Scenario:
-    seed: int
-    cycles: int
-    agents: list
-    registry: str = "default"
-    seeded_topics: list = field(default_factory=list)
-    interventions: list = field(default_factory=list)
-    mutation_policy: dict = field(default_factory=dict)
-    mutation_enabled: bool = True
-    concurrent: bool = False
-    community: str = "main"
-
-    def validate(self) -> None:
-        if self.cycles < 1:
-            raise InvalidScenario("cycles must be >= 1")
-        if not isinstance(self.seed, int):
-            raise InvalidScenario("seed must be an integer")
-        if not self.agents:
-            raise InvalidScenario("at least one agent profile is required")
-        names = [a["name"] for a in self.agents]
-        if len(names) != len(set(names)):
-            raise InvalidScenario("agent names must be unique")
-        for topic in self.seeded_topics:
-            if topic.agent not in names:
-                raise InvalidScenario(f"seeded topic names unknown agent {topic.agent!r}")
-            if not 0 <= topic.cycle < self.cycles:
-                raise InvalidScenario(f"seeded topic cycle {topic.cycle} out of range")
-        for act in self.interventions:
-            if act.agent not in names:
-                raise InvalidScenario(f"intervention names unknown agent {act.agent!r}")
-            if act.comment_type not in ("chat", "redirect"):
-                raise InvalidScenario("interventions must be chat or redirect")
-            if not 0 <= act.cycle < self.cycles:
-                raise InvalidScenario(f"intervention cycle {act.cycle} out of range")
-        try:
-            MutationPolicy(**self.mutation_policy)
-        except (TypeError, ValueError) as exc:
-            raise InvalidScenario(f"mutation_policy: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cycles": self.cycles,
-            "agents": [dict(a) for a in self.agents],
-            "registry": self.registry,
-            "seeded_topics": [
-                {"cycle": t.cycle, "agent": t.agent, "topic": t.topic}
-                for t in self.seeded_topics
-            ],
-            "interventions": [
-                {"cycle": i.cycle, "agent": i.agent,
-                 "comment_type": i.comment_type, "body": i.body}
-                for i in self.interventions
-            ],
-            "mutation_policy": dict(self.mutation_policy),
-            "mutation_enabled": self.mutation_enabled,
-            "concurrent": self.concurrent,
-            "community": self.community,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        """A validated scenario from its scenario-file form. A field that is
-        missing without a default, of the wrong JSON type or unknown raises
-        InvalidScenario."""
-        fields = _fields(data, "scenario", {"seed": int, "cycles": int, "agents": list}, {
-            "registry": "default", "seeded_topics": [], "interventions": [],
-            "mutation_policy": {}, "mutation_enabled": True, "concurrent": False,
-            "community": "main"})
-        for agent in fields["agents"]:
-            profile = _fields(agent, "agent", {"name": str},
-                              {"preferred_tools": [], "research_interests": []})
-            if any(not isinstance(v, str)
-                   for v in profile["preferred_tools"] + profile["research_interests"]):
-                raise InvalidScenario(f"agent {profile['name']!r}: preferred_tools and "
-                                      f"research_interests must be lists of strings")
-        topic = {"cycle": int, "agent": str, "topic": str}
-        act = {"cycle": int, "agent": str, "comment_type": str, "body": str}
-        fields.update(
-            agents=list(fields["agents"]),
-            seeded_topics=[SeededTopic(**_fields(t, "seeded topic", topic, {}))
-                           for t in fields["seeded_topics"]],
-            interventions=[Intervention(**_fields(i, "intervention", act, {}))
-                           for i in fields["interventions"]],
-            mutation_policy=dict(fields["mutation_policy"]),
-        )
-        scenario = cls(**fields)
-        scenario.validate()
-        return scenario
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise InvalidScenario(f"{path} is not a JSON file: {exc}") from None
-        return cls.from_dict(data)
-
-
-_JSON_TYPES = {int: "integer", str: "string", bool: "boolean", list: "array", dict: "object"}
-
-
-def _fields(data, where: str, required: dict[str, type], optional: dict) -> dict:
-    """The required and optional fields of a scenario-file object, each of
-    its JSON type (an optional field's default gives its type), a missing
-    optional one as its default; InvalidScenario for a missing required
-    field, a field of another type, a field of no other name (a misspelt
-    optional field would go unnoticed), or ``data`` not an object."""
-    if not isinstance(data, dict):
-        raise InvalidScenario(f"{where} must be a JSON object, not {type(data).__name__}")
-    kinds = {**required, **{name: type(default) for name, default in optional.items()}}
-    unknown = sorted(set(data) - set(kinds))
-    if unknown:
-        raise InvalidScenario(f"{where} has unknown field(s) {unknown}")
-    fields = {}
-    for name, kind in kinds.items():
-        if name not in data and name not in optional:
-            raise InvalidScenario(f"{where} has no {name!r}")
-        value = fields[name] = data.get(name, optional.get(name))
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise InvalidScenario(f"{where} {name!r} must be a JSON {_JSON_TYPES[kind]}, "
-                                  f"not {type(value).__name__} {value!r}")
-    return fields
-
-
-def demo_scenario() -> Scenario:
-    """The bundled three-agent, five-cycle demo."""
-    from importlib import resources
-
-    text = resources.files("artifact.data").joinpath("demo_scenario.json").read_text("utf-8")
-    return Scenario.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +131,10 @@ class AgentRuntime:
 
     def __init__(self, profile: AgentProfile, world: "World"):
         self.profile = profile
-        self.dir = world.out_dir / "agents" / profile.name
-        self.dir.mkdir(parents=True, exist_ok=True)
+        files = world.run_dir.agent(profile.name)
         self.rng = random.Random(stable_hash(str(world.scenario.seed), "agent", profile.name))
-        self.store = ArtifactStore.open_dir(self.dir)
-        self.journal = AgentJournal(self.dir / AgentJournal.FILENAME, clock=world.clock)
+        self.store = ArtifactStore(files.store)
+        self.journal = AgentJournal(files.journal, clock=world.clock)
         self.tracker = InvestigationTracker(self.journal)
         self.gaps = GapQueue(profile.name, world.scenario.seed, world.scenario.community)
         self.reactor = ArtifactReactor(
@@ -325,7 +143,7 @@ class AgentRuntime:
             index=world.index,
             graph=world.graph,
             emit=lambda **kwargs: world.emit(profile.name, **kwargs),
-            data_dir=self.dir,
+            reactions_path=files.reactions,
             clock=world.clock,
             rng=self.rng,
             claims=world.claims,
@@ -338,7 +156,7 @@ class AgentRuntime:
             policy=MutationPolicy(**world.scenario.mutation_policy),
             rng=random.Random(stable_hash(str(world.scenario.seed), "mutator", profile.name)),
             birth_cycles=world.birth_cycles,
-            data_dir=self.dir,
+            path=files.mutations,
         )
 
 
@@ -348,27 +166,19 @@ class World:
     def __init__(self, scenario: Scenario, out_dir: str | Path):
         scenario.validate()
         self.scenario = scenario
-        self.out_dir = Path(out_dir)
+        self.run_dir = RunDir(out_dir)
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
-        if scenario.registry == "default":
-            self.registry = default_registry()
-        else:
-            self.registry = load_registry(scenario.registry)
-        self.artifact_types = self.registry.artifact_types()
         # Profiles are read before anything is written: a scenario naming an
         # unknown skill leaves no output behind.
-        self.profiles: dict[str, AgentProfile] = {}
-        for raw in scenario.agents:
-            profile = load_profile(raw, self.registry)
-            self.profiles[profile.name] = profile
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.registry, self.profiles = scenario.load_profiles()
+        self.artifact_types = self.registry.artifact_types()
         self.artifacts: dict[str, Artifact] = {}
-        self.index = GlobalIndex(self.out_dir / GlobalIndex.FILENAME, self.resolve_id)
+        self.index = GlobalIndex(self.run_dir.index, self.resolve_id)
         self.graph = LineageGraph()
         self.claims = ConsumptionClaims()
         self.payload_keys: dict[str, frozenset] = {}
         self.governance = GovernanceLedger(
-            self.out_dir / "governance.jsonl",
+            self.run_dir.governance,
             clock=self.clock,
             resolve_ref=self.index.__contains__,
         )
@@ -417,11 +227,8 @@ class World:
         for log in logs:
             log.close()
 
-    def resolve_id(self, artifact_id: str) -> Artifact:
-        try:
-            return self.artifacts[artifact_id]
-        except KeyError:
-            raise UnknownArtifact(f"artifact {artifact_id} is not published") from None
+    def resolve_id(self, artifact_id: str) -> Artifact | None:
+        return self.artifacts.get(artifact_id)
 
     def question_slug(self, question: str) -> str:
         """slugify(question), computed once per distinct question."""
@@ -895,54 +702,13 @@ def _run_cycles(world: World) -> SimulationReport:
             len(world.agents[name].mutator.events) for name in world.agents
         ),
     )
-    _atomic_write(world.out_dir / "report.json", canonicalize(report.to_dict()) + b"\n")
+    _atomic_write(world.run_dir.report, canonicalize(report.to_dict()) + b"\n")
     return report
 
 
 # ---------------------------------------------------------------------------
-# Rebuilding and exporting
+# Exporting
 # ---------------------------------------------------------------------------
-
-def _agent_dirs(out: Path) -> list[Path]:
-    return sorted((out / "agents").iterdir()) if (out / "agents").exists() else []
-
-
-def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
-    """Rebuild the lineage graph (with graft overlays) from an output dir.
-
-    Returns the graph, the stored artifacts by id, and every agent's
-    mutation events as (agent, line number, event); a damaged store or
-    mutation line raises CorruptStore, and so does a store record that
-    another agent produced or that an earlier store holds too. Grafts
-    replay in ``seq`` order, the order the live graph applied them; a graft
-    line without one replays after those, by cycle, agent and line.
-    """
-    out = Path(out_dir)
-    artifacts: dict[str, Artifact] = {}
-    for agent_dir in _agent_dirs(out):
-        store = ArtifactStore.open_dir(agent_dir)
-        # A store holds one record per line, so a record's place is its line.
-        for number, artifact in enumerate(store.records(), start=1):
-            held = artifacts.get(artifact.artifact_id)
-            if held is not None:
-                raise CorruptStore(str(store.path), number, f"artifact {artifact.artifact_id} "
-                                   f"is in the store of {held.producer_agent} too")
-            if artifact.producer_agent != agent_dir.name:
-                raise CorruptStore(str(store.path), number, f"artifact {artifact.artifact_id} "
-                                   f"was produced by {artifact.producer_agent}")
-            artifacts[artifact.artifact_id] = artifact
-    graph = LineageGraph()
-    for artifact in sorted(artifacts.values(), key=lambda a: (a.timestamp, a.artifact_id)):
-        graph.insert(artifact)
-    events = [(agent_dir.name, number, event)
-              for agent_dir in _agent_dirs(out)
-              for number, event in read_log(agent_dir / MUTATIONS_FILE, MutationEvent.from_dict)]
-    grafts = [(event.seq is None, event.seq or 0, event.cycle, agent, number, event)
-              for agent, number, event in events if event.kind == "graft"]
-    for *_, event in sorted(grafts, key=lambda g: g[:5]):
-        graph.set_parents(event.inputs[0], (event.new_parent,))
-    return graph, artifacts, events
-
 
 def export_dag(graph: LineageGraph, fmt: str) -> str:
     if fmt == "graph-text":
@@ -951,210 +717,3 @@ def export_dag(graph: LineageGraph, fmt: str) -> str:
         return canonicalize(graph.to_dump()).decode("utf-8") + "\n"
     raise InvalidFormat(f"unknown export format {fmt!r}; "
                         f"use graph-text or structured-dump")
-
-
-# ---------------------------------------------------------------------------
-# Invariant verification
-# ---------------------------------------------------------------------------
-
-def _read_report(path: Path) -> tuple[float, int, dict[str, set[str]]]:
-    """A report.json's avg_dag_depth and artifact_count, and the artifact
-    types each agent of its scenario may consume."""
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    metrics = report["dag_metrics"]
-    depth, count = metrics["avg_dag_depth"], metrics["artifact_count"]
-    if not (isinstance(depth, (int, float)) and isinstance(count, int)):
-        raise ValueError("dag_metrics needs a numeric avg_dag_depth and an integer artifact_count")
-    scenario = Scenario.from_dict(report["scenario"])
-    registry = default_registry() if scenario.registry == "default" \
-        else load_registry(scenario.registry)
-    allowed = {}
-    for raw in scenario.agents:
-        profile = load_profile(raw, registry)
-        allowed[profile.name] = allowed_types(profile, registry)
-    return depth, count, allowed
-
-
-def verify_output(out_dir: str | Path) -> list[str]:
-    """Re-check the core invariants from the files a run left behind.
-
-    Returns a list of violation descriptions; empty means all checks passed.
-    When the lineage cannot be rebuilt at all (a damaged store or mutation
-    log line, a store line repeating an artifact id or holding another
-    agent's artifact, or a graft that names a missing node or would close a
-    cycle), that is the one violation returned, since every other check
-    reads the rebuilt lineage. A missing or unreadable report.json (bad
-    JSON, metrics missing or not numbers, a scenario missing or naming an
-    unknown skill) and a damaged reactions.jsonl or index.jsonl line are
-    one violation each, and the checks go on with what is left: every
-    reaction's product stored by the reacting agent, no artifact consumed
-    twice, no need key fulfilled twice, none of an agent's own artifacts
-    consumed, every consumed type within the agent's domain, every merge
-    and fork line's inputs stored and its outputs stored by the agent that
-    logged it, no merge repeating the input set of another, no graft
-    repeating the seq of another, and an index that lists each stored
-    artifact once under its producer, with no need key fulfilled twice in
-    it and none its carrier never broadcast.
-    """
-    out = Path(out_dir)
-    violations: list[str] = []
-    try:
-        graph, artifacts, events = load_world_dag(out)
-    except (CorruptStore, CycleRejected, DanglingParent, UnknownArtifact) as exc:
-        return [f"lineage cannot be rebuilt: {type(exc).__name__}: {exc}"]
-
-    if not graph.is_acyclic():
-        violations.append("lineage graph contains a cycle")
-
-    for artifact in artifacts.values():
-        if not verify_integrity(artifact):
-            violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
-
-    merged_by: dict[frozenset, str] = {}
-    grafted_by: dict[int, str] = {}
-    for agent, number, event in events:
-        if event.kind == "graft":
-            # The graph numbers each graft once, so a seq on two lines is a
-            # line repeated or copied from another agent's log.
-            if event.seq in grafted_by:
-                violations.append(f"{agent} {MUTATIONS_FILE} line {number}: graft seq "
-                                  f"{event.seq} repeats a graft of {grafted_by[event.seq]}")
-            elif event.seq is not None:
-                grafted_by[event.seq] = agent
-            continue
-        violations += _mutation_line_violations(agent, number, event, artifacts)
-        if event.kind != "merge":
-            continue
-        inputs = frozenset(event.inputs)
-        if inputs in merged_by:
-            violations.append(
-                f"merge repeats an input set {sorted(inputs)} "
-                f"({merged_by[inputs]} and {agent})"
-            )
-        merged_by[inputs] = agent
-
-    report_path = out / "report.json"
-    allowed: dict[str, set[str]] = {}
-    try:
-        reported_depth, reported_count, allowed = _read_report(report_path)
-    except (OSError, ValueError, KeyError, TypeError, ArtifactError) as exc:
-        violations.append(f"{report_path}: unreadable report: {exc!r}")
-    else:
-        recomputed = graph.metrics()
-        if abs(recomputed.avg_dag_depth - reported_depth) > 1e-9:
-            violations.append(
-                f"avg_dag_depth mismatch: reported {reported_depth}, "
-                f"recomputed {recomputed.avg_dag_depth}"
-            )
-        if recomputed.artifact_count != reported_count:
-            violations.append("artifact_count mismatch between report and stores")
-
-    def damaged_reaction(error: CorruptStore) -> None:
-        violations.append(f"{error.path} line {error.line_number}: "
-                          f"unparseable reaction: {error.reason}")
-
-    consumed_by: dict[str, str] = {}
-    fulfilled_by: dict[str, str] = {}
-    for agent_dir in _agent_dirs(out):
-        agent = agent_dir.name
-        for _, (consumed_ids, fulfilled, produced) in read_log(
-                agent_dir / REACTIONS_FILE, reaction_fields, damaged_reaction):
-            product = artifacts.get(produced)
-            if product is None:
-                violations.append(f"{agent} reaction product {produced} is in no store")
-            elif product.producer_agent != agent:
-                violations.append(
-                    f"{agent} reaction product {produced} was produced by "
-                    f"{product.producer_agent}"
-                )
-            if fulfilled is not None:
-                if fulfilled in fulfilled_by:
-                    violations.append(
-                        f"need key {fulfilled} fulfilled twice "
-                        f"({fulfilled_by[fulfilled]} and {agent})"
-                    )
-                fulfilled_by[fulfilled] = agent
-            for consumed in consumed_ids:
-                if consumed in consumed_by:
-                    violations.append(
-                        f"artifact {consumed} consumed twice "
-                        f"({consumed_by[consumed]} and {agent})"
-                    )
-                consumed_by[consumed] = agent
-                producer = artifacts.get(consumed)
-                if producer is None:
-                    continue
-                if producer.producer_agent == agent:
-                    violations.append(
-                        f"{agent} consumed its own artifact {consumed}"
-                    )
-                if agent in allowed and producer.artifact_type not in allowed[agent]:
-                    violations.append(
-                        f"{agent} consumed out-of-domain type "
-                        f"{producer.artifact_type} ({consumed})"
-                    )
-    violations += _index_violations(out / GlobalIndex.FILENAME, artifacts)
-    return violations
-
-
-def _mutation_line_violations(agent: str, number: int, event: MutationEvent,
-                              artifacts: dict[str, Artifact]) -> list[str]:
-    """What a merge or fork line of an agent's mutations.jsonl gets wrong
-    against the stores: an input no store holds, or an output that is not a
-    stored artifact of that agent."""
-    where = f"{agent} {MUTATIONS_FILE} line {number}: {event.kind}"
-    violations = [f"{where} input {input_id} is in no store"
-                  for input_id in event.inputs if input_id not in artifacts]
-    for output_id in event.outputs:
-        output = artifacts.get(output_id)
-        if output is None:
-            violations.append(f"{where} output {output_id} is in no store")
-        elif output.producer_agent != agent:
-            violations.append(f"{where} output {output_id} was produced by "
-                              f"{output.producer_agent}")
-    return violations
-
-
-def _broadcast(carrier: Artifact | None, key: NeedKey) -> bool:
-    """True iff the carrier's needs hold the key's need index and variant."""
-    if carrier is None or carrier.needs is None:
-        return False
-    items = carrier.needs.items
-    return 0 <= key.need_index < len(items) and key.variant_id in variant_ids(items[key.need_index])
-
-
-def _index_violations(path: Path, artifacts: dict[str, Artifact]) -> list[str]:
-    """What ``index.jsonl`` gets wrong against the stores: a damaged line, an
-    id no store holds or held by another producer, a stored artifact listed
-    twice or never, a need key its carrier never broadcast or fulfilled
-    twice."""
-    violations: list[str] = []
-
-    def damaged(error: CorruptStore) -> None:
-        violations.append(f"{error.path} line {error.line_number}: "
-                          f"unparseable index entry: {error.reason}")
-
-    listed: set[str] = set()
-    fulfilled: set[NeedKey] = set()
-    for number, (artifact_id, producer, fulfills) in read_log(path, index_fields, damaged):
-        where = f"{path} line {number}"
-        artifact = artifacts.get(artifact_id)
-        if artifact is None:
-            violations.append(f"{where}: index entry {artifact_id} is in no store")
-        elif artifact.producer_agent != producer:
-            violations.append(f"{where}: index entry {artifact_id} names producer {producer}, "
-                              f"its record {artifact.producer_agent}")
-        if artifact_id in listed:
-            violations.append(f"{where}: artifact {artifact_id} is in the index twice")
-        listed.add(artifact_id)
-        if fulfills is None:
-            continue
-        if fulfills in fulfilled:
-            violations.append(f"{where}: need key {fulfills.text} fulfilled twice in the index")
-        fulfilled.add(fulfills)
-        if not _broadcast(artifacts.get(fulfills.artifact_id), fulfills):
-            violations.append(f"{where}: need key {fulfills.text} was never broadcast")
-    violations += [f"stored artifact {artifact_id} is not in the index"
-                   for artifact_id in artifacts if artifact_id not in listed]
-    return violations

@@ -26,6 +26,7 @@ from artifact.reactor import merge_payloads
 from artifact.sim import Scenario, demo_scenario, load_world_dag, run
 
 from .conftest import random_payload, shuffle_keys
+from .test_governance import call, make_post
 from .test_mutator import MutatorHarness
 from .test_reactor import FakeParent
 from .test_sim import fig2_scenario, tree_digest
@@ -272,25 +273,25 @@ def test_criterion_08_rate_limits(tmp_path):
     for name in ("poster", "voter", "trusty"):
         ledger.register_agent(name)
 
-    post = ledger.create_post(author="poster", title="first")
+    post = make_post(ledger, author="poster", title="first")
     clock.advance(minutes=10)
     with pytest.raises(RateLimited) as err:
-        ledger.create_post(author="poster", title="too soon")
+        make_post(ledger, author="poster", title="too soon")
     assert abs(err.value.retry_after - 20 * 60) < 1e-6
     clock.advance(minutes=20)
-    ledger.create_post(author="poster", title="exactly on time")
+    make_post(ledger, author="poster", title="exactly on time")
 
-    ledger.create_comment("voter", post.id, "first comment")
+    call(ledger.create_comment, "voter", post.id, "first comment")
     clock.advance(seconds=5)
     with pytest.raises(RateLimited) as err:
-        ledger.create_comment("voter", post.id, "too soon")
+        call(ledger.create_comment, "voter", post.id, "too soon")
     assert abs(err.value.retry_after - 15) < 1e-6
     clock.advance(seconds=15)
     for i in range(49):
-        ledger.create_comment("voter", post.id, f"comment {i}")
+        call(ledger.create_comment, "voter", post.id, f"comment {i}")
         clock.advance(seconds=20)
     with pytest.raises(RateLimited) as err:
-        ledger.create_comment("voter", post.id, "the 51st today")
+        call(ledger.create_comment, "voter", post.id, "the 51st today")
     next_midnight = (clock.current + timedelta(days=1)).replace(
         hour=0, minute=0, second=0, microsecond=0)
     assert abs(err.value.retry_after -
@@ -319,7 +320,7 @@ def test_criterion_09_hash_and_store_integrity(tmp_path, make_artifact):
         payload = random_payload(gen)
         assert content_hash(payload) == content_hash(shuffle_keys(gen, payload))
 
-    store = ArtifactStore.open_dir(tmp_path)
+    store = ArtifactStore(tmp_path / "store.jsonl")
     originals = [make_artifact(payload=random_payload(gen)) for _ in range(20)]
     for artifact in originals:
         store.append(artifact)

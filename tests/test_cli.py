@@ -86,6 +86,18 @@ def test_inspect_bad_address_is_an_error(run_dir):
     assert main(["inspect", "nonsense", "--out", str(run_dir)]) == 2
 
 
+def test_inspect_refuses_a_record_another_agent_produced(run_dir, capsys):
+    """A record of bo's copied into ana's store is damage, not ana's artifact."""
+    peer_line = (run_dir / "agents" / "bo" / "store.jsonl").read_text().splitlines()[0]
+    with open(run_dir / "agents" / "ana" / "store.jsonl", "a") as handle:
+        handle.write(peer_line + "\n")
+    address = f"artifact://ana/{json.loads(peer_line)['artifact_id']}"
+    capsys.readouterr()
+    assert main(["inspect", address, "--out", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "was produced by bo" in err
+
+
 def test_verify_command(run_dir, capsys):
     assert main(["verify", "--out", str(run_dir)]) == 0
     assert "all invariant checks passed" in capsys.readouterr().out
@@ -115,6 +127,17 @@ def test_accounts_table(run_dir, capsys):
     assert "ana" in out and "karma" in out
     assert main(["accounts", "--out", str(run_dir), "--agent", "bo"]) == 0
     assert main(["accounts", "--out", str(run_dir), "--agent", "ghost"]) == 1
+
+
+def test_accounts_refuses_a_governance_line_that_does_not_replay(run_dir, capsys):
+    log = run_dir / "governance.jsonl"
+    number = len(log.read_text().splitlines()) + 1
+    with open(log, "a") as handle:
+        handle.write('{"op":"vote","data":{"post":"nope"}}\n')
+    capsys.readouterr()
+    assert main(["accounts", "--out", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"governance.jsonl:{number}:" in err
 
 
 # Malformed scenario files, and one naming an unknown skill, each with a

@@ -26,8 +26,22 @@ def ledger(tmp_path, clock):
     return ledger
 
 
+# Each command's fields that a test may leave out, at the value they then take.
+UNSAID = {
+    "create_post": dict(content="", community="main", hypothesis="", method="", findings="",
+                        data_sources=(), open_questions=(), tools_used=(), artifact_refs=()),
+    "create_comment": dict(comment_type="plain", redirect_subquestion=None),
+    "link_posts": dict(description=""),
+}
+
+
+def call(command, *args, **fields):
+    """Run a ledger command, with the fields the test leaves out as ``UNSAID``."""
+    return command(*args, **{**UNSAID[command.__name__], **fields})
+
+
 def make_post(ledger, author="alice", **kwargs):
-    return ledger.create_post(author=author, title=kwargs.pop("title", "t"), **kwargs)
+    return call(ledger.create_post, author=author, title=kwargs.pop("title", "t"), **kwargs)
 
 
 # -- tiers ---------------------------------------------------------------------
@@ -134,26 +148,26 @@ def test_post_interval_thirty_minutes(ledger, clock):
 
 def test_comment_interval_twenty_seconds(ledger, clock):
     post = make_post(ledger)
-    ledger.create_comment("bruno", post.id, "first remark")
+    call(ledger.create_comment, "bruno", post.id, "first remark")
     clock.advance(seconds=5)
     with pytest.raises(RateLimited) as err:
-        ledger.create_comment("bruno", post.id, "too soon")
+        call(ledger.create_comment, "bruno", post.id, "too soon")
     assert 0 < err.value.retry_after <= 15
     clock.advance(seconds=20)
-    ledger.create_comment("bruno", post.id, "fine now")
+    call(ledger.create_comment, "bruno", post.id, "fine now")
 
 
 def test_fifty_comments_per_day(ledger, clock):
     post = make_post(ledger)
     for i in range(50):
         clock.advance(seconds=25)
-        ledger.create_comment("bruno", post.id, f"comment {i}")
+        call(ledger.create_comment, "bruno", post.id, f"comment {i}")
     clock.advance(seconds=25)
     with pytest.raises(RateLimited) as err:
-        ledger.create_comment("bruno", post.id, "the 51st")
+        call(ledger.create_comment, "bruno", post.id, "the 51st")
     assert err.value.retry_after > 0
     clock.advance(hours=25)
-    ledger.create_comment("bruno", post.id, "next day works")
+    call(ledger.create_comment, "bruno", post.id, "next day works")
 
 
 # -- posts -----------------------------------------------------------------------
@@ -168,7 +182,7 @@ def test_post_with_artifact_refs(tmp_path, clock):
         ArtifactRef("art-1", "protein_data", "protein_lookup", "alice", ()),
         ArtifactRef("art-2", "synthesis", "synthesize", "alice", ("art-1",)),
     ]
-    post = ledger.create_post(author="alice", title="finding", artifact_refs=refs)
+    post = make_post(ledger, title="finding", artifact_refs=refs)
     assert post.artifact_refs == refs
     assert ledger.account("alice").post_count == 1
 
@@ -179,10 +193,8 @@ def test_dangling_artifact_ref_rejected(tmp_path, clock):
     )
     ledger.register_agent("alice")
     with pytest.raises(DanglingArtifactRef):
-        ledger.create_post(
-            author="alice", title="finding",
-            artifact_refs=[ArtifactRef("ghost", "synthesis", "s", "alice", ())],
-        )
+        make_post(ledger, title="finding",
+                  artifact_refs=[ArtifactRef("ghost", "synthesis", "s", "alice", ())])
 
 
 def test_shadowbanned_post_hidden(ledger):
@@ -216,7 +228,7 @@ def test_cite_link_credits_target_author(ledger, clock):
 def test_self_link_rejected(ledger):
     post = make_post(ledger)
     with pytest.raises(InvalidLink):
-        ledger.link_posts(post.id, post.id, "cite")
+        call(ledger.link_posts, post.id, post.id, "cite")
 
 
 def test_unknown_relation_rejected(ledger, clock):
@@ -224,13 +236,13 @@ def test_unknown_relation_rejected(ledger, clock):
     clock.advance(minutes=31)
     second = make_post(ledger, author="bruno")
     with pytest.raises(InvalidRelation):
-        ledger.link_posts(second.id, first.id, "duplicates")
+        call(ledger.link_posts, second.id, first.id, "duplicates")
 
 
 def test_link_requires_existing_posts(ledger):
     post = make_post(ledger)
     with pytest.raises(UnknownPost):
-        ledger.link_posts(post.id, "missing", "cite")
+        call(ledger.link_posts, post.id, "missing", "cite")
 
 
 # -- comments & interventions ------------------------------------------------------
@@ -238,14 +250,14 @@ def test_link_requires_existing_posts(ledger):
 def test_redirect_requires_subquestion(ledger):
     post = make_post(ledger)
     with pytest.raises(InvalidKind):
-        ledger.create_comment("bruno", post.id, "go left", comment_type="redirect")
+        call(ledger.create_comment, "bruno", post.id, "go left", comment_type="redirect")
 
 
 def test_comment_depth_tracks_parent(ledger, clock):
     post = make_post(ledger)
-    top = ledger.create_comment("bruno", post.id, "root remark")
+    top = call(ledger.create_comment, "bruno", post.id, "root remark")
     clock.advance(seconds=21)
-    child = ledger.create_comment("chen", post.id, "reply", parent_comment=top.id)
+    child = call(ledger.create_comment, "chen", post.id, "reply", parent_comment=top.id)
     assert top.depth == 0
     assert child.depth == 1
 
@@ -257,7 +269,7 @@ def test_pending_interventions_flow(ledger, clock):
                           comment_type="redirect",
                           redirect_subquestion="what about ceramics")
     clock.advance(seconds=21)
-    ledger.create_comment("chen", post.id, "plain note", comment_type="plain")
+    call(ledger.create_comment, "chen", post.id, "plain note", comment_type="plain")
     pending = ledger.pending_interventions("alice")
     assert len(pending) == 1
     assert pending[0].comment_type == "redirect"
@@ -271,13 +283,13 @@ def test_comment_credits_replied_to_author(ledger, clock):
                 for n in ("alice", "bruno", "chen")]
 
     post = make_post(ledger)
-    top = ledger.create_comment("bruno", post.id, "root remark")
+    top = call(ledger.create_comment, "bruno", post.id, "root remark")
     assert credits() == [(1, 1), (0, 0), (0, 0)]
-    ledger.create_comment("chen", post.id, "reply", parent_comment=top.id)
+    call(ledger.create_comment, "chen", post.id, "reply", parent_comment=top.id)
     assert credits() == [(1, 1), (1, 1), (0, 0)]
     clock.advance(seconds=21)
-    ledger.create_comment("alice", post.id, "on my own post")
-    ledger.create_comment("bruno", post.id, "on my own comment", parent_comment=top.id)
+    call(ledger.create_comment, "alice", post.id, "on my own post")
+    call(ledger.create_comment, "bruno", post.id, "on my own comment", parent_comment=top.id)
     assert credits() == [(1, 1), (1, 1), (0, 0)]
 
 
@@ -287,7 +299,7 @@ def _exercise(ledger, clock):
     post = make_post(ledger, author="alice")
     ledger.apply_vote("bruno", post.id, +1)
     ledger.apply_vote("chen", post.id, +1)
-    ledger.create_comment("bruno", post.id, "question about methods")
+    call(ledger.create_comment, "bruno", post.id, "question about methods")
     clock.advance(minutes=31)
     reply = make_post(ledger, author="bruno")
     ledger.link_posts(reply.id, post.id, "extend", "follow-up")
@@ -337,12 +349,12 @@ def test_rate_decisions_replay_identically(tmp_path):
     ledger = GovernanceLedger(path, clock=clock)
     ledger.register_agent("alice")
     ledger.register_agent("bruno")
-    post = ledger.create_post(author="alice", title="t")
+    post = make_post(ledger)
     accepted, rejected = 0, 0
     for i in range(10):
         clock.advance(seconds=10)
         try:
-            ledger.create_comment("bruno", post.id, f"note {i}")
+            call(ledger.create_comment, "bruno", post.id, f"note {i}")
             accepted += 1
         except RateLimited:
             rejected += 1

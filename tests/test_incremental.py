@@ -38,6 +38,7 @@ from artifact.sim import GapQueue, choose_gap, stable_hash
 from artifact.skills import default_registry, load_profile
 
 from .conftest import nothing_stored
+from .test_governance import call
 from .test_index import reopened
 
 RATIONALE = "downstream synthesis is blocked on this data"
@@ -74,8 +75,8 @@ class Peers:
 
     def __init__(self, directory: Path):
         registry = default_registry()
-        self.index = GlobalIndex(directory / GlobalIndex.FILENAME, nothing_stored)
-        self.store = ArtifactStore(directory / ArtifactStore.FILENAME)
+        self.index = GlobalIndex(directory / "index.jsonl", nothing_stored)
+        self.store = ArtifactStore(directory / "store.jsonl")
         self.claims = ConsumptionClaims()
         self.published: list = []
         shared_keys: dict = {}
@@ -87,7 +88,7 @@ class Peers:
                 index=self.index,
                 graph=LineageGraph(),
                 emit=None,  # these reactors only scan
-                data_dir=directory / subdir / name,
+                reactions_path=directory / subdir / name / "reactions.jsonl",
                 clock=ManualClock(),
                 rng=random.Random(name),
                 claims=self.claims,
@@ -169,7 +170,7 @@ def test_incremental_scans_match_full_rescan(ops):
                 rescanned = rescanned_open_needs(peers.index)
                 assert rows == rescanned
                 assert reactor.scan_needs(rows) == reference.scan_needs(rescanned)
-        reloaded = GlobalIndex(Path(tmp) / GlobalIndex.FILENAME, reopened(peers.store))
+        reloaded = GlobalIndex(Path(tmp) / "index.jsonl", reopened(peers.store))
         assert reloaded.open_needs({}) == peers.index.open_needs({})
 
 
@@ -200,9 +201,9 @@ def assert_counts_match_specification(index: GlobalIndex) -> None:
 @given(ops=st.lists(st.one_of(carries, carries, fulfils), min_size=1, max_size=30))
 def test_index_centrality_counts_match_the_specification(ops):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / GlobalIndex.FILENAME
+        path = Path(tmp) / "index.jsonl"
         index = GlobalIndex(path, nothing_stored)
-        store = ArtifactStore(Path(tmp) / ArtifactStore.FILENAME)
+        store = ArtifactStore(Path(tmp) / "store.jsonl")
         keys: list[NeedKey] = []
         for number, op in enumerate(ops):
             fulfills, signal = None, None
@@ -287,8 +288,8 @@ class GapFeed:
             self.ledger.register_agent(author)
             now = EPOCH + timedelta(seconds=self.backdated)
         self.clock.advance(minutes=31)  # past the per-author post interval
-        self.ledger.create_post(author=author, title="t", community=community,
-                                open_questions=questions, now=now)
+        call(self.ledger.create_post, author=author, title="t", community=community,
+             open_questions=questions, now=now)
 
     def check(self) -> None:
         """The queue's head, and the ledger's feed, against a sort of every post."""

@@ -152,7 +152,7 @@ def stored(store, artifact_id, *, producer="alice", needs=None):
 
 def reopened(store):
     """Resolve an id through the store as read back from its file."""
-    return {a.artifact_id: a for a in ArtifactStore(store.path).records()}.__getitem__
+    return {a.artifact_id: a for a in ArtifactStore(store.path).records()}.get
 
 
 def test_index_line_holds_the_address_and_fulfilled_key(tmp_path):

@@ -88,7 +88,7 @@ def test_self_parent_rejected(clock):
 # -- stores ---------------------------------------------------------------
 
 def test_append_then_load_preserves_order(tmp_path, make_artifact):
-    store = ArtifactStore.open_dir(tmp_path)
+    store = ArtifactStore(tmp_path / "store.jsonl")
     a1, a2 = make_artifact(), make_artifact()
     store.append(a1)
     store.append(a2)
@@ -97,7 +97,7 @@ def test_append_then_load_preserves_order(tmp_path, make_artifact):
 
 
 def test_duplicate_append_rejected(tmp_path, make_artifact):
-    store = ArtifactStore.open_dir(tmp_path)
+    store = ArtifactStore(tmp_path / "store.jsonl")
     a1 = make_artifact()
     store.append(a1)
     with pytest.raises(DuplicateArtifact):
@@ -105,7 +105,7 @@ def test_duplicate_append_rejected(tmp_path, make_artifact):
 
 
 def test_truncated_final_line_detected(tmp_path, make_artifact):
-    store = ArtifactStore.open_dir(tmp_path)
+    store = ArtifactStore(tmp_path / "store.jsonl")
     store.append(make_artifact())
     store.append(make_artifact())
     raw = store.path.read_bytes()
@@ -116,7 +116,7 @@ def test_truncated_final_line_detected(tmp_path, make_artifact):
 
 
 def test_append_only_byte_prefix(tmp_path, make_artifact):
-    store = ArtifactStore.open_dir(tmp_path)
+    store = ArtifactStore(tmp_path / "store.jsonl")
     store.append(make_artifact())
     before = store.path.read_bytes()
     store.append(make_artifact())
@@ -139,14 +139,14 @@ def test_round_trip_field_for_field(tmp_path, make_artifact):
         make_artifact(needs=needs, investigation_id="topic-x"),
     ]
     originals.append(make_artifact(parents=(originals[0].artifact_id,)))
-    store = ArtifactStore.open_dir(tmp_path)
+    store = ArtifactStore(tmp_path / "store.jsonl")
     for artifact in originals:
         store.append(artifact)
     assert ArtifactStore(store.path).records() == originals
 
 
 def test_reopened_store_rejects_known_duplicate(tmp_path, make_artifact):
-    store = ArtifactStore.open_dir(tmp_path)
+    store = ArtifactStore(tmp_path / "store.jsonl")
     a1 = make_artifact()
     store.append(a1)
     reopened = ArtifactStore(store.path)

@@ -52,7 +52,7 @@ class MutatorHarness:
             policy=policy or MutationPolicy(),
             rng=random.Random(7),
             birth_cycles=self.birth_cycles,
-            data_dir=data_dir,
+            path=data_dir / "mutations.jsonl",
         )
 
     def emit(self, artifact_type, skill, payload, parents=(), investigation_id=""):
@@ -309,7 +309,7 @@ def test_concurrent_agents_merge_each_pair_once(tmp_path):
     mutators = [
         Mutator(agent_name=f"m{i}", graph=harness.graph, emit=harness.emit,
                 policy=harness.mutator.policy, rng=random.Random(i),
-                birth_cycles=harness.birth_cycles, data_dir=tmp_path / f"m{i}")
+                birth_cycles=harness.birth_cycles, path=tmp_path / f"m{i}" / "mutations.jsonl")
         for i in range(8)
     ]
 

@@ -126,7 +126,7 @@ class Harness:
         for name, tools in agents.items():
             profile = load_profile({"name": name, "preferred_tools": tools}, registry)
             agent_dir = tmp_path / "agents" / name
-            store = ArtifactStore.open_dir(agent_dir)
+            store = ArtifactStore(agent_dir / "store.jsonl")
             self.stores[name] = store
             self.rngs[name] = random.Random(name)  # str seeding is stable
             self.reactors[name] = self.reactor(name, profile, self.claims)
@@ -139,7 +139,7 @@ class Harness:
             index=self.index,
             graph=self.graph,
             emit=lambda **kwargs: self.emit(name, **kwargs),
-            data_dir=self.stores[name].path.parent,
+            reactions_path=self.stores[name].path.parent / "reactions.jsonl",
             clock=self.clock,
             rng=self.rngs[name],
             claims=claims,

@@ -350,7 +350,7 @@ def test_reopened_trackers_equal_the_live_ones(tmp_path):
     for name, runtime in world.agents.items():
         live = runtime.tracker.all()
         assert live, name
-        journal = AgentJournal(tmp_path / "out" / "agents" / name / AgentJournal.FILENAME)
+        journal = AgentJournal(tmp_path / "out" / "agents" / name / "journal.jsonl")
         reopened = InvestigationTracker(journal).all()
         assert [asdict(i) for i in reopened] == [asdict(i) for i in live]
 
@@ -531,7 +531,7 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     out = tmp_path / "out"
     run(fig2_scenario(cycles=2), out)
     alice = out / "agents" / "alice"
-    child = next(a for a in ArtifactStore.open_dir(alice).records() if a.parent_artifact_ids)
+    child = next(a for a in ArtifactStore(alice / "store.jsonl").records() if a.parent_artifact_ids)
     parent = child.parent_artifact_ids[0]
     report_path = out / "report.json"
     report = json.loads(report_path.read_text(encoding="utf-8"))
@@ -548,19 +548,19 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
             report["scenario"]["agents"][0]["preferred_tools"] = ["no_such_skill"]
         report_path.write_text(json.dumps(report), encoding="utf-8")
     elif damage == "garbled store line":
-        _append_line(alice / ArtifactStore.FILENAME, "{not json\n")
+        _append_line(alice / "store.jsonl", "{not json\n")
     elif damage == "non-UTF-8 store line":
-        _append_line(alice / ArtifactStore.FILENAME,
-                     _first_line(alice / ArtifactStore.FILENAME)[:-1] + b"\xff\n")
+        _append_line(alice / "store.jsonl",
+                     _first_line(alice / "store.jsonl")[:-1] + b"\xff\n")
     elif damage == "repeated store line":
-        _append_line(alice / ArtifactStore.FILENAME, _first_line(alice / ArtifactStore.FILENAME))
+        _append_line(alice / "store.jsonl", _first_line(alice / "store.jsonl"))
     elif damage == "a peer's store line":
-        _append_line(out / "agents" / "bruno" / ArtifactStore.FILENAME,
-                     _first_line(alice / ArtifactStore.FILENAME))
+        _append_line(out / "agents" / "bruno" / "store.jsonl",
+                     _first_line(alice / "store.jsonl"))
     elif damage == "a record a peer produced":
-        record = json.loads(_first_line(alice / ArtifactStore.FILENAME))
+        record = json.loads(_first_line(alice / "store.jsonl"))
         record["artifact_id"] = "00000000-0000-4000-8000-000000000000"
-        _append_line(out / "agents" / "bruno" / ArtifactStore.FILENAME, record)
+        _append_line(out / "agents" / "bruno" / "store.jsonl", record)
     elif damage == "non-UTF-8 mutation line":
         _append_line(alice / "mutations.jsonl", json.dumps(_graft(child.artifact_id, parent))
                      .encode("utf-8") + b"\xff\n")
@@ -574,7 +574,7 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         _append_line(alice / "mutations.jsonl",
                      _reshape("fork", [parent], [child.artifact_id, UNKNOWN_ID]))
     elif damage == "merge into a peer's artifact":
-        peer = ArtifactStore.open_dir(out / "agents" / "bruno").records()[0]
+        peer = ArtifactStore(out / "agents" / "bruno" / "store.jsonl").records()[0]
         _append_line(alice / "mutations.jsonl",
                      _reshape("merge", [parent, child.artifact_id], [peer.artifact_id]))
     elif damage == "merge of an id no store holds":
@@ -728,7 +728,7 @@ def test_verify_reports_index_damage_as_violation(tmp_path, damage, error):
     elif damage == "variant never broadcast":
         fulfilling["fulfills"] = f"{carrier}:{need_index}:v9"
     elif damage == "key on a carrier with no needs":
-        bare = next(a for a in ArtifactStore.open_dir(out / "agents" / "alice").records()
+        bare = next(a for a in ArtifactStore(out / "agents" / "alice" / "store.jsonl").records()
                     if a.needs is None)
         fulfilling["fulfills"] = f"{bare.artifact_id}:0:default"
     else:
@@ -858,7 +858,7 @@ def test_export_counts_match_stores(tmp_path):
     assert len(dump["nodes"]) == len(artifacts)
     stored_edges = set()
     for agent_dir in sorted((tmp_path / "out" / "agents").iterdir()):
-        for artifact in ArtifactStore.open_dir(agent_dir).records():
+        for artifact in ArtifactStore(agent_dir / "store.jsonl").records():
             for parent in artifact.parent_artifact_ids:
                 stored_edges.add((artifact.artifact_id, parent))
     overlay_edges = {(e["child"], e["parent"]) for e in dump["edges"]}
@@ -874,11 +874,11 @@ def test_export_counts_match_stores(tmp_path):
 
 
 def _mutation_events(out_dir):
-    from artifact.mutator import MUTATIONS_FILE, MutationEvent
+    from artifact.mutator import MutationEvent
 
     results = []
     for agent_dir in sorted((Path(out_dir) / "agents").iterdir()):
-        path = agent_dir / MUTATIONS_FILE
+        path = agent_dir / "mutations.jsonl"
         events = []
         if path.exists():
             with open(path, "r", encoding="utf-8") as handle:
