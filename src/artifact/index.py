@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import CorruptStore, DuplicateEntry
-from .ledger import AppendLog, Artifact, read_log
+from .ledger import AppendLog, Artifact, read_log, scan_order
 from .needs import NeedItem, tokenize
 
 DEFAULT_VARIANT = "default"
@@ -133,11 +133,6 @@ def read_index(path: str | Path, resolve: Callable[[str], Artifact | None],
             fail(number, f"artifact {artifact_id} is in the index twice")
         listed.add(artifact_id)
         yield number, artifact_id, artifact, fulfills
-
-
-def scan_order(artifact: Artifact) -> tuple:
-    """The order every scan of the index returns: timestamp, then id."""
-    return (artifact.timestamp, artifact.artifact_id)
 
 
 class GlobalIndex:

@@ -94,6 +94,12 @@ class Artifact:
         )
 
 
+def scan_order(artifact: Artifact) -> tuple:
+    """The order of artifacts in time: timestamp, then id. Index scans,
+    payload merges and the lineage graph's exports all follow it."""
+    return (artifact.timestamp, artifact.artifact_id)
+
+
 @dataclass(frozen=True)
 class ArtifactAddress:
     agent: str

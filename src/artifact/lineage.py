@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import CycleRejected, DanglingParent, UnknownArtifact
+from .ledger import scan_order
 
 # Policy snapshots chain one to the next; they are never anyone's sibling.
 POLICY_TYPE = "mutation_policy"
@@ -417,7 +418,7 @@ class LineageGraph:
         )
 
     def _ordered_ids(self) -> list[str]:
-        return sorted(self._nodes, key=lambda nid: (self._nodes[nid].timestamp, nid))
+        return [node.artifact_id for node in sorted(self._nodes.values(), key=scan_order)]
 
     def to_dot(self) -> str:
         """Graphviz rendering with deterministic node order."""

@@ -30,7 +30,7 @@ from typing import Callable
 
 from .canonical import Payload
 from .errors import CycleRejected, NotForkable, NotSiblings
-from .ledger import AppendLog, Artifact
+from .ledger import AppendLog, Artifact, scan_order
 from .lineage import POLICY_TYPE, LineageGraph, PairVerdict, SiblingPairs
 from .reactor import merge_payloads
 
@@ -277,7 +277,7 @@ class Mutator:
         pair first, so no pair is merged twice."""
         if not self._share_parent(a.artifact_id, b.artifact_id):
             raise NotSiblings(f"{a.artifact_id} and {b.artifact_id} share no parent")
-        ordered = sorted((a, b), key=lambda x: (x.timestamp, x.artifact_id))
+        ordered = sorted((a, b), key=scan_order)
         merged_payload = merge_payloads(ordered)
         merged = self.emit(
             artifact_type="synthesis",

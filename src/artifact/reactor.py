@@ -43,8 +43,8 @@ from typing import Callable, Iterable, Sequence
 from .canonical import Payload
 from .clock import Clock
 from .errors import ArtifactError, InvalidParam
-from .index import GlobalIndex, NeedKey, scan_order, variant_params
-from .ledger import AppendLog, Artifact, read_log
+from .index import GlobalIndex, NeedKey, variant_params
+from .ledger import AppendLog, Artifact, read_log, scan_order
 from .lineage import LineageGraph
 from .needs import NeedItem
 from .pressure import PressureBreakdown, build_context, rank
@@ -170,7 +170,7 @@ def merge_payloads(parents: Sequence[Artifact]) -> Payload:
     """
     if not parents:
         raise ArtifactError("merge requires at least one parent")
-    ordered = sorted(parents, key=lambda a: (a.timestamp, a.artifact_id))
+    ordered = sorted(parents, key=scan_order)
     merged: Payload = {}
     for artifact in ordered:
         merged.update(artifact.payload)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ArtifactError, CorruptStore, CycleRejected, DanglingParent, UnknownArtifact
 from .index import NeedKey, read_index, variant_ids
-from .ledger import Artifact, ArtifactStore, read_log, verify_integrity
+from .ledger import Artifact, ArtifactStore, read_log, scan_order, verify_integrity
 from .lineage import LineageGraph
 from .mutator import MutationEvent
 from .reactor import reaction_fields
@@ -85,7 +85,7 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
     for agent in run_dir.agent_names():
         read_store(run_dir, agent, artifacts)
     graph = LineageGraph()
-    for artifact in sorted(artifacts.values(), key=lambda a: (a.timestamp, a.artifact_id)):
+    for artifact in sorted(artifacts.values(), key=scan_order):
         graph.insert(artifact)
     events = [(agent, number, event)
               for agent in run_dir.agent_names()
