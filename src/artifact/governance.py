@@ -1,8 +1,11 @@
 """Event-sourced ledger of accounts, posts, votes and links.
 
 All mutation goes through command methods that validate, apply, then append
-one canonical event line; replaying the log rebuilds identical state. Karma
-is the running sum of votes on an author's posts and comments; tier follows
+one canonical event line ``{"op", "now", "data"}``, whose data are the
+command's keyword arguments; replaying the log calls each command again with
+them, which rebuilds identical state. A post cites artifacts by id alone:
+their type, producer and lineage are in their own store records. Karma is
+the running sum of votes on an author's posts and comments; tier follows
 karma (and reputation, for Trusted) after every change.
 
 The ledger keeps the visible posts in ``(created, id)`` order as they are
@@ -87,34 +90,6 @@ class AgentAccount:
         self.tier = tier_of(self.karma, self.reputation)
 
 
-@dataclass(frozen=True)
-class ArtifactRef:
-    artifact_id: str
-    artifact_type: str
-    skill: str
-    producer_agent: str
-    parent_artifact_ids: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "artifact_id": self.artifact_id,
-            "artifact_type": self.artifact_type,
-            "skill": self.skill,
-            "producer_agent": self.producer_agent,
-            "parent_artifact_ids": list(self.parent_artifact_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArtifactRef":
-        return cls(
-            artifact_id=data["artifact_id"],
-            artifact_type=data["artifact_type"],
-            skill=data["skill"],
-            producer_agent=data["producer_agent"],
-            parent_artifact_ids=tuple(data["parent_artifact_ids"]),
-        )
-
-
 @dataclass
 class Post:
     id: str
@@ -125,7 +100,6 @@ class Post:
     hypothesis: str
     method: str
     findings: str
-    data_sources: list = field(default_factory=list)
     open_questions: list = field(default_factory=list)
     tools_used: list = field(default_factory=list)
     artifact_refs: list = field(default_factory=list)
@@ -188,6 +162,17 @@ class GovernanceLedger:
     and ``resolve_ref``, when given, must know each artifact a post cites.
     """
 
+    # The command each event op replays: an event's data are exactly that
+    # command's keyword arguments, less ``now``.
+    COMMANDS = {
+        "register": "register_agent",
+        "post": "create_post",
+        "comment": "create_comment",
+        "vote": "apply_vote",
+        "link": "link_posts",
+        "read_comment": "mark_intervention_read",
+    }
+
     def __init__(
         self,
         path: str | Path,
@@ -227,47 +212,12 @@ class GovernanceLedger:
             self._replaying = False
 
     def _dispatch(self, record: dict) -> None:
-        op = record["op"]
-        now = parse_timestamp(record["now"])
-        data = record["data"]
-        if op == "register":
-            self.register_agent(data["name"], now=now)
-        elif op == "post":
-            self.create_post(
-                author=data["author"],
-                title=data["title"],
-                content=data["content"],
-                community=data["community"],
-                hypothesis=data["hypothesis"],
-                method=data["method"],
-                findings=data["findings"],
-                data_sources=data["data_sources"],
-                open_questions=data["open_questions"],
-                tools_used=data["tools_used"],
-                artifact_refs=[ArtifactRef.from_dict(r) for r in data["artifact_refs"]],
-                now=now,
-            )
-        elif op == "comment":
-            self.create_comment(
-                author=data["author"],
-                post_id=data["post"],
-                body=data["body"],
-                comment_type=data["comment_type"],
-                parent_comment=data["parent_comment"],
-                redirect_subquestion=data["redirect_subquestion"],
-                now=now,
-            )
-        elif op == "vote":
-            self.apply_vote(data["voter"], data["target"], data["direction"], now=now)
-        elif op == "link":
-            self.link_posts(
-                data["from_post"], data["to_post"], data["relation"], data["description"],
-                now=now,
-            )
-        elif op == "read_comment":
-            self.mark_intervention_read(data["comment"], now=now)
-        else:
-            raise ArtifactError(f"unknown event op {op!r}")
+        """Run an event's command again; a field missing from its data, or
+        one the command does not take, raises TypeError."""
+        command = self.COMMANDS.get(record["op"])
+        if command is None:
+            raise ArtifactError(f"unknown event op {record['op']!r}")
+        getattr(self, command)(**record["data"], now=parse_timestamp(record["now"]))
 
     # -- helpers ------------------------------------------------------------
 
@@ -360,20 +310,21 @@ class GovernanceLedger:
         hypothesis: str,
         method: str,
         findings: str,
-        data_sources: Sequence[str],
         open_questions: Sequence[str],
         tools_used: Sequence[str],
-        artifact_refs: Sequence[ArtifactRef],
+        artifact_refs: Sequence[str],
         now: datetime | None = None,
     ) -> Post:
+        """Publish a post; ``artifact_refs`` are the ids of the artifacts it
+        cites, whose type, producer and lineage their own records hold."""
         now = self._now(now)
         account = self.account(author)
         if account.tier == Tier.BANNED:
             raise Forbidden(f"{author} is banned from posting")
         self.check_rate_limit(author, "post", now)
         for ref in artifact_refs:
-            if self.resolve_ref is not None and not self.resolve_ref(ref.artifact_id):
-                raise DanglingArtifactRef(f"post references unknown artifact {ref.artifact_id}")
+            if self.resolve_ref is not None and not self.resolve_ref(ref):
+                raise DanglingArtifactRef(f"post references unknown artifact {ref}")
         post = Post(
             id=self._next_id("post"),
             community=community,
@@ -383,7 +334,6 @@ class GovernanceLedger:
             hypothesis=hypothesis,
             method=method,
             findings=findings,
-            data_sources=list(data_sources),
             open_questions=list(open_questions),
             tools_used=list(tools_used),
             artifact_refs=list(artifact_refs),
@@ -406,17 +356,16 @@ class GovernanceLedger:
             "hypothesis": hypothesis,
             "method": method,
             "findings": findings,
-            "data_sources": list(data_sources),
             "open_questions": list(open_questions),
             "tools_used": list(tools_used),
-            "artifact_refs": [r.to_dict() for r in artifact_refs],
+            "artifact_refs": list(artifact_refs),
         }, now)
         return post
 
     def create_comment(
         self,
         author: str,
-        post_id: str,
+        post: str,
         body: str,
         comment_type: str,
         redirect_subquestion: str | None,
@@ -431,9 +380,9 @@ class GovernanceLedger:
             raise InvalidKind(f"comment type must be one of {COMMENT_TYPES}")
         if comment_type == "redirect" and not redirect_subquestion:
             raise InvalidKind("redirect comments must carry a sub-question")
-        post = self.posts.get(post_id)
-        if post is None:
-            raise UnknownPost(f"no post {post_id}")
+        commented = self.posts.get(post)
+        if commented is None:
+            raise UnknownPost(f"no post {post}")
         depth = 0
         if parent_comment is not None:
             parent = self.comments.get(parent_comment)
@@ -443,7 +392,7 @@ class GovernanceLedger:
         self.check_rate_limit(author, "comment", now)
         comment = CommentAction(
             id=self._next_id("comment"),
-            post=post_id,
+            post=post,
             author=author,
             body=body,
             comment_type=comment_type,
@@ -453,12 +402,12 @@ class GovernanceLedger:
             created=format_timestamp(now),
         )
         self.comments[comment.id] = comment
-        post.comment_count += 1
+        commented.comment_count += 1
         account.comment_count += 1
         self._count_action(author, "comment", now)
 
         replied_to = (
-            self.comments[parent_comment].author if parent_comment else post.author
+            self.comments[parent_comment].author if parent_comment else commented.author
         )
         if replied_to != author:
             target = self.accounts.get(replied_to)
@@ -468,7 +417,7 @@ class GovernanceLedger:
 
         self._log("comment", {
             "author": author,
-            "post": post_id,
+            "post": post,
             "body": body,
             "comment_type": comment_type,
             "parent_comment": parent_comment,
@@ -477,7 +426,7 @@ class GovernanceLedger:
         return comment
 
     def apply_vote(
-        self, voter: str, target_id: str, direction: int, now: datetime | None = None
+        self, voter: str, target: str, direction: int, now: datetime | None = None
     ) -> None:
         now = self._now(now)
         if direction not in (1, -1):
@@ -486,21 +435,19 @@ class GovernanceLedger:
         if account.tier == Tier.BANNED:
             raise Forbidden(f"{voter} is banned from voting")
         self.check_rate_limit(voter, "vote", now)
-        post = self.posts.get(target_id)
-        comment = self.comments.get(target_id)
-        if post is None and comment is None:
-            raise UnknownPost(f"no post or comment {target_id}")
-        target = post if post is not None else comment
-        author = self.account(target.author)
+        voted = self.posts.get(target) or self.comments.get(target)
+        if voted is None:
+            raise UnknownPost(f"no post or comment {target}")
+        author = self.account(voted.author)
         if direction > 0:
-            target.upvotes += 1
+            voted.upvotes += 1
             author.upvotes_received += 1
         else:
-            target.downvotes += 1
+            voted.downvotes += 1
         author.karma += direction
         author.refresh()
         self._count_action(voter, "vote", now)
-        self._log("vote", {"voter": voter, "target": target_id, "direction": direction}, now)
+        self._log("vote", {"voter": voter, "target": target, "direction": direction}, now)
 
     def link_posts(
         self,
@@ -559,11 +506,11 @@ class GovernanceLedger:
         pending.sort(key=lambda c: (c.created, c.id))
         return pending
 
-    def mark_intervention_read(self, comment_id: str, now: datetime | None = None) -> None:
+    def mark_intervention_read(self, comment: str, now: datetime | None = None) -> None:
         now = self._now(now)
-        comment = self.comments.get(comment_id)
-        if comment is None:
-            raise UnknownPost(f"no comment {comment_id}")
-        if not comment.read:
-            comment.read = True
-            self._log("read_comment", {"comment": comment_id}, now)
+        read = self.comments.get(comment)
+        if read is None:
+            raise UnknownPost(f"no comment {comment}")
+        if not read.read:
+            read.read = True
+            self._log("read_comment", {"comment": comment}, now)

@@ -56,7 +56,6 @@ class Artifact:
     timestamp: str
     content_hash: str
     parent_artifact_ids: tuple
-    result_quality: str = "unknown"
     needs: NeedsSignal | None = None
 
     def to_dict(self) -> dict:
@@ -71,7 +70,6 @@ class Artifact:
             "timestamp": self.timestamp,
             "content_hash": self.content_hash,
             "parent_artifact_ids": list(self.parent_artifact_ids),
-            "result_quality": self.result_quality,
             "needs": self.needs.to_dict() if self.needs is not None else None,
         }
 
@@ -89,7 +87,6 @@ class Artifact:
             timestamp=data["timestamp"],
             content_hash=data["content_hash"],
             parent_artifact_ids=tuple(data["parent_artifact_ids"]),
-            result_quality=data["result_quality"],
             needs=NeedsSignal.from_dict(needs) if needs else None,
         )
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clock import Clock, SystemClock, format_timestamp
+from .clock import Clock, format_timestamp
 from .errors import AlreadyComplete, InvalidKind, UnknownInvestigation
 from .ledger import AppendLog, read_log
 
@@ -78,9 +78,9 @@ class JournalEntry:
 
 
 class AgentJournal:
-    def __init__(self, path: str | Path, clock: Clock | None = None):
+    def __init__(self, path: str | Path, clock: Clock):
         self.path = Path(path)
-        self.clock = clock or SystemClock()
+        self.clock = clock
         self.file = AppendLog(self.path)
 
     def log(self, kind: str, content: str, metadata: dict | None = None) -> JournalEntry:

@@ -29,7 +29,6 @@ W_NOVELTY = 2.0
 W_CENTRALITY = 1.0
 W_DEPTH = 0.5
 W_AGE = 0.2
-WEIGHTS = (W_NOVELTY, W_CENTRALITY, W_DEPTH, W_AGE)
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class PressureBreakdown:
     depth_term: int
     age_term: float
     score: float
-    weights: tuple = WEIGHTS
 
     def to_dict(self) -> dict:
         return {
@@ -48,7 +46,6 @@ class PressureBreakdown:
             "depth_term": self.depth_term,
             "age_term": self.age_term,
             "score": self.score,
-            "weights": list(self.weights),
         }
 
 

@@ -70,7 +70,6 @@ class ReactionRecord:
     produced_id: str
     skill: str
     pressure: PressureBreakdown | None
-    timestamp: str
 
     def __post_init__(self):
         if self.kind not in REACTION_KINDS:
@@ -88,7 +87,6 @@ class ReactionRecord:
             "produced_id": self.produced_id,
             "skill": self.skill,
             "pressure": self.pressure.to_dict() if self.pressure else None,
-            "timestamp": self.timestamp,
         }
 
 
@@ -362,7 +360,6 @@ class ArtifactReactor:
                 produced_id=artifact.artifact_id,
                 skill=manifest.name,
                 pressure=pressure,
-                timestamp=artifact.timestamp,
             )
             self.reactions.append(record.to_dict())
 

@@ -9,13 +9,13 @@ and audits it (``verify_output``, whose docstring gives the damage rule).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ArtifactError, CorruptStore, CycleRejected, DanglingParent, UnknownArtifact
 from .index import NeedKey, read_index, variant_ids
 from .ledger import Artifact, ArtifactStore, read_log, scan_order, verify_integrity
-from .lineage import LineageGraph
+from .lineage import DagMetrics, LineageGraph
 from .mutator import MutationEvent
 from .reactor import reaction_fields
 from .scenario import Scenario
@@ -98,18 +98,17 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
     return graph, artifacts, events
 
 
-def _read_report(path: Path) -> tuple[float, int, dict[str, set[str]]]:
-    """A report.json's avg_dag_depth and artifact_count, and the artifact
-    types each agent of its scenario may consume."""
+def _read_report(path: Path) -> tuple[dict, dict[str, set[str]]]:
+    """A report.json's dag_metrics, with every key a ``DagMetrics`` has, and
+    the artifact types each agent of its scenario may consume."""
     with open(path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
-    metrics = report["dag_metrics"]
-    depth, count = metrics["avg_dag_depth"], metrics["artifact_count"]
-    if not (isinstance(depth, (int, float)) and isinstance(count, int)):
-        raise ValueError("dag_metrics needs a numeric avg_dag_depth and an integer artifact_count")
+    metrics = {f.name: report["dag_metrics"][f.name] for f in fields(DagMetrics)}
+    if not isinstance(metrics["avg_dag_depth"], (int, float)):
+        raise ValueError("dag_metrics needs a numeric avg_dag_depth")
     registry, profiles = Scenario.from_dict(report["scenario"]).load_profiles()
-    return depth, count, {name: allowed_types(profile, registry)
-                          for name, profile in profiles.items()}
+    return metrics, {name: allowed_types(profile, registry)
+                     for name, profile in profiles.items()}
 
 
 def verify_output(out_dir: str | Path) -> list[str]:
@@ -121,9 +120,11 @@ def verify_output(out_dir: str | Path) -> list[str]:
     agent's artifact, or a graft that names a missing node or would close a
     cycle), that is the one violation returned, since every other check
     reads the rebuilt lineage. A missing or unreadable report.json (bad
-    JSON, metrics missing or not numbers, a scenario missing or naming an
-    unknown skill) and a damaged reactions.jsonl or index.jsonl line are
-    one violation each, and the checks go on with what is left: every
+    JSON, a dag_metrics key missing or a depth that is not a number, a
+    scenario missing or naming an unknown skill) and a damaged
+    reactions.jsonl or index.jsonl line are one violation each, and the
+    checks go on with what is left: each key of the report's dag_metrics
+    equal to the rebuilt lineage's own (the depth within 1e-9), every
     reaction's product stored by the reacting agent, no artifact consumed
     twice, no need key fulfilled twice, none of an agent's own artifacts
     consumed, every consumed type within the agent's domain, every merge
@@ -175,18 +176,15 @@ def verify_output(out_dir: str | Path) -> list[str]:
 
     allowed: dict[str, set[str]] = {}
     try:
-        reported_depth, reported_count, allowed = _read_report(run_dir.report)
+        reported, allowed = _read_report(run_dir.report)
     except (OSError, ValueError, KeyError, TypeError, ArtifactError) as exc:
         violations.append(f"{run_dir.report}: unreadable report: {exc!r}")
     else:
-        recomputed = graph.metrics()
-        if abs(recomputed.avg_dag_depth - reported_depth) > 1e-9:
-            violations.append(
-                f"avg_dag_depth mismatch: reported {reported_depth}, "
-                f"recomputed {recomputed.avg_dag_depth}"
-            )
-        if recomputed.artifact_count != reported_count:
-            violations.append("artifact_count mismatch between report and stores")
+        for key, value in graph.metrics().to_dict().items():
+            if (abs(value - reported[key]) > 1e-9 if key == "avg_dag_depth"
+                    else value != reported[key]):
+                violations.append(f"dag_metrics {key} mismatch: reported {reported[key]}, "
+                                  f"recomputed {value}")
 
     def damaged_reaction(error: CorruptStore) -> None:
         violations.append(f"{error.path} line {error.line_number}: "

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .canonical import Payload, canonicalize
 from .clock import EPOCH, ManualClock, parse_timestamp
 from .errors import ArtifactError, InvalidFormat, RateLimited
-from .governance import ArtifactRef, GovernanceLedger, Post
+from .governance import GovernanceLedger, Post
 from .index import GlobalIndex, NeedKey
 from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
 from .lineage import LineageGraph
@@ -499,16 +499,6 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
             outcome = None
         if outcome is not None:
             report["artifacts"] = [a.artifact_id for a in outcome["artifacts"]]
-            refs = [
-                ArtifactRef(
-                    artifact_id=a.artifact_id,
-                    artifact_type=a.artifact_type,
-                    skill=a.skill,
-                    producer_agent=a.producer_agent,
-                    parent_artifact_ids=a.parent_artifact_ids,
-                )
-                for a in outcome["artifacts"]
-            ]
             try:
                 with world._gov_lock:
                     post = world.governance.create_post(
@@ -520,10 +510,9 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
                                    f"cross-domain structure.",
                         method=" -> ".join(outcome["chain"]) or "synthesize",
                         findings=f"synthesis artifact {outcome['synthesis'].artifact_id}",
-                        data_sources=[a.artifact_id for a in outcome["artifacts"]],
                         open_questions=outcome["open_questions"],
                         tools_used=outcome["chain"],
-                        artifact_refs=refs,
+                        artifact_refs=report["artifacts"],
                     )
                 report["post"] = post.id
             except (RateLimited, ArtifactError) as exc:
@@ -566,7 +555,6 @@ class SimulationReport:
     scenario: dict
     cycles: list
     dag_metrics: dict
-    per_agent_artifacts: dict
     need_latencies: dict
     mean_need_latency_seconds: float | None
     posts: int
@@ -578,7 +566,6 @@ class SimulationReport:
             "scenario": self.scenario,
             "cycles": self.cycles,
             "dag_metrics": self.dag_metrics,
-            "per_agent_artifacts": self.per_agent_artifacts,
             "need_latencies": self.need_latencies,
             "mean_need_latency_seconds": self.mean_need_latency_seconds,
             "posts": self.posts,
@@ -603,7 +590,7 @@ def _apply_interventions(world: World, cycle: int) -> list[dict]:
             target = candidates[-1]
             world.governance.create_comment(
                 author=HUMAN_ACTOR,
-                post_id=target.id,
+                post=target.id,
                 body=act.body,
                 comment_type=act.comment_type,
                 redirect_subquestion=act.body if act.comment_type == "redirect" else None,
@@ -682,7 +669,6 @@ def _run_cycles(world: World) -> SimulationReport:
             "agents": agent_reports,
         })
 
-    metrics = world.graph.metrics()
     latencies = need_latencies(world.index)
     mean_latency = (
         sum(latencies.values()) / len(latencies) if latencies else None
@@ -690,8 +676,7 @@ def _run_cycles(world: World) -> SimulationReport:
     report = SimulationReport(
         scenario=scenario.to_dict(),
         cycles=cycle_reports,
-        dag_metrics=metrics.to_dict(),
-        per_agent_artifacts=dict(metrics.per_agent),
+        dag_metrics=world.graph.metrics().to_dict(),
         need_latencies=dict(sorted(latencies.items())),
         mean_need_latency_seconds=mean_latency,
         posts=len(world.governance.posts),

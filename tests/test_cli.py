@@ -129,15 +129,30 @@ def test_accounts_table(run_dir, capsys):
     assert main(["accounts", "--out", str(run_dir), "--agent", "ghost"]) == 1
 
 
+def _late_post_line(log, change):
+    """A copy of the log's first post event, dated years after the run, with
+    ``change`` applied to its data."""
+    event = next(e for e in map(json.loads, log.read_text().splitlines()) if e["op"] == "post")
+    event["now"] = "2030-01-01T00:00:00.000000+00:00"
+    change(event["data"])
+    return json.dumps(event) + "\n"
+
+
 def test_accounts_refuses_a_governance_line_that_does_not_replay(run_dir, capsys):
     log = run_dir / "governance.jsonl"
-    number = len(log.read_text().splitlines()) + 1
-    with open(log, "a") as handle:
-        handle.write('{"op":"vote","data":{"post":"nope"}}\n')
-    capsys.readouterr()
-    assert main(["accounts", "--out", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"governance.jsonl:{number}:" in err
+    written = log.read_text()
+    number = len(written.splitlines()) + 1
+    # The post lines below differ by one field from this one, which replays.
+    log.write_text(written + _late_post_line(log, lambda data: None))
+    assert main(["accounts", "--out", str(run_dir)]) == 0
+    for line in ['{"op":"vote","data":{"post":"nope"}}\n',
+                 _late_post_line(log, lambda data: data.update(data_sources=[])),
+                 _late_post_line(log, lambda data: data.pop("title"))]:
+        log.write_text(written + line)
+        capsys.readouterr()
+        assert main(["accounts", "--out", str(run_dir)]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"governance.jsonl:{number}:" in err
 
 
 # Malformed scenario files, and one naming an unknown skill, each with a

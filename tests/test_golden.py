@@ -18,8 +18,8 @@ from artifact.skills import default_registry
 
 from .test_sim import tree_digest
 
-DEMO_DIGEST = "197a7ceb2d2f21de87d6a5e6e572f72ae7fba3fbf947433a6b7b3dc58ada1a8a"
-GRID_DIGEST = "50cdc622a168489670c02271bcd35aae2e1fe78b20b7d745d8ea07c933b891c5"
+DEMO_DIGEST = "fc4a4a9a750b9a0a44c50c3e8f17f47a308a7f15e9008ca1838e73d42d84c256"
+GRID_DIGEST = "5a2a2bf115baf58060a63af97da809b76af56086f1aa0130d65a8294109bd232"
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -15,7 +15,7 @@ from artifact.errors import (
     RateLimited,
     UnknownPost,
 )
-from artifact.governance import ArtifactRef, GovernanceLedger, Tier, tier_of
+from artifact.governance import GovernanceLedger, Tier, tier_of
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def ledger(tmp_path, clock):
 # Each command's fields that a test may leave out, at the value they then take.
 UNSAID = {
     "create_post": dict(content="", community="main", hypothesis="", method="", findings="",
-                        data_sources=(), open_questions=(), tools_used=(), artifact_refs=()),
+                        open_questions=(), tools_used=(), artifact_refs=()),
     "create_comment": dict(comment_type="plain", redirect_subquestion=None),
     "link_posts": dict(description=""),
 }
@@ -178,10 +178,7 @@ def test_post_with_artifact_refs(tmp_path, clock):
         tmp_path / "gov.jsonl", clock=clock, resolve_ref=known.__contains__
     )
     ledger.register_agent("alice")
-    refs = [
-        ArtifactRef("art-1", "protein_data", "protein_lookup", "alice", ()),
-        ArtifactRef("art-2", "synthesis", "synthesize", "alice", ("art-1",)),
-    ]
+    refs = ["art-1", "art-2"]
     post = make_post(ledger, title="finding", artifact_refs=refs)
     assert post.artifact_refs == refs
     assert ledger.account("alice").post_count == 1
@@ -194,7 +191,7 @@ def test_dangling_artifact_ref_rejected(tmp_path, clock):
     ledger.register_agent("alice")
     with pytest.raises(DanglingArtifactRef):
         make_post(ledger, title="finding",
-                  artifact_refs=[ArtifactRef("ghost", "synthesis", "s", "alice", ())])
+                  artifact_refs=["ghost"])
 
 
 def test_shadowbanned_post_hidden(ledger):

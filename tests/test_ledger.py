@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from artifact.canonical import content_hash
+from artifact.clock import ManualClock
 from artifact.errors import (
     CorruptStore,
     CyclicLineage,
@@ -42,7 +43,6 @@ def test_root_artifact(make_artifact):
     assert artifact.parent_artifact_ids == ()
     assert artifact.content_hash == content_hash({"hits": 3})
     assert UUID_RE.match(artifact.artifact_id)
-    assert artifact.result_quality == "unknown"
 
 
 def test_parent_list_preserved(make_artifact):
@@ -206,7 +206,8 @@ RUN_FILES = {
     "index": ("index.jsonl",
               lambda path: GlobalIndex(path, load_world_dag(path.parent)[1].__getitem__), True),
     "reactions": ("agents/bruno/reactions.jsonl", _read_consumption, False),
-    "journal": ("agents/alice/journal.jsonl", lambda path: AgentJournal(path).entries(), False),
+    "journal": ("agents/alice/journal.jsonl",
+                lambda path: AgentJournal(path, clock=ManualClock()).entries(), False),
     "mutations": ("agents/alice/mutations.jsonl",
                   lambda path: load_world_dag(path.parents[2]), False),
     "governance": ("governance.jsonl", GovernanceLedger, False),

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from artifact import reactor as reactor_module
+from artifact.clock import ManualClock
 from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario, UnknownArtifact
 from artifact.governance import GovernanceLedger
 from artifact.index import GlobalIndex
@@ -193,7 +194,10 @@ def test_heartbeat_posts_with_artifact_refs(tmp_path):
     assert report["topic"] == "protein focus area"
     assert report["post"] is not None
     post = world.governance.posts[report["post"]]
+    assert post.artifact_refs == report["artifacts"]
     assert len(post.artifact_refs) >= 1
+    stored = {a.artifact_id: a for a in world.agents["solo"].store.records()}
+    assert all(stored[ref].producer_agent == post.author for ref in post.artifact_refs)
     assert post.tools_used
 
 
@@ -221,7 +225,7 @@ def test_redirect_promotes_subquestion(tmp_path):
     post = next(iter(world.governance.posts.values()))
     world.clock.advance(seconds=30)
     world.governance.create_comment(
-        author="human", post_id=post.id, body="switch to ceramics",
+        author="human", post=post.id, body="switch to ceramics",
         comment_type="redirect", redirect_subquestion="ceramic stability question",
     )
     report = heartbeat(world, "solo", 1)
@@ -350,9 +354,23 @@ def test_reopened_trackers_equal_the_live_ones(tmp_path):
     for name, runtime in world.agents.items():
         live = runtime.tracker.all()
         assert live, name
-        journal = AgentJournal(tmp_path / "out" / "agents" / name / "journal.jsonl")
+        journal = AgentJournal(tmp_path / "out" / "agents" / name / "journal.jsonl",
+                               clock=ManualClock())
         reopened = InvestigationTracker(journal).all()
         assert [asdict(i) for i in reopened] == [asdict(i) for i in live]
+
+
+def test_reopened_governance_equals_the_live_ledger(tmp_path):
+    world, _ = run(demo_scenario(), tmp_path / "out")
+    live = world.governance
+    reopened = GovernanceLedger(tmp_path / "out" / "governance.jsonl", clock=ManualClock())
+    assert any(post.artifact_refs for post in live.posts.values())
+    assert any(post.upvotes for post in live.posts.values()) and live.comments
+    for name in ("accounts", "posts", "comments"):
+        assert ({key: asdict(value) for key, value in getattr(reopened, name).items()}
+                == {key: asdict(value) for key, value in getattr(live, name).items()}), name
+    assert [post.id for post in reopened.visible_posts()] == \
+           [post.id for post in live.visible_posts()]
 
 
 def test_failed_report_rename_leaves_no_report(tmp_path, monkeypatch):
@@ -524,6 +542,8 @@ def _reshape(kind, inputs, outputs):
     ("report without scenario", "KeyError('scenario')"),
     ("report without dag_metrics", "KeyError('dag_metrics')"),
     ("report with a non-numeric depth", "ValueError"),
+    ("report with a wrong synthesis_count", "dag_metrics synthesis_count mismatch"),
+    ("report with a wrong per_agent", "dag_metrics per_agent mismatch"),
     ("report naming an unknown skill", "UnknownSkill"),
     ("missing report", "FileNotFoundError"),
 ])
@@ -544,6 +564,10 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
             del report[damage.removeprefix("report without ")]
         elif damage == "report with a non-numeric depth":
             report["dag_metrics"]["avg_dag_depth"] = "deep"
+        elif damage == "report with a wrong synthesis_count":
+            report["dag_metrics"]["synthesis_count"] += 1
+        elif damage == "report with a wrong per_agent":
+            report["dag_metrics"]["per_agent"]["alice"] += 1
         else:
             report["scenario"]["agents"][0]["preferred_tools"] = ["no_such_skill"]
         report_path.write_text(json.dumps(report), encoding="utf-8")
