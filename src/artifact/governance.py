@@ -34,7 +34,7 @@ from .errors import (
     RateLimited,
     UnknownPost,
 )
-from .ledger import AppendLog, read_log
+from .ledger import AppendLog, known_fields, read_log
 
 POST_INTERVAL_SECONDS = 30 * 60
 COMMENT_INTERVAL_SECONDS = 20
@@ -213,7 +213,9 @@ class GovernanceLedger:
 
     def _dispatch(self, record: dict) -> None:
         """Run an event's command again; a field missing from its data, or
-        one the command does not take, raises TypeError."""
+        one the command does not take, raises TypeError, and a field beside
+        ``op``, ``now`` and ``data`` ValueError."""
+        known_fields(record, {"op", "now", "data"})
         command = self.COMMANDS.get(record["op"])
         if command is None:
             raise ArtifactError(f"unknown event op {record['op']!r}")

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import CorruptStore, DuplicateEntry
-from .ledger import AppendLog, Artifact, read_log, scan_order
+from .ledger import AppendLog, Artifact, known_fields, read_log, scan_order
 from .needs import NeedItem, tokenize
 
 DEFAULT_VARIANT = "default"
@@ -95,6 +95,7 @@ def index_fields(record: dict) -> tuple[str, str, NeedKey | None]:
     """
     artifact_id, producer, fulfills = (record["artifact_id"], record["producer_agent"],
                                        record["fulfills"])
+    known_fields(record, {"artifact_id", "producer_agent", "fulfills"})
     if not (isinstance(artifact_id, str) and isinstance(producer, str)
             and (fulfills is None or isinstance(fulfills, str))):
         raise ValueError("artifact_id and producer_agent must be strings, "

@@ -26,7 +26,7 @@ import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator
+from typing import AbstractSet, Any, Callable, Collection, Iterable, Iterator
 
 from .canonical import Payload, canonical_line, content_hash
 from .clock import Clock, format_timestamp
@@ -75,6 +75,7 @@ class Artifact:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Artifact":
+        known_fields(data, cls.__dataclass_fields__.keys())
         needs = data.get("needs")
         return cls(
             artifact_id=data["artifact_id"],
@@ -215,6 +216,14 @@ class AppendLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def known_fields(record: dict, names: AbstractSet[str]) -> dict:
+    """``record`` itself, once each of its keys is one of ``names``: a field
+    that no writer writes raises ValueError."""
+    if not record.keys() <= names:
+        raise ValueError(f"unknown field(s) {sorted(record.keys() - names)}")
+    return record
 
 
 def read_log(

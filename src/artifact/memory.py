@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .clock import Clock, format_timestamp
 from .errors import AlreadyComplete, InvalidKind, UnknownInvestigation
-from .ledger import AppendLog, read_log
+from .ledger import AppendLog, known_fields, read_log
 
 JOURNAL_KINDS = ("observation", "hypothesis", "experiment", "conclusion")
 
@@ -66,6 +66,7 @@ class JournalEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JournalEntry":
+        known_fields(data, cls.__dataclass_fields__.keys())
         metadata = data.get("metadata", {})
         if not isinstance(metadata, dict):
             raise TypeError("metadata must be an object")

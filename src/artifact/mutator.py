@@ -30,7 +30,7 @@ from typing import Callable
 
 from .canonical import Payload
 from .errors import CycleRejected, NotForkable, NotSiblings
-from .ledger import AppendLog, Artifact, scan_order
+from .ledger import AppendLog, Artifact, known_fields, scan_order
 from .lineage import POLICY_TYPE, LineageGraph, PairVerdict, SiblingPairs
 from .reactor import merge_payloads
 
@@ -103,6 +103,7 @@ class MutationEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MutationEvent":
+        known_fields(data, cls.__dataclass_fields__.keys())
         return cls(
             kind=data["kind"],
             inputs=tuple(data["inputs"]),

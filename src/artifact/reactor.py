@@ -44,7 +44,7 @@ from .canonical import Payload
 from .clock import Clock
 from .errors import ArtifactError, InvalidParam
 from .index import GlobalIndex, NeedKey, variant_params
-from .ledger import AppendLog, Artifact, read_log, scan_order
+from .ledger import AppendLog, Artifact, known_fields, read_log, scan_order
 from .lineage import LineageGraph
 from .needs import NeedItem
 from .pressure import PressureBreakdown, build_context, rank
@@ -98,6 +98,7 @@ def reaction_fields(record: dict) -> tuple[list[str], str | None, str]:
     """
     consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
     produced = record["produced_id"]
+    known_fields(record, ReactionRecord.__dataclass_fields__.keys())
     if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
             and (fulfilled is None or isinstance(fulfilled, str))
             and isinstance(produced, str)):

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, Iterable
 
+from .clock import parse_timestamp
 from .errors import ArtifactError, CorruptStore, CycleRejected, DanglingParent, UnknownArtifact
 from .index import NeedKey, read_index, variant_ids
-from .ledger import Artifact, ArtifactStore, read_log, scan_order, verify_integrity
+from .ledger import Artifact, ArtifactStore, known_fields, read_log, scan_order, verify_integrity
 from .lineage import DagMetrics, LineageGraph
 from .mutator import MutationEvent
 from .reactor import reaction_fields
@@ -51,6 +53,39 @@ class RunDir:
     def agent_names(self) -> list[str]:
         """The agents that have a directory, in name order."""
         return sorted(p.name for p in self._agents.iterdir()) if self._agents.exists() else []
+
+
+@dataclass
+class SimulationReport:
+    """What ``report.json`` holds: the scenario and the run's totals. Every
+    other fact of the run is in the file it belongs to."""
+
+    scenario: dict
+    dag_metrics: dict
+    need_latencies: dict
+    mean_need_latency_seconds: float | None
+    posts: int
+    reactions: int
+    mutations: int
+
+
+def need_latencies(fulfillments: Iterable[tuple[Artifact, NeedKey | None]],
+                   resolve: Callable[[str], Artifact | None]) -> dict[str, float]:
+    """Seconds from each need's broadcast to its fulfillment, in need key
+    order: ``fulfillments`` pairs each artifact with the key it fulfilled,
+    or None, and ``resolve`` gives the artifact of an id, or None."""
+    latencies: dict[str, float] = {}
+    for artifact, key in fulfillments:
+        carrier = resolve(key.artifact_id) if key is not None else None
+        if carrier is not None:
+            delta = parse_timestamp(artifact.timestamp) - parse_timestamp(carrier.timestamp)
+            latencies[key.text] = delta.total_seconds()
+    return dict(sorted(latencies.items()))
+
+
+def mean_latency(latencies: dict[str, float]) -> float | None:
+    """The mean of ``need_latencies``, or None when no need was fulfilled."""
+    return sum(latencies.values()) / len(latencies) if latencies else None
 
 
 def read_store(run_dir: RunDir, agent: str, into: dict[str, Artifact]) -> None:
@@ -99,16 +134,17 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
 
 
 def _read_report(path: Path) -> tuple[dict, dict[str, set[str]]]:
-    """A report.json's dag_metrics, with every key a ``DagMetrics`` has, and
-    the artifact types each agent of its scenario may consume."""
+    """A report.json, with exactly the keys of a ``SimulationReport`` and
+    every key a ``DagMetrics`` has in its dag_metrics, and the artifact types
+    each agent of its scenario may consume."""
     with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
+        report = known_fields(json.load(handle), SimulationReport.__dataclass_fields__.keys())
+    report = {f.name: report[f.name] for f in fields(SimulationReport)}
     metrics = {f.name: report["dag_metrics"][f.name] for f in fields(DagMetrics)}
     if not isinstance(metrics["avg_dag_depth"], (int, float)):
         raise ValueError("dag_metrics needs a numeric avg_dag_depth")
     registry, profiles = Scenario.from_dict(report["scenario"]).load_profiles()
-    return metrics, {name: allowed_types(profile, registry)
-                     for name, profile in profiles.items()}
+    return report, {name: allowed_types(profile, registry) for name, profile in profiles.items()}
 
 
 def verify_output(out_dir: str | Path) -> list[str]:
@@ -120,19 +156,23 @@ def verify_output(out_dir: str | Path) -> list[str]:
     agent's artifact, or a graft that names a missing node or would close a
     cycle), that is the one violation returned, since every other check
     reads the rebuilt lineage. A missing or unreadable report.json (bad
-    JSON, a dag_metrics key missing or a depth that is not a number, a
-    scenario missing or naming an unknown skill) and a damaged
-    reactions.jsonl or index.jsonl line are one violation each, and the
-    checks go on with what is left: each key of the report's dag_metrics
-    equal to the rebuilt lineage's own (the depth within 1e-9), every
-    reaction's product stored by the reacting agent, no artifact consumed
-    twice, no need key fulfilled twice, none of an agent's own artifacts
-    consumed, every consumed type within the agent's domain, every merge
-    and fork line's inputs stored and its outputs stored by the agent that
-    logged it, no merge repeating the input set of another, no graft
-    repeating the seq of another, and an index that lists each stored
-    artifact once under its producer, with no need key fulfilled twice in
-    it and none its carrier never broadcast.
+    JSON, a key missing or not a ``SimulationReport`` field, a dag_metrics
+    key missing or a depth that is not a number, a scenario naming an
+    unknown skill) and a damaged reactions.jsonl or index.jsonl line are
+    one violation each, and the checks go on with what is left: each key of
+    the report's dag_metrics equal to the rebuilt lineage's own (the depth
+    within 1e-9); its reactions, mutations and need latencies equal to a
+    recount of the reaction lines, the mutation lines and the index's
+    fulfilled keys with the stored timestamps (the mean latency within
+    1e-9), where those lines gave no violation; every reaction's product
+    stored by the reacting agent, no artifact consumed twice, no need key
+    fulfilled twice, none of an agent's own artifacts consumed, every
+    consumed type within the agent's domain, every merge and fork line's
+    inputs stored and its outputs stored by the agent that logged it, no
+    merge repeating the input set of another, no graft repeating the seq of
+    another, and an index that lists each stored artifact once under its
+    producer, with no need key fulfilled twice in it and none its carrier
+    never broadcast.
     """
     violations: list[str] = []
     try:
@@ -149,6 +189,10 @@ def verify_output(out_dir: str | Path) -> list[str]:
         if not verify_integrity(artifact):
             violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
 
+    # A total is recounted only from a file whose lines gave no violation of
+    # their own, so that one damaged line is one violation.
+    recounted: dict = {}
+    before = len(violations)
     merged_by: dict[frozenset, str] = {}
     grafted_by: dict[int, str] = {}
     for agent, number, event in events:
@@ -173,18 +217,14 @@ def verify_output(out_dir: str | Path) -> list[str]:
                 f"({merged_by[inputs]} and {agent})"
             )
         merged_by[inputs] = agent
+    if len(violations) == before:
+        recounted["mutations"] = len(events)
 
-    allowed: dict[str, set[str]] = {}
+    report, allowed = None, {}
     try:
-        reported, allowed = _read_report(run_dir.report)
-    except (OSError, ValueError, KeyError, TypeError, ArtifactError) as exc:
+        report, allowed = _read_report(run_dir.report)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ArtifactError) as exc:
         violations.append(f"{run_dir.report}: unreadable report: {exc!r}")
-    else:
-        for key, value in graph.metrics().to_dict().items():
-            if (abs(value - reported[key]) > 1e-9 if key == "avg_dag_depth"
-                    else value != reported[key]):
-                violations.append(f"dag_metrics {key} mismatch: reported {reported[key]}, "
-                                  f"recomputed {value}")
 
     def damaged_reaction(error: CorruptStore) -> None:
         violations.append(f"{error.path} line {error.line_number}: "
@@ -192,9 +232,11 @@ def verify_output(out_dir: str | Path) -> list[str]:
 
     consumed_by: dict[str, str] = {}
     fulfilled_by: dict[str, str] = {}
+    before, reactions = len(violations), 0
     for agent, agent_files in files.items():
         for _, (consumed_ids, fulfilled, produced) in read_log(
                 agent_files.reactions, reaction_fields, damaged_reaction):
+            reactions += 1
             product = artifacts.get(produced)
             if product is None:
                 violations.append(f"{agent} reaction product {produced} is in no store")
@@ -229,8 +271,30 @@ def verify_output(out_dir: str | Path) -> list[str]:
                         f"{agent} consumed out-of-domain type "
                         f"{producer.artifact_type} ({consumed})"
                     )
-    violations += _index_violations(run_dir.index, artifacts)
+    if len(violations) == before:
+        recounted["reactions"] = reactions
+    index_violations, fulfillments = _index_violations(run_dir.index, artifacts)
+    violations += index_violations
+    if not index_violations:
+        recounted["need_latencies"] = need_latencies(fulfillments, artifacts.get)
+        recounted["mean_need_latency_seconds"] = mean_latency(recounted["need_latencies"])
+    if report is not None:
+        violations += _mismatches("dag_metrics ", report["dag_metrics"],
+                                  graph.metrics().to_dict())
+        violations += _mismatches("", report, recounted)
     return violations
+
+
+def _mismatches(prefix: str, reported: dict, recomputed: dict) -> list[str]:
+    """A violation for each key of ``recomputed`` whose reported value is not
+    equal to it, or, for a recomputed float, not within 1e-9 of it."""
+    def same(reported, value) -> bool:
+        if isinstance(value, float) and isinstance(reported, (int, float)):
+            return abs(value - reported) <= 1e-9
+        return reported == value
+
+    return [f"{prefix}{key} mismatch: reported {reported[key]}, recomputed {value}"
+            for key, value in recomputed.items() if not same(reported[key], value)]
 
 
 def _mutation_line_violations(where: str, agent: str, event: MutationEvent,
@@ -258,18 +322,20 @@ def _broadcast(carrier: Artifact | None, key: NeedKey) -> bool:
     return 0 <= key.need_index < len(items) and key.variant_id in variant_ids(items[key.need_index])
 
 
-def _index_violations(path: Path, artifacts: dict[str, Artifact]) -> list[str]:
+def _index_violations(path: Path, artifacts: dict[str, Artifact]) -> tuple[list[str], list]:
     """What ``index.jsonl`` gets wrong against the stores: each line that
     ``read_index`` finds damaged, a stored artifact never listed, and a need
-    key its carrier never broadcast or fulfilled twice."""
+    key its carrier never broadcast or fulfilled twice. With it, each stored
+    artifact the index lists as fulfilling a need, with that need's key."""
     violations: list[str] = []
+    fulfillments: list[tuple[Artifact, NeedKey]] = []
 
     def damaged(error: CorruptStore) -> None:
         violations.append(f"{error.path} line {error.line_number}: {error.reason}")
 
     listed: set[str] = set()
     fulfilled: set[NeedKey] = set()
-    for number, artifact_id, _, fulfills in read_index(path, artifacts.get, damaged):
+    for number, artifact_id, artifact, fulfills in read_index(path, artifacts.get, damaged):
         listed.add(artifact_id)
         if fulfills is None:
             continue
@@ -279,6 +345,8 @@ def _index_violations(path: Path, artifacts: dict[str, Artifact]) -> list[str]:
         fulfilled.add(fulfills)
         if not _broadcast(artifacts.get(fulfills.artifact_id), fulfills):
             violations.append(f"{where}: need key {fulfills.text} was never broadcast")
+        if artifact is not None:
+            fulfillments.append((artifact, fulfills))
     violations += [f"stored artifact {artifact_id} is not in the index"
                    for artifact_id in artifacts if artifact_id not in listed]
-    return violations
+    return violations, fulfillments

@@ -16,13 +16,13 @@ import logging
 import random
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .canonical import Payload, canonicalize
-from .clock import EPOCH, ManualClock, parse_timestamp
+from .clock import EPOCH, ManualClock
 from .errors import ArtifactError, InvalidFormat, RateLimited
 from .governance import GovernanceLedger, Post
 from .index import GlobalIndex, NeedKey
@@ -33,7 +33,8 @@ from .mutator import MutationPolicy, Mutator
 from .needs import NeedItem, NeedsSignal, tokenize
 from .reactor import ArtifactReactor, ConsumptionClaims, build_params
 # The audit and the scenario are named here too, for callers that name them in sim.
-from .rundir import RunDir, load_world_dag, verify_output  # noqa: F401
+from .rundir import (RunDir, SimulationReport, load_world_dag, mean_latency,  # noqa: F401
+                     need_latencies, verify_output)
 from .scenario import Scenario, demo_scenario  # noqa: F401
 from .skills import AgentProfile, SkillRegistry, execute
 
@@ -420,8 +421,6 @@ def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
 
     unmatched = _unmatched_tokens(world.registry, tokenize(topic))[:2]
     return {
-        "topic": topic,
-        "investigation": slug,
         "chain": [m.name for m in chain],
         "artifacts": artifacts,
         "synthesis": synthesis,
@@ -445,21 +444,11 @@ def choose_gap(world: World, agent_name: str) -> str | None:
                              lambda question: world.question_slug(question) in tracker)
 
 
-def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
+def heartbeat(world: World, agent_name: str, cycle: int) -> None:
     """One autonomous cycle: observe, drain interventions, pick a topic,
     investigate, publish, engage, react, mutate."""
     runtime = world.agents[agent_name]
     scenario = world.scenario
-    report = {
-        "agent": agent_name,
-        "cycle": cycle,
-        "topic": None,
-        "post": None,
-        "upvoted": None,
-        "artifacts": [],
-        "reactions": [],
-        "mutations": [],
-    }
 
     with world._gov_lock:
         feed = world.governance.feed(community=scenario.community)
@@ -488,7 +477,6 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
     else:
         with world._gov_lock:
             topic = choose_gap(world, agent_name)
-    report["topic"] = topic
 
     if topic is not None:
         try:
@@ -498,10 +486,9 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
             runtime.journal.log("observation", f"pipeline failed: {exc}")
             outcome = None
         if outcome is not None:
-            report["artifacts"] = [a.artifact_id for a in outcome["artifacts"]]
             try:
                 with world._gov_lock:
-                    post = world.governance.create_post(
+                    world.governance.create_post(
                         author=agent_name,
                         title=f"Findings: {topic}"[:120],
                         content=f"Deterministic investigation of '{topic}'.",
@@ -512,9 +499,8 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
                         findings=f"synthesis artifact {outcome['synthesis'].artifact_id}",
                         open_questions=outcome["open_questions"],
                         tools_used=outcome["chain"],
-                        artifact_refs=report["artifacts"],
+                        artifact_refs=[a.artifact_id for a in outcome["artifacts"]],
                     )
-                report["post"] = post.id
             except (RateLimited, ArtifactError) as exc:
                 runtime.journal.log("observation", f"post deferred: {exc}")
 
@@ -524,98 +510,43 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> dict:
         if target is not None:
             try:
                 world.governance.apply_vote(agent_name, target.id, 1)
-                report["upvoted"] = target.id
             except (RateLimited, ArtifactError) as exc:
                 runtime.journal.log("observation", f"vote deferred: {exc}")
 
-    records = runtime.reactor.react(limit=3)
-    report["reactions"] = [
-        {"kind": r.kind, "produced": r.produced_id, "skill": r.skill}
-        for r in records
-    ]
+    runtime.reactor.react(limit=3)
 
     if scenario.mutation_enabled:
         try:
-            events = runtime.mutator.mutate_cycle(cycle)
+            runtime.mutator.mutate_cycle(cycle)
             runtime.mutator.drift_policy()
-            report["mutations"] = [e.to_dict() for e in events]
         except Exception as exc:
             log.exception("mutation step failed for %s", agent_name)
             runtime.journal.log("observation", f"mutation step failed: {exc}")
-
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Running scenarios
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimulationReport:
-    scenario: dict
-    cycles: list
-    dag_metrics: dict
-    need_latencies: dict
-    mean_need_latency_seconds: float | None
-    posts: int
-    reactions: int
-    mutations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "cycles": self.cycles,
-            "dag_metrics": self.dag_metrics,
-            "need_latencies": self.need_latencies,
-            "mean_need_latency_seconds": self.mean_need_latency_seconds,
-            "posts": self.posts,
-            "reactions": self.reactions,
-            "mutations": self.mutations,
-        }
-
-
-def _apply_interventions(world: World, cycle: int) -> list[dict]:
-    applied = []
+def _apply_interventions(world: World, cycle: int) -> None:
+    """Post each of the cycle's interventions as the human's comment on its
+    agent's newest post; one whose agent has no post yet is dropped."""
     for act in world.scenario.interventions:
         if act.cycle != cycle:
             continue
         candidates = [
             p for p in world.governance.posts.values() if p.author == act.agent
         ]
-        candidates.sort(key=lambda p: (p.created, p.id))
-        outcome = {"agent": act.agent, "comment_type": act.comment_type,
-                   "body": act.body, "applied": False}
-        if candidates:
-            world.clock.advance(seconds=21)  # respect comment spacing
-            target = candidates[-1]
-            world.governance.create_comment(
-                author=HUMAN_ACTOR,
-                post=target.id,
-                body=act.body,
-                comment_type=act.comment_type,
-                redirect_subquestion=act.body if act.comment_type == "redirect" else None,
-            )
-            outcome["applied"] = True
-            outcome["post"] = target.id
-        applied.append(outcome)
-    return applied
-
-
-def need_latencies(index: GlobalIndex) -> dict[str, float]:
-    """Seconds from a need's broadcast to each recorded fulfillment."""
-    artifacts = index.entries()
-    created = {artifact.artifact_id: artifact.timestamp for artifact in artifacts}
-    latencies: dict[str, float] = {}
-    for artifact in artifacts:
-        key = index.fulfilled_key(artifact.artifact_id)
-        if key is None:
+        if not candidates:
             continue
-        born = created.get(key.artifact_id)
-        if born is None:
-            continue
-        delta = parse_timestamp(artifact.timestamp) - parse_timestamp(born)
-        latencies[key.text] = delta.total_seconds()
-    return latencies
+        world.clock.advance(seconds=21)  # respect comment spacing
+        world.governance.create_comment(
+            author=HUMAN_ACTOR,
+            post=max(candidates, key=lambda p: (p.created, p.id)).id,
+            body=act.body,
+            comment_type=act.comment_type,
+            redirect_subquestion=act.body if act.comment_type == "redirect" else None,
+        )
 
 
 def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationReport]:
@@ -635,59 +566,43 @@ def run(scenario: Scenario, out_dir: str | Path) -> tuple[World, SimulationRepor
 
 
 def _run_cycles(world: World) -> SimulationReport:
-    """Every cycle of the world's scenario, then report.json."""
+    """Every cycle of the world's scenario, then report.json. A heartbeat
+    that raises ends the run with its own exception, and what it appended
+    is not committed."""
     scenario = world.scenario
-    cycle_reports = []
     for cycle in range(scenario.cycles):
         world.current_cycle = cycle
         world.clock.advance(seconds=TICK_SECONDS)
-        interventions = _apply_interventions(world, cycle)
-        agent_reports: dict[str, dict] = {}
+        _apply_interventions(world, cycle)
         if scenario.concurrent:
-            threads = []
-            results: dict[str, dict] = {}
-
-            def _run(name: str) -> None:
-                results[name] = heartbeat(world, name, cycle)
-
-            for name in world.agents:
-                thread = threading.Thread(target=_run, args=(name,))
-                threads.append(thread)
-                thread.start()
-            for thread in threads:
-                thread.join()
+            # Imported here, so that a sequential run's start-up never pays
+            # for it. Leaving the pool waits for every heartbeat; a failed
+            # one then raises its own exception, the first in agent order.
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=len(world.agents)) as pool:
+                beats = [pool.submit(heartbeat, world, name, cycle) for name in world.agents]
+            for beat in beats:
+                beat.result()
             # The cycle's heartbeats end together, so they commit together.
             world.commit(world.agents)
-            agent_reports = {name: results[name] for name in world.agents}
         else:
             for name in world.agents:
-                agent_reports[name] = heartbeat(world, name, cycle)
+                heartbeat(world, name, cycle)
                 world.commit([name])
-        cycle_reports.append({
-            "cycle": cycle,
-            "interventions": interventions,
-            "agents": agent_reports,
-        })
 
-    latencies = need_latencies(world.index)
-    mean_latency = (
-        sum(latencies.values()) / len(latencies) if latencies else None
-    )
+    index = world.index
+    latencies = need_latencies(((artifact, index.fulfilled_key(artifact.artifact_id))
+                                for artifact in index.entries()), world.resolve_id)
     report = SimulationReport(
         scenario=scenario.to_dict(),
-        cycles=cycle_reports,
         dag_metrics=world.graph.metrics().to_dict(),
-        need_latencies=dict(sorted(latencies.items())),
-        mean_need_latency_seconds=mean_latency,
+        need_latencies=latencies,
+        mean_need_latency_seconds=mean_latency(latencies),
         posts=len(world.governance.posts),
-        reactions=sum(
-            len(world.agents[name].reactor.reaction_log) for name in world.agents
-        ),
-        mutations=sum(
-            len(world.agents[name].mutator.events) for name in world.agents
-        ),
+        reactions=sum(len(runtime.reactor.reaction_log) for runtime in world.agents.values()),
+        mutations=sum(len(runtime.mutator.events) for runtime in world.agents.values()),
     )
-    _atomic_write(world.run_dir.report, canonicalize(report.to_dict()) + b"\n")
+    _atomic_write(world.run_dir.report, canonicalize(asdict(report)) + b"\n")
     return report
 
 

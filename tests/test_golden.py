@@ -18,8 +18,8 @@ from artifact.skills import default_registry
 
 from .test_sim import tree_digest
 
-DEMO_DIGEST = "fc4a4a9a750b9a0a44c50c3e8f17f47a308a7f15e9008ca1838e73d42d84c256"
-GRID_DIGEST = "5a2a2bf115baf58060a63af97da809b76af56086f1aa0130d65a8294109bd232"
+DEMO_DIGEST = "5d0c359a41fb03fca16bdbbf286d2a388e57a611fd12d7f33a0501cded0530b9"
+GRID_DIGEST = "2019e3c0abb02d164ad02919d511646830fab8be0f88a939c31718190f227968"
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 import shutil
 
@@ -286,6 +287,24 @@ def test_damaged_line_of_every_verified_file_is_a_violation(demo_run, tmp_path, 
     assert verify_output(out) == []
     path.write_bytes(b"".join(damaged_lines(damage, lines, other_lines)))
     assert verify_output(out) != []
+
+
+@pytest.mark.parametrize("kind", RUN_FILES)
+def test_a_field_no_writer_writes_is_refused(demo_run, tmp_path, kind):
+    """A first line with one key beside its writer's raises CorruptStore at
+    line 1, and ``verify`` reports it for the kinds it reads."""
+    name, load, _ = RUN_FILES[kind]
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    path = out / name
+    first, *rest = path.read_bytes().splitlines(keepends=True)
+    line = json.dumps({**json.loads(first), "unwritten": 1}).encode("utf-8") + b"\n"
+    path.write_bytes(line + b"".join(rest))
+    with pytest.raises(CorruptStore) as caught:
+        load(path)
+    assert (caught.value.path, caught.value.line_number) == (str(path), 1)
+    if kind in VERIFIED:
+        assert any("unknown field(s) ['unwritten']" in v for v in verify_output(out))
 
 
 def test_append_log_reopens_after_close(tmp_path):

@@ -190,14 +190,18 @@ def test_heartbeat_posts_with_artifact_refs(tmp_path):
         "seeded_topics": [{"cycle": 0, "agent": "solo", "topic": "protein focus area"}],
     })
     world = World(scenario, tmp_path)
-    report = heartbeat(world, "solo", 0)
-    assert report["topic"] == "protein focus area"
-    assert report["post"] is not None
-    post = world.governance.posts[report["post"]]
-    assert post.artifact_refs == report["artifacts"]
-    assert len(post.artifact_refs) >= 1
-    stored = {a.artifact_id: a for a in world.agents["solo"].store.records()}
-    assert all(stored[ref].producer_agent == post.author for ref in post.artifact_refs)
+    heartbeat(world, "solo", 0)
+    solo = world.agents["solo"]
+    investigation = solo.tracker.get("protein-focus-area")
+    [post] = world.governance.posts.values()
+    assert post.title == "Findings: protein focus area"
+    # The investigation's chain artifacts, then their synthesis.
+    pipeline = [a for a in solo.store.records()
+                if a.investigation_id == investigation.id][:len(investigation.results) + 1]
+    assert post.artifact_refs == [a.artifact_id for a in pipeline]
+    assert post.artifact_refs[:-1] == [result["artifact"] for result in investigation.results]
+    assert pipeline[-1].artifact_type == "synthesis"
+    assert all(a.producer_agent == post.author for a in pipeline)
     assert post.tools_used
 
 
@@ -206,9 +210,9 @@ def test_heartbeat_without_topic_skips_post(tmp_path):
         "seed": 5, "cycles": 1, "agents": [{"name": "solo"}],
     })
     world = World(scenario, tmp_path)
-    report = heartbeat(world, "solo", 0)
-    assert report["topic"] is None
-    assert report["post"] is None
+    heartbeat(world, "solo", 0)
+    assert world.agents["solo"].tracker.all() == []
+    assert world.governance.posts == {}
 
 
 def test_redirect_promotes_subquestion(tmp_path):
@@ -228,8 +232,10 @@ def test_redirect_promotes_subquestion(tmp_path):
         author="human", post=post.id, body="switch to ceramics",
         comment_type="redirect", redirect_subquestion="ceramic stability question",
     )
-    report = heartbeat(world, "solo", 1)
-    assert report["topic"] == "ceramic stability question"
+    heartbeat(world, "solo", 1)
+    tracker = world.agents["solo"].tracker
+    assert [i.topic for i in tracker.all()] == ["protein focus area",
+                                                "ceramic stability question"]
 
 
 def test_repeated_topic_resumes_completed_investigation(tmp_path):
@@ -240,9 +246,9 @@ def test_repeated_topic_resumes_completed_investigation(tmp_path):
             {"cycle": 1, "agent": "solo", "topic": "Protein Focus Area"},  # same slug
         ],
     })
-    _, report = run(scenario, tmp_path / "out")
-    assert report.cycles[0]["agents"]["solo"]["post"] is not None
-    assert report.cycles[1]["agents"]["solo"]["post"] is not None
+    world, _ = run(scenario, tmp_path / "out")
+    assert [p.title for p in world.governance.posts.values()] == [
+        "Findings: protein focus area", "Findings: Protein Focus Area"]
 
 
 def test_gap_detection_picks_up_peer_open_questions(tmp_path):
@@ -258,9 +264,9 @@ def test_gap_detection_picks_up_peer_open_questions(tmp_path):
     })
     world = World(scenario, tmp_path)
     heartbeat(world, "asker", 0)
-    report = heartbeat(world, "helper", 0)
-    assert report["topic"] is not None
-    assert "qqz17" in report["topic"]
+    heartbeat(world, "helper", 0)
+    [investigation] = world.agents["helper"].tracker.all()
+    assert "qqz17" in investigation.topic
 
 
 def test_engagement_upvotes_newest_peer_post(tmp_path):
@@ -271,8 +277,9 @@ def test_engagement_upvotes_newest_peer_post(tmp_path):
     })
     world = World(scenario, tmp_path)
     heartbeat(world, "poster", 0)
-    report = heartbeat(world, "voter", 0)
-    assert report["upvoted"] is not None
+    heartbeat(world, "voter", 0)
+    post = next(p for p in world.governance.posts.values() if p.author == "poster")
+    assert post.upvotes == 1
     assert world.governance.account("poster").karma == 1
 
 
@@ -480,7 +487,10 @@ def test_run_leaves_no_file_open(tmp_path, concurrent):
     assert list(out.rglob("*.jsonl")) and open_files_under(out) == []
 
 
-def test_run_whose_heartbeat_raises_leaves_no_file_open(tmp_path, monkeypatch):
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_run_whose_heartbeat_raises_leaves_no_file_open(tmp_path, monkeypatch, concurrent):
+    """The run raises the heartbeat's own exception, in either mode; on a
+    thread, it is caught there, so none reaches ``threading.excepthook``."""
     import artifact.sim as sim
 
     calls = []
@@ -492,9 +502,11 @@ def test_run_whose_heartbeat_raises_leaves_no_file_open(tmp_path, monkeypatch):
         return heartbeat(world, agent_name, cycle)
 
     monkeypatch.setattr(sim, "heartbeat", failing_heartbeat)
+    scenario = fig2_scenario()
+    scenario.concurrent = concurrent
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="heartbeat down"):
-        run(fig2_scenario(), out)
+        run(scenario, out)
     assert list(out.rglob("*.jsonl")) and open_files_under(out) == []
 
 
@@ -539,11 +551,16 @@ def _reshape(kind, inputs, outputs):
     ("merge into a peer's artifact", "was produced by bruno"),
     ("merge of an id no store holds", f"merge input {UNKNOWN_ID} is in no store"),
     ("unparseable report", "JSONDecodeError"),
+    ("report that is not an object", "unreadable report"),
     ("report without scenario", "KeyError('scenario')"),
     ("report without dag_metrics", "KeyError('dag_metrics')"),
     ("report with a non-numeric depth", "ValueError"),
     ("report with a wrong synthesis_count", "dag_metrics synthesis_count mismatch"),
     ("report with a wrong per_agent", "dag_metrics per_agent mismatch"),
+    ("report with a wrong reactions", "reactions mismatch"),
+    ("report with a wrong mutations", "mutations mismatch"),
+    ("report with a wrong need latency", "need_latencies mismatch"),
+    ("report still holding cycles", "unknown field(s) ['cycles']"),
     ("report naming an unknown skill", "UnknownSkill"),
     ("missing report", "FileNotFoundError"),
 ])
@@ -559,6 +576,8 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         report_path.unlink()
     elif damage == "unparseable report":
         report_path.write_text("{truncated", encoding="utf-8")
+    elif damage == "report that is not an object":
+        report_path.write_text("[1, 2]", encoding="utf-8")
     elif damage.startswith("report "):
         if damage.startswith("report without "):
             del report[damage.removeprefix("report without ")]
@@ -568,6 +587,14 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
             report["dag_metrics"]["synthesis_count"] += 1
         elif damage == "report with a wrong per_agent":
             report["dag_metrics"]["per_agent"]["alice"] += 1
+        elif damage in ("report with a wrong reactions", "report with a wrong mutations"):
+            report[damage.rpartition(" ")[2]] += 1
+        elif damage == "report with a wrong need latency":
+            key = next(iter(report["need_latencies"]))
+            report["need_latencies"][key] += 1
+        elif damage == "report still holding cycles":
+            # The per-heartbeat block that report.json once held.
+            report["cycles"] = [{"cycle": 0, "interventions": [], "agents": {}}]
         else:
             report["scenario"]["agents"][0]["preferred_tools"] = ["no_such_skill"]
         report_path.write_text(json.dumps(report), encoding="utf-8")
@@ -809,10 +836,12 @@ def test_interventions_are_deterministic_and_logged(tmp_path):
              "body": "pivot to ceramics now"},
         ],
     })
-    _, report = run(scenario, tmp_path / "out")
-    cycle1 = report.cycles[1]
-    assert cycle1["interventions"][0]["applied"]
-    assert cycle1["agents"]["solo"]["topic"] == "pivot to ceramics now"
+    world, _ = run(scenario, tmp_path / "out")
+    [comment] = [c for c in world.governance.comments.values() if c.author == "human"]
+    assert (comment.comment_type, comment.body) == ("redirect", "pivot to ceramics now")
+    assert world.governance.posts[comment.post].author == "solo"
+    assert [i.topic for i in world.agents["solo"].tracker.all()] == [
+        "protein focus", "pivot to ceramics now"]
 
 
 def test_concurrent_mode_preserves_invariants(tmp_path):
