@@ -8,15 +8,24 @@ order canonicalize to identical bytes, so the content hash is order-blind.
 
 json's C encoder does the checking: it refuses a value it cannot write, a
 non-finite float and a tree that contains itself. It would write an int,
-float, bool or None map key as a string, so a walk over the containers
-refuses every key that is not a string, after the encoder, which has
-already refused a cyclic tree.
+float, bool or None map key as a string, so ``canonicalize`` and
+``content_hash`` walk the containers and refuse every key that is not a
+string, after the encoder, which has already refused a cyclic tree. They
+are where data from outside the simulator enters a record: skill params,
+payloads and need variants. ``canonical_line`` writes records the simulator
+built from those, and does not walk them again.
+
+A record read back has the fields its writer writes and no others:
+``known_fields`` is that rule, for each record of a run's files and each
+record nested in one. Free-form maps (payloads, journal metadata, need
+variants, per-agent counts) are not records, and hold any keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from typing import AbstractSet
 
 from .errors import InvalidPayload
 
@@ -48,16 +57,16 @@ def _encode(record: dict) -> str:
     if not isinstance(record, dict):
         raise InvalidPayload(f"payload top level must be a map, got {type(record).__name__}")
     try:
-        text = _ENCODER.encode(record)
+        return _ENCODER.encode(record)
     except (TypeError, ValueError) as exc:  # a key of no JSON form, a cycle, a NaN
         raise InvalidPayload(str(exc)) from None
-    _check_keys(record)
-    return text
 
 
 def canonicalize(payload: Payload) -> bytes:
     """Deterministic byte form of a payload; raises InvalidPayload on bad input."""
-    return _encode(payload).encode("utf-8")
+    text = _encode(payload)
+    _check_keys(payload)
+    return text.encode("utf-8")
 
 
 def content_hash(payload: Payload) -> str:
@@ -67,5 +76,14 @@ def content_hash(payload: Payload) -> str:
 
 def canonical_line(record: dict) -> bytes:
     """One newline-terminated canonical record in UTF-8, as used by every
-    JSONL store."""
+    JSONL store. Its map keys are not checked: the record's outside data
+    was checked where it entered."""
     return (_encode(record) + "\n").encode("utf-8")
+
+
+def known_fields(record: dict, names: AbstractSet[str]) -> dict:
+    """``record`` itself, once each of its keys is one of ``names``: a field
+    that no writer writes raises ValueError."""
+    if not record.keys() <= names:
+        raise ValueError(f"unknown field(s) {sorted(record.keys() - names)}")
+    return record

@@ -23,6 +23,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .canonical import known_fields
 from .clock import Clock, SystemClock, format_timestamp, parse_timestamp
 from .errors import (
     ArtifactError,
@@ -34,7 +35,7 @@ from .errors import (
     RateLimited,
     UnknownPost,
 )
-from .ledger import AppendLog, known_fields, read_log
+from .ledger import AppendLog, read_log
 
 POST_INTERVAL_SECONDS = 30 * 60
 COMMENT_INTERVAL_SECONDS = 20

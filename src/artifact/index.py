@@ -42,8 +42,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
+from .canonical import known_fields
 from .errors import CorruptStore, DuplicateEntry
-from .ledger import AppendLog, Artifact, known_fields, read_log, scan_order
+from .ledger import AppendLog, Artifact, read_log, scan_order
 from .needs import NeedItem, tokenize
 
 DEFAULT_VARIANT = "default"

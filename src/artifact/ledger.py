@@ -26,9 +26,9 @@ import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, Collection, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator
 
-from .canonical import Payload, canonical_line, content_hash
+from .canonical import Payload, canonical_line, content_hash, known_fields
 from .clock import Clock, format_timestamp
 from .errors import (
     CorruptStore,
@@ -216,14 +216,6 @@ class AppendLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-def known_fields(record: dict, names: AbstractSet[str]) -> dict:
-    """``record`` itself, once each of its keys is one of ``names``: a field
-    that no writer writes raises ValueError."""
-    if not record.keys() <= names:
-        raise ValueError(f"unknown field(s) {sorted(record.keys() - names)}")
-    return record
 
 
 def read_log(

@@ -24,9 +24,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .canonical import known_fields
 from .clock import Clock, format_timestamp
 from .errors import AlreadyComplete, InvalidKind, UnknownInvestigation
-from .ledger import AppendLog, known_fields, read_log
+from .ledger import AppendLog, read_log
 
 JOURNAL_KINDS = ("observation", "hypothesis", "experiment", "conclusion")
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .canonical import Payload
+from .canonical import Payload, known_fields
 from .errors import CycleRejected, NotForkable, NotSiblings
-from .ledger import AppendLog, Artifact, known_fields, scan_order
+from .ledger import AppendLog, Artifact, scan_order
 from .lineage import POLICY_TYPE, LineageGraph, PairVerdict, SiblingPairs
 from .reactor import merge_payloads
 
@@ -192,15 +192,18 @@ class Mutator:
         self.rng = rng
         self.birth_cycles = birth_cycles
         self.file = AppendLog(path)
-        self.events: list[MutationEvent] = []
+        self.event_count = 0  # events logged by this mutator
+        self.last_event: MutationEvent | None = None
         self.policy_artifact_id: str | None = None
         self.last_rates: tuple[float, float] = (0.0, 0.0)
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _log_event(self, event: MutationEvent) -> None:
-        self.events.append(event)
+    def _log_event(self, event: MutationEvent) -> MutationEvent:
         self.file.append(event.to_dict())
+        self.event_count += 1
+        self.last_event = event
+        return event
 
     def _judge(self, a_id: str, b_id: str) -> PairVerdict:
         payload_a, payload_b = self.graph.node(a_id).payload, self.graph.node(b_id).payload
@@ -295,11 +298,11 @@ class Mutator:
         ))
         return merged
 
-    def graft(self, sibling_id: str, new_parent_id: str, cycle: int) -> None:
-        """Re-parent the sibling onto the new parent; CycleRejected if that
-        would close a loop."""
+    def graft(self, sibling_id: str, new_parent_id: str, cycle: int) -> MutationEvent:
+        """Re-parent the sibling onto the new parent, and return the logged
+        event; CycleRejected if that would close a loop."""
         seq = self.graph.set_parents(sibling_id, (new_parent_id,))
-        self._log_event(MutationEvent(
+        return self._log_event(MutationEvent(
             kind="graft",
             inputs=(sibling_id,),
             outputs=(),
@@ -353,7 +356,7 @@ class Mutator:
                     merge = self.graph.node(a_id), self.graph.node(b_id)
             if merge is not None:
                 self.merge_siblings(*merge, cycle=cycle)
-            applied.append(self.events[-1])
+            applied.append(self.last_event)
             touched.update(pair)
 
         for pair in pairs.redundant(threshold):
@@ -365,7 +368,7 @@ class Mutator:
             if not pairs.claim(pair):
                 continue
             self.merge_siblings(self.graph.node(a_id), self.graph.node(b_id), cycle=cycle)
-            applied.append(self.events[-1])
+            applied.append(self.last_event)
             touched.update(pair)
 
         for leaf in self.detect_stagnation(cycle):
@@ -377,7 +380,7 @@ class Mutator:
             if len(artifact.payload) < 2:
                 continue
             child_a, child_b = self.fork(artifact, cycle=cycle)
-            applied.append(self.events[-1])
+            applied.append(self.last_event)
             touched.update((leaf, child_a.artifact_id, child_b.artifact_id))
 
         return applied

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .canonical import canonicalize, known_fields
 from .errors import (
     InvalidNeedsSignal,
     QueryTooShort,
@@ -46,6 +47,9 @@ class NeedItem:
             raise TooManyVariants(
                 f"at most {MAX_VARIANTS} variants allowed, got {len(self.parallel_variants)}"
             )
+        for variant in self.parallel_variants:
+            # Variants are outside data, written as they are: check them here.
+            canonicalize(dict(variant))
 
     def to_dict(self) -> dict:
         return {
@@ -58,6 +62,7 @@ class NeedItem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NeedItem":
+        known_fields(data, cls.__dataclass_fields__.keys())
         return cls(
             artifact_type=data["artifact_type"],
             query=data["query"],
@@ -82,6 +87,7 @@ class NeedsSignal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NeedsSignal":
+        known_fields(data, cls.__dataclass_fields__.keys())
         return cls(items=tuple(NeedItem.from_dict(d) for d in data["items"]))
 
 

@@ -40,11 +40,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .canonical import Payload
+from .canonical import Payload, known_fields
 from .clock import Clock
 from .errors import ArtifactError, InvalidParam
 from .index import GlobalIndex, NeedKey, variant_params
-from .ledger import AppendLog, Artifact, known_fields, read_log, scan_order
+from .ledger import AppendLog, Artifact, read_log, scan_order
 from .lineage import LineageGraph
 from .needs import NeedItem
 from .pressure import PressureBreakdown, build_context, rank
@@ -92,13 +92,19 @@ class ReactionRecord:
 
 def reaction_fields(record: dict) -> tuple[list[str], str | None, str]:
     """The consumed ids, fulfilled need key and product id of one
-    reactions.jsonl record.
+    reactions.jsonl record, whose pressure is null or has exactly the
+    terms of a ``PressureBreakdown``.
 
-    Raises KeyError or ValueError for a record that is not a reaction.
+    Raises KeyError, AttributeError (a pressure that is not a map) or
+    ValueError for a record that is not a reaction.
     """
     consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
     produced = record["produced_id"]
     known_fields(record, ReactionRecord.__dataclass_fields__.keys())
+    pressure = record.get("pressure")
+    terms = PressureBreakdown.__dataclass_fields__.keys()
+    if pressure is not None and known_fields(pressure, terms).keys() != terms:
+        raise ValueError(f"pressure lacks term(s) {sorted(terms - pressure.keys())}")
     if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
             and (fulfilled is None or isinstance(fulfilled, str))
             and isinstance(produced, str)):
@@ -263,7 +269,7 @@ class ArtifactReactor:
         self.claims = claims
         self.claims.seed(*_read_consumption(self.reactions_path))
         self.payload_keys = payload_keys
-        self.reaction_log: list[ReactionRecord] = []
+        self.reaction_count = 0  # reactions logged by this reactor
         # The registry is immutable and profiles are frozen: fixed for life.
         self._runnable = registry.skills_for(profile)
         self._skill_inputs = [(m, skill_inputs(m)) for m in self._runnable]
@@ -373,7 +379,7 @@ class ArtifactReactor:
             fulfills=need,
             before_store=log_reaction,
         )
-        self.reaction_log.append(record)
+        self.reaction_count += 1
         return record
 
     def _skill_for_need(self, item: NeedItem) -> SkillManifest | None:

@@ -13,10 +13,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .canonical import known_fields
 from .clock import parse_timestamp
 from .errors import ArtifactError, CorruptStore, CycleRejected, DanglingParent, UnknownArtifact
 from .index import NeedKey, read_index, variant_ids
-from .ledger import Artifact, ArtifactStore, known_fields, read_log, scan_order, verify_integrity
+from .ledger import Artifact, ArtifactStore, read_log, scan_order, verify_integrity
 from .lineage import DagMetrics, LineageGraph
 from .mutator import MutationEvent
 from .reactor import reaction_fields
@@ -135,11 +136,12 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
 
 def _read_report(path: Path) -> tuple[dict, dict[str, set[str]]]:
     """A report.json, with exactly the keys of a ``SimulationReport`` and
-    every key a ``DagMetrics`` has in its dag_metrics, and the artifact types
-    each agent of its scenario may consume."""
+    exactly the keys of a ``DagMetrics`` in its dag_metrics, and the artifact
+    types each agent of its scenario may consume."""
     with open(path, "r", encoding="utf-8") as handle:
         report = known_fields(json.load(handle), SimulationReport.__dataclass_fields__.keys())
     report = {f.name: report[f.name] for f in fields(SimulationReport)}
+    known_fields(report["dag_metrics"], DagMetrics.__dataclass_fields__.keys())
     metrics = {f.name: report["dag_metrics"][f.name] for f in fields(DagMetrics)}
     if not isinstance(metrics["avg_dag_depth"], (int, float)):
         raise ValueError("dag_metrics needs a numeric avg_dag_depth")
@@ -157,8 +159,9 @@ def verify_output(out_dir: str | Path) -> list[str]:
     cycle), that is the one violation returned, since every other check
     reads the rebuilt lineage. A missing or unreadable report.json (bad
     JSON, a key missing or not a ``SimulationReport`` field, a dag_metrics
-    key missing or a depth that is not a number, a scenario naming an
-    unknown skill) and a damaged reactions.jsonl or index.jsonl line are
+    key missing or not a ``DagMetrics`` field, a depth that is not a
+    number, a scenario naming an unknown skill) and a damaged
+    reactions.jsonl or index.jsonl line are
     one violation each, and the checks go on with what is left: each key of
     the report's dag_metrics equal to the rebuilt lineage's own (the depth
     within 1e-9); its reactions, mutations and need latencies equal to a

@@ -19,7 +19,7 @@ import weakref
 from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .canonical import Payload, canonicalize
 from .clock import EPOCH, ManualClock
@@ -79,19 +79,33 @@ class GapQueue:
     is created, so no entry below the top can come back. Should a post
     join the feed anywhere but at its end, which a run's clock never makes
     happen, the places shift and the queue is rebuilt from the start.
+
+    The queue is bounded by the heartbeats its agent has left. A heartbeat
+    starts at most one investigation (a redirect, a seeded topic or this
+    queue's head), so with R heartbeats left, this one included, at most
+    R - 1 slugs are started before the agent's last ``head`` of the run.
+    An entry behind the first entries of R distinct unstarted slugs
+    therefore never reaches the top with its slug unstarted: every slug
+    ahead of it must be started first, its own among them when it is one
+    of the R, and entries of one slug go stale together, while later posts
+    only push entries further down. Once the heap has doubled since its
+    last trim, ``head`` drops those entries and the entries of started
+    slugs; ranks and ties are unchanged.
     """
 
     QUESTION_BITS = 16  # questions past the first 2**16 of one post are not queued
     PLACE_BITS = 32
     LAST_PLACE = (1 << PLACE_BITS) - 1
 
-    def __init__(self, agent: str, seed: int, community: str):
+    def __init__(self, agent: str, seed: int, community: str, cycles: int):
         self.agent = agent
         self.seed = str(seed)
         self.community = community
+        self.cycles = cycles
         self._cursor = 0
         self._reorders = 0
         self._heap: list[int] = []
+        self._trimmed = 0  # the heap's size after its last trim
 
     def _admit(self, posts: list[Post]) -> None:
         for place in range(self._cursor, len(posts)):
@@ -105,17 +119,41 @@ class GapQueue:
                                             << self.QUESTION_BITS) | number)
         self._cursor = len(posts)
 
-    def head(self, governance: GovernanceLedger, started: Callable[[str], bool]) -> str | None:
-        """The first queued question that ``started`` says is not started."""
+    def _question(self, posts: list[Post], packed: int) -> str:
+        place = self.LAST_PLACE - ((packed >> self.QUESTION_BITS) & self.LAST_PLACE)
+        return posts[place].open_questions[packed & ((1 << self.QUESTION_BITS) - 1)]
+
+    def _trim(self, posts: list[Post], slug: Callable[[str], str],
+              started: Container[str], left: int) -> None:
+        """Keep the entries of unstarted slugs, in queue order, up to the
+        first entry of the ``left``-th distinct one."""
+        kept: list[int] = []
+        slugs: set[str] = set()
+        for packed in sorted(self._heap):
+            question_slug = slug(self._question(posts, packed))
+            if question_slug in started:
+                continue
+            if question_slug not in slugs:
+                if len(slugs) == left:
+                    break
+                slugs.add(question_slug)
+            kept.append(packed)
+        self._heap = kept  # a sorted list is a heap
+        self._trimmed = len(kept)
+
+    def head(self, governance: GovernanceLedger, slug: Callable[[str], str],
+             started: Container[str], cycle: int) -> str | None:
+        """The first queued question whose slug is not in ``started``, at
+        ``cycle`` of the run's ``cycles``."""
         if governance.feed_reorders != self._reorders:
             self._reorders, self._cursor, self._heap = governance.feed_reorders, 0, []
         posts = governance.visible_posts()
         self._admit(posts)
+        if len(self._heap) > 2 * self._trimmed:
+            self._trim(posts, slug, started, self.cycles - cycle)
         while self._heap:
-            packed = self._heap[0]
-            place = self.LAST_PLACE - ((packed >> self.QUESTION_BITS) & self.LAST_PLACE)
-            question = posts[place].open_questions[packed & ((1 << self.QUESTION_BITS) - 1)]
-            if not started(question):
+            question = self._question(posts, self._heap[0])
+            if slug(question) not in started:
                 return question
             heapq.heappop(self._heap)
         return None
@@ -137,7 +175,8 @@ class AgentRuntime:
         self.store = ArtifactStore(files.store)
         self.journal = AgentJournal(files.journal, clock=world.clock)
         self.tracker = InvestigationTracker(self.journal)
-        self.gaps = GapQueue(profile.name, world.scenario.seed, world.scenario.community)
+        self.gaps = GapQueue(profile.name, world.scenario.seed, world.scenario.community,
+                             world.scenario.cycles)
         self.reactor = ArtifactReactor(
             profile=profile,
             registry=world.registry,
@@ -428,20 +467,19 @@ def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
     }
 
 
-def choose_gap(world: World, agent_name: str) -> str | None:
+def choose_gap(world: World, agent_name: str, cycle: int) -> str | None:
     """The open question on a peer's visible post that the agent takes up next.
 
     Of the questions in the feed whose investigation the agent has not
     started, the one that comes first in the agent's seeded hash order; ties
     (equal hashes) go to the question seen first in feed order. The agent's
     ``GapQueue`` keeps that order across heartbeats, so a call hashes only
-    the questions posted since the last. Call it under the world's
-    governance lock.
+    the questions posted since the last, and keeps only the questions the
+    heartbeats from ``cycle`` on can still reach. Call it once per
+    heartbeat, under the world's governance lock.
     """
     runtime = world.agents[agent_name]
-    tracker = runtime.tracker
-    return runtime.gaps.head(world.governance,
-                             lambda question: world.question_slug(question) in tracker)
+    return runtime.gaps.head(world.governance, world.question_slug, runtime.tracker, cycle)
 
 
 def heartbeat(world: World, agent_name: str, cycle: int) -> None:
@@ -476,7 +514,7 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> None:
         topic = seeded
     else:
         with world._gov_lock:
-            topic = choose_gap(world, agent_name)
+            topic = choose_gap(world, agent_name, cycle)
 
     if topic is not None:
         try:
@@ -599,8 +637,8 @@ def _run_cycles(world: World) -> SimulationReport:
         need_latencies=latencies,
         mean_need_latency_seconds=mean_latency(latencies),
         posts=len(world.governance.posts),
-        reactions=sum(len(runtime.reactor.reaction_log) for runtime in world.agents.values()),
-        mutations=sum(len(runtime.mutator.events) for runtime in world.agents.values()),
+        reactions=sum(runtime.reactor.reaction_count for runtime in world.agents.values()),
+        mutations=sum(runtime.mutator.event_count for runtime in world.agents.values()),
     )
     _atomic_write(world.run_dir.report, canonicalize(asdict(report)) + b"\n")
     return report

@@ -18,11 +18,11 @@ from artifact.canonical import content_hash
 from artifact.clock import EPOCH, ManualClock
 from artifact.errors import CorruptStore, RateLimited
 from artifact.governance import GovernanceLedger, Tier, tier_of
-from artifact.ledger import ArtifactStore
+from artifact.ledger import ArtifactStore, read_log
 from artifact.mutator import MutationPolicy
 from artifact.needs import NeedItem
 from artifact.pressure import PressureContext, centrality, novelty, pressure
-from artifact.reactor import merge_payloads
+from artifact.reactor import merge_payloads, reaction_fields
 from artifact.sim import Scenario, demo_scenario, load_world_dag, run
 
 from .conftest import random_payload, shuffle_keys
@@ -177,9 +177,10 @@ def test_criterion_04_loop_prevention_over_50_cycles(tmp_path):
             sim_module.heartbeat(world, name, cycle)
 
     consumed_counts: dict[str, int] = {}
-    for name, runtime in world.agents.items():
-        for record in runtime.reactor.reaction_log:
-            for consumed in record.consumed_ids:
+    for name in world.agents:
+        for _, (consumed_ids, _, _) in read_log(world.run_dir.agent(name).reactions,
+                                                reaction_fields):
+            for consumed in consumed_ids:
                 consumed_counts[consumed] = consumed_counts.get(consumed, 0) + 1
                 assert world.artifacts[consumed].producer_agent != name, \
                     f"{name} consumed its own artifact"

@@ -20,6 +20,9 @@ from .test_sim import tree_digest
 
 DEMO_DIGEST = "5d0c359a41fb03fca16bdbbf286d2a388e57a611fd12d7f33a0501cded0530b9"
 GRID_DIGEST = "2019e3c0abb02d164ad02919d511646830fab8be0f88a939c31718190f227968"
+# A 20-cycle grid: a change that only a run's later heartbeats show, such as
+# the gap queue's bound, leaves the 10-cycle digests as they were.
+GRID_20_DIGEST = "41890ac0dae75875710c07c7378b02848d7d8d7d727c9c35a67c419b6ff0dcb7"
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,6 +59,12 @@ def test_demo_digest_pinned(tmp_path):
 def test_mutation_grid_digest_pinned(tmp_path):
     run(grid_scenario(seed=7, agents=10, cycles=10), tmp_path / "grid")
     assert tree_digest(tmp_path / "grid") == GRID_DIGEST
+    assert verify_output(tmp_path / "grid") == []
+
+
+def test_20x20_mutation_grid_digest_pinned(tmp_path):
+    run(grid_scenario(seed=7, agents=20, cycles=20), tmp_path / "grid")
+    assert tree_digest(tmp_path / "grid") == GRID_20_DIGEST
     assert verify_output(tmp_path / "grid") == []
 
 

@@ -260,10 +260,18 @@ AUTHORS = ("me", "p1", "p2", "shady", "late")
 
 class GapFeed:
     """A governance ledger logging to ``path`` and one agent's gap queue,
-    driven across calls."""
+    driven across calls, in a run with room for ``budget`` starts.
 
-    def __init__(self, seed: int, path: Path):
+    Each start is its own heartbeat's, as in a run, where a heartbeat starts
+    at most one investigation: the run has ``budget + 1`` cycles, a call
+    passes the number of starts so far as its cycle, and so the budget left
+    after it is ``cycles - cycle - 1``. A start past the budget is skipped.
+    """
+
+    def __init__(self, seed: int, path: Path, budget: int = 100):
         self.seed = seed
+        self.cycles = budget + 1
+        self.starts = 0
         self.clock = ManualClock(current=EPOCH + timedelta(days=1), step=timedelta(seconds=1))
         self.ledger = GovernanceLedger(path, clock=self.clock)
         for name in AUTHORS[:4]:
@@ -273,7 +281,7 @@ class GapFeed:
         shady.refresh()
         self.started: set = set()
         self.world = SimpleNamespace(
-            agents={"me": SimpleNamespace(gaps=GapQueue("me", seed, "main"),
+            agents={"me": SimpleNamespace(gaps=GapQueue("me", seed, "main", self.cycles),
                                           tracker=self.started)},
             governance=self.ledger,
             question_slug=slugify,
@@ -291,13 +299,21 @@ class GapFeed:
         call(self.ledger.create_post, author=author, title="t", community=community,
              open_questions=questions, now=now)
 
+    def start(self, question: str) -> None:
+        """Start a question's investigation (trackers only grow), unless the
+        budget is spent."""
+        if self.starts < self.cycles - 1:
+            self.started.add(slugify(question))
+            self.starts += 1
+
     def check(self) -> None:
         """The queue's head, and the ledger's feed, against a sort of every post."""
         feed = sorted((p for p in self.ledger.posts.values()
                        if not p.hidden and p.community == "main"),
                       key=lambda p: (p.created, p.id), reverse=True)
         assert self.ledger.feed(community="main") == feed
-        assert choose_gap(self.world, "me") == sorted_gap(self.seed, "me", feed, self.started)
+        assert (choose_gap(self.world, "me", self.starts)
+                == sorted_gap(self.seed, "me", feed, self.started))
 
 
 gap_posts = st.tuples(st.just("post"), st.sampled_from(AUTHORS),
@@ -308,17 +324,17 @@ gap_calls = st.tuples(st.just("call"))
 
 
 @settings(max_examples=150)
-@given(seed=st.integers(0, 50),
+@given(seed=st.integers(0, 50), budget=st.integers(0, 6),
        ops=st.lists(st.one_of(gap_posts, gap_posts, gap_starts, gap_calls), max_size=25))
-def test_lazy_gap_choice_matches_sorted_queue(seed, ops):
+def test_lazy_gap_choice_matches_sorted_queue(seed, budget, ops):
     with tempfile.TemporaryDirectory() as tmp:
-        gaps = GapFeed(seed, Path(tmp) / "governance.jsonl")
+        gaps = GapFeed(seed, Path(tmp) / "governance.jsonl", budget)
         try:
             for op in ops + [("call",)]:
                 if op[0] == "post":
                     gaps.post(*op[1:])
                 elif op[0] == "start":
-                    gaps.started.add(slugify(op[1]))  # trackers only grow
+                    gaps.start(op[1])
                 else:
                     gaps.check()
         finally:
@@ -331,12 +347,14 @@ def test_gap_ties_go_to_the_first_question_in_feed_order(monkeypatch, tmp_path):
     monkeypatch.setattr(sim, "stable_hash", lambda *parts: 7)
     gaps = GapFeed(seed=1, path=tmp_path / "governance.jsonl")
     gaps.post("p1", ["b question", "a question"], "main")
-    assert choose_gap(gaps.world, "me") == "b question"
+    assert choose_gap(gaps.world, "me", gaps.starts) == "b question"
     gaps.post("p2", ["d question", "c question"], "main")  # newer, so first in the feed
-    assert choose_gap(gaps.world, "me") == "d question"
-    gaps.started.update({"d-question", "c-question"})
-    assert choose_gap(gaps.world, "me") == "b question"
+    assert choose_gap(gaps.world, "me", gaps.starts) == "d question"
+    gaps.start("d question")
+    gaps.start("c question")
+    assert choose_gap(gaps.world, "me", gaps.starts) == "b question"
     gaps.post("late", ["e question"], "main")  # backdated, so last in the feed
-    assert choose_gap(gaps.world, "me") == "b question"
-    gaps.started.update({"b-question", "a-question"})
-    assert choose_gap(gaps.world, "me") == "e question"
+    assert choose_gap(gaps.world, "me", gaps.starts) == "b question"
+    gaps.start("b question")
+    gaps.start("a question")
+    assert choose_gap(gaps.world, "me", gaps.starts) == "e question"

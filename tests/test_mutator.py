@@ -282,10 +282,10 @@ def test_cycle_events_keep_dag_acyclic(harness):
 def test_grafts_carry_the_graph_sequence(harness):
     roots = [harness.add({"r": i, "r2": i}) for i in range(3)]
     leaf = harness.add({"c": 1}, parents=(roots[0].artifact_id,))
-    harness.mutator.graft(leaf.artifact_id, roots[1].artifact_id, cycle=0)
+    first = harness.mutator.graft(leaf.artifact_id, roots[1].artifact_id, cycle=0)
     assert harness.graph.set_parents(leaf.artifact_id, (roots[0].artifact_id,)) == 2
-    harness.mutator.graft(leaf.artifact_id, roots[2].artifact_id, cycle=0)
-    assert [e.seq for e in harness.mutator.events] == [1, 3]
+    second = harness.mutator.graft(leaf.artifact_id, roots[2].artifact_id, cycle=0)
+    assert [e.seq for e in (first, second)] == [1, 3]
 
 
 def test_cycle_never_merges_a_pair_twice(harness):
@@ -313,9 +313,11 @@ def test_concurrent_agents_merge_each_pair_once(tmp_path):
         for i in range(8)
     ]
 
+    applied = {mutator: [] for mutator in mutators}
+
     def work(mutator):
         for cycle in range(9, 14):
-            mutator.mutate_cycle(cycle)
+            applied[mutator] += mutator.mutate_cycle(cycle)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -328,7 +330,7 @@ def test_concurrent_agents_merge_each_pair_once(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    merged = [frozenset(e.inputs) for m in mutators for e in m.events if e.kind == "merge"]
+    merged = [frozenset(e.inputs) for m in mutators for e in applied[m] if e.kind == "merge"]
     assert len(merged) >= 6
     assert len(merged) == len(set(merged))
 
@@ -486,12 +488,11 @@ class RescanningMutator(Mutator):
             if a_id in touched or b_id in touched or (a_id, b_id) in self.merged:
                 continue
             try:
-                self.graft(b_id, a_id, cycle=cycle)
-                applied.append(self.events[-1])
+                applied.append(self.graft(b_id, a_id, cycle=cycle))
             except CycleRejected:
                 self.merge_siblings(self.graph.node(a_id), self.graph.node(b_id), cycle=cycle)
                 self.merged.add((a_id, b_id))
-                applied.append(self.events[-1])
+                applied.append(self.last_event)
             touched.update((a_id, b_id))
         for a_id, b_id in redundant:
             if len(applied) >= budget:
@@ -502,7 +503,7 @@ class RescanningMutator(Mutator):
                 continue
             self.merge_siblings(self.graph.node(a_id), self.graph.node(b_id), cycle=cycle)
             self.merged.add((a_id, b_id))
-            applied.append(self.events[-1])
+            applied.append(self.last_event)
             touched.update((a_id, b_id))
         for leaf in self.detect_stagnation(cycle):
             if len(applied) >= budget:
@@ -513,7 +514,7 @@ class RescanningMutator(Mutator):
             if len(artifact.payload) < 2:
                 continue
             child_a, child_b = self.fork(artifact, cycle=cycle)
-            applied.append(self.events[-1])
+            applied.append(self.last_event)
             touched.update((leaf, child_a.artifact_id, child_b.artifact_id))
         return applied
 

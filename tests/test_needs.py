@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artifact.errors import (
+    InvalidPayload,
     QueryTooShort,
     RationaleTooShort,
     TooManyVariants,
@@ -30,6 +31,13 @@ def test_too_many_variants():
     with pytest.raises(TooManyVariants):
         make_need("protein_data", "TP53 Y220C", RATIONALE,
                   variants=[{"i": n} for n in range(7)])
+
+
+@pytest.mark.parametrize("variant", [{1: "x"}, {"a": [{None: 1}]}, {"a": float("nan")}])
+def test_variant_that_has_no_canonical_form_rejected(variant):
+    # A store line writes variants without checking keys again.
+    with pytest.raises(InvalidPayload):
+        make_need("protein_data", "TP53 Y220C", RATIONALE, variants=[variant])
 
 
 def test_rationale_too_short():

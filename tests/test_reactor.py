@@ -458,7 +458,8 @@ def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_p
     assert bob.react_single().kind == "single_parent"
     assert seen == [("need_driven", True, False), ("multi_parent", True, False),
                     ("single_parent", True, False)]
-    assert [r.produced_id for r in bob.reaction_log] == [a.artifact_id for a in store.records()]
+    logged = [json.loads(line)["produced_id"] for line in log_path.read_text().splitlines()]
+    assert logged == [a.artifact_id for a in store.records()]
 
 
 def test_payload_key_cache_is_transparent(harness):
@@ -597,11 +598,12 @@ def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
         harness.emit("alice", "synthesis", {"topic": f"t{i}"}, needs=signal)
     start = threading.Barrier(len(names))
     errors = []
+    records = {}
 
     def work(name):
         try:
             start.wait(timeout=10)
-            harness.reactors[name].react_to_needs(limit=3)
+            records[name] = harness.reactors[name].react_to_needs(limit=3)
         except Exception as exc:  # reported below: a thread must not die silently
             errors.append(exc)
 
@@ -618,6 +620,6 @@ def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     answered = [key.text for _, key in fulfilments(harness.index)]
-    logged = [r.fulfilled_need.text for n in names for r in harness.reactors[n].reaction_log]
+    logged = [r.fulfilled_need.text for n in names for r in records[n]]
     assert len(answered) == len(set(answered)) == 12
     assert sorted(logged) == sorted(answered)

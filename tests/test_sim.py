@@ -13,13 +13,14 @@ import pytest
 
 from artifact import reactor as reactor_module
 from artifact.clock import ManualClock
-from artifact.errors import ArtifactError, InvalidFormat, InvalidScenario, UnknownArtifact
+from artifact.errors import (ArtifactError, CorruptStore, InvalidFormat, InvalidScenario,
+                             UnknownArtifact)
 from artifact.governance import GovernanceLedger
 from artifact.index import GlobalIndex
-from artifact.ledger import ArtifactStore
+from artifact.ledger import ArtifactStore, read_log
 from artifact.lineage import LineageGraph
 from artifact.memory import AgentJournal, InvestigationTracker
-from artifact.reactor import param_keys
+from artifact.reactor import _read_consumption, param_keys, reaction_fields
 from artifact.sim import (
     Scenario,
     World,
@@ -523,6 +524,17 @@ def _first_line(path):
     return path.read_bytes().splitlines(keepends=True)[0]
 
 
+def _add_extra_field(path, nested):
+    """Add ``"extra": 1`` to the map that ``nested`` finds in a record, in
+    the first line of ``path`` where it finds one."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = next(i for i, line in enumerate(lines) if nested(json.loads(line)) is not None)
+    record = json.loads(lines[number])
+    nested(record)["extra"] = 1
+    lines[number] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _graft(node, new_parent):
     return {"kind": "graft", "inputs": [node], "outputs": [], "cycle": 99,
             "new_parent": new_parent}
@@ -561,6 +573,9 @@ def _reshape(kind, inputs, outputs):
     ("report with a wrong mutations", "mutations mismatch"),
     ("report with a wrong need latency", "need_latencies mismatch"),
     ("report still holding cycles", "unknown field(s) ['cycles']"),
+    ("report with an extra dag_metrics field", "unknown field(s) ['extra']"),
+    ("an extra field in a need", "CorruptStore"),
+    ("an extra field in a reaction's pressure", "unparseable reaction"),
     ("report naming an unknown skill", "UnknownSkill"),
     ("missing report", "FileNotFoundError"),
 ])
@@ -592,12 +607,23 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         elif damage == "report with a wrong need latency":
             key = next(iter(report["need_latencies"]))
             report["need_latencies"][key] += 1
+        elif damage == "report with an extra dag_metrics field":
+            report["dag_metrics"]["extra"] = 1
         elif damage == "report still holding cycles":
             # The per-heartbeat block that report.json once held.
             report["cycles"] = [{"cycle": 0, "interventions": [], "agents": {}}]
         else:
             report["scenario"]["agents"][0]["preferred_tools"] = ["no_such_skill"]
         report_path.write_text(json.dumps(report), encoding="utf-8")
+    elif damage == "an extra field in a need":
+        _add_extra_field(alice / "store.jsonl",
+                         lambda record: record["needs"] and record["needs"]["items"][0])
+        with pytest.raises(CorruptStore):
+            ArtifactStore(alice / "store.jsonl")
+    elif damage == "an extra field in a reaction's pressure":
+        _add_extra_field(alice / "reactions.jsonl", lambda record: record["pressure"])
+        with pytest.raises(CorruptStore):
+            _read_consumption(alice / "reactions.jsonl")
     elif damage == "garbled store line":
         _append_line(alice / "store.jsonl", "{not json\n")
     elif damage == "non-UTF-8 store line":
@@ -661,6 +687,9 @@ def test_verify_reports_a_repeated_merge(tmp_path):
                                   {"consumed_ids": [], "fulfilled_need": None},
                                   {"consumed_ids": [], "fulfilled_need": None,
                                    "produced_id": 7},
+                                  # a pressure without all of its terms
+                                  {"consumed_ids": [], "fulfilled_need": None,
+                                   "produced_id": UNKNOWN_ID, "pressure": {"score": 1.0}},
                                   # a non-UTF-8 reaction line
                                   b'{"consumed_ids":[],"fulfilled_need":null,'
                                   b'"produced_id":"\xff"}\n'])
@@ -809,8 +838,9 @@ def test_gating_holds_over_full_trace(tmp_path):
     world, _ = run(fig2_scenario(), tmp_path / "out")
     for name, runtime in world.agents.items():
         allowed = allowed_types(runtime.profile, world.registry)
-        for record in runtime.reactor.reaction_log:
-            for consumed in record.consumed_ids:
+        for _, (consumed_ids, _, _) in read_log(world.run_dir.agent(name).reactions,
+                                                reaction_fields):
+            for consumed in consumed_ids:
                 assert world.artifacts[consumed].artifact_type in allowed
                 assert world.artifacts[consumed].producer_agent != name
 
