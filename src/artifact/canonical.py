@@ -15,10 +15,11 @@ are where data from outside the simulator enters a record: skill params,
 payloads and need variants. ``canonical_line`` writes records the simulator
 built from those, and does not walk them again.
 
-A record read back has the fields its writer writes and no others:
-``known_fields`` is that rule, for each record of a run's files and each
-record nested in one. Free-form maps (payloads, journal metadata, need
-variants, per-agent counts) are not records, and hold any keys.
+A record read back has exactly the fields its writer writes, and every
+writer writes every field: ``known_fields`` is that rule, for each record of
+a run's files and each record nested in one. Free-form maps (payloads,
+journal metadata, need variants, per-agent counts) are not records, and
+hold any keys.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def canonical_line(record: dict) -> bytes:
 
 
 def known_fields(record: dict, names: AbstractSet[str]) -> dict:
-    """``record`` itself, once each of its keys is one of ``names``: a field
-    that no writer writes raises ValueError."""
-    if not record.keys() <= names:
-        raise ValueError(f"unknown field(s) {sorted(record.keys() - names)}")
+    """``record`` itself, once its keys are exactly ``names``: a field that
+    no writer writes, or one missing, raises ValueError."""
+    if record.keys() != names:
+        raise ValueError(f"unknown field(s) {sorted(record.keys() - names)}, "
+                         f"missing field(s) {sorted(names - record.keys())}")
     return record

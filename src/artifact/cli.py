@@ -30,6 +30,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"avg dag depth: {report.dag_metrics['avg_dag_depth']:.3f}")
     print(f"posts: {report.posts}  reactions: {report.reactions}  "
           f"mutations: {report.mutations}")
+    latency = report.mean_need_latency_seconds
+    print(f"needs fulfilled: {len(report.need_latencies)}  mean need latency: "
+          + (f"{latency / 3600:.2f} simulated hours" if latency is not None else "none"))
     print(f"report written to {RunDir(args.out).report}")
     return _cmd_verify(args) if args.verify else 0
 

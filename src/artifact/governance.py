@@ -8,16 +8,16 @@ their type, producer and lineage are in their own store records. Karma is
 the running sum of votes on an author's posts and comments; tier follows
 karma (and reputation, for Trusted) after every change.
 
-The ledger keeps the visible posts in ``(created, id)`` order as they are
-created or replayed, so the feed is read, never sorted. A post is hidden
-only when it is created (its author is shadowbanned then), so a post never
-leaves that order.
+A post dated before the ledger's newest post is refused, so each post
+joins the end of the feed: the ledger keeps the visible posts in
+``(created, id)`` order by appending them as they are created or replayed,
+and the feed is read, never sorted. A post is hidden only when it is created
+(its author is shadowbanned then), so a post never leaves that order.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -27,6 +27,7 @@ from .canonical import known_fields
 from .clock import Clock, SystemClock, format_timestamp, parse_timestamp
 from .errors import (
     ArtifactError,
+    ClockSkew,
     DanglingArtifactRef,
     Forbidden,
     InvalidKind,
@@ -145,11 +146,6 @@ class _RateState:
     votes_today: int = 0
 
 
-def feed_order(post: Post) -> tuple:
-    """The order of the feed, oldest first: created, then id."""
-    return (post.created, post.id)
-
-
 def _seconds_to_next_utc_day(now: datetime) -> float:
     next_day = (now + timedelta(days=1)).replace(hour=0, minute=0, second=0, microsecond=0)
     return (next_day - now).total_seconds()
@@ -186,7 +182,6 @@ class GovernanceLedger:
         self.accounts: dict[str, AgentAccount] = {}
         self.posts: dict[str, Post] = {}
         self._visible: list[Post] = []
-        self.feed_reorders = 0
         self.comments: dict[str, CommentAction] = {}
         self.links: list[PostLink] = []
         self._rates: dict[str, _RateState] = {}
@@ -319,8 +314,15 @@ class GovernanceLedger:
         now: datetime | None = None,
     ) -> Post:
         """Publish a post; ``artifact_refs`` are the ids of the artifacts it
-        cites, whose type, producer and lineage their own records hold."""
+        cites, whose type, producer and lineage their own records hold. A
+        post dated before the newest post, hidden or not, raises ClockSkew."""
         now = self._now(now)
+        created = format_timestamp(now)
+        if self.posts:
+            newest = next(reversed(self.posts.values()))
+            if created < newest.created:
+                raise ClockSkew(f"post dated {created} precedes {newest.id} "
+                                f"of {newest.created}")
         account = self.account(author)
         if account.tier == Tier.BANNED:
             raise Forbidden(f"{author} is banned from posting")
@@ -341,14 +343,11 @@ class GovernanceLedger:
             tools_used=list(tools_used),
             artifact_refs=list(artifact_refs),
             hidden=account.tier == Tier.SHADOWBAN,
-            created=format_timestamp(now),
+            created=created,
         )
         self.posts[post.id] = post
         if not post.hidden:
-            position = bisect_right(self._visible, feed_order(post), key=feed_order)
-            if position < len(self._visible):
-                self.feed_reorders += 1
-            self._visible.insert(position, post)
+            self._visible.append(post)
         account.post_count += 1
         self._count_action(author, "post", now)
         self._log("post", {
@@ -494,8 +493,7 @@ class GovernanceLedger:
     def visible_posts(self) -> list[Post]:
         """The visible posts of every community in (created, id) order: the
         ledger's own list, to read under the caller's lock and not to
-        change. A post joins at the end unless it is older than the newest,
-        and ``feed_reorders`` counts the posts that joined anywhere else."""
+        change. Each post joins at its end."""
         return self._visible
 
     def pending_interventions(self, agent: str) -> list[CommentAction]:

@@ -92,11 +92,11 @@ def index_fields(record: dict) -> tuple[str, str, NeedKey | None]:
     """The artifact id, producer and fulfilled need key of one index.jsonl
     record.
 
-    Raises KeyError or ValueError for a record that is not an index line.
+    Raises ValueError for a record that is not an index line.
     """
+    known_fields(record, {"artifact_id", "producer_agent", "fulfills"})
     artifact_id, producer, fulfills = (record["artifact_id"], record["producer_agent"],
                                        record["fulfills"])
-    known_fields(record, {"artifact_id", "producer_agent", "fulfills"})
     if not (isinstance(artifact_id, str) and isinstance(producer, str)
             and (fulfills is None or isinstance(fulfills, str))):
         raise ValueError("artifact_id and producer_agent must be strings, "

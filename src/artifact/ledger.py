@@ -33,7 +33,6 @@ from .clock import Clock, format_timestamp
 from .errors import (
     CorruptStore,
     CyclicLineage,
-    DuplicateArtifact,
     InvalidAddress,
     InvalidPayload,
     UnknownArtifactType,
@@ -56,7 +55,7 @@ class Artifact:
     timestamp: str
     content_hash: str
     parent_artifact_ids: tuple
-    needs: NeedsSignal | None = None
+    needs: NeedsSignal | None
 
     def to_dict(self) -> dict:
         return {
@@ -76,7 +75,7 @@ class Artifact:
     @classmethod
     def from_dict(cls, data: dict) -> "Artifact":
         known_fields(data, cls.__dataclass_fields__.keys())
-        needs = data.get("needs")
+        needs = data["needs"]
         return cls(
             artifact_id=data["artifact_id"],
             artifact_type=data["artifact_type"],
@@ -88,7 +87,7 @@ class Artifact:
             timestamp=data["timestamp"],
             content_hash=data["content_hash"],
             parent_artifact_ids=tuple(data["parent_artifact_ids"]),
-            needs=NeedsSignal.from_dict(needs) if needs else None,
+            needs=NeedsSignal.from_dict(needs) if needs is not None else None,
         )
 
 
@@ -256,35 +255,17 @@ def read_log(
 
 
 class ArtifactStore:
-    """Append-only JSONL store for one agent's artifacts.
+    """Append-only JSONL store for one agent's artifacts: a writer only.
 
     One canonical record per line. Appends are whole-line writes, so a crash
-    leaves either zero or one complete new line. Opening a store reads it
-    with ``read_log``, and a line repeating an earlier artifact id is damaged
-    too, as ``append`` would have refused it. An append is not durable until
-    the store's ``log`` is synced, which the simulator does once per
-    heartbeat.
+    leaves either zero or one complete new line. An append is not durable
+    until the store's ``log`` is synced, which the simulator does once per
+    heartbeat. ``World.emit`` refuses a repeated id before anything is
+    written, and ``rundir.read_store`` reads a store back.
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.log = AppendLog(self.path)
-        self._by_id: dict[str, Artifact] = {}
-        for number, artifact in read_log(self.path, Artifact.from_dict):
-            if artifact.artifact_id in self._by_id:
-                raise CorruptStore(str(self.path), number,
-                                   f"repeated artifact id {artifact.artifact_id}")
-            self._by_id[artifact.artifact_id] = artifact
-
-    def __len__(self) -> int:
-        return len(self._by_id)
+        self.log = AppendLog(path)
 
     def append(self, artifact: Artifact) -> None:
-        if artifact.artifact_id in self._by_id:
-            raise DuplicateArtifact(f"artifact {artifact.artifact_id} already stored")
         self.log.append(artifact.to_dict())
-        self._by_id[artifact.artifact_id] = artifact
-
-    def records(self) -> list[Artifact]:
-        """Records in append order, as read at open and appended since."""
-        return list(self._by_id.values())

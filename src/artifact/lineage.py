@@ -367,9 +367,11 @@ class LineageGraph:
         return list(self._children_map().get(artifact_id, ()))
 
     def leaves(self) -> list[str]:
-        """Ids of nodes with no children, in insertion order."""
-        children = self._children_map()
-        return [nid for nid in self._nodes if not children.get(nid)]
+        """Ids of nodes with no children, in insertion order; under the lock,
+        since another agent's insert may add a node meanwhile."""
+        with self._lock:
+            children = self._children_map()
+            return [nid for nid in self._nodes if not children.get(nid)]
 
     def is_acyclic(self) -> bool:
         """Brute-force three-color DFS over effective parent edges."""

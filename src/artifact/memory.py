@@ -55,7 +55,7 @@ class JournalEntry:
     timestamp: str
     kind: str
     content: str
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     def to_dict(self) -> dict:
         return {
@@ -68,7 +68,7 @@ class JournalEntry:
     @classmethod
     def from_dict(cls, data: dict) -> "JournalEntry":
         known_fields(data, cls.__dataclass_fields__.keys())
-        metadata = data.get("metadata", {})
+        metadata = data["metadata"]
         if not isinstance(metadata, dict):
             raise TypeError("metadata must be an object")
         return cls(

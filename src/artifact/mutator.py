@@ -76,8 +76,8 @@ class MutationEvent:
     inputs: tuple
     outputs: tuple
     cycle: int
-    new_parent: str | None = None
-    seq: int | None = None  # a graft's place in the graph's graft order
+    new_parent: str | None
+    seq: int | None  # a graft's place in the graph's graft order; null otherwise
 
     def __post_init__(self):
         if self.kind not in MUTATION_KINDS:
@@ -86,10 +86,13 @@ class MutationEvent:
             raise ValueError("fork takes one input and yields two outputs")
         if self.kind == "merge" and (len(self.inputs) < 2 or len(self.outputs) != 1):
             raise ValueError("merge takes >=2 inputs and yields one output")
-        if self.kind == "graft" and (len(self.inputs) != 1 or self.new_parent is None):
-            raise ValueError("graft takes one input and records its new parent")
-        if self.seq is not None and not isinstance(self.seq, int):
-            raise ValueError("seq must be an integer")
+        if self.kind == "graft":
+            if len(self.inputs) != 1 or self.new_parent is None:
+                raise ValueError("graft takes one input and records its new parent")
+            if not isinstance(self.seq, int) or isinstance(self.seq, bool):
+                raise ValueError("a graft carries an integer seq")
+        elif self.seq is not None:
+            raise ValueError(f"a {self.kind} carries no seq")
 
     def to_dict(self) -> dict:
         return {
@@ -109,8 +112,8 @@ class MutationEvent:
             inputs=tuple(data["inputs"]),
             outputs=tuple(data["outputs"]),
             cycle=data["cycle"],
-            new_parent=data.get("new_parent"),
-            seq=data.get("seq"),
+            new_parent=data["new_parent"],
+            seq=data["seq"],
         )
 
 
@@ -273,6 +276,8 @@ class Mutator:
             inputs=(artifact.artifact_id,),
             outputs=(child_a.artifact_id, child_b.artifact_id),
             cycle=cycle,
+            new_parent=None,
+            seq=None,
         ))
         return child_a, child_b
 
@@ -295,6 +300,8 @@ class Mutator:
             inputs=tuple(x.artifact_id for x in ordered),
             outputs=(merged.artifact_id,),
             cycle=cycle,
+            new_parent=None,
+            seq=None,
         ))
         return merged
 

@@ -67,8 +67,8 @@ class NeedItem:
             artifact_type=data["artifact_type"],
             query=data["query"],
             rationale=data["rationale"],
-            parallel_variants=tuple(data.get("parallel_variants", ())),
-            preferred_skills=tuple(data.get("preferred_skills", ())),
+            parallel_variants=tuple(data["parallel_variants"]),
+            preferred_skills=tuple(data["preferred_skills"]),
         )
 
 

@@ -95,16 +95,14 @@ def reaction_fields(record: dict) -> tuple[list[str], str | None, str]:
     reactions.jsonl record, whose pressure is null or has exactly the
     terms of a ``PressureBreakdown``.
 
-    Raises KeyError, AttributeError (a pressure that is not a map) or
-    ValueError for a record that is not a reaction.
+    Raises ValueError, or AttributeError for a pressure that is not a map,
+    for a record that is not a reaction.
     """
-    consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
-    produced = record["produced_id"]
     known_fields(record, ReactionRecord.__dataclass_fields__.keys())
-    pressure = record.get("pressure")
-    terms = PressureBreakdown.__dataclass_fields__.keys()
-    if pressure is not None and known_fields(pressure, terms).keys() != terms:
-        raise ValueError(f"pressure lacks term(s) {sorted(terms - pressure.keys())}")
+    consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
+    produced, pressure = record["produced_id"], record["pressure"]
+    if pressure is not None:
+        known_fields(pressure, PressureBreakdown.__dataclass_fields__.keys())
     if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
             and (fulfilled is None or isinstance(fulfilled, str))
             and isinstance(produced, str)):

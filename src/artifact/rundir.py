@@ -17,7 +17,7 @@ from .canonical import known_fields
 from .clock import parse_timestamp
 from .errors import ArtifactError, CorruptStore, CycleRejected, DanglingParent, UnknownArtifact
 from .index import NeedKey, read_index, variant_ids
-from .ledger import Artifact, ArtifactStore, read_log, scan_order, verify_integrity
+from .ledger import Artifact, read_log, scan_order, verify_integrity
 from .lineage import DagMetrics, LineageGraph
 from .mutator import MutationEvent
 from .reactor import reaction_fields
@@ -90,16 +90,20 @@ def mean_latency(latencies: dict[str, float]) -> float | None:
 
 
 def read_store(run_dir: RunDir, agent: str, into: dict[str, Artifact]) -> None:
-    """Add each record of an agent's store to ``into``, by id. A damaged
-    line, and a record that ``into`` holds already (another store's) or that
-    another agent produced, raise CorruptStore."""
+    """Add each record of an agent's store to ``into``, by id: the one reader
+    of a store. A damaged line, and a record whose id ``into`` holds already
+    (an earlier line's or another store's) or that another agent produced,
+    raise CorruptStore."""
     path = run_dir.agent(agent).store
-    # A store holds one record per line, so a record's place is its line.
-    for number, artifact in enumerate(ArtifactStore(path).records(), start=1):
+    for number, artifact in read_log(path, Artifact.from_dict):
         held = into.get(artifact.artifact_id)
         if held is not None:
-            raise CorruptStore(str(path), number, f"artifact {artifact.artifact_id} "
-                               f"is in the store of {held.producer_agent} too")
+            # Every record held passed the producer check below, so one of
+            # this agent's is an earlier line of this store.
+            where = ("earlier in this store" if held.producer_agent == agent
+                     else f"in the store of {held.producer_agent} too")
+            raise CorruptStore(str(path), number,
+                               f"artifact {artifact.artifact_id} is {where}")
         if artifact.producer_agent != agent:
             raise CorruptStore(str(path), number, f"artifact {artifact.artifact_id} "
                                f"was produced by {artifact.producer_agent}")
@@ -113,8 +117,7 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
     mutation events as (agent, line number, event); a damaged store or
     mutation line raises CorruptStore, and so does a store record that
     ``read_store`` refuses. Grafts replay in ``seq`` order, the order the
-    live graph applied them; a graft line without one replays after those,
-    by cycle, agent and line.
+    live graph applied them.
     """
     run_dir = RunDir(out_dir)
     artifacts: dict[str, Artifact] = {}
@@ -127,9 +130,8 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
               for agent in run_dir.agent_names()
               for number, event in read_log(run_dir.agent(agent).mutations,
                                             MutationEvent.from_dict)]
-    grafts = [(event.seq is None, event.seq or 0, event.cycle, agent, number, event)
-              for agent, number, event in events if event.kind == "graft"]
-    for *_, event in sorted(grafts, key=lambda g: g[:5]):
+    grafts = [event for _, _, event in events if event.kind == "graft"]
+    for event in sorted(grafts, key=lambda event: event.seq):
         graph.set_parents(event.inputs[0], (event.new_parent,))
     return graph, artifacts, events
 
@@ -206,7 +208,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
             if event.seq in grafted_by:
                 violations.append(f"{where}: graft seq {event.seq} "
                                   f"repeats a graft of {grafted_by[event.seq]}")
-            elif event.seq is not None:
+            else:
                 grafted_by[event.seq] = agent
             continue
         violations += _mutation_line_violations(f"{where}: {event.kind}", agent, event,

@@ -23,7 +23,8 @@ from typing import Callable, Container, Sequence
 
 from .canonical import Payload, canonicalize
 from .clock import EPOCH, ManualClock
-from .errors import ArtifactError, InvalidFormat, RateLimited
+from .errors import (ArtifactError, DuplicateArtifact, InvalidFormat, RateLimited,
+                     UnknownArtifact)
 from .governance import GovernanceLedger, Post
 from .index import GlobalIndex, NeedKey
 from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
@@ -76,9 +77,8 @@ class GapQueue:
     that comes first in feed order, newest post first. An entry
     whose investigation the agent has started is popped only when it
     reaches the top: trackers only grow, and a post is hidden only when it
-    is created, so no entry below the top can come back. Should a post
-    join the feed anywhere but at its end, which a run's clock never makes
-    happen, the places shift and the queue is rebuilt from the start.
+    is created, so no entry below the top can come back. A post joins the
+    feed only at its end, so a post's place never shifts.
 
     The queue is bounded by the heartbeats its agent has left. A heartbeat
     starts at most one investigation (a redirect, a seeded topic or this
@@ -103,7 +103,6 @@ class GapQueue:
         self.community = community
         self.cycles = cycles
         self._cursor = 0
-        self._reorders = 0
         self._heap: list[int] = []
         self._trimmed = 0  # the heap's size after its last trim
 
@@ -145,8 +144,6 @@ class GapQueue:
              started: Container[str], cycle: int) -> str | None:
         """The first queued question whose slug is not in ``started``, at
         ``cycle`` of the run's ``cycles``."""
-        if governance.feed_reorders != self._reorders:
-            self._reorders, self._cursor, self._heap = governance.feed_reorders, 0, []
         posts = governance.visible_posts()
         self._admit(posts)
         if len(self._heap) > 2 * self._trimmed:
@@ -212,9 +209,9 @@ class World:
         # unknown skill leaves no output behind.
         self.registry, self.profiles = scenario.load_profiles()
         self.artifact_types = self.registry.artifact_types()
-        self.artifacts: dict[str, Artifact] = {}
-        self.index = GlobalIndex(self.run_dir.index, self.resolve_id)
+        # The graph holds each artifact, and resolves ids for the index.
         self.graph = LineageGraph()
+        self.index = GlobalIndex(self.run_dir.index, self.resolve_id)
         self.claims = ConsumptionClaims()
         self.payload_keys: dict[str, frozenset] = {}
         self.governance = GovernanceLedger(
@@ -268,7 +265,12 @@ class World:
             log.close()
 
     def resolve_id(self, artifact_id: str) -> Artifact | None:
-        return self.artifacts.get(artifact_id)
+        """The published artifact of an id, as the lineage graph holds it,
+        or None."""
+        try:
+            return self.graph.node(artifact_id)
+        except UnknownArtifact:
+            return None
 
     def question_slug(self, question: str) -> str:
         """slugify(question), computed once per distinct question."""
@@ -292,12 +294,14 @@ class World:
         """Create and publish one artifact on an agent's behalf; the one
         place an artifact is made.
 
-        Publishing goes store line, then resolvable (with its birth cycle),
-        then graph, then index, so whoever meets the id in the graph or the
-        index can resolve it; both hold the artifact itself. ``before_store``
-        gets the new artifact before anything is written: a reaction appends
-        its line there, ahead of its product's store line. ``fulfills`` is
-        published with the artifact in the index.
+        An id the graph holds already raises DuplicateArtifact before
+        anything is written. Publishing then goes store line, birth cycle,
+        graph, index: the graph's node is what ``resolve_id`` finds, so
+        whoever meets the id in the index can resolve it, and the graph and
+        the index hold the artifact itself. ``before_store`` gets the new
+        artifact before anything is written: a reaction appends its line
+        there, ahead of its product's store line. ``fulfills`` is published
+        with the artifact in the index.
         """
         runtime = self.agents[agent_name]
         with self._emit_lock:
@@ -313,10 +317,11 @@ class World:
                 known_types=self.artifact_types,
                 id_factory=lambda: new_uuid(runtime.rng),
             )
+            if artifact.artifact_id in self.graph:
+                raise DuplicateArtifact(f"artifact {artifact.artifact_id} already published")
             if before_store is not None:
                 before_store(artifact)
             runtime.store.append(artifact)
-            self.artifacts[artifact.artifact_id] = artifact
             self.birth_cycles[artifact.artifact_id] = self.current_cycle
             self.graph.insert(artifact)
             self.index.publish(artifact, fulfills)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from artifact.clock import EPOCH, ManualClock
-from artifact.ledger import AppendLog, create_artifact, new_uuid
+from artifact.ledger import AppendLog, Artifact, create_artifact, new_uuid, read_log
 from artifact.skills import default_registry
 
 settings.register_profile("suite", deadline=None)
@@ -73,6 +73,11 @@ def make_artifact(clock, rng):
         )
 
     return factory
+
+
+def stored_records(path) -> list:
+    """The artifacts a store file holds, in line order."""
+    return [artifact for _, artifact in read_log(path, Artifact.from_dict)]
 
 
 def nothing_stored(artifact_id: str):

@@ -23,6 +23,7 @@ from artifact.mutator import MutationPolicy
 from artifact.needs import NeedItem
 from artifact.pressure import PressureContext, centrality, novelty, pressure
 from artifact.reactor import merge_payloads, reaction_fields
+from artifact.rundir import RunDir, read_store
 from artifact.sim import Scenario, demo_scenario, load_world_dag, run
 
 from .conftest import random_payload, shuffle_keys
@@ -182,7 +183,7 @@ def test_criterion_04_loop_prevention_over_50_cycles(tmp_path):
                                                 reaction_fields):
             for consumed in consumed_ids:
                 consumed_counts[consumed] = consumed_counts.get(consumed, 0) + 1
-                assert world.artifacts[consumed].producer_agent != name, \
+                assert world.resolve_id(consumed).producer_agent != name, \
                     f"{name} consumed its own artifact"
     assert consumed_counts, "the run produced no consuming reactions"
     assert all(count == 1 for count in consumed_counts.values()), \
@@ -202,14 +203,14 @@ def test_criterion_05_emergent_synthesis(tmp_path):
     for entry in world.index.entries():
         if entry.artifact_type != "synthesis" or len(entry.parent_artifact_ids) < 2:
             continue
-        producers = {world.artifacts[p].producer_agent
+        producers = {world.resolve_id(p).producer_agent
                      for p in entry.parent_artifact_ids}
         if len(producers) >= 2:
             spanning.append(entry)
     assert spanning, "no multi-producer synthesis emerged"
     for entry in spanning:
         assert entry.parent_artifact_ids == \
-            world.artifacts[entry.artifact_id].parent_artifact_ids
+            world.resolve_id(entry.artifact_id).parent_artifact_ids
     runtime = time.monotonic() - started
     assert runtime < 5.0, f"criterion 5 took {runtime:.2f}s"
     _pass(5, f"{len(spanning)} synthesis artifact(s) span >=2 producers, "
@@ -321,16 +322,19 @@ def test_criterion_09_hash_and_store_integrity(tmp_path, make_artifact):
         payload = random_payload(gen)
         assert content_hash(payload) == content_hash(shuffle_keys(gen, payload))
 
-    store = ArtifactStore(tmp_path / "store.jsonl")
+    run_dir = RunDir(tmp_path)
+    store = ArtifactStore(run_dir.agent("alice").store)
     originals = [make_artifact(payload=random_payload(gen)) for _ in range(20)]
     for artifact in originals:
         store.append(artifact)
-    assert ArtifactStore(store.path).records() == originals
+    stored: dict = {}
+    read_store(run_dir, "alice", stored)
+    assert list(stored.values()) == originals
 
-    raw = store.path.read_bytes()
-    store.path.write_bytes(raw[:-7])
+    raw = store.log.path.read_bytes()
+    store.log.path.write_bytes(raw[:-7])
     with pytest.raises(CorruptStore) as err:
-        ArtifactStore(store.path)
+        read_store(run_dir, "alice", {})
     assert err.value.line_number == len(originals)
     _pass(9, "1000-payload hash stability, lossless store round-trip, "
              "truncation detected")

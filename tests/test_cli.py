@@ -114,10 +114,16 @@ def test_verify_detects_tampering(run_dir, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
-def test_demo_keyword_resolves(tmp_path):
+def test_demo_keyword_resolves(tmp_path, capsys):
     out = tmp_path / "demo"
-    assert main(["run", "demo", "--out", str(out)]) == 0
-    assert (out / "report.json").exists()
+    assert main(["run", "demo", "--out", str(out), "--verify"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["need_latencies"]  # the demo fulfils needs
+    hours = report["mean_need_latency_seconds"] / 3600
+    printed = capsys.readouterr().out.splitlines()
+    assert (f"needs fulfilled: {len(report['need_latencies'])}  "
+            f"mean need latency: {hours:.2f} simulated hours") in printed
+    assert printed[-1] == "all invariant checks passed"
     assert Scenario.load is not None
 
 

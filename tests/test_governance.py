@@ -5,8 +5,10 @@ from datetime import timedelta
 
 import pytest
 
-from artifact.clock import EPOCH, ManualClock
+from artifact.clock import EPOCH, ManualClock, format_timestamp
 from artifact.errors import (
+    ClockSkew,
+    CorruptStore,
     DanglingArtifactRef,
     Forbidden,
     InvalidKind,
@@ -201,6 +203,34 @@ def test_shadowbanned_post_hidden(ledger):
     post = make_post(ledger)
     assert post.hidden
     assert post.id not in [p.id for p in ledger.feed("main")]
+
+
+@pytest.mark.parametrize("newest_hidden", [False, True])
+def test_a_backdated_post_is_refused(ledger, clock, newest_hidden):
+    """A post dated before the newest post, hidden or not, raises ClockSkew
+    before the ledger changes or logs anything, so each post joins the feed
+    at its end; a log that holds such a post does not replay."""
+    make_post(ledger, author="bruno")
+    clock.advance(minutes=31)
+    if newest_hidden:
+        shady = ledger.account("alice")
+        shady.karma = -50
+        shady.refresh()
+    assert make_post(ledger).hidden == newest_hidden
+    feed, posts, log = ledger.feed("main"), dict(ledger.posts), ledger.path.read_bytes()
+    backdated = EPOCH - timedelta(days=1)
+    with pytest.raises(ClockSkew):
+        make_post(ledger, author="chen", now=backdated)
+    assert (ledger.feed("main"), ledger.posts, ledger.path.read_bytes()) == (feed, posts, log)
+    assert ledger.account("chen").post_count == 0
+
+    lines = log.splitlines(keepends=True)
+    event = json.loads(lines[-1])  # the newest post's
+    event["data"]["author"], event["now"] = "chen", format_timestamp(backdated)
+    ledger.path.write_bytes(log + json.dumps(event).encode("utf-8") + b"\n")
+    with pytest.raises(CorruptStore) as caught:
+        GovernanceLedger(ledger.path, clock=clock)
+    assert caught.value.line_number == len(lines) + 1
 
 
 def test_banned_author_cannot_post(ledger):

@@ -253,9 +253,8 @@ def sorted_gap(seed: int, agent: str, feed, started: set) -> str | None:
 # Slug collisions ("Role of X?" / "role of x") and repeats are deliberate.
 QUESTIONS = ("Role of X?", "role of x", "What is the role of kinetics in y?",
              "What is the role of grain in y?", "Why Z", "why-z!", "open")
-# "me" chooses; "shady" is shadowbanned, so its posts are hidden; "late" posts
-# are backdated, so they join the feed before its newest post.
-AUTHORS = ("me", "p1", "p2", "shady", "late")
+# "me" chooses; "shady" is shadowbanned, so its posts are hidden.
+AUTHORS = ("me", "p1", "p2", "shady")
 
 
 class GapFeed:
@@ -272,9 +271,9 @@ class GapFeed:
         self.seed = seed
         self.cycles = budget + 1
         self.starts = 0
-        self.clock = ManualClock(current=EPOCH + timedelta(days=1), step=timedelta(seconds=1))
+        self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
         self.ledger = GovernanceLedger(path, clock=self.clock)
-        for name in AUTHORS[:4]:
+        for name in AUTHORS:
             self.ledger.register_agent(name)
         shady = self.ledger.account("shady")
         shady.karma = -20
@@ -286,18 +285,11 @@ class GapFeed:
             governance=self.ledger,
             question_slug=slugify,
         )
-        self.backdated = 0
 
     def post(self, author: str, questions, community: str) -> None:
-        now = None
-        if author == "late":
-            self.backdated += 1
-            author = f"late{self.backdated}"
-            self.ledger.register_agent(author)
-            now = EPOCH + timedelta(seconds=self.backdated)
         self.clock.advance(minutes=31)  # past the per-author post interval
         call(self.ledger.create_post, author=author, title="t", community=community,
-             open_questions=questions, now=now)
+             open_questions=questions)
 
     def start(self, question: str) -> None:
         """Start a question's investigation (trackers only grow), unless the
@@ -353,8 +345,3 @@ def test_gap_ties_go_to_the_first_question_in_feed_order(monkeypatch, tmp_path):
     gaps.start("d question")
     gaps.start("c question")
     assert choose_gap(gaps.world, "me", gaps.starts) == "b question"
-    gaps.post("late", ["e question"], "main")  # backdated, so last in the feed
-    assert choose_gap(gaps.world, "me", gaps.starts) == "b question"
-    gaps.start("b question")
-    gaps.start("a question")
-    assert choose_gap(gaps.world, "me", gaps.starts) == "e question"

@@ -11,7 +11,7 @@ from artifact.index import GlobalIndex, NeedKey, variant_ids
 from artifact.ledger import Artifact, ArtifactStore, create_artifact
 from artifact.needs import NeedItem, NeedsSignal
 
-from .conftest import nothing_stored
+from .conftest import nothing_stored, stored_records
 
 RATIONALE = "more data on this entity would advance the run"
 
@@ -142,7 +142,7 @@ def stored(store, artifact_id, *, producer="alice", needs=None):
     """Store an artifact with this id and return it."""
     artifact = create_artifact(
         artifact_type="protein_data", producer_agent=producer, skill="protein_lookup",
-        payload={"n": len(store)}, parents=(), investigation_id="", needs=needs,
+        payload={"id": artifact_id}, parents=(), investigation_id="", needs=needs,
         clock=ManualClock(),
         id_factory=lambda: artifact_id,
     )
@@ -152,7 +152,7 @@ def stored(store, artifact_id, *, producer="alice", needs=None):
 
 def reopened(store):
     """Resolve an id through the store as read back from its file."""
-    return {a.artifact_id: a for a in ArtifactStore(store.path).records()}.get
+    return {a.artifact_id: a for a in stored_records(store.log.path)}.get
 
 
 def test_index_line_holds_the_address_and_fulfilled_key(tmp_path):

@@ -12,7 +12,6 @@ from artifact.clock import ManualClock
 from artifact.errors import (
     CorruptStore,
     CyclicLineage,
-    DuplicateArtifact,
     InvalidAddress,
     InvalidNeedsSignal,
     UnknownArtifactType,
@@ -32,6 +31,7 @@ from artifact.index import GlobalIndex
 from artifact.memory import AgentJournal
 from artifact.needs import NeedItem, NeedsSignal
 from artifact.reactor import _read_consumption
+from artifact.rundir import RunDir, read_store
 from artifact.sim import demo_scenario, load_world_dag, run, verify_output
 
 UUID_RE = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}$")
@@ -88,40 +88,44 @@ def test_self_parent_rejected(clock):
 
 # -- stores ---------------------------------------------------------------
 
+def alice_store(tmp_path) -> ArtifactStore:
+    """The store of agent alice, who produces ``make_artifact``'s artifacts,
+    in a run directory at ``tmp_path``."""
+    return ArtifactStore(RunDir(tmp_path).agent("alice").store)
+
+
+def read_alice(tmp_path) -> list:
+    """alice's records as ``read_store`` reads them, in line order."""
+    records: dict = {}
+    read_store(RunDir(tmp_path), "alice", records)
+    return list(records.values())
+
+
 def test_append_then_load_preserves_order(tmp_path, make_artifact):
-    store = ArtifactStore(tmp_path / "store.jsonl")
+    store = alice_store(tmp_path)
     a1, a2 = make_artifact(), make_artifact()
     store.append(a1)
     store.append(a2)
-    assert [a.artifact_id for a in ArtifactStore(store.path).records()] == [
-        a1.artifact_id, a2.artifact_id]
-
-
-def test_duplicate_append_rejected(tmp_path, make_artifact):
-    store = ArtifactStore(tmp_path / "store.jsonl")
-    a1 = make_artifact()
-    store.append(a1)
-    with pytest.raises(DuplicateArtifact):
-        store.append(a1)
+    assert [a.artifact_id for a in read_alice(tmp_path)] == [a1.artifact_id, a2.artifact_id]
 
 
 def test_truncated_final_line_detected(tmp_path, make_artifact):
-    store = ArtifactStore(tmp_path / "store.jsonl")
+    store = alice_store(tmp_path)
     store.append(make_artifact())
     store.append(make_artifact())
-    raw = store.path.read_bytes()
-    store.path.write_bytes(raw[:-10])
+    raw = store.log.path.read_bytes()
+    store.log.path.write_bytes(raw[:-10])
     with pytest.raises(CorruptStore) as err:
-        ArtifactStore(store.path)
+        read_alice(tmp_path)
     assert err.value.line_number == 2
 
 
 def test_append_only_byte_prefix(tmp_path, make_artifact):
-    store = ArtifactStore(tmp_path / "store.jsonl")
+    store = alice_store(tmp_path)
     store.append(make_artifact())
-    before = store.path.read_bytes()
+    before = store.log.path.read_bytes()
     store.append(make_artifact())
-    after = store.path.read_bytes()
+    after = store.log.path.read_bytes()
     assert after.startswith(before)
 
 
@@ -140,19 +144,10 @@ def test_round_trip_field_for_field(tmp_path, make_artifact):
         make_artifact(needs=needs, investigation_id="topic-x"),
     ]
     originals.append(make_artifact(parents=(originals[0].artifact_id,)))
-    store = ArtifactStore(tmp_path / "store.jsonl")
+    store = alice_store(tmp_path)
     for artifact in originals:
         store.append(artifact)
-    assert ArtifactStore(store.path).records() == originals
-
-
-def test_reopened_store_rejects_known_duplicate(tmp_path, make_artifact):
-    store = ArtifactStore(tmp_path / "store.jsonl")
-    a1 = make_artifact()
-    store.append(a1)
-    reopened = ArtifactStore(store.path)
-    with pytest.raises(DuplicateArtifact):
-        reopened.append(a1)
+    assert read_alice(tmp_path) == originals
 
 
 # -- integrity --------------------------------------------------------------
@@ -203,7 +198,8 @@ def test_invalid_addresses(bad):
 # Each kind of JSONL file a run writes: one such file in a demo run, the loader
 # that reads it, and whether its lines carry an id that may appear only once.
 RUN_FILES = {
-    "store": ("agents/alice/store.jsonl", ArtifactStore, True),
+    "store": ("agents/alice/store.jsonl",
+              lambda path: read_store(RunDir(path.parents[2]), "alice", {}), True),
     "index": ("index.jsonl",
               lambda path: GlobalIndex(path, load_world_dag(path.parent)[1].__getitem__), True),
     "reactions": ("agents/bruno/reactions.jsonl", _read_consumption, False),
@@ -305,6 +301,54 @@ def test_a_field_no_writer_writes_is_refused(demo_run, tmp_path, kind):
     assert (caught.value.path, caught.value.line_number) == (str(path), 1)
     if kind in VERIFIED:
         assert any("unknown field(s) ['unwritten']" in v for v in verify_output(out))
+
+
+# For each reader, fields its writer always writes: the kind of run file, and
+# the field's path within a record of it.
+MISSING = [
+    ("store", ("needs",)),                                   # Artifact.from_dict
+    ("store", ("needs", "items", 0, "parallel_variants")),   # NeedItem.from_dict
+    ("store", ("needs", "items", 0, "preferred_skills")),
+    ("index", ("fulfills",)),                                # index_fields
+    ("reactions", ("pressure",)),                            # reaction_fields
+    ("journal", ("metadata",)),                              # JournalEntry.from_dict
+    ("mutations", ("new_parent",)),                          # MutationEvent.from_dict
+    ("mutations", ("seq",)),
+    ("governance", ("now",)),                                # the governance replay
+]
+
+
+def field_holder(record, path):
+    """The map that holds the field at ``path`` in a record, or None."""
+    for step in path[:-1]:
+        try:
+            record = record[step]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return record if isinstance(record, dict) and path[-1] in record else None
+
+
+@pytest.mark.parametrize("kind, path", MISSING,
+                         ids=[f"{kind}-{'.'.join(map(str, path))}" for kind, path in MISSING])
+def test_a_field_its_writer_writes_is_required(demo_run, tmp_path, kind, path):
+    """The first line that holds the field, written without it, raises
+    CorruptStore at that line, and ``verify`` reports it for the kinds it
+    reads."""
+    name, load, _ = RUN_FILES[kind]
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    file = out / name
+    lines = file.read_bytes().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    number = next(i for i, record in enumerate(records) if field_holder(record, path) is not None)
+    del field_holder(records[number], path)[path[-1]]
+    lines[number] = json.dumps(records[number]).encode("utf-8") + b"\n"
+    file.write_bytes(b"".join(lines))
+    with pytest.raises(CorruptStore) as caught:
+        load(file)
+    assert (caught.value.path, caught.value.line_number) == (str(file), number + 1)
+    if kind in VERIFIED:
+        assert any(f"missing field(s) ['{path[-1]}']" in v for v in verify_output(out))
 
 
 def test_append_log_reopens_after_close(tmp_path):

@@ -396,15 +396,23 @@ def test_policy_artifacts_excluded_from_mutation(harness):
 
 def test_event_invariants():
     with pytest.raises(ValueError):
-        MutationEvent(kind="fork", inputs=("a",), outputs=("b",), cycle=0)
+        MutationEvent(kind="fork", inputs=("a",), outputs=("b",), cycle=0,
+                      new_parent=None, seq=None)
     with pytest.raises(ValueError):
-        MutationEvent(kind="merge", inputs=("a",), outputs=("b",), cycle=0)
+        MutationEvent(kind="merge", inputs=("a",), outputs=("b",), cycle=0,
+                      new_parent=None, seq=None)
     with pytest.raises(ValueError):
-        MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0)
-    with pytest.raises(ValueError):
-        MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent="p",
-                      seq="1")
-    MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent="p")
+        MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent=None, seq=1)
+    for seq in ("1", None, True):  # a graft carries an integer seq
+        with pytest.raises(ValueError):
+            MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent="p",
+                          seq=seq)
+    with pytest.raises(ValueError):  # and nothing else does
+        MutationEvent(kind="fork", inputs=("a",), outputs=("b", "c"), cycle=0,
+                      new_parent=None, seq=1)
+    MutationEvent(kind="graft", inputs=("a",), outputs=(), cycle=0, new_parent="p", seq=1)
+    MutationEvent(kind="fork", inputs=("a",), outputs=("b", "c"), cycle=0,
+                  new_parent=None, seq=None)
 
 
 # -- the sibling-pair index against the full rescan it replaced ----------------------

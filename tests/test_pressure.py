@@ -40,6 +40,7 @@ def entry(artifact_id, producer="alice", timestamp=None):
         timestamp=timestamp or "2024-01-01T00:00:00.000000+00:00",
         content_hash="",
         parent_artifact_ids=(),
+        needs=None,
     )
 
 

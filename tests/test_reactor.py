@@ -23,7 +23,7 @@ from artifact.reactor import (
 )
 from artifact.skills import SkillManifest, load_profile, registry_from_dict
 
-from .conftest import nothing_stored
+from .conftest import nothing_stored, stored_records
 
 RATIONALE = "downstream synthesis is blocked on this data"
 
@@ -119,7 +119,6 @@ class Harness:
         self.graph = LineageGraph()
         self.claims = ConsumptionClaims()
         self.payload_keys = {}
-        self.artifacts = {}
         self.reactors = {}
         self.stores = {}
         self.rngs = {}
@@ -139,7 +138,7 @@ class Harness:
             index=self.index,
             graph=self.graph,
             emit=lambda **kwargs: self.emit(name, **kwargs),
-            reactions_path=self.stores[name].path.parent / "reactions.jsonl",
+            reactions_path=self.stores[name].log.path.parent / "reactions.jsonl",
             clock=self.clock,
             rng=self.rngs[name],
             claims=claims,
@@ -163,7 +162,6 @@ class Harness:
         if before_store is not None:
             before_store(artifact)
         self.stores[agent].append(artifact)
-        self.artifacts[artifact.artifact_id] = artifact
         self.graph.insert(artifact)
         self.index.publish(artifact, fulfills)
         return artifact
@@ -267,7 +265,7 @@ def test_single_need_limit_three(harness):
     assert record.consumed_ids == ()
     assert record.fulfilled_need == NeedKey(carrier.artifact_id, 0, "default")
     assert record.pressure is not None and record.pressure.score >= 3.0
-    produced = harness.artifacts[record.produced_id]
+    produced = harness.graph.node(record.produced_id)
     assert produced.artifact_type == "sequence_alignment"
     assert produced.parent_artifact_ids == (carrier.artifact_id,)
     # fulfillment is visible in the index
@@ -304,7 +302,7 @@ def test_variant_need_records_variant_key(harness):
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     records = harness.reactors["bob"].react_to_needs(limit=1)
     assert records[0].fulfilled_need == NeedKey(carrier.artifact_id, 0, "v0")
-    produced = harness.artifacts[records[0].produced_id]
+    produced = harness.graph.node(records[0].produced_id)
     assert produced.payload["echo"]["sequence"] == "AAAA"  # variant overrides query
     # the sibling variant remains open
     open_keys = {k.text for k, _, _ in harness.index.open_needs({})}
@@ -356,7 +354,7 @@ def test_multi_parent_synthesis(harness):
     assert record is not None
     assert record.kind == "multi_parent"
     assert set(record.consumed_ids) == {a1.artifact_id, c1.artifact_id}
-    produced = harness.artifacts[record.produced_id]
+    produced = harness.graph.node(record.produced_id)
     assert produced.artifact_type == "synthesis"
     assert produced.producer_agent == "bob"
     # parents ordered oldest -> newest and recorded in the index entry
@@ -403,7 +401,7 @@ def test_react_single_parent_phase(harness):
     records = harness.reactors["bob"].react(limit=3)
     assert [r.kind for r in records] == ["single_parent"]
     assert records[0].consumed_ids == (artifact.artifact_id,)
-    produced = harness.artifacts[records[0].produced_id]
+    produced = harness.graph.node(records[0].produced_id)
     assert produced.parent_artifact_ids == (artifact.artifact_id,)
     assert produced.artifact_type == "sequence_alignment"
 
@@ -443,7 +441,7 @@ def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_p
     def check_log(artifact):
         last = json.loads(log_path.read_text(encoding="utf-8").splitlines()[-1])
         seen.append((last["kind"], last["produced_id"] == artifact.artifact_id,
-                     artifact.artifact_id in harness.artifacts))
+                     artifact.artifact_id in harness.graph))
         store_append(artifact)
 
     store.append = check_log
@@ -459,7 +457,7 @@ def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_p
     assert seen == [("need_driven", True, False), ("multi_parent", True, False),
                     ("single_parent", True, False)]
     logged = [json.loads(line)["produced_id"] for line in log_path.read_text().splitlines()]
-    assert logged == [a.artifact_id for a in store.records()]
+    assert logged == [a.artifact_id for a in stored_records(store.log.path)]
 
 
 def test_payload_key_cache_is_transparent(harness):

@@ -23,7 +23,6 @@ def run_script(name, args, cwd):
 
 
 @pytest.mark.parametrize("name,args,printed", [
-    ("run_demo.py", ("out",), "all checks passed"),
     ("emergence_sweep.py", ("2", "2"), "cross-producer synthesis emerged in"),
 ])
 def test_script_runs(tmp_path, name, args, printed):

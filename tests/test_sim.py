@@ -13,14 +13,15 @@ import pytest
 
 from artifact import reactor as reactor_module
 from artifact.clock import ManualClock
-from artifact.errors import (ArtifactError, CorruptStore, InvalidFormat, InvalidScenario,
-                             UnknownArtifact)
+from artifact.errors import (ArtifactError, CorruptStore, DuplicateArtifact, InvalidFormat,
+                             InvalidScenario)
 from artifact.governance import GovernanceLedger
 from artifact.index import GlobalIndex
-from artifact.ledger import ArtifactStore, read_log
+from artifact.ledger import read_log
 from artifact.lineage import LineageGraph
 from artifact.memory import AgentJournal, InvestigationTracker
 from artifact.reactor import _read_consumption, param_keys, reaction_fields
+from artifact.rundir import RunDir, read_store
 from artifact.sim import (
     Scenario,
     World,
@@ -33,6 +34,8 @@ from artifact.sim import (
     select_chain,
     verify_output,
 )
+
+from .conftest import stored_records
 
 FIG2_AGENTS = [
     # alice produces everything up to protein_data, so her first two foreign
@@ -197,7 +200,7 @@ def test_heartbeat_posts_with_artifact_refs(tmp_path):
     [post] = world.governance.posts.values()
     assert post.title == "Findings: protein focus area"
     # The investigation's chain artifacts, then their synthesis.
-    pipeline = [a for a in solo.store.records()
+    pipeline = [a for a in stored_records(world.run_dir.agent("solo").store)
                 if a.investigation_id == investigation.id][:len(investigation.results) + 1]
     assert post.artifact_refs == [a.artifact_id for a in pipeline]
     assert post.artifact_refs[:-1] == [result["artifact"] for result in investigation.results]
@@ -411,26 +414,56 @@ def test_emergent_multi_producer_synthesis(tmp_path):
         if entry.artifact_type != "synthesis" or len(entry.parent_artifact_ids) < 2:
             continue
         producers = {
-            world.artifacts[p].producer_agent for p in entry.parent_artifact_ids
+            world.resolve_id(p).producer_agent for p in entry.parent_artifact_ids
         }
         if len(producers) >= 2:
             spanning.append(entry)
     assert spanning, "expected at least one cross-producer synthesis"
     # index entries record the full parent set
     for entry in spanning:
-        artifact = world.artifacts[entry.artifact_id]
+        artifact = world.resolve_id(entry.artifact_id)
         assert entry.parent_artifact_ids == artifact.parent_artifact_ids
 
 
 def test_index_graph_and_world_hold_one_record_per_artifact(tmp_path):
-    """The index and the lineage graph hold the artifact the world made, not
-    copies of its fields."""
+    """The index holds the artifact the world made, not a copy of its
+    fields, and the world resolves an id to the graph's node, that same
+    artifact."""
     world, _ = run(demo_scenario(), tmp_path / "out")
     published = world.index.entries()
-    assert len(published) == len(world.artifacts) == len(world.graph)
+    assert len(published) == len(world.graph)
     for artifact in published:
-        assert world.artifacts[artifact.artifact_id] is artifact
         assert world.graph.node(artifact.artifact_id) is artifact
+        assert world.resolve_id(artifact.artifact_id) is artifact
+
+
+@pytest.mark.parametrize("repeated", ["own", "peer"])
+def test_emit_refuses_a_repeated_id(tmp_path, repeated):
+    """An agent's id stream that repeats an id, its own earlier one or a
+    peer's, is refused before a reaction, store or index line is written."""
+    world = World(fig2_scenario(), tmp_path / "out")
+    alice = world.agents["alice"]
+    first_emitter = alice if repeated == "own" else world.agents["bruno"]
+    state = first_emitter.rng.getstate()
+    first = world.emit(first_emitter.profile.name, artifact_type="synthesis",
+                       skill="synthesize", payload={"n": 1})
+    alice.rng.setstate(state)  # alice's next id is the first artifact's
+
+    def log_reaction(artifact):
+        alice.reactor.reactions.append({"produced_id": artifact.artifact_id})
+
+    with pytest.raises(DuplicateArtifact):
+        world.emit("alice", artifact_type="synthesis", skill="synthesize",
+                   payload={"n": 2}, before_store=log_reaction)
+    world.close()
+    assert world.resolve_id(first.artifact_id) is first
+    files = world.run_dir.agent("alice")
+    lines = {path: path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+             for path in (files.reactions, files.store, world.run_dir.index)}
+    mentions = {path: sum(first.artifact_id in line for line in text)
+                for path, text in lines.items()}
+    assert mentions == {files.reactions: 0, files.store: int(repeated == "own"),
+                        world.run_dir.index: 1}
 
 
 def test_run_passes_invariant_checks(tmp_path):
@@ -445,7 +478,7 @@ def test_a_world_reads_each_payloads_keys_once(tmp_path, monkeypatch):
     monkeypatch.setattr(reactor_module, "param_keys",
                         lambda payload: reads.append(id(payload)) or param_keys(payload))
     world, _ = run(demo_scenario(), tmp_path / "out")
-    assert reads and len(reads) == len(set(reads)) <= len(world.artifacts)
+    assert reads and len(reads) == len(set(reads)) <= len(world.graph)
 
 
 def test_dropped_world_is_freed_without_the_cyclic_collector(tmp_path):
@@ -535,9 +568,19 @@ def _add_extra_field(path, nested):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _drop_fields(path, *names):
+    """Delete the named fields from the first line of ``path``."""
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(first)
+    for name in names:
+        del record[name]
+    path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+
+
 def _graft(node, new_parent):
+    """A graft line numbered after every graft of the run."""
     return {"kind": "graft", "inputs": [node], "outputs": [], "cycle": 99,
-            "new_parent": new_parent}
+            "new_parent": new_parent, "seq": 10**6}
 
 
 UNKNOWN_ID = "00000000-0000-4000-8000-000000000000"
@@ -545,7 +588,7 @@ UNKNOWN_ID = "00000000-0000-4000-8000-000000000000"
 
 def _reshape(kind, inputs, outputs):
     return {"kind": kind, "inputs": inputs, "outputs": outputs, "cycle": 99,
-            "new_parent": None}
+            "new_parent": None, "seq": None}
 
 
 @pytest.mark.parametrize("damage, error", [
@@ -564,8 +607,8 @@ def _reshape(kind, inputs, outputs):
     ("merge of an id no store holds", f"merge input {UNKNOWN_ID} is in no store"),
     ("unparseable report", "JSONDecodeError"),
     ("report that is not an object", "unreadable report"),
-    ("report without scenario", "KeyError('scenario')"),
-    ("report without dag_metrics", "KeyError('dag_metrics')"),
+    ("report without scenario", "missing field(s) ['scenario']"),
+    ("report without dag_metrics", "missing field(s) ['dag_metrics']"),
     ("report with a non-numeric depth", "ValueError"),
     ("report with a wrong synthesis_count", "dag_metrics synthesis_count mismatch"),
     ("report with a wrong per_agent", "dag_metrics per_agent mismatch"),
@@ -576,6 +619,10 @@ def _reshape(kind, inputs, outputs):
     ("report with an extra dag_metrics field", "unknown field(s) ['extra']"),
     ("an extra field in a need", "CorruptStore"),
     ("an extra field in a reaction's pressure", "unparseable reaction"),
+    ("a reaction line without kind, skill and pressure",
+     "missing field(s) ['kind', 'pressure', 'skill']"),
+    ("a store record without needs", "missing field(s) ['needs']"),
+    ("a graft line without seq", "lineage cannot be rebuilt"),
     ("report naming an unknown skill", "UnknownSkill"),
     ("missing report", "FileNotFoundError"),
 ])
@@ -583,7 +630,7 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
     out = tmp_path / "out"
     run(fig2_scenario(cycles=2), out)
     alice = out / "agents" / "alice"
-    child = next(a for a in ArtifactStore(alice / "store.jsonl").records() if a.parent_artifact_ids)
+    child = next(a for a in stored_records(alice / "store.jsonl") if a.parent_artifact_ids)
     parent = child.parent_artifact_ids[0]
     report_path = out / "report.json"
     report = json.loads(report_path.read_text(encoding="utf-8"))
@@ -619,11 +666,19 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         _add_extra_field(alice / "store.jsonl",
                          lambda record: record["needs"] and record["needs"]["items"][0])
         with pytest.raises(CorruptStore):
-            ArtifactStore(alice / "store.jsonl")
+            read_store(RunDir(out), "alice", {})
     elif damage == "an extra field in a reaction's pressure":
         _add_extra_field(alice / "reactions.jsonl", lambda record: record["pressure"])
         with pytest.raises(CorruptStore):
             _read_consumption(alice / "reactions.jsonl")
+    elif damage == "a reaction line without kind, skill and pressure":
+        _drop_fields(out / "agents" / "bruno" / "reactions.jsonl", "kind", "skill", "pressure")
+    elif damage == "a store record without needs":
+        _drop_fields(alice / "store.jsonl", "needs")
+    elif damage == "a graft line without seq":
+        graft = _graft(child.artifact_id, parent)
+        del graft["seq"]
+        _append_line(alice / "mutations.jsonl", graft)
     elif damage == "garbled store line":
         _append_line(alice / "store.jsonl", "{not json\n")
     elif damage == "non-UTF-8 store line":
@@ -651,7 +706,7 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         _append_line(alice / "mutations.jsonl",
                      _reshape("fork", [parent], [child.artifact_id, UNKNOWN_ID]))
     elif damage == "merge into a peer's artifact":
-        peer = ArtifactStore(out / "agents" / "bruno" / "store.jsonl").records()[0]
+        peer = stored_records(out / "agents" / "bruno" / "store.jsonl")[0]
         _append_line(alice / "mutations.jsonl",
                      _reshape("merge", [parent, child.artifact_id], [peer.artifact_id]))
     elif damage == "merge of an id no store holds":
@@ -808,7 +863,7 @@ def test_verify_reports_index_damage_as_violation(tmp_path, damage, error):
     elif damage == "variant never broadcast":
         fulfilling["fulfills"] = f"{carrier}:{need_index}:v9"
     elif damage == "key on a carrier with no needs":
-        bare = next(a for a in ArtifactStore(out / "agents" / "alice" / "store.jsonl").records()
+        bare = next(a for a in stored_records(out / "agents" / "alice" / "store.jsonl")
                     if a.needs is None)
         fulfilling["fulfills"] = f"{bare.artifact_id}:0:default"
     else:
@@ -841,8 +896,8 @@ def test_gating_holds_over_full_trace(tmp_path):
         for _, (consumed_ids, _, _) in read_log(world.run_dir.agent(name).reactions,
                                                 reaction_fields):
             for consumed in consumed_ids:
-                assert world.artifacts[consumed].artifact_type in allowed
-                assert world.artifacts[consumed].producer_agent != name
+                assert world.resolve_id(consumed).artifact_type in allowed
+                assert world.resolve_id(consumed).producer_agent != name
 
 
 def test_report_metrics_match_rebuilt_dag(tmp_path):
@@ -886,31 +941,28 @@ def test_concurrent_mode_preserves_invariants(tmp_path):
 
 
 def test_an_id_resolves_before_the_graph_or_the_index_holds_it(tmp_path, monkeypatch):
-    """Agents on threads publish through World.emit; every id handed to the
-    world's graph or index already resolves."""
-    worlds, unresolved = [], []
+    """Agents on threads publish through World.emit. The graph's node is what
+    an id resolves to, so the graph gets each id while it resolves to
+    nothing yet, and every id handed to the index already resolves."""
+    worlds, misplaced = [], []
     world_init = World.__init__
 
     def init(world, *args, **kwargs):
         worlds.append(world)
         world_init(world, *args, **kwargs)
 
-    def checked(method):
+    def checked(method, resolves):
         def wrapper(structure, item, *args):
             for world in worlds:
                 if structure is world.graph or structure is world.index:
-                    try:
-                        found = world.resolve_id(item.artifact_id)
-                    except UnknownArtifact:
-                        found = None
-                    if found is None:
-                        unresolved.append((type(structure).__name__, item.artifact_id))
+                    if (world.resolve_id(item.artifact_id) is not None) != resolves:
+                        misplaced.append((type(structure).__name__, item.artifact_id))
             return method(structure, item, *args)
         return wrapper
 
     monkeypatch.setattr(World, "__init__", init)
-    monkeypatch.setattr(LineageGraph, "insert", checked(LineageGraph.insert))
-    monkeypatch.setattr(GlobalIndex, "publish", checked(GlobalIndex.publish))
+    monkeypatch.setattr(LineageGraph, "insert", checked(LineageGraph.insert, False))
+    monkeypatch.setattr(GlobalIndex, "publish", checked(GlobalIndex.publish, True))
     data = fig2_scenario(cycles=3).to_dict()
     data["concurrent"] = True
     interval = sys.getswitchinterval()
@@ -921,9 +973,9 @@ def test_an_id_resolves_before_the_graph_or_the_index_holds_it(tmp_path, monkeyp
     finally:
         sys.setswitchinterval(interval)
     assert [w is world for w in worlds] == [True]
-    assert unresolved == []
+    assert misplaced == []
     assert [record.getMessage() for record in errors] == []
-    assert report.reactions and len(world.artifacts) == len(world.graph) == len(world.index)
+    assert report.reactions and len(world.graph) == len(world.index)
 
 
 # -- export -----------------------------------------------------------------------
@@ -941,7 +993,7 @@ def test_export_counts_match_stores(tmp_path):
     assert len(dump["nodes"]) == len(artifacts)
     stored_edges = set()
     for agent_dir in sorted((tmp_path / "out" / "agents").iterdir()):
-        for artifact in ArtifactStore(agent_dir / "store.jsonl").records():
+        for artifact in stored_records(agent_dir / "store.jsonl"):
             for parent in artifact.parent_artifact_ids:
                 stored_edges.add((artifact.artifact_id, parent))
     overlay_edges = {(e["child"], e["parent"]) for e in dump["edges"]}
