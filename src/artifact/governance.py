@@ -371,7 +371,7 @@ class GovernanceLedger:
         body: str,
         comment_type: str,
         redirect_subquestion: str | None,
-        parent_comment: str | None = None,
+        parent_comment: str | None,
         now: datetime | None = None,
     ) -> CommentAction:
         now = self._now(now)

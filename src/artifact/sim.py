@@ -589,6 +589,7 @@ def _apply_interventions(world: World, cycle: int) -> None:
             body=act.body,
             comment_type=act.comment_type,
             redirect_subquestion=act.body if act.comment_type == "redirect" else None,
+            parent_comment=None,
         )
 
 

@@ -32,7 +32,8 @@ def ledger(tmp_path, clock):
 UNSAID = {
     "create_post": dict(content="", community="main", hypothesis="", method="", findings="",
                         open_questions=(), tools_used=(), artifact_refs=()),
-    "create_comment": dict(comment_type="plain", redirect_subquestion=None),
+    "create_comment": dict(comment_type="plain", redirect_subquestion=None,
+                           parent_comment=None),
     "link_posts": dict(description=""),
 }
 
@@ -294,7 +295,7 @@ def test_pending_interventions_flow(ledger, clock):
     assert ledger.pending_interventions("alice") == []
     ledger.create_comment("bruno", post.id, "redirect to ceramics",
                           comment_type="redirect",
-                          redirect_subquestion="what about ceramics")
+                          redirect_subquestion="what about ceramics", parent_comment=None)
     clock.advance(seconds=21)
     call(ledger.create_comment, "chen", post.id, "plain note", comment_type="plain")
     pending = ledger.pending_interventions("alice")

@@ -315,6 +315,7 @@ MISSING = [
     ("mutations", ("new_parent",)),                          # MutationEvent.from_dict
     ("mutations", ("seq",)),
     ("governance", ("now",)),                                # the governance replay
+    ("governance", ("data", "parent_comment")),              # a command's argument
 ]
 
 

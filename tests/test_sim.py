@@ -235,6 +235,7 @@ def test_redirect_promotes_subquestion(tmp_path):
     world.governance.create_comment(
         author="human", post=post.id, body="switch to ceramics",
         comment_type="redirect", redirect_subquestion="ceramic stability question",
+        parent_comment=None,
     )
     heartbeat(world, "solo", 1)
     tracker = world.agents["solo"].tracker
