@@ -34,8 +34,8 @@ class MutatorHarness:
     """Graph + artifact pool + a mutator whose emissions land in the pool
     and whose events land in ``data_dir``'s mutations.jsonl.
 
-    ``emit`` publishes in the order ``World.emit`` does: resolvable, with
-    its birth cycle ``cycle``, before it is in the graph.
+    ``emit`` publishes in the order ``World.emit`` does: with its birth
+    cycle ``cycle`` before it is in the graph.
     """
 
     def __init__(self, data_dir, policy=None, mutator_cls=Mutator):
