@@ -3,13 +3,13 @@
 
 The scenarios are the bundled demo and the scenario-seed-7 grids of the
 benchmark's recipe, ``perfbench/workloads.grid_scenario``: 10x10 and 20x20
-with mutation on, and 40x10, 40x20, 40x40, 80x20 and 160x10 with it off
-(agents x cycles). A line gives the scenario, the first 12 hex digits of
+with mutation on, and 40x10, 40x20, 40x40, 80x20, 160x10 and 320x10 with
+it off (agents x cycles). A line gives the scenario, the first 12 hex digits of
 ``perfbench/checker.tree_digest`` over its run directory, and what
 ``verify_output`` returned. A refactor meant to keep every output byte
 shows the same lines before and after.
 
-Usage: python scripts/digests.py [scenario ...]   (default: all eight)
+Usage: python scripts/digests.py [scenario ...]   (default: all nine)
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ GRIDS = {  # name: (agents, cycles, mutation on)
     "40x40": (40, 40, False),
     "80x20": (80, 20, False),
     "160x10": (160, 10, False),
+    "320x10": (320, 10, False),
 }
 
 

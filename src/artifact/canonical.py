@@ -19,14 +19,16 @@ A record read back has exactly the fields its writer writes, and every
 writer writes every field: ``known_fields`` is that rule, for each record of
 a run's files and each record nested in one. Free-form maps (payloads,
 journal metadata, need variants, per-agent counts) are not records, and
-hold any keys.
+hold any keys. ``typed_fields`` adds the value half of the rule: each
+field holds the kind of value its writer writes, so a later check, such as
+a sort or a subtraction in ``verify``, never meets a value it cannot use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import AbstractSet
+from typing import AbstractSet, Any, Mapping
 
 from .errors import InvalidPayload
 
@@ -88,4 +90,26 @@ def known_fields(record: dict, names: AbstractSet[str]) -> dict:
     if record.keys() != names:
         raise ValueError(f"unknown field(s) {sorted(record.keys() - names)}, "
                          f"missing field(s) {sorted(names - record.keys())}")
+    return record
+
+
+def typed_fields(record: dict, kinds: Mapping[str, Any]) -> dict:
+    """``record`` itself, once its keys are exactly those of ``kinds`` (see
+    ``known_fields``) and each field holds a value of its kind: a JSON type,
+    exactly (an int is not a bool); a tuple of types, for a value of any one
+    of them (``NoneType`` for null); a list of types, for a list of such
+    values; or a check to call. A value of another kind raises ValueError."""
+    known_fields(record, kinds.keys())
+    for name, kind in kinds.items():
+        value = record[name]
+        if type(value) is kind:
+            continue
+        if type(kind) is tuple:
+            fits = type(value) in kind
+        elif type(kind) is list:
+            fits = type(value) is list and set(map(type, value)) <= set(kind)
+        else:
+            fits = not isinstance(kind, type) and kind(value)
+        if not fits:
+            raise ValueError(f"field {name} cannot hold {value!r:.60}")
     return record

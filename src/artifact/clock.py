@@ -59,3 +59,12 @@ def format_timestamp(instant: datetime) -> str:
 
 def parse_timestamp(text: str) -> datetime:
     return datetime.fromisoformat(text)
+
+
+def is_timestamp(value) -> bool:
+    """True iff ``value`` is text that ``parse_timestamp`` reads as a UTC
+    instant, as ``format_timestamp`` writes it."""
+    try:
+        return parse_timestamp(value).tzinfo is timezone.utc
+    except (TypeError, ValueError):
+        return False

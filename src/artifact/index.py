@@ -21,8 +21,7 @@ need-bearing artifact joins a list held in ``(timestamp, id)`` order (insorted,
 since the index takes artifacts in any timestamp order) together with its
 unfulfilled keys, a fulfilment removes its key, and an artifact leaves the
 list once every key it broadcast is fulfilled. ``open_needs`` walks only
-that list. Readers that follow the index incrementally take the artifacts
-appended since their last look with ``entries_since``.
+that list.
 
 The board also keeps each open row's centrality (see ``pressure.centrality``)
 with an inverted file (Zobel and Moffat, ACM Computing Surveys 2006): a
@@ -32,6 +31,15 @@ starts at 1 plus the open rows its postings meet, and those rows count it
 too. Closing a row takes it out of its postings and out of the counts of the
 rows it met. Rows of one ``NeedItem`` object, the variants of one need,
 never count each other.
+
+The unclaimed compatible entries are kept on candidate boards, one per
+profile and claim set (``candidates``): routing by content, as in Siena
+(Carzaniga, Rosenblum and Wolf, ACM TOCS 2001), judges each artifact once
+per profile, however many readers share it. A board catches up when it is
+read, not at publish: it judges only the entries appended since its last
+read, skipping claimed ones, and drops the rows claimed since (claims only
+grow). It reads the claim set under the index's lock: the lock order is
+index, then claims.
 """
 
 from __future__ import annotations
@@ -40,9 +48,10 @@ import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from types import NoneType
+from typing import Any, Callable, Container, Hashable, Iterator
 
-from .canonical import known_fields
+from .canonical import typed_fields
 from .errors import CorruptStore, DuplicateEntry
 from .ledger import AppendLog, Artifact, read_log, scan_order
 from .needs import NeedItem, tokenize
@@ -94,13 +103,9 @@ def index_fields(record: dict) -> tuple[str, str, NeedKey | None]:
 
     Raises ValueError for a record that is not an index line.
     """
-    known_fields(record, {"artifact_id", "producer_agent", "fulfills"})
+    typed_fields(record, {"artifact_id": str, "producer_agent": str, "fulfills": (str, NoneType)})
     artifact_id, producer, fulfills = (record["artifact_id"], record["producer_agent"],
                                        record["fulfills"])
-    if not (isinstance(artifact_id, str) and isinstance(producer, str)
-            and (fulfills is None or isinstance(fulfills, str))):
-        raise ValueError("artifact_id and producer_agent must be strings, "
-                         "fulfills a need key or null")
     return artifact_id, producer, NeedKey.parse(fulfills) if fulfills is not None else None
 
 
@@ -163,6 +168,8 @@ class GlobalIndex:
         self._centrality: dict[NeedKey, int] = {}
         self._row_tokens: dict[NeedKey, set[str]] = {}
         self._postings: dict[tuple[str, str], dict[NeedKey, NeedItem]] = {}
+        # The candidate boards: (cursor, rows) by (profile, claim set).
+        self._boards: dict[tuple, tuple[int, list]] = {}
         self._lock = threading.Lock()
         for _, _, artifact, fulfills in read_index(self.path, resolve, None):
             self._admit(artifact, fulfills)
@@ -249,11 +256,6 @@ class GlobalIndex:
     def entries(self) -> list[Artifact]:
         return list(self._entries)
 
-    def entries_since(self, position: int) -> list[Artifact]:
-        """Artifacts admitted after the first ``position``, in append order."""
-        with self._lock:
-            return self._entries[position:]
-
     def fulfilled_key(self, artifact_id: str) -> NeedKey | None:
         """The need key a published artifact fulfilled, or None."""
         return self._fulfills[artifact_id]
@@ -266,6 +268,24 @@ class GlobalIndex:
                 raise DuplicateEntry(f"index already holds {artifact.artifact_id}")
             self.log.append(index_line(artifact, fulfills))
             self._admit(artifact, fulfills)
+
+    def candidates(self, profile: Hashable, fits: Callable[[Artifact], Any],
+                   claims: Container[str]) -> list[tuple[Artifact, Any]]:
+        """The entries not in ``claims`` for which ``fits`` returns something
+        other than None, each with what it returned, in (timestamp, id)
+        order. ``fits`` must depend on ``profile`` alone: callers with the
+        same profile and claim set read one board (see the module doc).
+        """
+        with self._lock:
+            cursor, rows = self._boards.get((profile, claims), (0, []))
+            rows = [row for row in rows if row[0].artifact_id not in claims]
+            for artifact in self._entries[cursor:]:
+                if artifact.artifact_id not in claims:
+                    fit = fits(artifact)
+                    if fit is not None:
+                        insort(rows, (artifact, fit), key=lambda row: scan_order(row[0]))
+            self._boards[(profile, claims)] = (len(self._entries), rows)
+            return list(rows)
 
     def scan(
         self,

@@ -26,10 +26,11 @@ import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
+from types import NoneType
 from typing import Any, Callable, Collection, Iterable, Iterator
 
-from .canonical import Payload, canonical_line, content_hash, known_fields
-from .clock import Clock, format_timestamp
+from .canonical import Payload, canonical_line, content_hash, typed_fields
+from .clock import Clock, format_timestamp, is_timestamp
 from .errors import (
     CorruptStore,
     CyclicLineage,
@@ -40,7 +41,17 @@ from .errors import (
 from .needs import NeedsSignal
 
 ADDRESS_SCHEME = "artifact://"
+_DECODE = json.JSONDecoder().raw_decode  # json.loads, without its whitespace scans
 _UUID_RE = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$")
+
+
+# The kind of each field of a store record, as ``Artifact.to_dict`` writes it.
+ARTIFACT_FIELDS = {
+    "artifact_id": str, "artifact_type": str, "producer_agent": str, "skill": str,
+    "schema_version": int, "payload": dict, "investigation_id": str,
+    "timestamp": is_timestamp, "content_hash": str, "parent_artifact_ids": [str],
+    "needs": (dict, NoneType),
+}
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,7 @@ class Artifact:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Artifact":
-        known_fields(data, cls.__dataclass_fields__.keys())
+        typed_fields(data, ARTIFACT_FIELDS)
         needs = data["needs"]
         return cls(
             artifact_id=data["artifact_id"],
@@ -225,33 +236,48 @@ def read_log(
     """Each line of a JSONL file as (1-based line number, record), where the
     record is what ``parse`` makes of the line's JSON object.
 
-    A line is damaged when it is blank, unterminated, not UTF-8, not JSON,
-    not an object, or when ``parse`` raises on it. A damaged line raises
-    ``CorruptStore`` with the path and the line number; when ``damaged`` is
-    given, it gets that error instead and reading goes on with the next
-    line. A missing file has no lines.
+    A line is damaged when it is blank, unterminated, not UTF-8, not one
+    JSON value with nothing else on the line (the writer writes no
+    whitespace around it), not an object, or when ``parse`` raises on it.
+    A damaged line raises ``CorruptStore`` with the path and the line's
+    number; when ``damaged`` is given, it gets that error instead and
+    reading goes on with the next line. A file that cannot be opened or
+    read (a directory, say) is damaged at the line it stops at, line 1 for
+    one that never opens, and reading it ends there. A missing file has no
+    lines.
     """
     path = Path(path)
-    if not path.exists():
+
+    def fail(number: int, exc: Exception) -> None:
+        error = CorruptStore(str(path), number, repr(exc))
+        if damaged is None:
+            raise error from exc
+        damaged(error)
+
+    number = 0
+    try:
+        with open(path, "rb") as handle:
+            for number, raw in enumerate(handle, start=1):
+                try:
+                    if raw == b"\n":
+                        raise ValueError("blank line")
+                    if not raw.endswith(b"\n"):
+                        raise ValueError("unterminated line")
+                    text = raw.decode("utf-8")
+                    record, end = _DECODE(text)
+                    if end != len(text) - 1:
+                        raise ValueError("more than one JSON value on the line")
+                    if not isinstance(record, dict):
+                        raise ValueError(f"a JSON {type(record).__name__}, not an object")
+                    record = parse(record)
+                except Exception as exc:  # a parse may raise anything on a malformed record
+                    fail(number, exc)
+                    continue
+                yield number, record
+    except FileNotFoundError:
         return
-    with open(path, "rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            try:
-                if raw == b"\n":
-                    raise ValueError("blank line")
-                if not raw.endswith(b"\n"):
-                    raise ValueError("unterminated line")
-                record = json.loads(raw.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError(f"a JSON {type(record).__name__}, not an object")
-                record = parse(record)
-            except Exception as exc:  # a parse may raise anything on a malformed record
-                error = CorruptStore(str(path), number, repr(exc))
-                if damaged is None:
-                    raise error from exc
-                damaged(error)
-                continue
-            yield number, record
+    except OSError as exc:
+        fail(number + 1, exc)
 
 
 class ArtifactStore:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import known_fields
+from .canonical import typed_fields
 from .clock import Clock, format_timestamp
 from .errors import AlreadyComplete, InvalidKind, UnknownInvestigation
 from .ledger import AppendLog, read_log
@@ -67,16 +67,8 @@ class JournalEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JournalEntry":
-        known_fields(data, cls.__dataclass_fields__.keys())
-        metadata = data["metadata"]
-        if not isinstance(metadata, dict):
-            raise TypeError("metadata must be an object")
-        return cls(
-            timestamp=data["timestamp"],
-            kind=data["kind"],
-            content=data["content"],
-            metadata=metadata,
-        )
+        typed_fields(data, {"timestamp": str, "kind": str, "content": str, "metadata": dict})
+        return cls(**data)
 
 
 class AgentJournal:

@@ -26,9 +26,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import NoneType
 from typing import Callable
 
-from .canonical import Payload, known_fields
+from .canonical import Payload, typed_fields
 from .errors import CycleRejected, NotForkable, NotSiblings
 from .ledger import AppendLog, Artifact, scan_order
 from .lineage import POLICY_TYPE, LineageGraph, PairVerdict, SiblingPairs
@@ -70,6 +71,11 @@ class MutationPolicy:
         }
 
 
+# The kind of each field of a mutations.jsonl line, as ``to_dict`` writes it.
+MUTATION_FIELDS = {"kind": str, "inputs": [str], "outputs": [str], "cycle": int,
+                   "new_parent": (str, NoneType), "seq": (int, NoneType)}
+
+
 @dataclass(frozen=True)
 class MutationEvent:
     kind: str
@@ -89,7 +95,7 @@ class MutationEvent:
         if self.kind == "graft":
             if len(self.inputs) != 1 or self.new_parent is None:
                 raise ValueError("graft takes one input and records its new parent")
-            if not isinstance(self.seq, int) or isinstance(self.seq, bool):
+            if type(self.seq) is not int:
                 raise ValueError("a graft carries an integer seq")
         elif self.seq is not None:
             raise ValueError(f"a {self.kind} carries no seq")
@@ -106,7 +112,7 @@ class MutationEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MutationEvent":
-        known_fields(data, cls.__dataclass_fields__.keys())
+        typed_fields(data, MUTATION_FIELDS)
         return cls(
             kind=data["kind"],
             inputs=tuple(data["inputs"]),

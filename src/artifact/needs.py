@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .canonical import canonicalize, known_fields
+from .canonical import canonicalize, typed_fields
 from .errors import (
     InvalidNeedsSignal,
     QueryTooShort,
@@ -62,7 +62,8 @@ class NeedItem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NeedItem":
-        known_fields(data, cls.__dataclass_fields__.keys())
+        typed_fields(data, {"artifact_type": str, "query": str, "rationale": str,
+                            "parallel_variants": [dict], "preferred_skills": [str]})
         return cls(
             artifact_type=data["artifact_type"],
             query=data["query"],
@@ -87,7 +88,7 @@ class NeedsSignal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NeedsSignal":
-        known_fields(data, cls.__dataclass_fields__.keys())
+        typed_fields(data, {"items": [dict]})
         return cls(items=tuple(NeedItem.from_dict(d) for d in data["items"]))
 
 

@@ -16,17 +16,18 @@ twice, even when agents run concurrently. Need fulfillment consumes only the
 need key, not the carrying artifact, so a need-bearing artifact can still
 feed a later synthesis.
 
-Scans follow what changed, not everything ever published. A reactor keeps a
-cursor into the index's append order and, on each scan, admits only the
-artifacts appended since: an artifact becomes a candidate when it is
-unclaimed and passes the static half of ``can_react`` (a peer produced it,
-its type is allowed, and its payload keys meet a runnable skill), and
-candidates are held in ``(timestamp, id)`` order. The index hands out the
-artifacts themselves, so a reactor reads a candidate's payload from it, and
-its payload keys from the ``payload_keys`` map its scan filled. Claims only
-grow, so a candidate claimed since is dropped when a scan reaches it. Open needs come from the index's own ordered needs board, read
-once per need phase, with each row's centrality count; keys any reactor has
-claimed are skipped there.
+Scans follow what changed, not everything ever published. A reactor's
+candidates come from the index's board for its profile and claim set
+(``GlobalIndex.candidates``): the unclaimed artifacts whose type the agent
+may consume and whose payload keys meet a runnable skill, in
+``(timestamp, id)`` order, each with those keys. ``_fits`` is that test,
+the static half of ``can_react``, and the profile is everything it reads:
+the allowed types and the runnable skills' input sets. Agents with the
+same profile share a board, so each artifact is judged once per profile;
+a reactor then drops its own products from what the board returns. Open
+needs come from the index's own ordered needs board, read once per need
+phase, with each row's centrality count; keys any reactor has claimed are
+skipped there.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from __future__ import annotations
 import logging
 import random
 import threading
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from types import NoneType
 from typing import Callable, Iterable, Sequence
 
-from .canonical import Payload, known_fields
+from .canonical import Payload, typed_fields
 from .clock import Clock
 from .errors import ArtifactError, InvalidParam
 from .index import GlobalIndex, NeedKey, variant_params
@@ -62,6 +63,21 @@ log = logging.getLogger(__name__)
 REACTION_KINDS = ("need_driven", "multi_parent", "single_parent")
 
 
+def _check_shape(kind: str, consumed_ids: Sequence, fulfilled_need, pressure) -> None:
+    """The rule every reaction keeps, written and read back."""
+    if kind not in REACTION_KINDS:
+        raise ArtifactError(f"unknown reaction kind {kind!r}")
+    need_driven = kind == "need_driven"
+    if (fulfilled_need is not None) != need_driven or (pressure is not None) != need_driven:
+        raise ArtifactError("a reaction names a need and a pressure iff it is need_driven")
+    if need_driven and consumed_ids:
+        raise ArtifactError("need_driven reactions consume no artifact")
+    if kind == "single_parent" and len(consumed_ids) != 1:
+        raise ArtifactError("single_parent reactions consume one artifact")
+    if kind == "multi_parent" and len(consumed_ids) < 2:
+        raise ArtifactError("multi_parent reactions consume at least two artifacts")
+
+
 @dataclass(frozen=True)
 class ReactionRecord:
     kind: str
@@ -72,12 +88,7 @@ class ReactionRecord:
     pressure: PressureBreakdown | None
 
     def __post_init__(self):
-        if self.kind not in REACTION_KINDS:
-            raise ArtifactError(f"unknown reaction kind {self.kind!r}")
-        if self.kind == "need_driven" and self.fulfilled_need is None:
-            raise ArtifactError("need_driven reactions must name the fulfilled need")
-        if self.kind == "multi_parent" and len(self.consumed_ids) < 2:
-            raise ArtifactError("multi_parent reactions consume at least two artifacts")
+        _check_shape(self.kind, self.consumed_ids, self.fulfilled_need, self.pressure)
 
     def to_dict(self) -> dict:
         return {
@@ -90,25 +101,27 @@ class ReactionRecord:
         }
 
 
+# The kind of each field of a reactions.jsonl line, and of each pressure
+# term, as ``to_dict`` writes them.
+REACTION_FIELDS = {"kind": str, "consumed_ids": [str], "fulfilled_need": (str, NoneType),
+                   "produced_id": str, "skill": str, "pressure": (dict, NoneType)}
+PRESSURE_FIELDS = dict.fromkeys(PressureBreakdown.__dataclass_fields__, (int, float))
+
+
 def reaction_fields(record: dict) -> tuple[list[str], str | None, str]:
     """The consumed ids, fulfilled need key and product id of one
-    reactions.jsonl record, whose pressure is null or has exactly the
-    terms of a ``PressureBreakdown``.
+    reactions.jsonl record, once it keeps the rule of a ``ReactionRecord``
+    (see ``_check_shape``), with numeric pressure terms.
 
-    Raises ValueError, or AttributeError for a pressure that is not a map,
-    for a record that is not a reaction.
+    Raises ValueError or ArtifactError for a record that is not a reaction.
     """
-    known_fields(record, ReactionRecord.__dataclass_fields__.keys())
+    typed_fields(record, REACTION_FIELDS)
     consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
-    produced, pressure = record["produced_id"], record["pressure"]
+    pressure = record["pressure"]
+    _check_shape(record["kind"], consumed_ids, fulfilled, pressure)
     if pressure is not None:
-        known_fields(pressure, PressureBreakdown.__dataclass_fields__.keys())
-    if not (isinstance(consumed_ids, list) and all(isinstance(i, str) for i in consumed_ids)
-            and (fulfilled is None or isinstance(fulfilled, str))
-            and isinstance(produced, str)):
-        raise ValueError("consumed_ids must be a list of ids, fulfilled_need a key or null "
-                         "and produced_id an id")
-    return consumed_ids, fulfilled, produced
+        typed_fields(pressure, PRESSURE_FIELDS)
+    return consumed_ids, fulfilled, record["produced_id"]
 
 
 def _read_consumption(path: Path) -> tuple[set[str], set[str]]:
@@ -185,9 +198,9 @@ def skill_inputs(manifest: SkillManifest) -> frozenset:
     return frozenset(manifest.input_params) | frozenset(manifest.json_fields)
 
 
-def schema_overlap(manifest: SkillManifest, payload_keys: Iterable[str]) -> bool:
+def schema_overlap(manifest: SkillManifest, keys: Iterable[str]) -> bool:
     """Compatibility test: input params (or declared json fields) meet keys."""
-    return not skill_inputs(manifest).isdisjoint(payload_keys)
+    return not skill_inputs(manifest).isdisjoint(keys)
 
 
 def param_keys(payload: Payload) -> frozenset:
@@ -196,11 +209,11 @@ def param_keys(payload: Payload) -> frozenset:
 
 
 @lru_cache(maxsize=256)
-def _param_keys(payload_keys: tuple) -> frozenset:
+def _param_keys(names: tuple) -> frozenset:
     # Payloads of a run have few distinct key lists: the cache holds one
     # set per list, however many artifacts keep it.
     keys = set()
-    for key in payload_keys:
+    for key in names:
         try:
             keys.add(normalize_param(key))
         except InvalidParam:
@@ -237,9 +250,6 @@ class ArtifactReactor:
     ``emit`` creates and publishes an artifact on the agent's behalf and
     returns it, as ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
     ``claims`` is the claim set every reactor of a world shares.
-    ``payload_keys`` maps an artifact id to its payload's ``param_keys``;
-    reactors that share it, as they share ``claims``, read each payload's
-    keys once between them.
     """
 
     def __init__(
@@ -253,7 +263,6 @@ class ArtifactReactor:
         clock: Clock,
         rng: random.Random,
         claims: ConsumptionClaims,
-        payload_keys: dict[str, frozenset],
     ):
         self.profile = profile
         self.registry = registry
@@ -266,17 +275,15 @@ class ArtifactReactor:
         self.reactions = AppendLog(self.reactions_path)
         self.claims = claims
         self.claims.seed(*_read_consumption(self.reactions_path))
-        self.payload_keys = payload_keys
         self.reaction_count = 0  # reactions logged by this reactor
         # The registry is immutable and profiles are frozen: fixed for life.
         self._runnable = registry.skills_for(profile)
         self._skill_inputs = [(m, skill_inputs(m)) for m in self._runnable]
         self._producible = {m.output_artifact_type for m in self._runnable}
         self._allowed = allowed_types(profile, registry)
-        # Index entries seen so far, and the candidates in (timestamp, id)
-        # order (see the module doc).
-        self._cursor = 0
-        self._candidates: list[Artifact] = []
+        # Everything _fits reads: the key of this profile's candidate board.
+        self._fit_profile = (frozenset(self._allowed),
+                             frozenset(inputs for _, inputs in self._skill_inputs))
 
     @property
     def agent_name(self) -> str:
@@ -284,41 +291,28 @@ class ArtifactReactor:
 
     # -- scanning -----------------------------------------------------------
 
-    def _fits(self, keys: frozenset) -> bool:
-        return any(not inputs.isdisjoint(keys) for _, inputs in self._skill_inputs)
-
-    def _static_fit(self, artifact: Artifact) -> bool:
-        """The static half of can_react: a peer produced the artifact, its
-        type is allowed and its payload keys, kept in ``payload_keys``, meet
-        a runnable skill."""
-        if (artifact.producer_agent == self.agent_name
-                or artifact.artifact_type not in self._allowed):
-            return False
-        keys = self.payload_keys.get(artifact.artifact_id)
-        if keys is None:
-            keys = self.payload_keys[artifact.artifact_id] = param_keys(artifact.payload)
-        return self._fits(keys)
+    def _fits(self, artifact: Artifact) -> frozenset | None:
+        """The static half of can_react, but for the producer: the
+        artifact's payload keys, if its type is allowed and they meet a
+        runnable skill, else None."""
+        if artifact.artifact_type not in self._allowed:
+            return None
+        keys = param_keys(artifact.payload)
+        if any(not inputs.isdisjoint(keys) for _, inputs in self._skill_inputs):
+            return keys
+        return None
 
     def can_react(self, artifact: Artifact) -> bool:
         """True iff this reactor could legitimately consume the artifact now."""
-        return artifact.artifact_id not in self.claims and self._static_fit(artifact)
+        return (artifact.artifact_id not in self.claims
+                and artifact.producer_agent != self.agent_name
+                and self._fits(artifact) is not None)
 
-    def _admit_new_entries(self) -> None:
-        """Move the cursor to the index's end, admitting unclaimed artifacts
-        that pass the static half of can_react."""
-        fresh = self.index.entries_since(self._cursor)
-        self._cursor += len(fresh)
-        for artifact in fresh:
-            if artifact.artifact_id not in self.claims and self._static_fit(artifact):
-                insort(self._candidates, artifact, key=scan_order)
-
-    def scan_available(self) -> list[Artifact]:
+    def scan_available(self) -> list[tuple[Artifact, frozenset]]:
         """Unclaimed peer artifacts compatible with at least one of our
-        skills, in (timestamp, id) order."""
-        self._admit_new_entries()
-        # Of can_react, only the claim can change once an artifact is admitted.
-        self._candidates = [a for a in self._candidates if a.artifact_id not in self.claims]
-        return self._candidates
+        skills, in (timestamp, id) order, each with its payload keys."""
+        rows = self.index.candidates(self._fit_profile, self._fits, self.claims)
+        return [row for row in rows if row[0].producer_agent != self.agent_name]
 
     def scan_needs(
         self, open_rows: Sequence[tuple[NeedKey, NeedItem, Artifact]]
@@ -454,10 +448,7 @@ class ArtifactReactor:
         candidates = self.scan_available()
         for manifest, inputs in self._skill_inputs:
             # Candidates come in (timestamp, id) order, oldest parent first.
-            artifacts = [
-                a for a in candidates
-                if not inputs.isdisjoint(self.payload_keys[a.artifact_id])
-            ]
+            artifacts = [a for a, keys in candidates if not inputs.isdisjoint(keys)]
             if len(artifacts) < 2:
                 continue
             merged = merge_payloads(artifacts)
@@ -484,8 +475,7 @@ class ArtifactReactor:
 
     def react_single(self) -> ReactionRecord | None:
         """Transform one available compatible peer artifact through one skill."""
-        for artifact in self.scan_available():
-            keys = self.payload_keys[artifact.artifact_id]
+        for artifact, keys in self.scan_available():
             manifest = next(m for m, inputs in self._skill_inputs if not inputs.isdisjoint(keys))
             params = build_params(manifest, artifact.payload)
             try:

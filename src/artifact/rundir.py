@@ -53,7 +53,7 @@ class RunDir:
 
     def agent_names(self) -> list[str]:
         """The agents that have a directory, in name order."""
-        return sorted(p.name for p in self._agents.iterdir()) if self._agents.exists() else []
+        return sorted(p.name for p in self._agents.iterdir()) if self._agents.is_dir() else []
 
 
 @dataclass

@@ -184,7 +184,6 @@ class AgentRuntime:
             clock=world.clock,
             rng=self.rng,
             claims=world.claims,
-            payload_keys=world.payload_keys,
         )
         self.mutator = Mutator(
             agent_name=profile.name,
@@ -213,7 +212,6 @@ class World:
         self.graph = LineageGraph()
         self.index = GlobalIndex(self.run_dir.index, self.resolve_id)
         self.claims = ConsumptionClaims()
-        self.payload_keys: dict[str, frozenset] = {}
         self.governance = GovernanceLedger(
             self.run_dir.governance,
             clock=self.clock,

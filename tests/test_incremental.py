@@ -2,10 +2,11 @@
 
 Random publishes (timestamps out of order, need carriers and fulfilments,
 repeated fulfilments) and interleaved claims drive a shared index and one
-reactor per agent. At every check the reactor's candidate list must equal a
-filter of the whole index through ``can_react`` of a reactor that never
-scanned, and the index's ordered needs board must equal a sort-and-rescan of
-every entry.
+reactor per agent; two agents share a profile, so their reactors read one
+candidate board. At every check a reactor's candidates must equal a filter
+of the whole index through ``can_react`` of a reactor that never scanned,
+each with its payload keys, and the index's ordered needs board must equal
+a sort-and-rescan of every entry.
 Random publishes, fulfilments and closes check the centrality count the index
 keeps for each open need row against ``pressure.centrality``, the count's
 specification.
@@ -33,7 +34,7 @@ from artifact.lineage import LineageGraph
 from artifact.memory import slugify
 from artifact.needs import NeedItem, NeedsSignal
 from artifact.pressure import centrality
-from artifact.reactor import ArtifactReactor, ConsumptionClaims
+from artifact.reactor import ArtifactReactor, ConsumptionClaims, param_keys
 from artifact.sim import GapQueue, choose_gap, stable_hash
 from artifact.skills import default_registry, load_profile
 
@@ -44,6 +45,7 @@ from .test_index import reopened
 RATIONALE = "downstream synthesis is blocked on this data"
 AGENTS = {
     "alice": ["paper_search", "protein_lookup"],
+    "ava": ["paper_search", "protein_lookup"],  # alice's profile: one board for both
     "bob": ["protein_lookup", "sequence_align", "motif_scan"],
     "cara": [],  # unrestricted
     "dan": ["candidate_rank", "citation_graph"],
@@ -70,8 +72,8 @@ def rescanned_open_needs(index: GlobalIndex) -> list:
 
 class Peers:
     """A shared index and claim set, one live reactor and one reference
-    reactor per agent. The live reactors share their payload-key map, as a
-    world's do; each reference reactor keeps its own."""
+    reactor per agent. The reference reactors only judge entries one at a
+    time, through ``can_react``; they never read a board."""
 
     def __init__(self, directory: Path):
         registry = default_registry()
@@ -79,9 +81,8 @@ class Peers:
         self.store = ArtifactStore(directory / "store.jsonl")
         self.claims = ConsumptionClaims()
         self.published: list = []
-        shared_keys: dict = {}
 
-        def reactor(name, tools, subdir, payload_keys):
+        def reactor(name, tools, subdir):
             return ArtifactReactor(
                 profile=load_profile({"name": name, "preferred_tools": tools}, registry),
                 registry=registry,
@@ -92,11 +93,10 @@ class Peers:
                 clock=ManualClock(),
                 rng=random.Random(name),
                 claims=self.claims,
-                payload_keys=payload_keys,
             )
 
-        self.reactors = {n: reactor(n, t, "live", shared_keys) for n, t in AGENTS.items()}
-        self.references = {n: reactor(n, t, "reference", {}) for n, t in AGENTS.items()}
+        self.reactors = {n: reactor(n, t, "live") for n, t in AGENTS.items()}
+        self.references = {n: reactor(n, t, "reference") for n, t in AGENTS.items()}
 
     def publish(self, op) -> None:
         _, producer, type_pick, keys, investigation, second, needs, fulfil = op
@@ -162,10 +162,11 @@ def test_incremental_scans_match_full_rescan(ops):
                 name = list(AGENTS)[op[1]]
                 reactor, reference = peers.reactors[name], peers.references[name]
                 found = reactor.scan_available()
-                expected = [e for e in peers.index.scan(exclude_producer=name)
+                expected = [(e, param_keys(e.payload))
+                            for e in peers.index.scan(exclude_producer=name)
                             if reference.can_react(e)]
                 assert found == expected
-                assert all(a.artifact_id not in peers.claims for a in found)
+                assert all(a.artifact_id not in peers.claims for a, _ in found)
                 rows = peers.index.open_needs({})
                 rescanned = rescanned_open_needs(peers.index)
                 assert rows == rescanned

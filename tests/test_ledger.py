@@ -217,6 +217,8 @@ DAMAGE = {
     "unterminated": lambda first: first[:-1],
     "non-object JSON": lambda first: b"[1, 2]\n",
     "non-UTF-8": lambda first: first[:-1] + b"\xff\n",
+    "space before the object": lambda first: b" " + first,
+    "two JSON values": lambda first: first[:-1] + b"{}\n",
     "repeated id": lambda first: first,
 }
 
@@ -350,6 +352,83 @@ def test_a_field_its_writer_writes_is_required(demo_run, tmp_path, kind, path):
     assert (caught.value.path, caught.value.line_number) == (str(file), number + 1)
     if kind in VERIFIED:
         assert any(f"missing field(s) ['{path[-1]}']" in v for v in verify_output(out))
+
+
+# For each reader ``verify`` uses, a value of a kind its writer never writes:
+# the kind of run file, the field's path within a record of it, and the value.
+WRONG_TYPE = [
+    ("store", ("timestamp",), 5),                          # Artifact.from_dict
+    ("store", ("timestamp",), "2024-01-01T00:00:00"),      # not as written: no offset
+    ("store", ("artifact_type",), ["x"]),
+    ("store", ("schema_version",), "1"),
+    ("store", ("schema_version",), True),
+    ("store", ("payload",), [1]),
+    ("store", ("parent_artifact_ids",), [1]),
+    ("store", ("needs", "items", 0, "query"), 5),          # NeedItem.from_dict
+    ("store", ("needs", "items", 0, "parallel_variants"), [1]),
+    ("index", ("fulfills",), 3),                           # index_fields
+    ("reactions", ("kind",), "bogus"),                     # reaction_fields
+    ("reactions", ("skill",), 3),
+    ("reactions", ("pressure", "score"), "high"),
+    ("reactions", ("pressure", "depth_term"), False),
+    ("reactions", ("fulfilled_need",), None),              # a need-driven line
+    ("reactions", ("consumed_ids",), ["x"]),
+    ("mutations", ("cycle",), "x"),                        # MutationEvent.from_dict
+    ("mutations", ("cycle",), True),
+    ("mutations", ("inputs",), "x"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", WRONG_TYPE,
+                         ids=[f"{kind}-{'.'.join(map(str, path))}={value!r}"
+                              for kind, path, value in WRONG_TYPE])
+def test_a_value_its_writer_never_writes_is_refused(demo_run, tmp_path, kind, path, value):
+    """The first line that holds the field, written with a value of another
+    kind, raises CorruptStore at that line, and ``verify`` reports it and
+    raises nothing."""
+    name, load, _ = RUN_FILES[kind]
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    file = out / name
+    lines = file.read_bytes().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    number = next(i for i, record in enumerate(records)
+                  if field_holder(record, path) is not None
+                  and field_holder(record, path)[path[-1]] is not None)
+    field_holder(records[number], path)[path[-1]] = value
+    lines[number] = json.dumps(records[number]).encode("utf-8") + b"\n"
+    file.write_bytes(b"".join(lines))
+    with pytest.raises(CorruptStore) as caught:
+        load(file)
+    assert (caught.value.path, caught.value.line_number) == (str(file), number + 1)
+    assert verify_output(out) != []
+
+
+@pytest.mark.parametrize("kind", RUN_FILES)
+def test_a_run_file_that_is_a_directory_is_damaged(demo_run, tmp_path, kind):
+    """A run file that cannot be read raises CorruptStore at line 1, and
+    ``verify`` reports it for the kinds it reads and raises nothing."""
+    name, load, _ = RUN_FILES[kind]
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    file = out / name
+    file.unlink()
+    file.mkdir()
+    with pytest.raises(CorruptStore) as caught:
+        load(file)
+    assert (caught.value.path, caught.value.line_number) == (str(file), 1)
+    if kind in VERIFIED:
+        assert any(str(file) in violation for violation in verify_output(out))
+
+
+def test_an_agents_entry_that_is_a_file_is_a_violation(demo_run, tmp_path):
+    """With no agent folders to read, every index line names an artifact in
+    no store: ``verify`` reports that, and raises nothing."""
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    shutil.rmtree(out / "agents")
+    (out / "agents").write_text("x")
+    assert any("is in no store" in violation for violation in verify_output(out))
 
 
 def test_append_log_reopens_after_close(tmp_path):

@@ -10,6 +10,10 @@ bundled demo, which forks, is therefore always one of the examples.
 may report a swallowed exception, and a sequential run must write the same
 tree again when rerun. Concurrent runs are not compared byte for byte:
 which thread claims an artifact first is up to the scheduler.
+
+Drawn scenarios rarely give two agents one tool list, so one example is an
+8-agent grid of the benchmark's recipe, mutation on, whose agents i and
+i + 4 share a profile: under threads, 8 reactors read 4 candidate boards.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ def scenarios(draw) -> dict:
 @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(data=scenarios())
 @example(data=demo_scenario().to_dict())
+@example(data=WORKLOADS.grid_scenario(7, 8, 3, True, TOOLS))
 def test_both_modes_verify_and_sequential_reruns_repeat(data):
     root = Path(tempfile.mkdtemp())
     try:

@@ -118,7 +118,6 @@ class Harness:
         self.index = GlobalIndex(tmp_path / "index.jsonl", nothing_stored)
         self.graph = LineageGraph()
         self.claims = ConsumptionClaims()
-        self.payload_keys = {}
         self.reactors = {}
         self.stores = {}
         self.rngs = {}
@@ -142,7 +141,6 @@ class Harness:
             clock=self.clock,
             rng=self.rngs[name],
             claims=claims,
-            payload_keys=self.payload_keys,
         )
 
     def emit(self, agent, artifact_type, payload, parents=(), needs=None, skill="synthesize",
@@ -199,8 +197,8 @@ def test_scan_available_excludes_own(harness):
 def test_scan_available_finds_compatible_peer(harness):
     artifact = harness.emit("alice", "protein_data", {"sequence": "MKT"})
     found = harness.reactors["bob"].scan_available()
-    assert [e.artifact_id for e in found] == [artifact.artifact_id]
-    assert harness.reactors["bob"].can_react(found[0])
+    assert found == [(artifact, param_keys(artifact.payload))]
+    assert harness.reactors["bob"].can_react(artifact)
 
 
 def test_scan_available_excludes_consumed(harness):
@@ -219,8 +217,8 @@ def test_synthesis_passes_domain_gate(harness):
     artifact = harness.emit("alice", "synthesis", {"sequence": "MKT"})
     validation = harness.emit("alice", "peer_validation", {"sequence": "QQT"})
     found = harness.reactors["bob"].scan_available()
-    assert {e.artifact_id for e in found} == {artifact.artifact_id,
-                                              validation.artifact_id}
+    assert {a.artifact_id for a, _ in found} == {artifact.artifact_id,
+                                                 validation.artifact_id}
 
 
 def test_incompatible_payload_not_available(harness):
@@ -460,37 +458,64 @@ def test_reaction_line_is_on_disk_before_its_product_is_published(harness, tmp_p
     assert logged == [a.artifact_id for a in stored_records(store.log.path)]
 
 
-def test_payload_key_cache_is_transparent(harness):
-    """A candidate's kept payload keys are the keys a fresh read gives, a
-    claimed entry is never admitted, and a candidate claimed since goes."""
+def test_a_candidate_row_holds_its_payload_keys(harness):
+    """A board row holds the artifact and the keys a fresh read gives, a
+    claimed entry is never admitted, and a row claimed since goes."""
     artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
     taken = harness.emit("carol", "protein_data", {"sequence": "CCC"})
     harness.claims.claim_all((taken.artifact_id,))
     reactor = harness.reactors["bob"]
-    found = reactor.scan_available()
-    assert [a.artifact_id for a in found] == [artifact.artifact_id]
-    assert found[0] is artifact
-    assert reactor.payload_keys == {artifact.artifact_id: param_keys(artifact.payload)}
-    assert "sequence" in reactor.payload_keys[artifact.artifact_id]
+    (found, keys), = reactor.scan_available()
+    assert found is artifact
+    assert keys == param_keys(artifact.payload) and "sequence" in keys
     harness.claims.claim_all((artifact.artifact_id,))
     assert reactor.scan_available() == []
 
 
-def test_reactors_sharing_payload_keys_read_each_payload_once(harness, monkeypatch):
-    """Every reactor admits every peer entry, but the payload keys of an
-    artifact are read once between the reactors that share them."""
+def counting_param_keys(monkeypatch) -> list:
+    """The payloads ``param_keys`` reads from now on, one per call."""
     reads = []
     monkeypatch.setattr(reactor_module, "param_keys",
                         lambda payload: reads.append(payload) or param_keys(payload))
+    return reads
+
+
+def test_reactors_of_one_profile_read_each_payload_once(tmp_path, registry, monkeypatch):
+    """Reactors with the same tools read one board: each payload's keys are
+    read once between them, however often they scan, and a reactor never
+    sees its own product, while its twin does."""
+    harness = Harness(tmp_path, registry, {
+        "alice": ["paper_search", "protein_lookup"],
+        "carol": ["protein_lookup", "sequence_align"],
+        "dave": ["protein_lookup", "sequence_align"],
+    })
+    reads = counting_param_keys(monkeypatch)
     first = harness.emit("alice", "protein_data", {"sequence": "AAA"})
     second = harness.emit("carol", "protein_data", {"sequence": "CCC", "query": "q"})
-    for name in ("alice", "bob", "carol"):
-        harness.reactors[name].scan_available()
+    carol, dave = harness.reactors["carol"], harness.reactors["dave"]
+    assert [a for a, _ in carol.scan_available()] == [first]
+    assert [a for a, _ in dave.scan_available()] == [first, second]
+    assert [a for a, _ in carol.scan_available()] == [first]
     assert sorted(reads, key=len) == [first.payload, second.payload]
-    assert harness.payload_keys == {a.artifact_id: param_keys(a.payload)
-                                    for a in (first, second)}
-    bob = harness.reactors["bob"]
-    assert {a.artifact_id for a in bob.scan_available()} == set(harness.payload_keys)
+    # alice's profile is another, so its board reads the payloads again.
+    assert [a for a, _ in harness.reactors["alice"].scan_available()] == [second]
+    assert sorted(reads, key=len) == [first.payload, first.payload,
+                                      second.payload, second.payload]
+
+
+def test_one_profile_with_two_claim_sets_reads_two_boards(harness):
+    """Reactors of one profile with their own claim sets, as a reactor
+    restarted beside a live one has, each see what their own set leaves
+    unclaimed."""
+    first = harness.emit("alice", "protein_data", {"sequence": "AAA"})
+    second = harness.emit("alice", "protein_data", {"sequence": "CCC"})
+    profile = harness.reactors["bob"].profile
+    own = ConsumptionClaims()
+    restarted = harness.reactor("bob", profile, own)
+    harness.claims.claim_all((first.artifact_id,))
+    own.claim_all((second.artifact_id,))
+    assert [a for a, _ in harness.reactors["bob"].scan_available()] == [second]
+    assert [a for a, _ in restarted.scan_available()] == [first]
 
 
 # -- exclusive need keys ------------------------------------------------------------
@@ -621,3 +646,50 @@ def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
     logged = [r.fulfilled_need.text for n in names for r in records[n]]
     assert len(answered) == len(set(answered)) == 12
     assert sorted(logged) == sorted(answered)
+
+
+def test_reactors_of_one_profile_share_a_board_under_threads(tmp_path, registry):
+    """Reactors of one profile publish, scan and react on threads at once,
+    reading one board; afterwards no artifact was consumed twice, and each
+    reactor's scan equals a filter of the whole index through its
+    ``can_react``, which reads no board."""
+    import sys
+    import threading
+
+    names = [f"r{i}" for i in range(6)]
+    harness = Harness(tmp_path, registry,
+                      {n: ["protein_lookup", "sequence_align"] for n in names})
+    start = threading.Barrier(len(names))
+    errors = []
+    records = {}
+
+    def work(name):
+        try:
+            start.wait(timeout=10)
+            records[name] = []
+            for i in range(8):
+                harness.emit(name, "protein_data", {"sequence": f"{name}-{i}"})
+                record = harness.reactors[name].react_single()
+                records[name] += [record] if record is not None else []
+        except Exception as exc:  # reported below: a thread must not die silently
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    consumed = [i for n in names for r in records[n] for i in r.consumed_ids]
+    assert consumed and len(consumed) == len(set(consumed))
+    for name in names:
+        reactor = harness.reactors[name]
+        expected = [(a, param_keys(a.payload)) for a in harness.index.scan(exclude_producer=name)
+                    if reactor.can_react(a)]
+        assert reactor.scan_available() == expected

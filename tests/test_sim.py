@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -472,14 +473,18 @@ def test_run_passes_invariant_checks(tmp_path):
     assert verify_output(tmp_path / "out") == []
 
 
-def test_a_world_reads_each_payloads_keys_once(tmp_path, monkeypatch):
-    """Every reactor admits every peer entry, but the reactors of a world
-    share the payload keys they read."""
-    reads = []
+def test_a_world_judges_each_payload_once_per_profile(tmp_path, monkeypatch):
+    """The demo's three agents have three profiles, so their reactors read
+    three boards: each published payload's keys are read at most three
+    times, once per board, whichever agents produced and scanned it."""
+    reads = Counter()
     monkeypatch.setattr(reactor_module, "param_keys",
-                        lambda payload: reads.append(id(payload)) or param_keys(payload))
+                        lambda payload: reads.update([id(payload)]) or param_keys(payload))
     world, _ = run(demo_scenario(), tmp_path / "out")
-    assert reads and len(reads) == len(set(reads)) <= len(world.graph)
+    assert len({agent.reactor._fit_profile for agent in world.agents.values()}) == 3
+    holders = Counter(id(artifact.payload) for artifact in world.index.entries())
+    assert reads and all(count <= 3 * holders[payload] for payload, count in reads.items())
+    assert max(reads.values()) > 1  # the boards are not shared between profiles
 
 
 def test_dropped_world_is_freed_without_the_cyclic_collector(tmp_path):
@@ -773,7 +778,9 @@ def test_verify_reports_reaction_product_not_stored_by_its_agent(tmp_path, react
     )
     if reactor == "bruno":
         record["produced_id"] = "00000000-0000-4000-8000-000000000000"
-    record.update(consumed_ids=[], fulfilled_need=None)
+    # A single-parent reaction that consumes an id no other line consumes.
+    record.update(kind="single_parent", consumed_ids=["00000000-0000-4000-8000-00000000000c"],
+                  fulfilled_need=None, pressure=None)
     _append_line(agents / reactor / "reactions.jsonl", record)
     violations = verify_output(out)
     assert len(violations) == 1
