@@ -19,9 +19,9 @@ damaged.
 The needs board is kept current as entries are admitted, never rebuilt: a
 need-bearing artifact joins a list held in ``(timestamp, id)`` order (insorted,
 since the index takes artifacts in any timestamp order) together with its
-unfulfilled keys, a fulfilment removes its key, and an artifact leaves the
-list once every key it broadcast is fulfilled. ``open_needs`` walks only
-that list.
+unclaimed keys, a claim removes its key, and an artifact leaves the list
+once every key it broadcast is claimed. ``open_needs`` walks only that
+list.
 
 The board also keeps each open row's centrality (see ``pressure.centrality``)
 with an inverted file (Zobel and Moffat, ACM Computing Surveys 2006): a
@@ -32,14 +32,17 @@ too. Closing a row takes it out of its postings and out of the counts of the
 rows it met. Rows of one ``NeedItem`` object, the variants of one need,
 never count each other.
 
+The index also holds the claims, the consumed artifact ids and need keys,
+read and written only under its one lock. A claimed key's row leaves the
+needs board at the claim, before its answer is published; a published
+fulfilment claims its key too, which is how a reload closes it.
+
 The unclaimed compatible entries are kept on candidate boards, one per
-profile and claim set (``candidates``): routing by content, as in Siena
-(Carzaniga, Rosenblum and Wolf, ACM TOCS 2001), judges each artifact once
-per profile, however many readers share it. A board catches up when it is
-read, not at publish: it judges only the entries appended since its last
-read, skipping claimed ones, and drops the rows claimed since (claims only
-grow). It reads the claim set under the index's lock: the lock order is
-index, then claims.
+profile (``candidates``): routing by content, as in Siena (Carzaniga,
+Rosenblum and Wolf, ACM TOCS 2001), judges each artifact once per profile,
+however many readers share it. A board catches up when it is read, not at
+publish: it judges only the entries appended since its last read, skipping
+claimed ones, and drops the rows claimed since (claims only grow).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 from types import NoneType
-from typing import Any, Callable, Container, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .canonical import typed_fields
 from .errors import CorruptStore, DuplicateEntry
@@ -143,9 +146,9 @@ def read_index(path: str | Path, resolve: Callable[[str], Artifact | None],
 
 
 class GlobalIndex:
-    """Append-only shared index with the needs board; scans are
-    deterministic snapshots, and the board keeps each open row's centrality
-    count as rows open and close (see the module doc).
+    """Append-only shared index with the needs board and the claims; scans
+    are deterministic snapshots, and the board keeps each open row's
+    centrality count as rows open and close (see the module doc).
 
     ``resolve`` maps an id to its stored record, or to None for an id no
     store holds; it is read only while ``path``'s lines are reloaded, with
@@ -157,7 +160,9 @@ class GlobalIndex:
         self.log = AppendLog(self.path)
         self._entries: list[Artifact] = []
         self._fulfills: dict[str, NeedKey | None] = {}  # the key each id fulfilled
-        self._fulfilled_keys: set[str] = set()
+        # Consumption: the claimed artifact ids and need keys.
+        self._claimed: set[str] = set()
+        self._claimed_needs: set[NeedKey] = set()
         self._coverage: dict[tuple, int] = {}
         # Artifacts with an open need, in (timestamp, id) order, and their
         # open (key, item, artifact) rows in need-index and variant order.
@@ -168,7 +173,7 @@ class GlobalIndex:
         self._centrality: dict[NeedKey, int] = {}
         self._row_tokens: dict[NeedKey, set[str]] = {}
         self._postings: dict[tuple[str, str], dict[NeedKey, NeedItem]] = {}
-        # The candidate boards: (cursor, rows) by (profile, claim set).
+        # The candidate boards: (cursor, rows) by profile.
         self._boards: dict[tuple, tuple[int, list]] = {}
         self._lock = threading.Lock()
         for _, _, artifact, fulfills in read_index(self.path, resolve, None):
@@ -183,14 +188,13 @@ class GlobalIndex:
                 tokens = tokenize(item.query)
                 for vid in variant_ids(item):
                     key = NeedKey(artifact.artifact_id, need_index, vid)
-                    if key.text not in self._fulfilled_keys:
+                    if key not in self._claimed_needs:
                         rows.append((key, item, artifact))
                         self._count_in(key, item, tokens)
             if rows:
                 self._open_rows[artifact.artifact_id] = rows
                 insort(self._need_carriers, artifact, key=scan_order)
         if fulfills is not None:
-            self._fulfilled_keys.add(fulfills.text)
             pair = (fulfills.artifact_id, fulfills.need_index)
             self._coverage[pair] = self._coverage.get(pair, 0) + 1
             self._close(fulfills)
@@ -229,7 +233,8 @@ class GlobalIndex:
             self._centrality[other] -= 1
 
     def _close(self, key: NeedKey) -> None:
-        """Drop a fulfilled key's row, and its carrier once no row is left."""
+        """Claim a need key: drop its row, and its carrier once no row is left."""
+        self._claimed_needs.add(key)
         rows = self._open_rows.get(key.artifact_id)
         if rows is None:
             return
@@ -269,22 +274,49 @@ class GlobalIndex:
             self.log.append(index_line(artifact, fulfills))
             self._admit(artifact, fulfills)
 
-    def candidates(self, profile: Hashable, fits: Callable[[Artifact], Any],
-                   claims: Container[str]) -> list[tuple[Artifact, Any]]:
-        """The entries not in ``claims`` for which ``fits`` returns something
-        other than None, each with what it returned, in (timestamp, id)
-        order. ``fits`` must depend on ``profile`` alone: callers with the
-        same profile and claim set read one board (see the module doc).
+    def seed_claims(self, ids: Iterable[str], need_keys: Iterable[NeedKey]) -> None:
+        """Claim what a reactions log records as consumed."""
+        with self._lock:
+            self._claimed.update(ids)
+            for key in need_keys:
+                self._close(key)
+
+    def claimed(self, artifact_id: str) -> bool:
+        with self._lock:
+            return artifact_id in self._claimed
+
+    def claim_all(self, ids: Sequence[str]) -> bool:
+        """Claim every id, or none when one of them is claimed already."""
+        with self._lock:
+            if any(i in self._claimed for i in ids):
+                return False
+            self._claimed.update(ids)
+            return True
+
+    def claim_need(self, key: NeedKey) -> bool:
+        """Claim a need key and close its row, unless it is claimed already."""
+        with self._lock:
+            if key in self._claimed_needs:
+                return False
+            self._close(key)
+            return True
+
+    def candidates(self, profile: Hashable,
+                   fits: Callable[[Artifact], Any]) -> list[tuple[Artifact, Any]]:
+        """The unclaimed entries for which ``fits`` returns something other
+        than None, each with what it returned, in (timestamp, id) order.
+        ``fits`` must depend on ``profile`` alone: callers with the same
+        profile read one board (see the module doc).
         """
         with self._lock:
-            cursor, rows = self._boards.get((profile, claims), (0, []))
-            rows = [row for row in rows if row[0].artifact_id not in claims]
+            cursor, rows = self._boards.get(profile, (0, []))
+            rows = [row for row in rows if row[0].artifact_id not in self._claimed]
             for artifact in self._entries[cursor:]:
-                if artifact.artifact_id not in claims:
+                if artifact.artifact_id not in self._claimed:
                     fit = fits(artifact)
                     if fit is not None:
                         insort(rows, (artifact, fit), key=lambda row: scan_order(row[0]))
-            self._boards[(profile, claims)] = (len(self._entries), rows)
+            self._boards[profile] = (len(self._entries), rows)
             return list(rows)
 
     def scan(
@@ -309,7 +341,7 @@ class GlobalIndex:
     def open_needs(
         self, centrality: dict[NeedKey, int]
     ) -> list[tuple[NeedKey, NeedItem, Artifact]]:
-        """Every unfulfilled (key, item, carrying artifact) row, variant-expanded.
+        """Every unclaimed (key, item, carrying artifact) row, variant-expanded.
 
         Rows come in (timestamp, id) order of the carrying artifact, then need
         index, then variant. ``centrality`` gets each row's centrality count,

@@ -8,16 +8,16 @@ Each reaction appends one line to the agent's ``reactions.jsonl`` naming
 the artifact ids and the need key it consumed, after the claim and, from
 ``emit``'s ``before_store`` callback, before its product is stored: that
 log is the one persisted record of consumption, and a reactor seeds the
-shared claims from it when it starts.
+index's claims from it when it starts.
 
-Consumption is globally exclusive: reactors share a claim set so that no
-artifact's payload is ever reacted to twice, and no need key is answered
-twice, even when agents run concurrently. Need fulfillment consumes only the
-need key, not the carrying artifact, so a need-bearing artifact can still
-feed a later synthesis.
+Consumption is globally exclusive: reactors claim in their shared index, so
+that no artifact's payload is ever reacted to twice, and no need key is
+answered twice, even when agents run concurrently. Need fulfillment consumes
+only the need key, not the carrying artifact, so a need-bearing artifact can
+still feed a later synthesis.
 
 Scans follow what changed, not everything ever published. A reactor's
-candidates come from the index's board for its profile and claim set
+candidates come from the index's board for its profile
 (``GlobalIndex.candidates``): the unclaimed artifacts whose type the agent
 may consume and whose payload keys meet a runnable skill, in
 ``(timestamp, id)`` order, each with those keys. ``_fits`` is that test,
@@ -26,15 +26,13 @@ the allowed types and the runnable skills' input sets. Agents with the
 same profile share a board, so each artifact is judged once per profile;
 a reactor then drops its own products from what the board returns. Open
 needs come from the index's own ordered needs board, read once per need
-phase, with each row's centrality count; keys any reactor has claimed are
-skipped there.
+phase, with each row's centrality count; a claimed key has left it.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -108,12 +106,13 @@ REACTION_FIELDS = {"kind": str, "consumed_ids": [str], "fulfilled_need": (str, N
 PRESSURE_FIELDS = dict.fromkeys(PressureBreakdown.__dataclass_fields__, (int, float))
 
 
-def reaction_fields(record: dict) -> tuple[list[str], str | None, str]:
+def reaction_fields(record: dict) -> tuple[list[str], NeedKey | None, str]:
     """The consumed ids, fulfilled need key and product id of one
     reactions.jsonl record, once it keeps the rule of a ``ReactionRecord``
     (see ``_check_shape``), with numeric pressure terms.
 
-    Raises ValueError or ArtifactError for a record that is not a reaction.
+    Raises ValueError or ArtifactError for a record that is not a reaction,
+    or whose need key does not parse.
     """
     typed_fields(record, REACTION_FIELDS)
     consumed_ids, fulfilled = record["consumed_ids"], record["fulfilled_need"]
@@ -121,62 +120,22 @@ def reaction_fields(record: dict) -> tuple[list[str], str | None, str]:
     _check_shape(record["kind"], consumed_ids, fulfilled, pressure)
     if pressure is not None:
         typed_fields(pressure, PRESSURE_FIELDS)
+    fulfilled = NeedKey.parse(fulfilled) if fulfilled is not None else None
     return consumed_ids, fulfilled, record["produced_id"]
 
 
-def _read_consumption(path: Path) -> tuple[set[str], set[str]]:
+def _read_consumption(path: Path) -> tuple[set[str], set[NeedKey]]:
     """The artifact ids and need keys a reactions.jsonl records as consumed.
 
     A damaged line raises CorruptStore with its path and line number.
     """
     ids: set[str] = set()
-    need_keys: set[str] = set()
+    need_keys: set[NeedKey] = set()
     for _, (consumed_ids, fulfilled, _) in read_log(path, reaction_fields):
         ids.update(consumed_ids)
         if fulfilled is not None:
             need_keys.add(fulfilled)
     return ids, need_keys
-
-
-class ConsumptionClaims:
-    """Shared, thread-safe registry of consumed artifact ids and need keys.
-
-    claim_all is atomic: either every id is newly claimed or none is, which
-    is what keeps concurrent reactors from splitting a synthesis. claim_need
-    lets exactly one reactor answer a need key.
-    """
-
-    def __init__(self):
-        self._claimed: set[str] = set()
-        self._claimed_needs: set[str] = set()
-        self._lock = threading.Lock()
-
-    def seed(self, ids: Iterable[str], need_keys: Iterable[str]) -> None:
-        with self._lock:
-            self._claimed.update(ids)
-            self._claimed_needs.update(need_keys)
-
-    def __contains__(self, artifact_id: str) -> bool:
-        with self._lock:
-            return artifact_id in self._claimed
-
-    def claim_all(self, ids: Sequence[str]) -> bool:
-        with self._lock:
-            if any(i in self._claimed for i in ids):
-                return False
-            self._claimed.update(ids)
-            return True
-
-    def has_need(self, key: NeedKey) -> bool:
-        with self._lock:
-            return key.text in self._claimed_needs
-
-    def claim_need(self, key: NeedKey) -> bool:
-        with self._lock:
-            if key.text in self._claimed_needs:
-                return False
-            self._claimed_needs.add(key.text)
-            return True
 
 
 def merge_payloads(parents: Sequence[Artifact]) -> Payload:
@@ -249,7 +208,7 @@ class ArtifactReactor:
 
     ``emit`` creates and publishes an artifact on the agent's behalf and
     returns it, as ``World.emit`` does. ``rng`` seeds the skills a reaction runs.
-    ``claims`` is the claim set every reactor of a world shares.
+    Claims are made in ``index``, which every reactor of a world shares.
     """
 
     def __init__(
@@ -262,7 +221,6 @@ class ArtifactReactor:
         reactions_path: str | Path,
         clock: Clock,
         rng: random.Random,
-        claims: ConsumptionClaims,
     ):
         self.profile = profile
         self.registry = registry
@@ -273,8 +231,7 @@ class ArtifactReactor:
         self.rng = rng
         self.reactions_path = Path(reactions_path)
         self.reactions = AppendLog(self.reactions_path)
-        self.claims = claims
-        self.claims.seed(*_read_consumption(self.reactions_path))
+        self.index.seed_claims(*_read_consumption(self.reactions_path))
         self.reaction_count = 0  # reactions logged by this reactor
         # The registry is immutable and profiles are frozen: fixed for life.
         self._runnable = registry.skills_for(profile)
@@ -304,26 +261,24 @@ class ArtifactReactor:
 
     def can_react(self, artifact: Artifact) -> bool:
         """True iff this reactor could legitimately consume the artifact now."""
-        return (artifact.artifact_id not in self.claims
+        return (not self.index.claimed(artifact.artifact_id)
                 and artifact.producer_agent != self.agent_name
                 and self._fits(artifact) is not None)
 
     def scan_available(self) -> list[tuple[Artifact, frozenset]]:
         """Unclaimed peer artifacts compatible with at least one of our
         skills, in (timestamp, id) order, each with its payload keys."""
-        rows = self.index.candidates(self._fit_profile, self._fits, self.claims)
+        rows = self.index.candidates(self._fit_profile, self._fits)
         return [row for row in rows if row[0].producer_agent != self.agent_name]
 
     def scan_needs(
         self, open_rows: Sequence[tuple[NeedKey, NeedItem, Artifact]]
     ) -> list[tuple[NeedKey, NeedItem, Artifact]]:
         """Of ``index.open_needs(...)`` rows, the peer needs this agent could
-        produce and that no reactor has claimed yet."""
+        produce."""
         rows = []
         for key, item, carrier in open_rows:
             if carrier.producer_agent == self.agent_name:
-                continue
-            if self.claims.has_need(key):
                 continue
             if item.artifact_type not in self._producible:
                 continue
@@ -433,7 +388,7 @@ class ArtifactReactor:
         except ArtifactError as exc:
             log.warning("need %s left open: skill %s failed: %s", key.text, manifest.name, exc)
             return None
-        if not self.claims.claim_need(key):
+        if not self.index.claim_need(key):
             return None
         return self._commit(
             "need_driven", manifest, item.artifact_type, payload,
@@ -459,7 +414,7 @@ class ArtifactReactor:
                 log.warning("multi-parent via %s skipped: %s", manifest.name, exc)
                 continue
             consumed = tuple(a.artifact_id for a in artifacts)
-            if not self.claims.claim_all(consumed):
+            if not self.index.claim_all(consumed):
                 continue
             return self._commit(
                 "multi_parent", manifest, "synthesis", payload,
@@ -483,7 +438,7 @@ class ArtifactReactor:
             except ArtifactError as exc:
                 log.warning("single-parent on %s skipped: %s", artifact.artifact_id, exc)
                 continue
-            if not self.claims.claim_all((artifact.artifact_id,)):
+            if not self.index.claim_all((artifact.artifact_id,)):
                 continue
             return self._commit(
                 "single_parent", manifest, manifest.output_artifact_type, payload,

@@ -170,14 +170,16 @@ def verify_output(out_dir: str | Path) -> list[str]:
     recount of the reaction lines, the mutation lines and the index's
     fulfilled keys with the stored timestamps (the mean latency within
     1e-9), where those lines gave no violation; every reaction's product
-    stored by the reacting agent, no artifact consumed twice, no need key
-    fulfilled twice, none of an agent's own artifacts consumed, every
-    consumed type within the agent's domain, every merge and fork line's
-    inputs stored and its outputs stored by the agent that logged it, no
-    merge repeating the input set of another, no graft repeating the seq of
-    another, and an index that lists each stored artifact once under its
-    producer, with no need key fulfilled twice in it and none its carrier
-    never broadcast.
+    stored by the reacting agent, every consumed artifact stored, no
+    artifact consumed twice, no need key fulfilled twice, none of an agent's
+    own artifacts consumed, every consumed type within the agent's domain,
+    every merge and fork line's inputs stored and its outputs stored by the
+    agent that logged it, no merge repeating the input set of another, no
+    graft repeating the seq of another, an index that lists each stored
+    artifact once under its producer, with no need key fulfilled twice in
+    it and none its carrier never broadcast, and, where neither the
+    reaction lines nor the index gave a violation, each product's need key
+    the same in its reaction line and its index line.
     """
     violations: list[str] = []
     try:
@@ -236,7 +238,8 @@ def verify_output(out_dir: str | Path) -> list[str]:
                           f"unparseable reaction: {error.reason}")
 
     consumed_by: dict[str, str] = {}
-    fulfilled_by: dict[str, str] = {}
+    fulfilled_by: dict[NeedKey, str] = {}
+    need_of_product: dict[str, str] = {}  # each need-driven product's key
     before, reactions = len(violations), 0
     for agent, agent_files in files.items():
         for _, (consumed_ids, fulfilled, produced) in read_log(
@@ -251,9 +254,10 @@ def verify_output(out_dir: str | Path) -> list[str]:
                     f"{product.producer_agent}"
                 )
             if fulfilled is not None:
+                need_of_product[produced] = fulfilled.text
                 if fulfilled in fulfilled_by:
                     violations.append(
-                        f"need key {fulfilled} fulfilled twice "
+                        f"need key {fulfilled.text} fulfilled twice "
                         f"({fulfilled_by[fulfilled]} and {agent})"
                     )
                 fulfilled_by[fulfilled] = agent
@@ -266,6 +270,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
                 consumed_by[consumed] = agent
                 producer = artifacts.get(consumed)
                 if producer is None:
+                    violations.append(f"{agent} consumed {consumed}, which is in no store")
                     continue
                 if producer.producer_agent == agent:
                     violations.append(
@@ -276,9 +281,18 @@ def verify_output(out_dir: str | Path) -> list[str]:
                         f"{agent} consumed out-of-domain type "
                         f"{producer.artifact_type} ({consumed})"
                     )
-    if len(violations) == before:
+    reactions_clean = len(violations) == before
+    if reactions_clean:
         recounted["reactions"] = reactions
     index_violations, fulfillments = _index_violations(run_dir.index, artifacts)
+    if not index_violations and reactions_clean:
+        # A disagreement stops the latency recount, as an index violation does.
+        listed = {artifact.artifact_id: key.text for artifact, key in fulfillments}
+        index_violations = [
+            f"product {product} fulfilled need key {need_of_product.get(product)} by its "
+            f"reaction line but {listed.get(product)} by the index"
+            for product in sorted(need_of_product.keys() | listed.keys())
+            if need_of_product.get(product) != listed.get(product)]
     violations += index_violations
     if not index_violations:
         recounted["need_latencies"] = need_latencies(fulfillments, artifacts.get)

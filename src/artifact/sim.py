@@ -32,7 +32,7 @@ from .lineage import LineageGraph
 from .memory import AgentJournal, InvestigationTracker, _atomic_write, slugify
 from .mutator import MutationPolicy, Mutator
 from .needs import NeedItem, NeedsSignal, tokenize
-from .reactor import ArtifactReactor, ConsumptionClaims, build_params
+from .reactor import ArtifactReactor, build_params
 # The audit and the scenario are named here too, for callers that name them in sim.
 from .rundir import (RunDir, SimulationReport, load_world_dag, mean_latency,  # noqa: F401
                      need_latencies, verify_output)
@@ -183,7 +183,6 @@ class AgentRuntime:
             reactions_path=files.reactions,
             clock=world.clock,
             rng=self.rng,
-            claims=world.claims,
         )
         self.mutator = Mutator(
             agent_name=profile.name,
@@ -211,7 +210,6 @@ class World:
         # The graph holds each artifact, and resolves ids for the index.
         self.graph = LineageGraph()
         self.index = GlobalIndex(self.run_dir.index, self.resolve_id)
-        self.claims = ConsumptionClaims()
         self.governance = GovernanceLedger(
             self.run_dir.governance,
             clock=self.clock,

@@ -1,15 +1,16 @@
 """The reactor's incremental scans against the full rescans they replaced.
 
 Random publishes (timestamps out of order, need carriers and fulfilments,
-repeated fulfilments) and interleaved claims drive a shared index and one
-reactor per agent; two agents share a profile, so their reactors read one
-candidate board. At every check a reactor's candidates must equal a filter
-of the whole index through ``can_react`` of a reactor that never scanned,
-each with its payload keys, and the index's ordered needs board must equal
-a sort-and-rescan of every entry.
-Random publishes, fulfilments and closes check the centrality count the index
-keeps for each open need row against ``pressure.centrality``, the count's
-specification.
+repeated fulfilments) and interleaved claims of artifacts and of need keys
+(a claimed key whose answer is never published) drive a shared index and
+one reactor per agent; two agents share a profile, so their reactors read
+one candidate board. At every check a reactor's candidates must equal a
+filter of the whole index through ``can_react`` of a reactor that never
+scanned, each with its payload keys, and the index's ordered needs board
+must equal a sort-and-rescan of every entry.
+Random publishes, fulfilments, need-key claims and closes check the
+centrality count the index keeps for each open need row against
+``pressure.centrality``, the count's specification.
 One agent's gap queue, driven across calls while posts arrive and questions
 are started, is checked at every call against the sort it replaced, and the
 ledger's ordered feed against a sort of every post.
@@ -34,7 +35,7 @@ from artifact.lineage import LineageGraph
 from artifact.memory import slugify
 from artifact.needs import NeedItem, NeedsSignal
 from artifact.pressure import centrality
-from artifact.reactor import ArtifactReactor, ConsumptionClaims, param_keys
+from artifact.reactor import ArtifactReactor, param_keys
 from artifact.sim import GapQueue, choose_gap, stable_hash
 from artifact.skills import default_registry, load_profile
 
@@ -54,10 +55,11 @@ TYPES = ("protein_data", "synthesis", "materials_data", "pubmed_results", "citat
 KEYS = ("query", "sequence", "papers", "Motifs", "--smiles", "other", "-", "x y")
 
 
-def rescanned_open_needs(index: GlobalIndex) -> list:
-    """Every unfulfilled need row, from a sort and a rescan of all entries."""
+def rescanned_open_needs(index: GlobalIndex, claimed: set) -> list:
+    """Every need row neither fulfilled nor in ``claimed``, from a sort and a
+    rescan of all entries."""
     entries = index.entries()
-    fulfilled = {index.fulfilled_key(e.artifact_id) for e in entries}
+    fulfilled = {index.fulfilled_key(e.artifact_id) for e in entries} | claimed
     rows = []
     for entry in sorted(entries, key=lambda e: (e.timestamp, e.artifact_id)):
         if entry.needs is None:
@@ -71,15 +73,17 @@ def rescanned_open_needs(index: GlobalIndex) -> list:
 
 
 class Peers:
-    """A shared index and claim set, one live reactor and one reference
-    reactor per agent. The reference reactors only judge entries one at a
-    time, through ``can_react``; they never read a board."""
+    """A shared index, one live reactor and one reference reactor per agent,
+    and the artifact ids and need keys claimed in the index. The reference
+    reactors only judge entries one at a time, through ``can_react``; they
+    never read a board."""
 
     def __init__(self, directory: Path):
         registry = default_registry()
         self.index = GlobalIndex(directory / "index.jsonl", nothing_stored)
         self.store = ArtifactStore(directory / "store.jsonl")
-        self.claims = ConsumptionClaims()
+        self.claimed_ids: set[str] = set()
+        self.claimed_keys: set[NeedKey] = set()
         self.published: list = []
 
         def reactor(name, tools, subdir):
@@ -92,19 +96,19 @@ class Peers:
                 reactions_path=directory / subdir / name / "reactions.jsonl",
                 clock=ManualClock(),
                 rng=random.Random(name),
-                claims=self.claims,
             )
 
         self.reactors = {n: reactor(n, t, "live") for n, t in AGENTS.items()}
         self.references = {n: reactor(n, t, "reference") for n, t in AGENTS.items()}
 
+    def broadcast_keys(self) -> list[NeedKey]:
+        return [NeedKey(e.artifact_id, i, vid)
+                for e in self.published if e.needs is not None
+                for i, item in enumerate(e.needs.items) for vid in variant_ids(item)]
+
     def publish(self, op) -> None:
         _, producer, type_pick, keys, investigation, second, needs, fulfil = op
-        carriers_keys = [
-            NeedKey(e.artifact_id, i, vid)
-            for e in self.published if e.needs is not None
-            for i, item in enumerate(e.needs.items) for vid in variant_ids(item)
-        ]
+        carriers_keys = self.broadcast_keys()
         fulfills = None
         if fulfil is not None and carriers_keys:
             fulfills = carriers_keys[fulfil % len(carriers_keys)]
@@ -143,11 +147,12 @@ publishes = st.tuples(
     st.none() | st.integers(0, 40),  # fulfil one of the keys broadcast so far
 )
 claims = st.tuples(st.just("claim"), st.integers(0, 60))
+need_claims = st.tuples(st.just("claim_need"), st.integers(0, 40))
 checks = st.tuples(st.just("check"), st.integers(0, len(AGENTS) - 1))
 
 
 @settings(max_examples=120)
-@given(ops=st.lists(st.one_of(publishes, publishes, claims, checks, checks),
+@given(ops=st.lists(st.one_of(publishes, publishes, claims, need_claims, checks, checks),
                     min_size=5, max_size=40))
 def test_incremental_scans_match_full_rescan(ops):
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,8 +161,14 @@ def test_incremental_scans_match_full_rescan(ops):
             if op[0] == "publish":
                 peers.publish(op)
             elif op[0] == "claim" and peers.published:
-                peers.claims.claim_all((peers.published[op[1] % len(peers.published)]
-                                        .artifact_id,))
+                artifact_id = peers.published[op[1] % len(peers.published)].artifact_id
+                peers.index.claim_all((artifact_id,))
+                peers.claimed_ids.add(artifact_id)
+            elif op[0] == "claim_need" and peers.broadcast_keys():
+                keys = peers.broadcast_keys()
+                key = keys[op[1] % len(keys)]  # claiming a closed key closes nothing
+                peers.index.claim_need(key)
+                peers.claimed_keys.add(key)
             elif op[0] == "check":
                 name = list(AGENTS)[op[1]]
                 reactor, reference = peers.reactors[name], peers.references[name]
@@ -166,12 +177,13 @@ def test_incremental_scans_match_full_rescan(ops):
                             for e in peers.index.scan(exclude_producer=name)
                             if reference.can_react(e)]
                 assert found == expected
-                assert all(a.artifact_id not in peers.claims for a, _ in found)
+                assert all(a.artifact_id not in peers.claimed_ids for a, _ in found)
                 rows = peers.index.open_needs({})
-                rescanned = rescanned_open_needs(peers.index)
+                rescanned = rescanned_open_needs(peers.index, peers.claimed_keys)
                 assert rows == rescanned
                 assert reactor.scan_needs(rows) == reference.scan_needs(rescanned)
         reloaded = GlobalIndex(Path(tmp) / "index.jsonl", reopened(peers.store))
+        reloaded.seed_claims(peers.claimed_ids, peers.claimed_keys)
         assert reloaded.open_needs({}) == peers.index.open_needs({})
 
 
@@ -187,6 +199,7 @@ carries = st.tuples(st.just("carry"), st.lists(need_specs, min_size=1, max_size=
                     st.booleans(),  # one NeedItem object carried twice by the signal
                     st.integers(0, 12))
 fulfils = st.tuples(st.just("fulfil"), st.integers(0, 60), st.integers(0, 12))
+key_claims = st.tuples(st.just("claim_need"), st.integers(0, 60))
 
 
 def assert_counts_match_specification(index: GlobalIndex) -> None:
@@ -199,15 +212,22 @@ def assert_counts_match_specification(index: GlobalIndex) -> None:
 
 
 @settings(max_examples=150)
-@given(ops=st.lists(st.one_of(carries, carries, fulfils), min_size=1, max_size=30))
+@given(ops=st.lists(st.one_of(carries, carries, fulfils, key_claims), min_size=1, max_size=30))
 def test_index_centrality_counts_match_the_specification(ops):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.jsonl"
         index = GlobalIndex(path, nothing_stored)
         store = ArtifactStore(Path(tmp) / "store.jsonl")
         keys: list[NeedKey] = []
+        claimed: list[NeedKey] = []
         for number, op in enumerate(ops):
             fulfills, signal = None, None
+            if op[0] == "claim_need":
+                if keys:  # a key claimed and never answered: nothing is published
+                    claimed.append(keys[op[1] % len(keys)])
+                    index.claim_need(claimed[-1])
+                    assert_counts_match_specification(index)
+                continue
             if op[0] == "carry":
                 _, specs, repeat, second = op
                 items = tuple(
@@ -232,7 +252,10 @@ def test_index_centrality_counts_match_the_specification(ops):
                 keys += [NeedKey(artifact.artifact_id, i, vid)
                          for i, item in enumerate(signal.items) for vid in variant_ids(item)]
             assert_counts_match_specification(index)
-        assert_counts_match_specification(GlobalIndex(path, reopened(store)))
+        reloaded = GlobalIndex(path, reopened(store))
+        reloaded.seed_claims((), claimed)
+        assert_counts_match_specification(reloaded)
+        assert reloaded.open_needs({}) == index.open_needs({})
 
 
 # -- the gap queue against the sort it replaced -----------------------------------------

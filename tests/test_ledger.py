@@ -372,6 +372,7 @@ WRONG_TYPE = [
     ("reactions", ("pressure", "score"), "high"),
     ("reactions", ("pressure", "depth_term"), False),
     ("reactions", ("fulfilled_need",), None),              # a need-driven line
+    ("reactions", ("fulfilled_need",), "a1:x:default"),    # a key that does not parse
     ("reactions", ("consumed_ids",), ["x"]),
     ("mutations", ("cycle",), "x"),                        # MutationEvent.from_dict
     ("mutations", ("cycle",), True),

@@ -15,7 +15,6 @@ from artifact.lineage import LineageGraph
 from artifact.needs import NeedItem, NeedsSignal
 from artifact.reactor import (
     ArtifactReactor,
-    ConsumptionClaims,
     build_params,
     merge_payloads,
     param_keys,
@@ -108,16 +107,15 @@ def test_merge_matches_brute_force_fold():
 # -- harness ----------------------------------------------------------------------
 
 class Harness:
-    """A shared index, graph and claim set, and one store and reactor per
-    agent; ``emit`` publishes in the order ``World.emit`` does, and the
-    reactors publish through it."""
+    """A shared index (which holds the claims) and graph, and one store and
+    reactor per agent; ``emit`` publishes in the order ``World.emit`` does,
+    and the reactors publish through it."""
 
     def __init__(self, tmp_path, registry, agents: dict):
         self.registry = registry
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
         self.index = GlobalIndex(tmp_path / "index.jsonl", nothing_stored)
         self.graph = LineageGraph()
-        self.claims = ConsumptionClaims()
         self.reactors = {}
         self.stores = {}
         self.rngs = {}
@@ -127,20 +125,19 @@ class Harness:
             store = ArtifactStore(agent_dir / "store.jsonl")
             self.stores[name] = store
             self.rngs[name] = random.Random(name)  # str seeding is stable
-            self.reactors[name] = self.reactor(name, profile, self.claims)
+            self.reactors[name] = self.reactor(name, profile, self.index)
 
-    def reactor(self, name, profile, claims):
-        """A reactor for the agent that shares the harness's index and graph."""
+    def reactor(self, name, profile, index):
+        """A reactor for the agent on ``index`` that shares the harness's graph."""
         return ArtifactReactor(
             profile=profile,
             registry=self.registry,
-            index=self.index,
+            index=index,
             graph=self.graph,
             emit=lambda **kwargs: self.emit(name, **kwargs),
             reactions_path=self.stores[name].log.path.parent / "reactions.jsonl",
             clock=self.clock,
             rng=self.rngs[name],
-            claims=claims,
         )
 
     def emit(self, agent, artifact_type, payload, parents=(), needs=None, skill="synthesize",
@@ -203,7 +200,7 @@ def test_scan_available_finds_compatible_peer(harness):
 
 def test_scan_available_excludes_consumed(harness):
     artifact = harness.emit("alice", "protein_data", {"sequence": "MKT"})
-    harness.claims.claim_all((artifact.artifact_id,))
+    harness.index.claim_all((artifact.artifact_id,))
     assert harness.reactors["bob"].scan_available() == []
 
 
@@ -238,14 +235,14 @@ def test_scan_needs_basic(harness):
 
 
 def test_scan_needs_excludes_consumed_key(harness):
-    """A claimed key is skipped by every reactor sharing the claims, also
-    while its answer is not (or never gets) published."""
+    """A claimed key leaves the needs board at the claim, also while its
+    answer is not (or never gets) published, so no reactor runs a skill
+    for it."""
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     key = NeedKey(carrier.artifact_id, 0, "default")
-    assert harness.claims.claim_need(key)
-    assert [k for k, _, _ in harness.index.open_needs({})] == [key]
-    assert harness.reactors["bob"].scan_needs(harness.index.open_needs({})) == []
+    assert harness.index.claim_need(key)
+    assert harness.index.open_needs({}) == []
     state = harness.rngs["bob"].getstate()
     assert harness.reactors["bob"].react_to_needs(limit=1) == []
     assert harness.rngs["bob"].getstate() == state  # no skill was run for it
@@ -463,12 +460,12 @@ def test_a_candidate_row_holds_its_payload_keys(harness):
     claimed entry is never admitted, and a row claimed since goes."""
     artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
     taken = harness.emit("carol", "protein_data", {"sequence": "CCC"})
-    harness.claims.claim_all((taken.artifact_id,))
+    harness.index.claim_all((taken.artifact_id,))
     reactor = harness.reactors["bob"]
     (found, keys), = reactor.scan_available()
     assert found is artifact
     assert keys == param_keys(artifact.payload) and "sequence" in keys
-    harness.claims.claim_all((artifact.artifact_id,))
+    harness.index.claim_all((artifact.artifact_id,))
     assert reactor.scan_available() == []
 
 
@@ -501,21 +498,6 @@ def test_reactors_of_one_profile_read_each_payload_once(tmp_path, registry, monk
     assert [a for a, _ in harness.reactors["alice"].scan_available()] == [second]
     assert sorted(reads, key=len) == [first.payload, first.payload,
                                       second.payload, second.payload]
-
-
-def test_one_profile_with_two_claim_sets_reads_two_boards(harness):
-    """Reactors of one profile with their own claim sets, as a reactor
-    restarted beside a live one has, each see what their own set leaves
-    unclaimed."""
-    first = harness.emit("alice", "protein_data", {"sequence": "AAA"})
-    second = harness.emit("alice", "protein_data", {"sequence": "CCC"})
-    profile = harness.reactors["bob"].profile
-    own = ConsumptionClaims()
-    restarted = harness.reactor("bob", profile, own)
-    harness.claims.claim_all((first.artifact_id,))
-    own.claim_all((second.artifact_id,))
-    assert [a for a, _ in harness.reactors["bob"].scan_available()] == [second]
-    assert [a for a, _ in restarted.scan_available()] == [first]
 
 
 # -- exclusive need keys ------------------------------------------------------------
@@ -575,33 +557,37 @@ def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
     assert not (tmp_path / "agents" / "dave" / "reactions.jsonl").exists()
 
 
-def restart(harness, name, claims):
-    """A new reactor for an agent whose earlier reactor has run."""
-    return harness.reactor(name, harness.reactors[name].profile, claims)
+def restart(harness, name, index):
+    """A new reactor on ``index`` for an agent whose earlier reactor has run."""
+    return harness.reactor(name, harness.reactors[name].profile, index)
 
 
-def test_claims_are_seeded_from_both_ledger_files(harness):
+def fresh_index(tmp_path):
+    return GlobalIndex(tmp_path / "restarted" / "index.jsonl", nothing_stored)
+
+
+def test_claims_are_seeded_from_both_ledger_files(harness, tmp_path):
     """Both kinds of consumption, artifact ids and need keys, are seeded
-    from the agent's reactions.jsonl."""
+    from the agent's reactions.jsonl into the index a restart runs on."""
     artifact = harness.emit("alice", "protein_data", {"sequence": "AAA"})
     signal = NeedsSignal(items=(need("sequence_alignment"),))
     carrier = harness.emit("alice", "synthesis", {"topic": "t"}, needs=signal)
     harness.reactors["bob"].react(limit=3)
-    restarted = ConsumptionClaims()
+    restarted = fresh_index(tmp_path)
     restart(harness, "bob", restarted)
-    assert artifact.artifact_id in restarted
+    assert restarted.claimed(artifact.artifact_id)
     assert not restarted.claim_need(NeedKey(carrier.artifact_id, 0, "default"))
     assert not restarted.claim_all((artifact.artifact_id,))
 
 
-def test_damaged_reaction_line_stops_a_restart(harness):
+def test_damaged_reaction_line_stops_a_restart(harness, tmp_path):
     harness.emit("alice", "protein_data", {"sequence": "AAA"})
     assert len(harness.reactors["bob"].react(limit=1)) == 1
     path = harness.reactors["bob"].reactions_path
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"consumed_ids": "abc", "fulfilled_need": null}\n')
     with pytest.raises(CorruptStore) as info:
-        restart(harness, "bob", ConsumptionClaims())
+        restart(harness, "bob", fresh_index(tmp_path))
     assert (info.value.path, info.value.line_number) == (str(path), 2)
 
 

@@ -783,9 +783,39 @@ def test_verify_reports_reaction_product_not_stored_by_its_agent(tmp_path, react
                   fulfilled_need=None, pressure=None)
     _append_line(agents / reactor / "reactions.jsonl", record)
     violations = verify_output(out)
-    assert len(violations) == 1
+    assert len(violations) == 2
     assert record["produced_id"] in violations[0]
     assert error in violations[0]
+    assert violations[1] == (f"{reactor} consumed 00000000-0000-4000-8000-00000000000c, "
+                             "which is in no store")
+
+
+@pytest.mark.parametrize("damage", ["reaction key rewritten", "index key dropped"])
+def test_verify_reports_a_fulfilment_its_two_records_disagree_on(tmp_path, damage):
+    """A need-driven reaction line and its product's index line name the
+    same need key; damage to either one is one violation."""
+    out = tmp_path / "out"
+    run(fig2_scenario(), out)
+    path, number, line = next(
+        (path, number, json.loads(line))
+        for path in sorted((out / "agents").glob("*/reactions.jsonl"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines())
+        if json.loads(line)["fulfilled_need"] is not None)
+    product, key = line["produced_id"], line["fulfilled_need"]
+    if damage == "reaction key rewritten":
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[number] = json.dumps(dict(line, fulfilled_need=UNKNOWN_ID + ":0:default"))
+        path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+        expected = (UNKNOWN_ID + ":0:default", key)
+    else:
+        records = _index_lines(out)
+        listed = next(r for r in records if r["artifact_id"] == product)
+        assert listed["fulfills"] == key
+        listed["fulfills"] = None
+        _write_index(out, records)
+        expected = (key, None)
+    assert verify_output(out) == [f"product {product} fulfilled need key {expected[0]} by its "
+                                  f"reaction line but {expected[1]} by the index"]
 
 
 def test_governance_log_replays_to_the_live_ledger(tmp_path):
