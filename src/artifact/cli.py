@@ -60,9 +60,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if not run_dir.agent(address.agent).store.exists():
         print(f"no store for agent {address.agent!r} under {args.out}", file=sys.stderr)
         return 1
-    stored: dict = {}
-    read_store(run_dir, address.agent, stored)
-    artifact = stored.get(address.id)
+    artifact = None
+    for record in read_store(run_dir, address.agent, {}):
+        if record.artifact_id == address.id:
+            artifact = record
     if artifact is None:
         print(f"artifact {address.id} not found in {address.agent}'s store", file=sys.stderr)
         return 1

@@ -2,8 +2,13 @@
 
 ``RunDir`` names each file a run writes; the simulator opens every file at
 the path it gives, and no other module spells a file name. The reader below
-rebuilds a finished run from those files (``read_store``, ``load_world_dag``)
-and audits it (``verify_output``, whose docstring gives the damage rule).
+rebuilds a finished run from those files and audits it (``verify_output``,
+whose docstring gives the damage rule). ``read_store`` is the one reader of
+a store: it hands each record to its caller, refusing an id the caller
+already holds. ``inspect`` keeps the whole ``Artifact``, and is the one
+reader that returns payloads. ``load_world_dag`` keeps a payload-free
+``LineageRecord`` per artifact, and hashes each payload as its record is
+read, so a run's lineage is rebuilt without holding its payloads.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .canonical import known_fields
 from .clock import parse_timestamp
@@ -20,6 +25,7 @@ from .index import NeedKey, read_index, variant_ids
 from .ledger import Artifact, read_log, scan_order, verify_integrity
 from .lineage import DagMetrics, LineageGraph
 from .mutator import MutationEvent
+from .needs import NeedsSignal
 from .reactor import reaction_fields
 from .scenario import Scenario
 from .skills import allowed_types
@@ -45,6 +51,7 @@ class RunDir:
         self.governance = root / "governance.jsonl"
         self.report = root / "report.json"
         self._agents = root / "agents"
+        self._agent_names: list[str] | None = None
 
     def agent(self, name: str) -> AgentFiles:
         folder = self._agents / name
@@ -52,8 +59,12 @@ class RunDir:
                           mutations=folder / "mutations.jsonl", journal=folder / "journal.jsonl")
 
     def agent_names(self) -> list[str]:
-        """The agents that have a directory, in name order."""
-        return sorted(p.name for p in self._agents.iterdir()) if self._agents.is_dir() else []
+        """The agents that have a directory, in name order, as listed at the
+        first call: only the readers of a finished run ask."""
+        if self._agent_names is None:
+            self._agent_names = (sorted(p.name for p in self._agents.iterdir())
+                                 if self._agents.is_dir() else [])
+        return self._agent_names
 
 
 @dataclass
@@ -70,11 +81,13 @@ class SimulationReport:
     mutations: int
 
 
-def need_latencies(fulfillments: Iterable[tuple[Artifact, NeedKey | None]],
-                   resolve: Callable[[str], Artifact | None]) -> dict[str, float]:
+def need_latencies(fulfillments: Iterable[tuple[Artifact | LineageRecord, NeedKey | None]],
+                   resolve: Callable[[str], Artifact | LineageRecord | None]
+                   ) -> dict[str, float]:
     """Seconds from each need's broadcast to its fulfillment, in need key
-    order: ``fulfillments`` pairs each artifact with the key it fulfilled,
-    or None, and ``resolve`` gives the artifact of an id, or None."""
+    order: ``fulfillments`` pairs each artifact (or its lineage record) with
+    the key it fulfilled, or None, and ``resolve`` gives the artifact or the
+    record of an id, or None."""
     latencies: dict[str, float] = {}
     for artifact, key in fulfillments:
         carrier = resolve(key.artifact_id) if key is not None else None
@@ -89,43 +102,64 @@ def mean_latency(latencies: dict[str, float]) -> float | None:
     return sum(latencies.values()) / len(latencies) if latencies else None
 
 
-def read_store(run_dir: RunDir, agent: str, into: dict[str, Artifact]) -> None:
-    """Add each record of an agent's store to ``into``, by id: the one reader
-    of a store. A damaged line, and a record whose id ``into`` holds already
-    (an earlier line's or another store's) or that another agent produced,
-    raise CorruptStore."""
+def read_store(run_dir: RunDir, agent: str, held: Mapping[str, Any]) -> Iterator[Artifact]:
+    """Each record of an agent's store, in line order: the one reader of a
+    store. ``held`` maps each id the caller holds from other stores to a
+    record with its ``producer_agent``. A damaged line, a record whose id is
+    an earlier line's or one that ``held`` holds, and a record another agent
+    produced raise CorruptStore."""
     path = run_dir.agent(agent).store
+    earlier: set[str] = set()
     for number, artifact in read_log(path, Artifact.from_dict):
-        held = into.get(artifact.artifact_id)
-        if held is not None:
-            # Every record held passed the producer check below, so one of
-            # this agent's is an earlier line of this store.
-            where = ("earlier in this store" if held.producer_agent == agent
-                     else f"in the store of {held.producer_agent} too")
+        artifact_id = artifact.artifact_id
+        if artifact_id in earlier:
             raise CorruptStore(str(path), number,
-                               f"artifact {artifact.artifact_id} is {where}")
+                               f"artifact {artifact_id} is earlier in this store")
+        if artifact_id in held:
+            raise CorruptStore(str(path), number, f"artifact {artifact_id} is in the "
+                               f"store of {held[artifact_id].producer_agent} too")
         if artifact.producer_agent != agent:
-            raise CorruptStore(str(path), number, f"artifact {artifact.artifact_id} "
+            raise CorruptStore(str(path), number, f"artifact {artifact_id} "
                                f"was produced by {artifact.producer_agent}")
-        into[artifact.artifact_id] = artifact
+        earlier.add(artifact_id)
+        yield artifact
 
 
-def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
+class LineageRecord(NamedTuple):
+    """What a rebuilt lineage keeps of one stored artifact: every field the
+    graph and the audit read, and whether its payload hashed to its
+    ``content_hash``, but not the payload itself."""
+
+    artifact_id: str
+    artifact_type: str
+    producer_agent: str
+    timestamp: str
+    parent_artifact_ids: tuple
+    needs: NeedsSignal | None
+    intact: bool
+
+
+def load_world_dag(out_dir: str | Path | RunDir) -> tuple[LineageGraph, dict, list]:
     """Rebuild the lineage graph (with graft overlays) from an output dir.
 
-    Returns the graph, the stored artifacts by id, and every agent's
-    mutation events as (agent, line number, event); a damaged store or
-    mutation line raises CorruptStore, and so does a store record that
-    ``read_store`` refuses. Grafts replay in ``seq`` order, the order the
-    live graph applied them.
+    Returns the graph, a ``LineageRecord`` of each stored artifact by id,
+    and every agent's mutation events as (agent, line number, event); a
+    damaged store or mutation line raises CorruptStore, and so does a store
+    record that ``read_store`` refuses. Each record's payload is hashed as
+    it is read and then dropped. Grafts replay in ``seq`` order, the order
+    the live graph applied them.
     """
-    run_dir = RunDir(out_dir)
-    artifacts: dict[str, Artifact] = {}
+    run_dir = out_dir if isinstance(out_dir, RunDir) else RunDir(out_dir)
+    records: dict[str, LineageRecord] = {}
     for agent in run_dir.agent_names():
-        read_store(run_dir, agent, artifacts)
+        for artifact in read_store(run_dir, agent, records):
+            records[artifact.artifact_id] = LineageRecord(
+                artifact.artifact_id, artifact.artifact_type, artifact.producer_agent,
+                artifact.timestamp, artifact.parent_artifact_ids, artifact.needs,
+                verify_integrity(artifact))
     graph = LineageGraph()
-    for artifact in sorted(artifacts.values(), key=scan_order):
-        graph.insert(artifact)
+    for record in sorted(records.values(), key=scan_order):
+        graph.insert(record)
     events = [(agent, number, event)
               for agent in run_dir.agent_names()
               for number, event in read_log(run_dir.agent(agent).mutations,
@@ -133,7 +167,7 @@ def load_world_dag(out_dir: str | Path) -> tuple[LineageGraph, dict, list]:
     grafts = [event for _, _, event in events if event.kind == "graft"]
     for event in sorted(grafts, key=lambda event: event.seq):
         graph.set_parents(event.inputs[0], (event.new_parent,))
-    return graph, artifacts, events
+    return graph, records, events
 
 
 def _read_report(path: Path) -> tuple[dict, dict[str, set[str]]]:
@@ -159,12 +193,14 @@ def verify_output(out_dir: str | Path) -> list[str]:
     log line, a store line repeating an artifact id or holding another
     agent's artifact, or a graft that names a missing node or would close a
     cycle), that is the one violation returned, since every other check
-    reads the rebuilt lineage. A missing or unreadable report.json (bad
-    JSON, a key missing or not a ``SimulationReport`` field, a dag_metrics
-    key missing or not a ``DagMetrics`` field, a depth that is not a
-    number, a scenario naming an unknown skill) and a damaged
-    reactions.jsonl or index.jsonl line are
-    one violation each, and the checks go on with what is left: each key of
+    reads the rebuilt lineage. A payload whose hash is not its record's
+    ``content_hash``, found as ``load_world_dag`` reads the record, is one
+    violation per artifact, in store order. A missing or unreadable
+    report.json (bad JSON, a key missing or not a ``SimulationReport``
+    field, a dag_metrics key missing or not a ``DagMetrics`` field, a depth
+    that is not a number, a scenario naming an unknown skill) and a damaged
+    reactions.jsonl or index.jsonl line are one violation each, and the
+    checks go on with what is left: each key of
     the report's dag_metrics equal to the rebuilt lineage's own (the depth
     within 1e-9); its reactions, mutations and need latencies equal to a
     recount of the reaction lines, the mutation lines and the index's
@@ -182,19 +218,18 @@ def verify_output(out_dir: str | Path) -> list[str]:
     the same in its reaction line and its index line.
     """
     violations: list[str] = []
+    run_dir = RunDir(out_dir)
     try:
-        graph, artifacts, events = load_world_dag(out_dir)
+        graph, artifacts, events = load_world_dag(run_dir)
     except (CorruptStore, CycleRejected, DanglingParent, UnknownArtifact) as exc:
         return [f"lineage cannot be rebuilt: {type(exc).__name__}: {exc}"]
-    run_dir = RunDir(out_dir)
     files = {agent: run_dir.agent(agent) for agent in run_dir.agent_names()}
 
     if not graph.is_acyclic():
         violations.append("lineage graph contains a cycle")
 
-    for artifact in artifacts.values():
-        if not verify_integrity(artifact):
-            violations.append(f"hash mismatch for artifact {artifact.artifact_id}")
+    violations += [f"hash mismatch for artifact {record.artifact_id}"
+                   for record in artifacts.values() if not record.intact]
 
     # A total is recounted only from a file whose lines gave no violation of
     # their own, so that one damaged line is one violation.
@@ -317,7 +352,7 @@ def _mismatches(prefix: str, reported: dict, recomputed: dict) -> list[str]:
 
 
 def _mutation_line_violations(where: str, agent: str, event: MutationEvent,
-                              artifacts: dict[str, Artifact]) -> list[str]:
+                              artifacts: dict[str, LineageRecord]) -> list[str]:
     """What a merge or fork line of an agent's mutations log, at ``where``,
     gets wrong against the stores: an input no store holds, or an output
     that is not a stored artifact of that agent."""
@@ -333,7 +368,7 @@ def _mutation_line_violations(where: str, agent: str, event: MutationEvent,
     return violations
 
 
-def _broadcast(carrier: Artifact | None, key: NeedKey) -> bool:
+def _broadcast(carrier: LineageRecord | None, key: NeedKey) -> bool:
     """True iff the carrier's needs hold the key's need index and variant."""
     if carrier is None or carrier.needs is None:
         return False
@@ -341,13 +376,14 @@ def _broadcast(carrier: Artifact | None, key: NeedKey) -> bool:
     return 0 <= key.need_index < len(items) and key.variant_id in variant_ids(items[key.need_index])
 
 
-def _index_violations(path: Path, artifacts: dict[str, Artifact]) -> tuple[list[str], list]:
+def _index_violations(path: Path,
+                      artifacts: dict[str, LineageRecord]) -> tuple[list[str], list]:
     """What ``index.jsonl`` gets wrong against the stores: each line that
     ``read_index`` finds damaged, a stored artifact never listed, and a need
     key its carrier never broadcast or fulfilled twice. With it, each stored
     artifact the index lists as fulfilling a need, with that need's key."""
     violations: list[str] = []
-    fulfillments: list[tuple[Artifact, NeedKey]] = []
+    fulfillments: list[tuple[LineageRecord, NeedKey]] = []
 
     def damaged(error: CorruptStore) -> None:
         violations.append(f"{error.path} line {error.line_number}: {error.reason}")

@@ -96,9 +96,7 @@ def alice_store(tmp_path) -> ArtifactStore:
 
 def read_alice(tmp_path) -> list:
     """alice's records as ``read_store`` reads them, in line order."""
-    records: dict = {}
-    read_store(RunDir(tmp_path), "alice", records)
-    return list(records.values())
+    return list(read_store(RunDir(tmp_path), "alice", {}))
 
 
 def test_append_then_load_preserves_order(tmp_path, make_artifact):
@@ -199,7 +197,7 @@ def test_invalid_addresses(bad):
 # that reads it, and whether its lines carry an id that may appear only once.
 RUN_FILES = {
     "store": ("agents/alice/store.jsonl",
-              lambda path: read_store(RunDir(path.parents[2]), "alice", {}), True),
+              lambda path: list(read_store(RunDir(path.parents[2]), "alice", {})), True),
     "index": ("index.jsonl",
               lambda path: GlobalIndex(path, load_world_dag(path.parent)[1].__getitem__), True),
     "reactions": ("agents/bruno/reactions.jsonl", _read_consumption, False),

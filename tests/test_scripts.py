@@ -45,3 +45,14 @@ def test_digests_script_refuses_an_unknown_scenario(tmp_path):
     result = run_script("digests.py", ("demo", "9x9"), tmp_path)
     assert result.returncode == 2
     assert "unknown scenario(s) ['9x9']" in result.stderr
+
+
+def test_memory_script_prints_the_traced_memory_of_the_demo(tmp_path):
+    result = run_script("memory.py", ("demo",), tmp_path)
+    assert result.returncode == 0, result.stderr
+    header, line = result.stdout.splitlines()
+    assert header.split() == ["scenario", "live", "MB", "verify", "peak", "MB", "verify"]
+    name, live, peak, verdict = line.split()
+    assert (name, verdict) == ("demo", "[]")
+    assert 0 < float(peak) < float(live)
+    assert list(tmp_path.iterdir()) == []

@@ -672,7 +672,7 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         _add_extra_field(alice / "store.jsonl",
                          lambda record: record["needs"] and record["needs"]["items"][0])
         with pytest.raises(CorruptStore):
-            read_store(RunDir(out), "alice", {})
+            list(read_store(RunDir(out), "alice", {}))
     elif damage == "an extra field in a reaction's pressure":
         _add_extra_field(alice / "reactions.jsonl", lambda record: record["pressure"])
         with pytest.raises(CorruptStore):
@@ -845,6 +845,29 @@ def test_verify_reports_need_key_fulfilled_twice(tmp_path):
     violations = verify_output(out)
     assert len(violations) == 1
     assert "fulfilled twice" in violations[0]
+
+
+def test_verify_reports_a_tampered_payload_and_the_damage_beside_it(tmp_path):
+    """The payload hash is checked as the store is read; the checks after
+    the rebuild still run, so an independent damage is reported too."""
+    out = tmp_path / "out"
+    run(fig2_scenario(cycles=2), out)
+    agents = out / "agents"
+    store = agents / "alice" / "store.jsonl"
+    first, *rest = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(first)
+    record["payload"] = {"tampered": True}
+    store.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+    reaction = json.loads(
+        (agents / "bruno" / "reactions.jsonl").read_text(encoding="utf-8").splitlines()[-1])
+    # A second reaction of bruno's that consumes an id bruno's last one consumed.
+    reaction.update(kind="single_parent", consumed_ids=reaction["consumed_ids"][:1],
+                    fulfilled_need=None, pressure=None)
+    _append_line(agents / "bruno" / "reactions.jsonl", reaction)
+    assert verify_output(out) == [
+        f"hash mismatch for artifact {record['artifact_id']}",
+        f"artifact {reaction['consumed_ids'][0]} consumed twice (bruno and bruno)",
+    ]
 
 
 def _index_lines(out):
