@@ -18,13 +18,13 @@ and the feed is read, never sorted. A post is hidden only when it is created
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .canonical import known_fields
-from .clock import Clock, SystemClock, format_timestamp, parse_timestamp
+from .canonical import typed_fields
+from .clock import Clock, SystemClock, format_timestamp, is_timestamp, parse_timestamp
 from .errors import (
     ArtifactError,
     ClockSkew,
@@ -70,7 +70,7 @@ def tier_of(karma: int, reputation: int) -> Tier:
     return Tier.ACTIVE
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentAccount:
     name: str
     karma: int = 0
@@ -92,24 +92,22 @@ class AgentAccount:
         self.tier = tier_of(self.karma, self.reputation)
 
 
-@dataclass
+@dataclass(slots=True)
 class Post:
+    """What the ledger keeps of a post: the fields its commands and queries
+    read. The text (title, content, hypothesis, method, findings, tools
+    used) is in the post's event in the log, and only there."""
+
     id: str
     community: str
     author: str
-    title: str
-    content: str
-    hypothesis: str
-    method: str
-    findings: str
-    open_questions: list = field(default_factory=list)
-    tools_used: list = field(default_factory=list)
-    artifact_refs: list = field(default_factory=list)
+    open_questions: list
+    artifact_refs: list
+    hidden: bool
+    created: str
     upvotes: int = 0
     downvotes: int = 0
     comment_count: int = 0
-    hidden: bool = False
-    created: str = ""
 
 
 @dataclass
@@ -120,7 +118,7 @@ class PostLink:
     description: str
 
 
-@dataclass
+@dataclass(slots=True)
 class CommentAction:
     id: str
     post: str
@@ -144,6 +142,21 @@ class _RateState:
     comments_today: int = 0
     vote_day: str = ""
     votes_today: int = 0
+
+
+# The kind of each field of a governance.jsonl line, as ``_log`` writes it.
+EVENT_FIELDS = {"op": str, "now": is_timestamp, "data": dict}
+
+
+def event_op(record: dict) -> str:
+    """The op of one governance.jsonl record, once the record has exactly
+    the fields of an event, each of its kind, and its op names a command.
+    Raises ValueError for a record that is not an event; its ``data`` are
+    checked only by replaying it."""
+    typed_fields(record, EVENT_FIELDS)
+    if record["op"] not in GovernanceLedger.COMMANDS:
+        raise ValueError(f"unknown event op {record['op']!r}")
+    return record["op"]
 
 
 def _seconds_to_next_utc_day(now: datetime) -> float:
@@ -208,13 +221,10 @@ class GovernanceLedger:
             self._replaying = False
 
     def _dispatch(self, record: dict) -> None:
-        """Run an event's command again; a field missing from its data, or
-        one the command does not take, raises TypeError, and a field beside
-        ``op``, ``now`` and ``data`` ValueError."""
-        known_fields(record, {"op", "now", "data"})
-        command = self.COMMANDS.get(record["op"])
-        if command is None:
-            raise ArtifactError(f"unknown event op {record['op']!r}")
+        """Run an event's command again; a record that ``event_op`` refuses
+        raises ValueError, and a field missing from its data, or one the
+        command does not take, TypeError."""
+        command = self.COMMANDS[event_op(record)]
         getattr(self, command)(**record["data"], now=parse_timestamp(record["now"]))
 
     # -- helpers ------------------------------------------------------------
@@ -314,8 +324,9 @@ class GovernanceLedger:
         now: datetime | None = None,
     ) -> Post:
         """Publish a post; ``artifact_refs`` are the ids of the artifacts it
-        cites, whose type, producer and lineage their own records hold. A
-        post dated before the newest post, hidden or not, raises ClockSkew."""
+        cites, whose type, producer and lineage their own records hold. The
+        text arguments go to the post's event and are not kept. A post dated
+        before the newest post, hidden or not, raises ClockSkew."""
         now = self._now(now)
         created = format_timestamp(now)
         if self.posts:
@@ -334,13 +345,7 @@ class GovernanceLedger:
             id=self._next_id("post"),
             community=community,
             author=author,
-            title=title,
-            content=content,
-            hypothesis=hypothesis,
-            method=method,
-            findings=findings,
             open_questions=list(open_questions),
-            tools_used=list(tools_used),
             artifact_refs=list(artifact_refs),
             hidden=account.tier == Tier.SHADOWBAN,
             created=created,

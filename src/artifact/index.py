@@ -62,7 +62,7 @@ from .needs import NeedItem, tokenize
 DEFAULT_VARIANT = "default"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeedKey:
     artifact_id: str
     need_index: int

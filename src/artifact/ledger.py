@@ -54,7 +54,7 @@ ARTIFACT_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Artifact:
     artifact_id: str
     artifact_type: str

@@ -2,10 +2,11 @@
 
 The journal is an append-only log, one canonical JSON record per line, and
 the only persisted record of an agent's investigations. The tracker is a
-view of it: each change it makes is one journal line, folded in as it is
-written, and a tracker built over an existing journal folds every line back
-into the same state. The lines it writes all carry the investigation's slug
-as ``investigation`` in their metadata:
+view of it that keeps each investigation's status alone: each change it
+makes is one journal line, folded in as it is written, and a tracker built
+over an existing journal folds every line back into the same state. The
+lines it writes all carry the investigation's slug as ``investigation`` in
+their metadata:
 
 - ``observation``, the topic, ``status: "active"``: the investigation starts;
 - ``hypothesis``, the hypothesis;
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import typed_fields
@@ -50,7 +51,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalEntry:
     timestamp: str
     kind: str
@@ -94,92 +95,62 @@ class AgentJournal:
         return [entry for _, entry in read_log(self.path, JournalEntry.from_dict)]
 
 
-@dataclass
-class Investigation:
-    id: str
-    topic: str
-    status: str = "active"
-    hypotheses: list = field(default_factory=list)
-    results: list = field(default_factory=list)
-    created: str = ""
-    completed: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "topic": self.topic,
-            "status": self.status,
-            "hypotheses": self.hypotheses,
-            "results": self.results,
-            "created": self.created,
-            "completed": self.completed,
-        }
-
-
 class InvestigationTracker:
-    """An agent's investigations, folded from its journal (the module
-    docstring lists the lines). The journal is read once, here; after that
-    the tracker folds in only the lines it writes itself."""
+    """The status of each of an agent's investigations, folded from its
+    journal (the module docstring lists the lines): ``active`` or
+    ``complete``, by slug. Their topics, hypotheses and results are the
+    journal's, and only the journal's. The journal is read once, here;
+    after that the tracker folds in only the lines it writes itself."""
 
     def __init__(self, journal: AgentJournal):
         self.journal = journal
-        self._items: dict[str, Investigation] = {}
+        self._status: dict[str, str] = {}
         for entry in journal.entries():
             self._fold(entry)
 
     def _fold(self, entry: JournalEntry) -> None:
+        if entry.kind != "observation":
+            return
         slug = entry.metadata.get("investigation")
         status = entry.metadata.get("status")
-        investigation = self._items.get(slug)
-        if investigation is None:
-            if entry.kind == "observation" and status == "active":
-                self._items[slug] = Investigation(
-                    id=slug, topic=entry.content, created=entry.timestamp
-                )
-        elif entry.kind == "hypothesis":
-            investigation.hypotheses.append(entry.content)
-        elif entry.kind == "experiment" and "skill" in entry.metadata:
-            investigation.results.append(
-                {"artifact": entry.metadata["artifact"], "skill": entry.metadata["skill"]}
-            )
-        elif entry.kind == "observation" and status == "complete":
-            investigation.status = "complete"
-            investigation.completed = entry.timestamp
+        if slug not in self._status:
+            if status == "active":
+                self._status[slug] = status
+        elif status == "complete":
+            self._status[slug] = status
 
     def _record(self, kind: str, content: str, metadata: dict) -> None:
         self._fold(self.journal.log(kind, content, metadata))
 
-    def create(self, topic: str) -> Investigation:
-        """Idempotent: an existing investigation for the slug is returned as-is."""
+    def create(self, topic: str) -> str:
+        """The status of the topic's investigation, started here if it is
+        new; an existing one is left as it is."""
         slug = slugify(topic)
-        if slug not in self._items:
+        if slug not in self._status:
             self._record("observation", topic, {"investigation": slug, "status": "active"})
-        return self._items[slug]
+        return self._status[slug]
 
-    def get(self, investigation_id: str) -> Investigation:
+    def status(self, investigation_id: str) -> str:
         try:
-            return self._items[investigation_id]
+            return self._status[investigation_id]
         except KeyError:
             raise UnknownInvestigation(f"no investigation {investigation_id!r}")
 
     def __contains__(self, investigation_id: str) -> bool:
-        return investigation_id in self._items
-
-    def all(self) -> list[Investigation]:
-        return list(self._items.values())
+        return investigation_id in self._status
 
     def add_hypothesis(self, investigation_id: str, hypothesis: str) -> None:
-        self.get(investigation_id)
+        self.status(investigation_id)
         self._record("hypothesis", hypothesis, {"investigation": investigation_id})
 
     def add_result(self, investigation_id: str, artifact_id: str, skill: str) -> None:
-        self.get(investigation_id)
+        self.status(investigation_id)
         self._record("experiment", f"ran {skill}", {
             "investigation": investigation_id, "artifact": artifact_id, "skill": skill,
         })
 
     def mark_complete(self, investigation_id: str) -> None:
-        if self.get(investigation_id).status == "complete":
+        if self.status(investigation_id) == "complete":
             raise AlreadyComplete(f"investigation {investigation_id} already complete")
         self._record("observation", "investigation complete",
                      {"investigation": investigation_id, "status": "complete"})

@@ -76,7 +76,7 @@ MUTATION_FIELDS = {"kind": str, "inputs": [str], "outputs": [str], "cycle": int,
                    "new_parent": (str, NoneType), "seq": (int, NoneType)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MutationEvent:
     kind: str
     inputs: tuple

@@ -28,7 +28,7 @@ MAX_NEED_ITEMS = 2
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeedItem:
     artifact_type: str
     query: str
@@ -73,7 +73,7 @@ class NeedItem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeedsSignal:
     items: tuple = field(default=())
 

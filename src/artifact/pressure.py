@@ -31,7 +31,7 @@ W_DEPTH = 0.5
 W_AGE = 0.2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PressureBreakdown:
     novelty: float
     centrality: float
@@ -49,7 +49,7 @@ class PressureBreakdown:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PressureContext:
     """What a need's score depends on. ``centrality`` is the need's count,
     which the function ``centrality`` specifies and the index keeps."""
@@ -103,7 +103,7 @@ def pressure(context: PressureContext) -> PressureBreakdown:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedNeed:
     key: NeedKey
     item: NeedItem

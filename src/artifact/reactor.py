@@ -76,7 +76,7 @@ def _check_shape(kind: str, consumed_ids: Sequence, fulfilled_need, pressure) ->
         raise ArtifactError("multi_parent reactions consume at least two artifacts")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReactionRecord:
     kind: str
     consumed_ids: tuple

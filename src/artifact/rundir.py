@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 from .canonical import known_fields
 from .clock import parse_timestamp
 from .errors import ArtifactError, CorruptStore, CycleRejected, DanglingParent, UnknownArtifact
+from .governance import event_op
 from .index import NeedKey, read_index, variant_ids
 from .ledger import Artifact, read_log, scan_order, verify_integrity
 from .lineage import DagMetrics, LineageGraph
@@ -146,17 +147,25 @@ def load_world_dag(out_dir: str | Path | RunDir) -> tuple[LineageGraph, dict, li
     and every agent's mutation events as (agent, line number, event); a
     damaged store or mutation line raises CorruptStore, and so does a store
     record that ``read_store`` refuses. Each record's payload is hashed as
-    it is read and then dropped. Grafts replay in ``seq`` order, the order
-    the live graph applied them.
+    it is read and then dropped. ``json`` decodes a new string for each
+    use of an id, a type or an agent's name; the records share one string
+    for each, so a parent id is the held record's own ``artifact_id``.
+    Grafts replay in ``seq`` order, the order the live graph applied them.
     """
     run_dir = out_dir if isinstance(out_dir, RunDir) else RunDir(out_dir)
     records: dict[str, LineageRecord] = {}
+    strings: dict[str, str] = {}
+
+    def one(text: str) -> str:
+        return strings.setdefault(text, text)
+
     for agent in run_dir.agent_names():
         for artifact in read_store(run_dir, agent, records):
-            records[artifact.artifact_id] = LineageRecord(
-                artifact.artifact_id, artifact.artifact_type, artifact.producer_agent,
-                artifact.timestamp, artifact.parent_artifact_ids, artifact.needs,
-                verify_integrity(artifact))
+            artifact_id = one(artifact.artifact_id)
+            records[artifact_id] = LineageRecord(
+                artifact_id, one(artifact.artifact_type), one(artifact.producer_agent),
+                artifact.timestamp, tuple(map(one, artifact.parent_artifact_ids)),
+                artifact.needs, verify_integrity(artifact))
     graph = LineageGraph()
     for record in sorted(records.values(), key=scan_order):
         graph.insert(record)
@@ -199,23 +208,24 @@ def verify_output(out_dir: str | Path) -> list[str]:
     report.json (bad JSON, a key missing or not a ``SimulationReport``
     field, a dag_metrics key missing or not a ``DagMetrics`` field, a depth
     that is not a number, a scenario naming an unknown skill) and a damaged
-    reactions.jsonl or index.jsonl line are one violation each, and the
-    checks go on with what is left: each key of
-    the report's dag_metrics equal to the rebuilt lineage's own (the depth
-    within 1e-9); its reactions, mutations and need latencies equal to a
-    recount of the reaction lines, the mutation lines and the index's
-    fulfilled keys with the stored timestamps (the mean latency within
-    1e-9), where those lines gave no violation; every reaction's product
-    stored by the reacting agent, every consumed artifact stored, no
-    artifact consumed twice, no need key fulfilled twice, none of an agent's
-    own artifacts consumed, every consumed type within the agent's domain,
-    every merge and fork line's inputs stored and its outputs stored by the
-    agent that logged it, no merge repeating the input set of another, no
-    graft repeating the seq of another, an index that lists each stored
-    artifact once under its producer, with no need key fulfilled twice in
-    it and none its carrier never broadcast, and, where neither the
-    reaction lines nor the index gave a violation, each product's need key
-    the same in its reaction line and its index line.
+    reactions.jsonl, index.jsonl or governance.jsonl line (one that
+    ``governance.event_op`` refuses) are one violation each, and the checks
+    go on with what is left: each key of the report's dag_metrics equal to
+    the rebuilt lineage's own (the depth within 1e-9); its reactions,
+    mutations, posts and need latencies equal to a recount of the reaction
+    lines, the mutation lines, the ``post`` events and the index's fulfilled
+    keys with the stored timestamps (the mean latency within 1e-9), where
+    those lines gave no violation; every reaction's product stored by the
+    reacting agent, every consumed artifact stored, no artifact consumed
+    twice, no need key fulfilled twice, none of an agent's own artifacts
+    consumed, every consumed type within the agent's domain, every merge and
+    fork line's inputs stored and its outputs stored by the agent that
+    logged it, no merge repeating the input set of another, no graft
+    repeating the seq of another, an index that lists each stored artifact
+    once under its producer, with no need key fulfilled twice in it and none
+    its carrier never broadcast, and, where neither the reaction lines nor
+    the index gave a violation, each product's need key the same in its
+    reaction line and its index line.
     """
     violations: list[str] = []
     run_dir = RunDir(out_dir)
@@ -319,6 +329,15 @@ def verify_output(out_dir: str | Path) -> list[str]:
     reactions_clean = len(violations) == before
     if reactions_clean:
         recounted["reactions"] = reactions
+
+    def damaged_event(error: CorruptStore) -> None:
+        violations.append(f"{error.path} line {error.line_number}: "
+                          f"unparseable governance event: {error.reason}")
+
+    before = len(violations)
+    posts = sum(op == "post" for _, op in read_log(run_dir.governance, event_op, damaged_event))
+    if len(violations) == before:
+        recounted["posts"] = posts
     index_violations, fulfillments = _index_violations(run_dir.index, artifacts)
     if not index_violations and reactions_clean:
         # A disagreement stops the latency recount, as an index violation does.

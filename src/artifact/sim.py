@@ -56,7 +56,7 @@ DOMAIN_KEYWORDS = {
 def stable_hash(*parts: str) -> int:
     """Seedable, process-independent hash for stub ordering decisions."""
     material = "\x1f".join(parts).encode("utf-8")
-    return int(hashlib.sha256(material).hexdigest()[:16], 16)
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
     runtime = world.agents[agent_name]
     profile = runtime.profile
     slug = slugify(topic)
-    investigation = runtime.tracker.create(topic)
+    status = runtime.tracker.create(topic)
     hypothesis = f"Investigating '{topic}' will surface cross-domain structure."
     runtime.tracker.add_hypothesis(slug, hypothesis)
 
@@ -456,7 +456,7 @@ def run_pipeline(world: World, agent_name: str, topic: str) -> dict:
     artifacts.append(synthesis)
     conclusion = f"Chain of {len(chain)} skill(s) synthesized for '{topic}'."
     runtime.journal.log("conclusion", conclusion, {"investigation": slug})
-    if investigation.status == "active":  # re-runs resume a completed slug
+    if status == "active":  # re-runs resume a completed slug
         runtime.tracker.mark_complete(slug)
 
     unmatched = _unmatched_tokens(world.registry, tokenize(topic))[:2]

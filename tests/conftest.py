@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from artifact.clock import EPOCH, ManualClock
 from artifact.ledger import AppendLog, Artifact, create_artifact, new_uuid, read_log
+from artifact.memory import JournalEntry
 from artifact.skills import default_registry
 
 settings.register_profile("suite", deadline=None)
@@ -78,6 +79,20 @@ def make_artifact(clock, rng):
 def stored_records(path) -> list:
     """The artifacts a store file holds, in line order."""
     return [artifact for _, artifact in read_log(path, Artifact.from_dict)]
+
+
+def post_events(path) -> list[dict]:
+    """The data of each ``post`` event of a governance log, in line order:
+    a post's text is kept there alone."""
+    return [event["data"] for _, event in read_log(path, lambda event: event)
+            if event["op"] == "post"]
+
+
+def started_topics(path) -> list[str]:
+    """The topic of each investigation a journal file starts, in line order:
+    the tracker keeps only their status."""
+    return [entry.content for _, entry in read_log(path, JournalEntry.from_dict)
+            if entry.kind == "observation" and entry.metadata.get("status") == "active"]
 
 
 def nothing_stored(artifact_id: str):

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from artifact.errors import AlreadyComplete, CorruptStore, InvalidKind, UnknownInvestigation
-from artifact.memory import AgentJournal, InvestigationTracker, slugify
+from artifact.ledger import read_log
+from artifact.memory import AgentJournal, InvestigationTracker, JournalEntry, slugify
 
 
 # -- journal -------------------------------------------------------------------
@@ -50,32 +51,42 @@ def tracker_over(tmp_path, clock) -> InvestigationTracker:
     return InvestigationTracker(AgentJournal(tmp_path / "journal.jsonl", clock=clock))
 
 
+def investigation_lines(path, slug) -> list[JournalEntry]:
+    """The journal lines of one investigation, read from its file."""
+    return [entry for _, entry in read_log(path, JournalEntry.from_dict)
+            if entry.metadata.get("investigation") == slug]
+
+
 def test_create_is_idempotent_on_slug(tmp_path, clock):
     tracker = tracker_over(tmp_path, clock)
     first = tracker.create("Protein binding")
     again = tracker.create("protein BINDING")
-    assert first is again
-    assert first.status == "active"
-    assert len(tracker.all()) == 1
+    assert first == again == tracker.status("protein-binding") == "active"
+    assert "protein-binding" in tracker
     assert len(tracker.journal.entries()) == 1  # the second create logs nothing
 
 
 def test_mark_complete_sets_timestamp(tmp_path, clock):
+    """An investigation's start and completion times are its journal lines'."""
     tracker = tracker_over(tmp_path, clock)
-    inv = tracker.create("some topic")
-    assert inv.created == tracker.journal.entries()[0].timestamp
-    assert inv.completed is None
-    tracker.mark_complete(inv.id)
-    assert inv.status == "complete"
-    assert inv.completed == tracker.journal.entries()[-1].timestamp
+    tracker.create("some topic")
+    [started] = investigation_lines(tracker.journal.path, "some-topic")
+    assert started.timestamp == tracker.journal.entries()[0].timestamp
+    assert started.metadata["status"] == "active"
+    assert tracker.status("some-topic") == "active"
+    tracker.mark_complete("some-topic")
+    assert tracker.status("some-topic") == "complete"
+    completed = investigation_lines(tracker.journal.path, "some-topic")[-1]
+    assert completed.metadata["status"] == "complete"
+    assert completed.timestamp == tracker.journal.entries()[-1].timestamp > started.timestamp
 
 
 def test_double_complete_rejected(tmp_path, clock):
     tracker = tracker_over(tmp_path, clock)
-    inv = tracker.create("some topic")
-    tracker.mark_complete(inv.id)
+    tracker.create("some topic")
+    tracker.mark_complete("some-topic")
     with pytest.raises(AlreadyComplete):
-        tracker.mark_complete(inv.id)
+        tracker.mark_complete("some-topic")
 
 
 def test_unknown_investigation_errors(tmp_path, clock):
@@ -84,15 +95,17 @@ def test_unknown_investigation_errors(tmp_path, clock):
         tracker.add_result("nope", "a1", "paper_search")
     with pytest.raises(UnknownInvestigation):
         tracker.add_hypothesis("nope", "h")
+    with pytest.raises(UnknownInvestigation):
+        tracker.status("nope")
     assert tracker.journal.entries() == []
 
 
 def test_tracker_writes_one_journal_line_per_change(tmp_path, clock):
     tracker = tracker_over(tmp_path, clock)
-    inv = tracker.create("Some topic")
-    tracker.add_hypothesis(inv.id, "h1")
-    tracker.add_result(inv.id, "a1", "paper_search")
-    tracker.mark_complete(inv.id)
+    tracker.create("Some topic")
+    tracker.add_hypothesis("some-topic", "h1")
+    tracker.add_result("some-topic", "a1", "paper_search")
+    tracker.mark_complete("some-topic")
     assert [(e.kind, e.content, e.metadata) for e in tracker.journal.entries()] == [
         ("observation", "Some topic", {"investigation": "some-topic", "status": "active"}),
         ("hypothesis", "h1", {"investigation": "some-topic"}),
@@ -105,20 +118,26 @@ def test_tracker_writes_one_journal_line_per_change(tmp_path, clock):
 
 def test_tracker_persists_across_reload(tmp_path, clock):
     tracker = tracker_over(tmp_path, clock)
-    inv = tracker.create("some topic")
-    tracker.add_hypothesis(inv.id, "h1")
-    tracker.journal.log("experiment", "skill x skipped", {"investigation": inv.id})
-    tracker.add_result(inv.id, "a1", "paper_search")
-    tracker.journal.log("conclusion", "done", {"investigation": inv.id})
-    tracker.mark_complete(inv.id)
+    slug = "some-topic"
+    tracker.create("some topic")
+    tracker.add_hypothesis(slug, "h1")
+    tracker.journal.log("experiment", "skill x skipped", {"investigation": slug})
+    tracker.add_result(slug, "a1", "paper_search")
+    tracker.journal.log("conclusion", "done", {"investigation": slug})
+    tracker.mark_complete(slug)
     tracker.create("other topic")
     reloaded = tracker_over(tmp_path, clock)
-    assert [i.to_dict() for i in reloaded.all()] == [i.to_dict() for i in tracker.all()]
-    loaded = reloaded.get(inv.id)
-    assert loaded.hypotheses == ["h1"]
-    assert loaded.results == [{"artifact": "a1", "skill": "paper_search"}]
-    assert loaded.status == "complete"
-    assert reloaded.get("other-topic").status == "active"
+    for known in (slug, "other-topic"):
+        assert reloaded.status(known) == tracker.status(known)
+    assert "nope" not in reloaded
+    # The hypotheses and results are the journal's alone.
+    lines = investigation_lines(tracker.journal.path, slug)
+    assert [e.content for e in lines if e.kind == "hypothesis"] == ["h1"]
+    assert [{"artifact": e.metadata["artifact"], "skill": e.metadata["skill"]}
+            for e in lines if e.kind == "experiment" and "skill" in e.metadata] == [
+        {"artifact": "a1", "skill": "paper_search"}]
+    assert reloaded.status(slug) == "complete"
+    assert reloaded.status("other-topic") == "active"
 
 
 @pytest.mark.parametrize("line", ["{truncated\n", '{"timestamp": "t", "kind": "hypothesis"}\n',

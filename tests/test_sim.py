@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 
 from artifact import reactor as reactor_module
-from artifact.clock import ManualClock
+from artifact.clock import EPOCH, ManualClock, format_timestamp
 from artifact.errors import (ArtifactError, CorruptStore, DuplicateArtifact, InvalidFormat,
                              InvalidScenario)
 from artifact.governance import GovernanceLedger
 from artifact.index import GlobalIndex
 from artifact.ledger import read_log
 from artifact.lineage import LineageGraph
-from artifact.memory import AgentJournal, InvestigationTracker
+from artifact.memory import AgentJournal, InvestigationTracker, JournalEntry, slugify
 from artifact.reactor import _read_consumption, param_keys, reaction_fields
 from artifact.rundir import RunDir, read_store
 from artifact.sim import (
@@ -33,10 +33,11 @@ from artifact.sim import (
     run,
     run_pipeline,
     select_chain,
+    stable_hash,
     verify_output,
 )
 
-from .conftest import stored_records
+from .conftest import post_events, started_topics, stored_records
 
 FIG2_AGENTS = [
     # alice produces everything up to protein_data, so her first two foreign
@@ -89,6 +90,15 @@ def tree_digest(root) -> str:
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+# -- stub ordering ---------------------------------------------------------------
+
+@pytest.mark.parametrize("parts", [(), ("",), ("7", "gap", "alice", "What is the role of x?"),
+                                   ("seed", "agent", "bruno"), ("\u00e9t\u00e9", "\x1f", "a" * 300)])
+def test_stable_hash_is_the_first_16_hex_digits_of_the_digest(parts):
+    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    assert stable_hash(*parts) == int(digest[:16], 16)
 
 
 # -- scenario validation ---------------------------------------------------------
@@ -196,18 +206,25 @@ def test_heartbeat_posts_with_artifact_refs(tmp_path):
     })
     world = World(scenario, tmp_path)
     heartbeat(world, "solo", 0)
-    solo = world.agents["solo"]
-    investigation = solo.tracker.get("protein-focus-area")
+    slug = "protein-focus-area"
+    assert world.agents["solo"].tracker.status(slug) == "complete"
     [post] = world.governance.posts.values()
-    assert post.title == "Findings: protein focus area"
+    [event] = post_events(world.run_dir.governance)
+    assert event["title"] == "Findings: protein focus area"
+    results = [entry.metadata["artifact"]
+               for _, entry in read_log(world.run_dir.agent("solo").journal,
+                                        JournalEntry.from_dict)
+               if entry.kind == "experiment" and entry.metadata.get("investigation") == slug
+               and "skill" in entry.metadata]
     # The investigation's chain artifacts, then their synthesis.
     pipeline = [a for a in stored_records(world.run_dir.agent("solo").store)
-                if a.investigation_id == investigation.id][:len(investigation.results) + 1]
+                if a.investigation_id == slug][:len(results) + 1]
     assert post.artifact_refs == [a.artifact_id for a in pipeline]
-    assert post.artifact_refs[:-1] == [result["artifact"] for result in investigation.results]
+    assert post.artifact_refs[:-1] == results
+    assert event["artifact_refs"] == post.artifact_refs
     assert pipeline[-1].artifact_type == "synthesis"
     assert all(a.producer_agent == post.author for a in pipeline)
-    assert post.tools_used
+    assert event["tools_used"]
 
 
 def test_heartbeat_without_topic_skips_post(tmp_path):
@@ -216,7 +233,8 @@ def test_heartbeat_without_topic_skips_post(tmp_path):
     })
     world = World(scenario, tmp_path)
     heartbeat(world, "solo", 0)
-    assert world.agents["solo"].tracker.all() == []
+    assert all("investigation" not in entry.metadata
+               for entry in world.agents["solo"].journal.entries())
     assert world.governance.posts == {}
 
 
@@ -239,9 +257,10 @@ def test_redirect_promotes_subquestion(tmp_path):
         parent_comment=None,
     )
     heartbeat(world, "solo", 1)
+    assert started_topics(world.run_dir.agent("solo").journal) == [
+        "protein focus area", "ceramic stability question"]
     tracker = world.agents["solo"].tracker
-    assert [i.topic for i in tracker.all()] == ["protein focus area",
-                                                "ceramic stability question"]
+    assert "ceramic-stability-question" in tracker and "a-seeded-distraction" not in tracker
 
 
 def test_repeated_topic_resumes_completed_investigation(tmp_path):
@@ -253,7 +272,8 @@ def test_repeated_topic_resumes_completed_investigation(tmp_path):
         ],
     })
     world, _ = run(scenario, tmp_path / "out")
-    assert [p.title for p in world.governance.posts.values()] == [
+    assert len(world.governance.posts) == 2
+    assert [event["title"] for event in post_events(world.run_dir.governance)] == [
         "Findings: protein focus area", "Findings: Protein Focus Area"]
 
 
@@ -271,8 +291,8 @@ def test_gap_detection_picks_up_peer_open_questions(tmp_path):
     world = World(scenario, tmp_path)
     heartbeat(world, "asker", 0)
     heartbeat(world, "helper", 0)
-    [investigation] = world.agents["helper"].tracker.all()
-    assert "qqz17" in investigation.topic
+    [topic] = started_topics(world.run_dir.agent("helper").journal)
+    assert "qqz17" in topic
 
 
 def test_engagement_upvotes_newest_peer_post(tmp_path):
@@ -365,12 +385,13 @@ def test_demo_run_directory_layout(tmp_path):
 def test_reopened_trackers_equal_the_live_ones(tmp_path):
     world, _ = run(demo_scenario(), tmp_path / "out")
     for name, runtime in world.agents.items():
-        live = runtime.tracker.all()
-        assert live, name
         journal = AgentJournal(tmp_path / "out" / "agents" / name / "journal.jsonl",
                                clock=ManualClock())
-        reopened = InvestigationTracker(journal).all()
-        assert [asdict(i) for i in reopened] == [asdict(i) for i in live]
+        slugs = [slugify(topic) for topic in started_topics(journal.path)]
+        assert slugs, name
+        reopened = InvestigationTracker(journal)
+        assert ([reopened.status(slug) for slug in slugs]
+                == [runtime.tracker.status(slug) for slug in slugs])
 
 
 def test_reopened_governance_equals_the_live_ledger(tmp_path):
@@ -620,6 +641,10 @@ def _reshape(kind, inputs, outputs):
     ("report with a wrong per_agent", "dag_metrics per_agent mismatch"),
     ("report with a wrong reactions", "reactions mismatch"),
     ("report with a wrong mutations", "mutations mismatch"),
+    ("report with a wrong posts", "posts mismatch"),
+    ("garbled governance line", "unparseable governance event"),
+    ("governance event without now", "missing field(s) ['now']"),
+    ("governance event of no command", "unknown event op 'post_link'"),
     ("report with a wrong need latency", "need_latencies mismatch"),
     ("report still holding cycles", "unknown field(s) ['cycles']"),
     ("report with an extra dag_metrics field", "unknown field(s) ['extra']"),
@@ -655,7 +680,8 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
             report["dag_metrics"]["synthesis_count"] += 1
         elif damage == "report with a wrong per_agent":
             report["dag_metrics"]["per_agent"]["alice"] += 1
-        elif damage in ("report with a wrong reactions", "report with a wrong mutations"):
+        elif damage in ("report with a wrong reactions", "report with a wrong mutations",
+                        "report with a wrong posts"):
             report[damage.rpartition(" ")[2]] += 1
         elif damage == "report with a wrong need latency":
             key = next(iter(report["need_latencies"]))
@@ -685,6 +711,13 @@ def test_verify_reports_damaged_dag_as_violation(tmp_path, damage, error):
         graft = _graft(child.artifact_id, parent)
         del graft["seq"]
         _append_line(alice / "mutations.jsonl", graft)
+    elif damage == "garbled governance line":
+        _append_line(out / "governance.jsonl", "{not json\n")
+    elif damage == "governance event without now":
+        _append_line(out / "governance.jsonl", {"op": "vote", "data": {"post": "nope"}})
+    elif damage == "governance event of no command":
+        _append_line(out / "governance.jsonl", {"op": "post_link", "now": format_timestamp(EPOCH),
+                                                "data": {}})
     elif damage == "garbled store line":
         _append_line(alice / "store.jsonl", "{not json\n")
     elif damage == "non-UTF-8 store line":
@@ -986,7 +1019,7 @@ def test_interventions_are_deterministic_and_logged(tmp_path):
     [comment] = [c for c in world.governance.comments.values() if c.author == "human"]
     assert (comment.comment_type, comment.body) == ("redirect", "pivot to ceramics now")
     assert world.governance.posts[comment.post].author == "solo"
-    assert [i.topic for i in world.agents["solo"].tracker.all()] == [
+    assert started_topics(world.run_dir.agent("solo").journal) == [
         "protein focus", "pivot to ceramics now"]
 
 
