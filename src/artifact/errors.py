@@ -49,12 +49,6 @@ class UnknownArtifact(ArtifactError):
     pass
 
 
-# --- global index ---
-
-class DuplicateEntry(ArtifactError):
-    pass
-
-
 # --- need signals ---
 
 class QueryTooShort(ArtifactError):

@@ -11,17 +11,21 @@ store line and its lineage node, when it already resolves.
 publication order, holding only what no store holds, the artifact's address
 (``artifact_id``, ``producer_agent``) and its ``fulfills`` key. Every other
 field is its store record's, so reloading the index joins each line with the
-record that ``resolve`` finds for its id. ``read_index`` holds the rule
-that the reload and ``verify`` share: a line whose id resolves to nothing or
-to another producer's record, or that repeats an earlier line's id, is
-damaged.
+record that ``resolve`` finds for its id.
+
+Publication order is time order, Lamport's total order from one clock
+(CACM 1978): ``World.emit`` reads the shared clock and publishes under one
+lock, and ``publish`` refuses with ``ClockSkew``, before it writes, an entry
+that does not come strictly after the newest in ``(timestamp, id)`` order,
+a repeated one included. So no list the index keeps is ever sorted.
+``read_index`` holds the line rule that the reload and ``verify`` share: a
+line whose id resolves to nothing or to another producer's record, or whose
+record does not come after the last in-order record before it, is damaged.
 
 The needs board is kept current as entries are admitted, never rebuilt: a
-need-bearing artifact joins a list held in ``(timestamp, id)`` order (insorted,
-since the index takes artifacts in any timestamp order) together with its
-unclaimed keys, a claim removes its key, and an artifact leaves the list
-once every key it broadcast is claimed. ``open_needs`` walks only that
-list.
+need-bearing artifact's unclaimed keys join the board in admission order, a
+claim removes its key, and an artifact leaves the board once every key it
+broadcast is claimed. ``open_needs`` walks only the board.
 
 The board also keeps each open row's centrality (see ``pressure.centrality``)
 with an inverted file (Zobel and Moffat, ACM Computing Surveys 2006): a
@@ -48,14 +52,13 @@ claimed ones, and drops the rows claimed since (claims only grow).
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .canonical import typed_fields
-from .errors import CorruptStore, DuplicateEntry
+from .errors import ClockSkew, CorruptStore
 from .ledger import AppendLog, Artifact, read_log, scan_order
 from .needs import NeedItem, tokenize
 
@@ -118,7 +121,9 @@ def read_index(path: str | Path, resolve: Callable[[str], Artifact | None],
     fulfilled need key), with the record ``resolve`` gives for the id, or None.
 
     A line is damaged when ``read_log`` finds it so, or when its id resolves
-    to no record or to another producer's, or repeats an earlier line's id.
+    to no record or to another producer's, or when its record does not come
+    after the last in-order record before it in ``(timestamp, id)`` order:
+    so a repeated line and a misplaced line are each one damaged line.
     A damaged line raises ``CorruptStore``, as in ``read_log``; when
     ``damaged`` is given, it gets the error instead, and a line damaged by
     one of the last three rules is still yielded.
@@ -129,7 +134,7 @@ def read_index(path: str | Path, resolve: Callable[[str], Artifact | None],
             raise error
         damaged(error)
 
-    listed: set[str] = set()
+    latest = None  # the last record in order
     for number, (artifact_id, producer, fulfills) in read_log(
             path, index_fields,
             lambda error: fail(error.line_number, f"unparseable index entry: {error.reason}")):
@@ -139,9 +144,11 @@ def read_index(path: str | Path, resolve: Callable[[str], Artifact | None],
         elif artifact.producer_agent != producer:
             fail(number, f"index entry {artifact_id} names producer {producer}, "
                          f"its record {artifact.producer_agent}")
-        if artifact_id in listed:
-            fail(number, f"artifact {artifact_id} is in the index twice")
-        listed.add(artifact_id)
+        elif latest is not None and scan_order(artifact) <= scan_order(latest):
+            fail(number, f"index entry {artifact_id} is out of order: "
+                         f"it does not come after {latest.artifact_id}")
+        else:
+            latest = artifact
         yield number, artifact_id, artifact, fulfills
 
 
@@ -159,14 +166,15 @@ class GlobalIndex:
         self.path = Path(path)
         self.log = AppendLog(self.path)
         self._entries: list[Artifact] = []
-        self._fulfills: dict[str, NeedKey | None] = {}  # the key each id fulfilled
+        # Each entry that fulfilled a need, with its key.
+        self._fulfillments: list[tuple[Artifact, NeedKey]] = []
         # Consumption: the claimed artifact ids and need keys.
         self._claimed: set[str] = set()
         self._claimed_needs: set[NeedKey] = set()
         self._coverage: dict[tuple, int] = {}
-        # Artifacts with an open need, in (timestamp, id) order, and their
-        # open (key, item, artifact) rows in need-index and variant order.
-        self._need_carriers: list[Artifact] = []
+        # The needs board: each carrier of an open need by id, in admission
+        # order, with its open (key, item, artifact) rows in need-index and
+        # variant order.
         self._open_rows: dict[str, list[tuple]] = {}
         # Centrality: each open row's count and query tokens, and the
         # postings from (artifact_type, token) to open rows and their items.
@@ -181,7 +189,6 @@ class GlobalIndex:
 
     def _admit(self, artifact: Artifact, fulfills: NeedKey | None) -> None:
         self._entries.append(artifact)
-        self._fulfills[artifact.artifact_id] = fulfills
         if artifact.needs is not None:
             rows = []
             for need_index, item in enumerate(artifact.needs.items):
@@ -193,8 +200,8 @@ class GlobalIndex:
                         self._count_in(key, item, tokens)
             if rows:
                 self._open_rows[artifact.artifact_id] = rows
-                insort(self._need_carriers, artifact, key=scan_order)
         if fulfills is not None:
+            self._fulfillments.append((artifact, fulfills))
             pair = (fulfills.artifact_id, fulfills.need_index)
             self._coverage[pair] = self._coverage.get(pair, 0) + 1
             self._close(fulfills)
@@ -246,31 +253,29 @@ class GlobalIndex:
                 remaining.append(row)
         if remaining:
             self._open_rows[key.artifact_id] = remaining
-            return
-        carrier = rows[0][2]
-        del self._open_rows[key.artifact_id]
-        position = bisect_left(self._need_carriers, scan_order(carrier), key=scan_order)
-        del self._need_carriers[position]
+        else:
+            del self._open_rows[key.artifact_id]
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, artifact_id: str) -> bool:
-        return artifact_id in self._fulfills
-
     def entries(self) -> list[Artifact]:
         return list(self._entries)
 
-    def fulfilled_key(self, artifact_id: str) -> NeedKey | None:
-        """The need key a published artifact fulfilled, or None."""
-        return self._fulfills[artifact_id]
+    def fulfillments(self) -> list[tuple[Artifact, NeedKey]]:
+        """Each published artifact that fulfilled a need, with its key."""
+        return list(self._fulfillments)
 
     def publish(self, artifact: Artifact, fulfills: NeedKey | None) -> None:
         """Append one artifact, with the need key it fulfills; appends
-        serialize so lines never interleave."""
+        serialize so lines never interleave. An artifact that does not come
+        strictly after the newest entry in (timestamp, id) order raises
+        ClockSkew before anything is written."""
         with self._lock:
-            if artifact.artifact_id in self._fulfills:
-                raise DuplicateEntry(f"index already holds {artifact.artifact_id}")
+            if self._entries and scan_order(artifact) <= scan_order(self._entries[-1]):
+                newest = self._entries[-1]
+                raise ClockSkew(f"{artifact.artifact_id} of {artifact.timestamp} does not "
+                                f"come after {newest.artifact_id} of {newest.timestamp}")
             self.log.append(index_line(artifact, fulfills))
             self._admit(artifact, fulfills)
 
@@ -304,7 +309,7 @@ class GlobalIndex:
     def candidates(self, profile: Hashable,
                    fits: Callable[[Artifact], Any]) -> list[tuple[Artifact, Any]]:
         """The unclaimed entries for which ``fits`` returns something other
-        than None, each with what it returned, in (timestamp, id) order.
+        than None, each with what it returned, in publication order.
         ``fits`` must depend on ``profile`` alone: callers with the same
         profile read one board (see the module doc).
         """
@@ -315,7 +320,7 @@ class GlobalIndex:
                 if artifact.artifact_id not in self._claimed:
                     fit = fits(artifact)
                     if fit is not None:
-                        insort(rows, (artifact, fit), key=lambda row: scan_order(row[0]))
+                        rows.append((artifact, fit))
             self._boards[profile] = (len(self._entries), rows)
             return list(rows)
 
@@ -325,7 +330,7 @@ class GlobalIndex:
         producer: str | None = None,
         exclude_producer: str | None = None,
     ) -> list[Artifact]:
-        """Artifacts matching every present filter, ordered by (timestamp, id)."""
+        """Artifacts matching every present filter, in publication order."""
         found = []
         for artifact in self.entries():
             if artifact_type is not None and artifact.artifact_type != artifact_type:
@@ -335,7 +340,6 @@ class GlobalIndex:
             if exclude_producer is not None and artifact.producer_agent == exclude_producer:
                 continue
             found.append(artifact)
-        found.sort(key=scan_order)
         return found
 
     def open_needs(
@@ -343,14 +347,14 @@ class GlobalIndex:
     ) -> list[tuple[NeedKey, NeedItem, Artifact]]:
         """Every unclaimed (key, item, carrying artifact) row, variant-expanded.
 
-        Rows come in (timestamp, id) order of the carrying artifact, then need
+        Rows come in publication order of the carrying artifact, then need
         index, then variant. ``centrality`` gets each row's centrality count,
         read under the same lock as the rows.
         """
         rows = []
         with self._lock:
-            for carrier in self._need_carriers:
-                rows.extend(self._open_rows[carrier.artifact_id])
+            for carrier_rows in self._open_rows.values():
+                rows.extend(carrier_rows)
             centrality.update(self._centrality)
         return rows
 

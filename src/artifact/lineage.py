@@ -403,8 +403,7 @@ class LineageGraph:
         per_agent: dict[str, int] = {}
         synthesis = 0
         depths = []
-        for node_id in sorted(self._nodes):
-            record = self._nodes[node_id]
+        for node_id, record in self._nodes.items():
             per_agent[record.producer_agent] = per_agent.get(record.producer_agent, 0) + 1
             parents = self.parents(node_id)
             if len(parents) >= 2 or record.artifact_type == "synthesis":

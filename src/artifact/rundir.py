@@ -82,16 +82,16 @@ class SimulationReport:
     mutations: int
 
 
-def need_latencies(fulfillments: Iterable[tuple[Artifact | LineageRecord, NeedKey | None]],
+def need_latencies(fulfillments: Iterable[tuple[Artifact | LineageRecord, NeedKey]],
                    resolve: Callable[[str], Artifact | LineageRecord | None]
                    ) -> dict[str, float]:
     """Seconds from each need's broadcast to its fulfillment, in need key
-    order: ``fulfillments`` pairs each artifact (or its lineage record) with
-    the key it fulfilled, or None, and ``resolve`` gives the artifact or the
-    record of an id, or None."""
+    order: ``fulfillments`` pairs each fulfilling artifact (or its lineage
+    record) with the key it fulfilled, and ``resolve`` gives the artifact or
+    the record of an id, or None."""
     latencies: dict[str, float] = {}
     for artifact, key in fulfillments:
-        carrier = resolve(key.artifact_id) if key is not None else None
+        carrier = resolve(key.artifact_id)
         if carrier is not None:
             delta = parse_timestamp(artifact.timestamp) - parse_timestamp(carrier.timestamp)
             latencies[key.text] = delta.total_seconds()
@@ -222,10 +222,10 @@ def verify_output(out_dir: str | Path) -> list[str]:
     fork line's inputs stored and its outputs stored by the agent that
     logged it, no merge repeating the input set of another, no graft
     repeating the seq of another, an index that lists each stored artifact
-    once under its producer, with no need key fulfilled twice in it and none
-    its carrier never broadcast, and, where neither the reaction lines nor
-    the index gave a violation, each product's need key the same in its
-    reaction line and its index line.
+    once under its producer, in (timestamp, id) order, with no need key
+    fulfilled twice in it and none its carrier never broadcast, and, where
+    neither the reaction lines nor the index gave a violation, each
+    product's need key the same in its reaction line and its index line.
     """
     violations: list[str] = []
     run_dir = RunDir(out_dir)
@@ -282,6 +282,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
         violations.append(f"{error.path} line {error.line_number}: "
                           f"unparseable reaction: {error.reason}")
 
+    # An id that resolves is keyed by its record's string, not json's copy.
     consumed_by: dict[str, str] = {}
     fulfilled_by: dict[NeedKey, str] = {}
     need_of_product: dict[str, str] = {}  # each need-driven product's key
@@ -291,6 +292,7 @@ def verify_output(out_dir: str | Path) -> list[str]:
                 agent_files.reactions, reaction_fields, damaged_reaction):
             reactions += 1
             product = artifacts.get(produced)
+            produced = product.artifact_id if product is not None else produced
             if product is None:
                 violations.append(f"{agent} reaction product {produced} is in no store")
             elif product.producer_agent != agent:
@@ -307,13 +309,14 @@ def verify_output(out_dir: str | Path) -> list[str]:
                     )
                 fulfilled_by[fulfilled] = agent
             for consumed in consumed_ids:
+                producer = artifacts.get(consumed)
+                consumed = producer.artifact_id if producer is not None else consumed
                 if consumed in consumed_by:
                     violations.append(
                         f"artifact {consumed} consumed twice "
                         f"({consumed_by[consumed]} and {agent})"
                     )
                 consumed_by[consumed] = agent
-                producer = artifacts.get(consumed)
                 if producer is None:
                     violations.append(f"{agent} consumed {consumed}, which is in no store")
                     continue
@@ -407,10 +410,11 @@ def _index_violations(path: Path,
     def damaged(error: CorruptStore) -> None:
         violations.append(f"{error.path} line {error.line_number}: {error.reason}")
 
-    listed: set[str] = set()
+    listed: set[str] = set()  # the records' own id strings
     fulfilled: set[NeedKey] = set()
-    for number, artifact_id, artifact, fulfills in read_index(path, artifacts.get, damaged):
-        listed.add(artifact_id)
+    for number, _, artifact, fulfills in read_index(path, artifacts.get, damaged):
+        if artifact is not None:
+            listed.add(artifact.artifact_id)
         if fulfills is None:
             continue
         where = f"{path} line {number}"

@@ -23,8 +23,7 @@ from typing import Callable, Container, Sequence
 
 from .canonical import Payload, canonicalize
 from .clock import EPOCH, ManualClock
-from .errors import (ArtifactError, DuplicateArtifact, InvalidFormat, RateLimited,
-                     UnknownArtifact)
+from .errors import ArtifactError, DuplicateArtifact, InvalidFormat, UnknownArtifact
 from .governance import GovernanceLedger, Post
 from .index import GlobalIndex, NeedKey
 from .ledger import Artifact, ArtifactStore, create_artifact, new_uuid
@@ -213,7 +212,7 @@ class World:
         self.governance = GovernanceLedger(
             self.run_dir.governance,
             clock=self.clock,
-            resolve_ref=self.index.__contains__,
+            resolve_ref=self.graph.__contains__,
         )
         self.birth_cycles: dict[str, int] = {}
         self.current_cycle = 0
@@ -540,7 +539,7 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> None:
                         tools_used=outcome["chain"],
                         artifact_refs=[a.artifact_id for a in outcome["artifacts"]],
                     )
-            except (RateLimited, ArtifactError) as exc:
+            except ArtifactError as exc:
                 runtime.journal.log("observation", f"post deferred: {exc}")
 
     with world._gov_lock:
@@ -549,7 +548,7 @@ def heartbeat(world: World, agent_name: str, cycle: int) -> None:
         if target is not None:
             try:
                 world.governance.apply_vote(agent_name, target.id, 1)
-            except (RateLimited, ArtifactError) as exc:
+            except ArtifactError as exc:
                 runtime.journal.log("observation", f"vote deferred: {exc}")
 
     runtime.reactor.react(limit=3)
@@ -630,9 +629,7 @@ def _run_cycles(world: World) -> SimulationReport:
                 heartbeat(world, name, cycle)
                 world.commit([name])
 
-    index = world.index
-    latencies = need_latencies(((artifact, index.fulfilled_key(artifact.artifact_id))
-                                for artifact in index.entries()), world.resolve_id)
+    latencies = need_latencies(world.index.fulfillments(), world.resolve_id)
     report = SimulationReport(
         scenario=scenario.to_dict(),
         dag_metrics=world.graph.metrics().to_dict(),

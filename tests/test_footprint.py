@@ -43,8 +43,7 @@ def demo_instances(tmp_path) -> tuple:
     world, _ = run(demo_scenario(), tmp_path / "out")
     artifacts = list(world.index.entries())
     carrier = next(a for a in artifacts if a.needs is not None)
-    key = next(world.index.fulfilled_key(a.artifact_id) for a in artifacts
-               if world.index.fulfilled_key(a.artifact_id) is not None)
+    [(_, key), *_] = world.index.fulfillments()
     alice = world.agents["alice"]
     [(_, event), *_] = read_log(world.run_dir.agent("bruno").mutations, MutationEvent.from_dict)
     context = PressureContext(coverage=0, centrality=1, parent_depth=1, created=EPOCH,

@@ -1,7 +1,9 @@
 """The reactor's incremental scans against the full rescans they replaced.
 
-Random publishes (timestamps out of order, need carriers and fulfilments,
-repeated fulfilments) and interleaved claims of artifacts and of need keys
+Random publishes (each a non-negative time step after the last, as
+``World`` publishes; need carriers and fulfilments, repeated fulfilments),
+publishes out of time order, which the index must refuse without a change,
+and interleaved claims of artifacts and of need keys
 (a claimed key whose answer is never published) drive a shared index and
 one reactor per agent; two agents share a profile, so their reactors read
 one candidate board. At every check a reactor's candidates must equal a
@@ -41,7 +43,7 @@ from artifact.skills import default_registry, load_profile
 
 from .conftest import nothing_stored
 from .test_governance import call
-from .test_index import reopened
+from .test_index import assert_refused, reopened
 
 RATIONALE = "downstream synthesis is blocked on this data"
 AGENTS = {
@@ -59,7 +61,7 @@ def rescanned_open_needs(index: GlobalIndex, claimed: set) -> list:
     """Every need row neither fulfilled nor in ``claimed``, from a sort and a
     rescan of all entries."""
     entries = index.entries()
-    fulfilled = {index.fulfilled_key(e.artifact_id) for e in entries} | claimed
+    fulfilled = {key for _, key in index.fulfillments()} | claimed
     rows = []
     for entry in sorted(entries, key=lambda e: (e.timestamp, e.artifact_id)):
         if entry.needs is None:
@@ -85,6 +87,7 @@ class Peers:
         self.claimed_ids: set[str] = set()
         self.claimed_keys: set[NeedKey] = set()
         self.published: list = []
+        self.seconds = 0  # the newest publish's time, after the epoch
 
         def reactor(name, tools, subdir):
             return ArtifactReactor(
@@ -107,7 +110,7 @@ class Peers:
                 for i, item in enumerate(e.needs.items) for vid in variant_ids(item)]
 
     def publish(self, op) -> None:
-        _, producer, type_pick, keys, investigation, second, needs, fulfil = op
+        _, producer, type_pick, keys, investigation, step, needs, fulfil = op
         carriers_keys = self.broadcast_keys()
         fulfills = None
         if fulfil is not None and carriers_keys:
@@ -120,6 +123,7 @@ class Peers:
                 for t, n in needs
             ))
         number = len(self.published)
+        self.seconds += step
         artifact = create_artifact(
             artifact_type=TYPES[type_pick],
             producer_agent=list(AGENTS)[producer],
@@ -128,12 +132,27 @@ class Peers:
             parents=(),
             investigation_id=investigation,
             needs=signal,
-            clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
+            clock=ManualClock(current=EPOCH + timedelta(seconds=self.seconds)),
             id_factory=lambda: f"a{number:03d}",
         )
         self.store.append(artifact)
         self.index.publish(artifact, fulfills)
         self.published.append(artifact)
+
+    def publish_stale(self, op) -> None:
+        """Publish a need carrier that does not come after the newest entry:
+        an earlier or equal time with an id no later than the newest's."""
+        _, pick, back = op
+        number = pick % len(self.published)
+        artifact = create_artifact(
+            artifact_type="synthesis", producer_agent="alice", skill="synthesize",
+            payload={}, parents=(), investigation_id="",
+            needs=NeedsSignal(items=(NeedItem(artifact_type=TYPES[0], query="need query 0",
+                                              rationale=RATIONALE),)),
+            clock=ManualClock(current=EPOCH + timedelta(seconds=self.seconds - back)),
+            id_factory=lambda: f"a{number:03d}",
+        )
+        assert_refused(self.index, artifact)
 
 
 publishes = st.tuples(
@@ -142,17 +161,19 @@ publishes = st.tuples(
     st.integers(0, len(TYPES) - 1),
     st.sets(st.sampled_from(KEYS), max_size=3),
     st.sampled_from(("", "x", "y")),
-    st.integers(0, 12),  # seconds after the epoch: timestamps land out of order
+    st.integers(0, 3),  # seconds after the last publish: ties are broken by id
     st.lists(st.tuples(st.integers(0, len(TYPES) - 1), st.integers(0, 2)), max_size=2),
     st.none() | st.integers(0, 40),  # fulfil one of the keys broadcast so far
 )
 claims = st.tuples(st.just("claim"), st.integers(0, 60))
 need_claims = st.tuples(st.just("claim_need"), st.integers(0, 40))
+stale_publishes = st.tuples(st.just("stale"), st.integers(0, 40), st.integers(0, 3))
 checks = st.tuples(st.just("check"), st.integers(0, len(AGENTS) - 1))
 
 
 @settings(max_examples=120)
-@given(ops=st.lists(st.one_of(publishes, publishes, claims, need_claims, checks, checks),
+@given(ops=st.lists(st.one_of(publishes, publishes, claims, need_claims, stale_publishes,
+                              checks, checks),
                     min_size=5, max_size=40))
 def test_incremental_scans_match_full_rescan(ops):
     with tempfile.TemporaryDirectory() as tmp:
@@ -160,6 +181,8 @@ def test_incremental_scans_match_full_rescan(ops):
         for op in ops + [("check", a) for a in range(len(AGENTS))]:
             if op[0] == "publish":
                 peers.publish(op)
+            elif op[0] == "stale" and peers.published:
+                peers.publish_stale(op)
             elif op[0] == "claim" and peers.published:
                 artifact_id = peers.published[op[1] % len(peers.published)].artifact_id
                 peers.index.claim_all((artifact_id,))
@@ -174,7 +197,8 @@ def test_incremental_scans_match_full_rescan(ops):
                 reactor, reference = peers.reactors[name], peers.references[name]
                 found = reactor.scan_available()
                 expected = [(e, param_keys(e.payload))
-                            for e in peers.index.scan(exclude_producer=name)
+                            for e in sorted(peers.index.scan(exclude_producer=name),
+                                            key=lambda e: (e.timestamp, e.artifact_id))
                             if reference.can_react(e)]
                 assert found == expected
                 assert all(a.artifact_id not in peers.claimed_ids for a, _ in found)
@@ -197,8 +221,8 @@ QUERIES = ("TP53 Y220C binding", "tp53 motif", "alloy density", "density-of-ALLO
 need_specs = st.tuples(st.integers(0, 2), st.sampled_from(QUERIES), st.integers(0, 3))
 carries = st.tuples(st.just("carry"), st.lists(need_specs, min_size=1, max_size=2),
                     st.booleans(),  # one NeedItem object carried twice by the signal
-                    st.integers(0, 12))
-fulfils = st.tuples(st.just("fulfil"), st.integers(0, 60), st.integers(0, 12))
+                    st.integers(0, 3))  # seconds after the last publish
+fulfils = st.tuples(st.just("fulfil"), st.integers(0, 60), st.integers(0, 3))
 key_claims = st.tuples(st.just("claim_need"), st.integers(0, 60))
 
 
@@ -220,6 +244,7 @@ def test_index_centrality_counts_match_the_specification(ops):
         store = ArtifactStore(Path(tmp) / "store.jsonl")
         keys: list[NeedKey] = []
         claimed: list[NeedKey] = []
+        seconds = 0
         for number, op in enumerate(ops):
             fulfills, signal = None, None
             if op[0] == "claim_need":
@@ -229,7 +254,7 @@ def test_index_centrality_counts_match_the_specification(ops):
                     assert_counts_match_specification(index)
                 continue
             if op[0] == "carry":
-                _, specs, repeat, second = op
+                _, specs, repeat, step = op
                 items = tuple(
                     NeedItem(artifact_type=TYPES[t], query=query, rationale=RATIONALE,
                              parallel_variants=tuple({"sequence": "A" * (v + 1)}
@@ -237,14 +262,15 @@ def test_index_centrality_counts_match_the_specification(ops):
                     for t, query, n in specs)
                 signal = NeedsSignal(items=items[:1] * 2 if repeat else items)
             else:
-                _, pick, second = op
+                _, pick, step = op
                 if not keys:
                     continue
                 fulfills = keys[pick % len(keys)]  # a repeated fulfilment closes nothing
+            seconds += step
             artifact = create_artifact(
                 artifact_type="synthesis", producer_agent="alice", skill="synthesize",
                 payload={}, parents=(), investigation_id="", needs=signal,
-                clock=ManualClock(current=EPOCH + timedelta(seconds=second)),
+                clock=ManualClock(current=EPOCH + timedelta(seconds=seconds)),
                 id_factory=lambda: f"a{number:03d}")
             store.append(artifact)
             index.publish(artifact, fulfills)

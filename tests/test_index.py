@@ -6,7 +6,7 @@ import json
 import pytest
 
 from artifact.clock import ManualClock
-from artifact.errors import CorruptStore, DuplicateEntry
+from artifact.errors import ClockSkew, CorruptStore
 from artifact.index import GlobalIndex, NeedKey, variant_ids
 from artifact.ledger import Artifact, ArtifactStore, create_artifact
 from artifact.needs import NeedItem, NeedsSignal
@@ -49,11 +49,20 @@ def test_publish_then_scan(tmp_path):
     assert [e.artifact_id for e in index.scan()] == ["a1"]
 
 
+def assert_refused(index, artifact):
+    """Publishing ``artifact`` raises ClockSkew and changes neither the
+    index's file nor its entries."""
+    before, entries = index.path.read_bytes(), index.entries()
+    with pytest.raises(ClockSkew):
+        index.publish(artifact, None)
+    assert index.path.read_bytes() == before
+    assert index.entries() == entries
+
+
 def test_duplicate_publish_rejected(tmp_path):
     index = GlobalIndex(tmp_path / "index.jsonl", nothing_stored)
     index.publish(entry("a1"), None)
-    with pytest.raises(DuplicateEntry):
-        index.publish(entry("a1"), None)
+    assert_refused(index, entry("a1"))
 
 
 def test_scan_filters(tmp_path):
@@ -67,12 +76,14 @@ def test_scan_filters(tmp_path):
                                               artifact_type="protein_data")} == {"a3"}
 
 
-def test_scan_orders_by_timestamp_then_id(tmp_path):
+def test_publish_out_of_time_order_rejected(tmp_path):
     index = GlobalIndex(tmp_path / "index.jsonl", nothing_stored)
-    index.publish(entry("b", timestamp="2024-01-01T00:00:02.000000+00:00"), None)
-    index.publish(entry("c", timestamp="2024-01-01T00:00:01.000000+00:00"), None)
-    index.publish(entry("a", timestamp="2024-01-01T00:00:01.000000+00:00"), None)
-    assert [e.artifact_id for e in index.scan()] == ["a", "c", "b"]
+    index.publish(entry("b", timestamp="2024-01-01T00:00:01.000000+00:00"), None)
+    assert_refused(index, entry("c", timestamp="2024-01-01T00:00:00.000000+00:00"))
+    assert_refused(index, entry("a", timestamp="2024-01-01T00:00:01.000000+00:00"))
+    index.publish(entry("a", timestamp="2024-01-01T00:00:02.000000+00:00"), None)
+    index.publish(entry("c", timestamp="2024-01-01T00:00:02.000000+00:00"), None)
+    assert [e.artifact_id for e in index.scan()] == ["b", "a", "c"]
 
 
 # -- needs board ---------------------------------------------------------------
@@ -178,7 +189,8 @@ def test_reload_from_file(tmp_path):
     assert reloaded.coverage("a1", 0) == 1
     assert reloaded.open_needs({}) == []
     assert reloaded.entries() == index.entries()
-    assert [reloaded.fulfilled_key(i) for i in ("a1", "b1")] == [None, NeedKey("a1", 0, "default")]
+    assert reloaded.fulfillments() == index.fulfillments() == [
+        (index.entries()[1], NeedKey("a1", 0, "default"))]
 
 
 def test_reload_rejects_a_repeated_entry(tmp_path):
@@ -194,6 +206,20 @@ def test_reload_rejects_a_repeated_entry(tmp_path):
         GlobalIndex(path, reopened(store))
     assert (caught.value.path, caught.value.line_number) == (str(path), 3)
     assert "a1" in caught.value.reason
+
+
+def test_reload_rejects_two_swapped_entries(tmp_path):
+    path = tmp_path / "index.jsonl"
+    store = ArtifactStore(tmp_path / "store.jsonl")
+    index = GlobalIndex(path, nothing_stored)
+    for artifact_id in ("a1", "a2", "a3"):
+        index.publish(stored(store, artifact_id), None)
+    first, second, third = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + third + second)
+    with pytest.raises(CorruptStore) as caught:
+        GlobalIndex(path, reopened(store))
+    assert (caught.value.path, caught.value.line_number) == (str(path), 3)
+    assert "a2" in caught.value.reason and "out of order" in caught.value.reason
 
 
 def test_reload_rejects_an_id_no_store_holds(tmp_path):

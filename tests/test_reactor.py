@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from datetime import timedelta
 
 import pytest
@@ -108,14 +109,15 @@ def test_merge_matches_brute_force_fold():
 
 class Harness:
     """A shared index (which holds the claims) and graph, and one store and
-    reactor per agent; ``emit`` publishes in the order ``World.emit`` does,
-    and the reactors publish through it."""
+    reactor per agent; ``emit`` reads the clock and publishes under one lock,
+    in the order ``World.emit`` does, and the reactors publish through it."""
 
     def __init__(self, tmp_path, registry, agents: dict):
         self.registry = registry
         self.clock = ManualClock(current=EPOCH, step=timedelta(seconds=1))
         self.index = GlobalIndex(tmp_path / "index.jsonl", nothing_stored)
         self.graph = LineageGraph()
+        self._emit_lock = threading.Lock()
         self.reactors = {}
         self.stores = {}
         self.rngs = {}
@@ -142,30 +144,25 @@ class Harness:
 
     def emit(self, agent, artifact_type, payload, parents=(), needs=None, skill="synthesize",
              investigation_id="", fulfills=None, before_store=None):
-        artifact = create_artifact(
-            artifact_type=artifact_type,
-            producer_agent=agent,
-            skill=skill,
-            payload=payload,
-            parents=parents,
-            investigation_id=investigation_id,
-            needs=needs,
-            clock=self.clock,
-            known_types=self.registry.artifact_types(),
-            id_factory=lambda: new_uuid(self.rngs[agent]),
-        )
-        if before_store is not None:
-            before_store(artifact)
-        self.stores[agent].append(artifact)
-        self.graph.insert(artifact)
-        self.index.publish(artifact, fulfills)
+        with self._emit_lock:
+            artifact = create_artifact(
+                artifact_type=artifact_type,
+                producer_agent=agent,
+                skill=skill,
+                payload=payload,
+                parents=parents,
+                investigation_id=investigation_id,
+                needs=needs,
+                clock=self.clock,
+                known_types=self.registry.artifact_types(),
+                id_factory=lambda: new_uuid(self.rngs[agent]),
+            )
+            if before_store is not None:
+                before_store(artifact)
+            self.stores[agent].append(artifact)
+            self.graph.insert(artifact)
+            self.index.publish(artifact, fulfills)
         return artifact
-
-
-def fulfilments(index):
-    """(artifact, need key) for each published artifact that fulfilled a need."""
-    keyed = ((a, index.fulfilled_key(a.artifact_id)) for a in index.entries())
-    return [(a, key) for a, key in keyed if key is not None]
 
 
 @pytest.fixture
@@ -264,7 +261,7 @@ def test_single_need_limit_three(harness):
     assert produced.artifact_type == "sequence_alignment"
     assert produced.parent_artifact_ids == (carrier.artifact_id,)
     # fulfillment is visible in the index
-    assert [key for _, key in fulfilments(harness.index)] == [record.fulfilled_need]
+    assert [key for _, key in harness.index.fulfillments()] == [record.fulfilled_need]
 
 
 def test_higher_pressure_need_wins_budget(harness):
@@ -525,7 +522,7 @@ def test_need_key_has_exactly_one_winner(tmp_path, registry):
                for r in harness.reactors[name].react_to_needs(limit=1)]
     key = NeedKey(carrier.artifact_id, 0, "default")
     assert [r.fulfilled_need for r in records] == [key]
-    assert [k for _, k in fulfilments(harness.index)].count(key) == 1
+    assert [k for _, k in harness.index.fulfillments()].count(key) == 1
 
 
 def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
@@ -553,7 +550,7 @@ def test_need_claim_lost_after_the_skill_ran(tmp_path, registry, monkeypatch):
     assert harness.reactors["dave"].react_to_needs(limit=1) == []
     key = NeedKey(carrier.artifact_id, 0, "default")
     assert len(calls) == 2
-    assert [(a.producer_agent, k) for a, k in fulfilments(harness.index)] == [("bob", key)]
+    assert [(a.producer_agent, k) for a, k in harness.index.fulfillments()] == [("bob", key)]
     assert not (tmp_path / "agents" / "dave" / "reactions.jsonl").exists()
 
 
@@ -594,7 +591,6 @@ def test_damaged_reaction_line_stops_a_restart(harness, tmp_path):
 def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
     """Many reactors race on threads for the same needs; none is answered twice."""
     import sys
-    import threading
 
     names = [f"r{i}" for i in range(12)]
     harness = Harness(tmp_path, registry,
@@ -628,7 +624,7 @@ def test_need_keys_stay_exclusive_under_thread_contention(tmp_path, registry):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    answered = [key.text for _, key in fulfilments(harness.index)]
+    answered = [key.text for _, key in harness.index.fulfillments()]
     logged = [r.fulfilled_need.text for n in names for r in records[n]]
     assert len(answered) == len(set(answered)) == 12
     assert sorted(logged) == sorted(answered)
@@ -640,7 +636,6 @@ def test_reactors_of_one_profile_share_a_board_under_threads(tmp_path, registry)
     reactor's scan equals a filter of the whole index through its
     ``can_react``, which reads no board."""
     import sys
-    import threading
 
     names = [f"r{i}" for i in range(6)]
     harness = Harness(tmp_path, registry,

@@ -921,7 +921,8 @@ def _write_index(out, records):
     ("an id no store holds", "is in no store"),
     ("another producer", "names producer"),
     ("stored artifact left out", "is not in the index"),
-    ("entry listed twice", "is in the index twice"),
+    ("entry listed twice", "is out of order"),
+    ("two entries swapped", "is out of order"),
     ("need index never broadcast", "was never broadcast"),
     ("variant never broadcast", "was never broadcast"),
     ("key on a carrier with no needs", "was never broadcast"),
@@ -952,6 +953,9 @@ def test_verify_reports_index_damage_as_violation(tmp_path, damage, error):
         records.remove(plain)
     elif damage == "entry listed twice":
         records.append(plain)
+    elif damage == "two entries swapped":
+        at = records.index(plain)
+        records[at:at + 2] = records[at + 1], records[at]
     elif damage == "need index never broadcast":
         fulfilling["fulfills"] = f"{carrier}:99:default"
     elif damage == "variant never broadcast":
